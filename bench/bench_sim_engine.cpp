@@ -1,5 +1,5 @@
 // E-simkernel — event-kernel throughput: the zero-allocation arena +
-// calendar-queue engine vs. the frozen pre-redesign kernel.
+// binary-heap engine vs. the frozen pre-redesign kernel.
 //
 // The workload is the 32x32-grid event mix: every host of a 1024-host grid
 // runs the daemon timers the VDCE runtime arms at bring-up (monitor 1 s,
@@ -21,24 +21,22 @@
 // cancel stream — without the daemons' own work, so the measured
 // difference is pure kernel cost.
 //
-// Three engines replay the identical mix:
+// Two engines replay the identical mix:
 //
 //   legacy    — sim::legacy::LegacyEngine, the pre-redesign kernel frozen
 //               verbatim (std::function callbacks, shared_ptr<bool> handle
 //               control blocks, one binary heap): the baseline.
-//   heap-ref  — the new engine in QueueKind::kBinaryHeapReference mode:
-//               arena + inline Task, old pending-set (isolates how much of
-//               the win is allocation vs. queue discipline).
-//   calendar  — the production zero-allocation kernel.
+//   engine    — sim::Engine, the production zero-allocation kernel (arena
+//               + inline Task + a heap of 24-byte entries).
 //
 // A firing-order checksum (FNV over every fired event's id and timestamp)
-// must match across all three — the speedup only counts if the replay is
+// must match across both — the speedup only counts if the replay is
 // event-for-event identical.  Emits JSON to stdout and BENCH_SIM.json for
 // CI artifact upload.
 //
 // Measurement methodology (docs/SCALING.md "Event-kernel throughput"):
 // each replay runs a warmup window first (bring-up transient: timers
-// arming, the arena and calendar growing to steady state), then times the
+// arming, the arena and heap growing to steady state), then times the
 // steady-state window and counts heap allocations inside it via a global
 // operator-new hook.  The redesign's structural claim — the steady-state
 // schedule/fire/cancel loop allocates NOTHING — is therefore checked here
@@ -53,9 +51,8 @@
 // Flags:
 //   --smoke   8x8 grid, short horizon (CI per-commit signal)
 //   --check   exit non-zero unless (a) the firing-order checksums match,
-//             (b) the calendar kernel's steady-state window performed no
-//             heap allocation (at most 1 per million events, tolerating a
-//             rare calendar rebuild), and (c) the wall-clock speedup over
+//             (b) the engine's steady-state window performed no heap
+//             allocation at all, and (c) the wall-clock speedup over
 //             legacy meets the documented floor (1.4x full, 1.25x smoke)
 #include <chrono>
 #include <cstdint>
@@ -259,8 +256,8 @@ ReplayResult replay(EngineT& engine, const MixSpec& spec) {
                  phase * 2.0);
   }
   // Untimed bring-up: timers arm, the in-flight RPC/transfer population
-  // reaches steady state, and (for the new kernel) the arena and calendar
-  // grow to their high-water sizes.
+  // reaches steady state, and (for the new kernel) the arena and heap grow
+  // to their high-water sizes.
   engine.run_until(spec.warmup);
   const std::uint64_t fired0 = engine.total_fired();
   const std::uint64_t allocs0 = g_allocations;
@@ -276,13 +273,6 @@ ReplayResult replay(EngineT& engine, const MixSpec& spec) {
   return r;
 }
 
-ReplayResult replay_new(sim::QueueKind kind, const MixSpec& spec) {
-  sim::Engine engine(kind);
-  ReplayResult r = replay(engine, spec);
-  r.arena_high_water = engine.arena_high_water();
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -294,7 +284,7 @@ int main(int argc, char** argv) {
   }
 
   bench::print_title("E-simkernel",
-                     "event-kernel throughput: arena + calendar queue vs. "
+                     "event-kernel throughput: arena + binary heap vs. "
                      "the legacy kernel");
   bench::print_note(smoke ? "mode: smoke (8x8 grid; CI signal)"
                           : "mode: full (32x32 grid, 1024 hosts)");
@@ -316,30 +306,24 @@ int main(int argc, char** argv) {
 
   // Best-of-N for each engine: the mix is deterministic, so variance is
   // pure scheduler/allocator noise and the minimum is the honest figure.
-  ReplayResult legacy, heap_ref, calendar;
+  ReplayResult legacy, engine;
   for (int r = 0; r < repeats; ++r) {
     {
-      sim::legacy::LegacyEngine engine;
-      ReplayResult res = replay(engine, spec);
+      sim::legacy::LegacyEngine kernel;
+      ReplayResult res = replay(kernel, spec);
       if (r == 0 || res.ms < legacy.ms) legacy = res;
     }
     {
-      ReplayResult res = replay_new(sim::QueueKind::kBinaryHeapReference, spec);
-      if (r == 0 || res.ms < heap_ref.ms) heap_ref = res;
-    }
-    {
-      ReplayResult res = replay_new(sim::QueueKind::kCalendar, spec);
-      if (r == 0 || res.ms < calendar.ms) calendar = res;
+      sim::Engine kernel;
+      ReplayResult res = replay(kernel, spec);
+      res.arena_high_water = kernel.arena_high_water();
+      if (r == 0 || res.ms < engine.ms) engine = res;
     }
   }
 
-  const bool order_identical = legacy.checksum == calendar.checksum &&
-                               legacy.checksum == heap_ref.checksum &&
-                               legacy.fired == calendar.fired;
-  const double speedup =
-      calendar.ms > 0.0 ? legacy.ms / calendar.ms : 0.0;
-  const double arena_speedup =
-      heap_ref.ms > 0.0 ? legacy.ms / heap_ref.ms : 0.0;
+  const bool order_identical = legacy.checksum == engine.checksum &&
+                               legacy.fired == engine.fired;
+  const double speedup = engine.ms > 0.0 ? legacy.ms / engine.ms : 0.0;
 
   // Allocations per fired event inside the timed steady-state window; the
   // redesigned kernel's structural claim is that this is zero.
@@ -348,12 +332,7 @@ int main(int argc, char** argv) {
                ? static_cast<double>(r.allocs) / static_cast<double>(r.fired)
                : 0.0;
   };
-  // Tolerate at most one allocation per million events: a replay whose
-  // steady depth sits on a calendar resize boundary may trigger a rare
-  // rebuild (which reserves scratch space), and that is the only allowed
-  // source.
-  const bool zero_alloc =
-      calendar.allocs * 1'000'000ull <= calendar.fired;
+  const bool zero_alloc = engine.allocs == 0;
 
   bench::Table table({"kernel", "events", "wall_ms", "events/sec",
                       "allocs/event", "speedup_vs_legacy",
@@ -362,21 +341,15 @@ int main(int argc, char** argv) {
                  bench::Table::num(legacy.ms),
                  bench::Table::num(legacy.events_per_sec, 0),
                  bench::Table::num(allocs_per_event(legacy), 3), "1.0", "-"});
-  table.add_row({"heap-ref", std::to_string(heap_ref.fired),
-                 bench::Table::num(heap_ref.ms),
-                 bench::Table::num(heap_ref.events_per_sec, 0),
-                 bench::Table::num(allocs_per_event(heap_ref), 3),
-                 bench::Table::num(arena_speedup, 2),
-                 order_identical ? "yes" : "NO"});
-  table.add_row({"calendar", std::to_string(calendar.fired),
-                 bench::Table::num(calendar.ms),
-                 bench::Table::num(calendar.events_per_sec, 0),
-                 bench::Table::num(allocs_per_event(calendar), 3),
+  table.add_row({"engine", std::to_string(engine.fired),
+                 bench::Table::num(engine.ms),
+                 bench::Table::num(engine.events_per_sec, 0),
+                 bench::Table::num(allocs_per_event(engine), 3),
                  bench::Table::num(speedup, 2),
                  order_identical ? "yes" : "NO"});
   table.print();
   bench::print_note("arena high water: " +
-                    std::to_string(calendar.arena_high_water) + " slots");
+                    std::to_string(engine.arena_high_water) + " slots");
 
   std::string json = "{\"bench\":\"sim_engine\",\"mode\":\"";
   json += smoke ? "smoke" : "full";
@@ -385,24 +358,20 @@ int main(int argc, char** argv) {
           ",\"hosts_per_site\":" + std::to_string(spec.hosts_per_site) +
           ",\"warmup_s\":" + json_num(spec.warmup) +
           ",\"horizon_s\":" + json_num(spec.horizon) + "}";
-  json += ",\"events\":" + std::to_string(calendar.fired);
+  json += ",\"events\":" + std::to_string(engine.fired);
   json += ",\"legacy_ms\":" + json_num(legacy.ms);
-  json += ",\"heap_ref_ms\":" + json_num(heap_ref.ms);
-  json += ",\"calendar_ms\":" + json_num(calendar.ms);
+  json += ",\"engine_ms\":" + json_num(engine.ms);
   json += ",\"legacy_events_per_sec\":" + json_num(legacy.events_per_sec);
-  json +=
-      ",\"calendar_events_per_sec\":" + json_num(calendar.events_per_sec);
+  json += ",\"engine_events_per_sec\":" + json_num(engine.events_per_sec);
   json += ",\"legacy_allocs\":" + std::to_string(legacy.allocs);
-  json += ",\"heap_ref_allocs\":" + std::to_string(heap_ref.allocs);
-  json += ",\"calendar_allocs\":" + std::to_string(calendar.allocs);
+  json += ",\"engine_allocs\":" + std::to_string(engine.allocs);
   json += ",\"legacy_allocs_per_event\":" +
           json_num(allocs_per_event(legacy));
-  json += ",\"calendar_allocs_per_event\":" +
-          json_num(allocs_per_event(calendar));
+  json += ",\"engine_allocs_per_event\":" +
+          json_num(allocs_per_event(engine));
   json += ",\"speedup\":" + json_num(speedup);
-  json += ",\"heap_ref_speedup\":" + json_num(arena_speedup);
   json += ",\"arena_high_water\":" +
-          std::to_string(calendar.arena_high_water);
+          std::to_string(engine.arena_high_water);
   json += ",\"order_identical\":";
   json += order_identical ? "true" : "false";
   json += ",\"zero_alloc\":";
@@ -424,15 +393,15 @@ int main(int argc, char** argv) {
     }
     if (!zero_alloc) {
       std::fprintf(stderr,
-                   "CHECK FAILED: calendar kernel allocated %llu times over "
-                   "%llu steady-state events (budget: 1 per million)\n",
-                   static_cast<unsigned long long>(calendar.allocs),
-                   static_cast<unsigned long long>(calendar.fired));
+                   "CHECK FAILED: the engine allocated %llu times over "
+                   "%llu steady-state events (budget: 0)\n",
+                   static_cast<unsigned long long>(engine.allocs),
+                   static_cast<unsigned long long>(engine.fired));
       return 1;
     }
     if (speedup < threshold) {
       std::fprintf(stderr,
-                   "CHECK FAILED: calendar-kernel speedup %.2fx below the "
+                   "CHECK FAILED: engine speedup %.2fx below the "
                    "%.2fx floor (see docs/SCALING.md)\n",
                    speedup, threshold);
       return 1;

@@ -8,12 +8,6 @@
 // SchedulerStrategy resolved from the registry in sched/strategy.hpp), so
 // new strategy backends plug in without touching the runtime or the
 // environment API.
-//
-// Migration note: `SiteSchedulerOptions` (site_scheduler.hpp) is a
-// [[deprecated]] alias of this type — every pre-existing field kept its
-// name and default, so code written against the old struct compiles and
-// behaves unchanged.  Spell `SchedulingPolicy` and select the algorithm
-// with `policy.strategy`; the alias will be removed (docs/SCHEDULING.md).
 #pragma once
 
 #include <cstdint>

@@ -39,17 +39,6 @@
 
 namespace vdce::sched {
 
-/// Deprecated alias: the scheduler-strategy plane replaced the raw option
-/// struct with the SchedulingPolicy value type (sched/policy.hpp).  Every
-/// pre-existing field kept its name and default, so code written against
-/// the alias compiles and behaves unchanged; spell SchedulingPolicy and
-/// select algorithms via `policy.strategy`.  No in-tree code uses the alias
-/// any more; it will be removed in a future release (docs/SCHEDULING.md).
-using SiteSchedulerOptions
-    [[deprecated("use sched::SchedulingPolicy (sched/policy.hpp); "
-                 "see docs/SCHEDULING.md for the removal schedule")]] =
-        SchedulingPolicy;
-
 /// The assignment phase of Fig. 2 (steps 6-7), taking host-selection
 /// outputs that were already collected — locally by VdceSiteScheduler, or
 /// over the fabric by the distributed runtime (real AFG multicast).

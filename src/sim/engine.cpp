@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 namespace vdce::sim {
@@ -22,165 +21,6 @@ struct LaterCmp {
 constexpr LaterCmp later_cmp{};
 
 }  // namespace
-
-double CalendarQueue::vbucket(common::SimTime t) const noexcept {
-  return std::floor(t * inv_width_);
-}
-
-std::size_t CalendarQueue::bucket_index(double vb) const noexcept {
-  // The bucket count is always a power of two (kMinBuckets, doubled and
-  // halved), so the mod is a mask.  vb is a non-negative integral double
-  // well inside 2^53 (estimate_width bounds time/width), so the cast is
-  // exact.
-  return static_cast<std::size_t>(vb) & (buckets_.size() - 1);
-}
-
-void CalendarQueue::push(QueueEntry e) {
-  std::vector<QueueEntry>& bucket = buckets_[bucket_index(vbucket(e.time))];
-  bucket.push_back(e);
-  std::push_heap(bucket.begin(), bucket.end(), later_cmp);
-  ++size_;
-  // The cached minimum stays correct unless the new entry beats it.
-  if (cached_ && earlier(e, buckets_[cached_bucket_].front())) cached_ = false;
-  maybe_resize_after_push();
-}
-
-void CalendarQueue::find_min() {
-  if (cached_) return;
-  assert(size_ != 0);
-  const std::size_t n = buckets_.size();
-  // Scan forward one window (bucket width) at a time from the last
-  // dequeued entry's window.  All entries of window vb live in bucket
-  // vb mod n, and a bucket's heap top is its minimum, so one comparison
-  // per bucket decides whether the window holds an event.
-  double vb = cursor_;
-  for (std::size_t scanned = 0; scanned < n; ++scanned, vb += 1.0) {
-    const std::size_t b = bucket_index(vb);
-    const std::vector<QueueEntry>& bucket = buckets_[b];
-    if (!bucket.empty() && vbucket(bucket.front().time) == vb) {
-      cached_bucket_ = b;
-      cached_ = true;
-      return;
-    }
-  }
-  // Sparse queue: nothing within the next n windows.  The global minimum
-  // is the smallest bucket top (each top is its bucket's minimum).
-  std::size_t best = n;
-  for (std::size_t b = 0; b < n; ++b) {
-    if (buckets_[b].empty()) continue;
-    if (best == n || earlier(buckets_[b].front(), buckets_[best].front())) {
-      best = b;
-    }
-  }
-  assert(best != n);
-  cached_bucket_ = best;
-  cached_ = true;
-}
-
-const QueueEntry& CalendarQueue::min_entry() {
-  find_min();
-  return buckets_[cached_bucket_].front();
-}
-
-QueueEntry CalendarQueue::pop_min() {
-  find_min();
-  std::vector<QueueEntry>& bucket = buckets_[cached_bucket_];
-  std::pop_heap(bucket.begin(), bucket.end(), later_cmp);
-  const QueueEntry e = bucket.back();
-  bucket.pop_back();
-  --size_;
-  // Resume the window scan at the dequeued entry's window.  The invariant
-  // vbucket(entry) >= cursor_ holds because new entries are enqueued at or
-  // after the engine clock, which never runs behind the last dequeued
-  // event.
-  cursor_ = vbucket(e.time);
-  last_popped_ = e.time;
-  cached_ = false;
-  maybe_resize_after_pop();
-  return e;
-}
-
-void CalendarQueue::maybe_resize_after_push() {
-  if (size_ > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
-    const std::size_t n = buckets_.size() * 2;
-    rebuild(n, estimate_width(n));
-  }
-}
-
-void CalendarQueue::maybe_resize_after_pop() {
-  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
-    const std::size_t n = buckets_.size() / 2;
-    rebuild(n, estimate_width(n));
-  }
-}
-
-double CalendarQueue::estimate_width(std::size_t /*nbuckets*/) const {
-  common::SimTime lo = 0.0;
-  common::SimTime hi = 0.0;
-  bool any = false;
-  for (const std::vector<QueueEntry>& bucket : buckets_) {
-    for (const QueueEntry& e : bucket) {
-      if (!any || e.time < lo) lo = e.time;
-      if (!any || e.time > hi) hi = e.time;
-      any = true;
-    }
-  }
-  if (!any || size_ < 2 || hi <= lo) return width_;
-  // Brown's rule of thumb: a bucket width of ~3x the mean inter-event gap
-  // keeps occupancy low without spreading one burst across many windows.
-  const double w = (hi - lo) / static_cast<double>(size_) * 3.0;
-  // Keep time/width well inside double's exact-integer range so floor()
-  // and fmod() stay consistent between push and scan.
-  const double floor_w = std::max(1.0, std::fabs(hi)) * 1e-9;
-  if (!(w > floor_w)) return std::max(floor_w, std::min(width_, 1.0));
-  return w;
-}
-
-void CalendarQueue::rebuild(std::size_t nbuckets, double width) {
-  std::vector<QueueEntry> all;
-  all.reserve(size_);
-  for (std::vector<QueueEntry>& bucket : buckets_) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  buckets_.resize(nbuckets);
-  assert((nbuckets & (nbuckets - 1)) == 0);  // bucket_index masks, not mods
-  width_ = width;
-  inv_width_ = 1.0 / width;
-  cursor_ = vbucket(last_popped_);
-  std::size_t peak = 0;
-  for (const QueueEntry& e : all) {
-    std::vector<QueueEntry>& bucket = buckets_[bucket_index(vbucket(e.time))];
-    bucket.push_back(e);
-    peak = std::max(peak, bucket.size());
-  }
-  // Headroom: a bucket's occupancy peaks just before the cursor reaches it
-  // (all events maturing inside its window are queued by then), and the
-  // densest windows at redistribution time already show that peak.  Reserve
-  // 4x it so steady-state pushes land in pre-grown vectors and the schedule
-  // path stays allocation-free between rebuilds — without this, buckets
-  // keep setting occupancy records (and reallocating) for many wrap cycles.
-  // Memory is the same as the doubling path's eventual steady state; this
-  // just front-loads it into the rebuild.
-  const std::size_t headroom =
-      std::max(std::size_t{4} * peak, 4 * (size_ / nbuckets + 1) + 4);
-  for (std::vector<QueueEntry>& bucket : buckets_) {
-    if (bucket.capacity() < headroom) bucket.reserve(headroom);
-    std::make_heap(bucket.begin(), bucket.end(), later_cmp);
-  }
-  cached_ = false;
-}
-
-void CalendarQueue::reserve(std::size_t n) {
-  std::size_t target = kMinBuckets;
-  while (target < n / 2 && target < kMaxBuckets) target *= 2;
-  if (target > buckets_.size()) rebuild(target, width_);
-  // Small per-bucket headroom so the first few pushes into each bucket
-  // never regrow mid-run.
-  for (std::vector<QueueEntry>& bucket : buckets_) {
-    if (bucket.capacity() < 4) bucket.reserve(4);
-  }
-}
 
 void BinaryHeapQueue::push(QueueEntry e) {
   heap_.push_back(e);
@@ -222,8 +62,7 @@ bool TimerHandle::active() const {
 
 // ---- engine ----------------------------------------------------------------
 
-Engine::Engine(QueueKind queue)
-    : kind_(queue), self_(std::make_shared<Engine*>(this)) {}
+Engine::Engine() : self_(std::make_shared<Engine*>(this)) {}
 
 Engine::~Engine() { *self_ = nullptr; }
 
@@ -321,16 +160,8 @@ void Engine::stamp_and_enqueue(std::uint32_t slot, common::SimTime when,
   s.seq = next_seq_++;
   s.timer = timer;
   s.state = SlotState::kScheduled;
-  const detail::QueueEntry e{when, s.seq, slot};
-  std::size_t depth;
-  if (kind_ == QueueKind::kCalendar) {
-    calendar_.push(e);
-    depth = calendar_.size();
-  } else {
-    heap_.push(e);
-    depth = heap_.size();
-  }
-  if (depth > max_depth_) max_depth_ = depth;
+  heap_.push(detail::QueueEntry{when, s.seq, slot});
+  if (heap_.size() > max_depth_) max_depth_ = heap_.size();
 }
 
 EventHandle Engine::schedule(common::SimDuration delay, Task fn) {
@@ -378,17 +209,11 @@ TimerHandle Engine::arm_timer(std::uint32_t timer, common::SimDuration period,
 
 void Engine::reserve_events(std::size_t n) {
   slots_.reserve(n);
-  if (kind_ == QueueKind::kCalendar) {
-    calendar_.reserve(n);
-  } else {
-    heap_.reserve(n);
-  }
+  heap_.reserve(n);
 }
 
 void Engine::step() {
-  const detail::QueueEntry e = kind_ == QueueKind::kCalendar
-                                   ? calendar_.pop_min()
-                                   : heap_.pop_min();
+  const detail::QueueEntry e = heap_.pop_min();
   assert(e.time >= now_);
   now_ = e.time;
   Slot& s = slots_[e.slot];
@@ -430,9 +255,8 @@ std::size_t Engine::run() {
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t before = fired_;
   while (queue_size() != 0) {
-    // Peek fills the queue's min cache (so step's pop is cache-hit cheap)
-    // and lets us overlap the arena-slot fetch with the pop bookkeeping.
-    __builtin_prefetch(&slots_[peek_entry().slot], 1);
+    // Overlap the arena-slot fetch with the heap's pop bookkeeping.
+    __builtin_prefetch(&slots_[heap_.min_entry().slot], 1);
     step();
   }
   wall_seconds_ +=
@@ -446,7 +270,7 @@ std::size_t Engine::run_until(common::SimTime until) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t before = fired_;
   while (queue_size() != 0) {
-    const detail::QueueEntry& e = peek_entry();
+    const detail::QueueEntry& e = heap_.min_entry();
     if (e.time > until) break;
     __builtin_prefetch(&slots_[e.slot], 1);
     step();
@@ -462,7 +286,7 @@ std::size_t Engine::run_steps(std::size_t max_events) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t before = fired_;
   while (queue_size() != 0 && fired_ - before < max_events) {
-    __builtin_prefetch(&slots_[peek_entry().slot], 1);
+    __builtin_prefetch(&slots_[heap_.min_entry().slot], 1);
     step();
   }
   wall_seconds_ +=

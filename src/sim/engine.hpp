@@ -16,16 +16,13 @@
 //   * Events live in an engine-owned arena of slots recycled through a free
 //     list; EventHandle/TimerHandle are generation-checked slot indices, so
 //     cancellation needs no shared_ptr<bool> control block per event.
-//   * The pending set is a bucketed calendar queue (R. Brown, CACM 1988)
-//     with heap-ordered buckets, preserving the exact (time, seq) total
-//     order of the original binary heap — `seq` is a monotonically
-//     increasing tiebreaker so that events scheduled earlier at the same
-//     timestamp fire first, which is what makes multi-daemon interleavings
-//     reproducible.  QueueKind::kBinaryHeapReference keeps a frozen
-//     heap-ordered pending set selectable at construction so differential
-//     tests can prove the calendar queue's firing order byte-identical.
+//   * The pending set is one binary min-heap of small (time, seq, slot)
+//     entries, so ordering never touches the arena.  `seq` is a
+//     monotonically increasing tiebreaker: events scheduled earlier at the
+//     same timestamp fire first, which is what makes multi-daemon
+//     interleavings reproducible.
 //
-// In the steady state (arena and buckets warm) schedule/fire/cancel touches
+// In the steady state (arena and heap warm) schedule/fire/cancel touches
 // the allocator zero times — proven by an operator-new counting test in
 // tests/test_sim_kernel.cpp.
 //
@@ -49,15 +46,6 @@
 namespace vdce::sim {
 
 class Engine;
-
-/// Which pending-set implementation an Engine uses.  The calendar queue is
-/// the production kernel; the binary-heap reference exists so differential
-/// tests (and EnvironmentOptions::sim_kernel) can replay any scenario
-/// against the frozen pre-redesign firing order.
-enum class QueueKind {
-  kCalendar,
-  kBinaryHeapReference,
-};
 
 /// Handle to a scheduled event; lets the owner cancel it (e.g. a pending
 /// task start after a reschedule, or a periodic timer on daemon shutdown).
@@ -131,84 +119,13 @@ using enable_if_callable =
     std::enable_if_t<!std::is_same_v<std::decay_t<F>, Task> &&
                      std::is_invocable_r_v<void, std::decay_t<F>&>>;
 
-/// Bucketed calendar queue with heap-ordered buckets.
-///
-/// Events are routed to buckets[floor(t/width) mod nbuckets]; dequeue scans
-/// forward one bucket-width "window" at a time from the last dequeued
-/// event's window, so in the dense steady state (bucket occupancy kept at
-/// 0.5-2 by resize) both push and pop are O(1).  Each bucket is a binary
-/// min-heap on (time, seq): the bucket top is the bucket minimum, so the
-/// window scan inspects one entry per bucket, and heavily tied timestamps
-/// (grid-aligned periodic timers) degrade to O(log k) instead of a linear
-/// scan.  The dequeue order is the exact (time, seq) total order — the
-/// calendar changes only *where* pending events wait, never *when* they
-/// fire.
-class CalendarQueue {
- public:
-  CalendarQueue() { rebuild(kMinBuckets, 1.0); }
-
-  void push(QueueEntry e);
-  QueueEntry pop_min();
-  /// The earliest pending entry (reference valid until the next push/pop).
-  /// Locating it fills the find_min cache, so a pop_min right after is
-  /// cache-hit cheap — the run loop peeks, prefetches the arena slot, then
-  /// pops.  Pre: !empty().
-  [[nodiscard]] const QueueEntry& min_entry();
-  /// Time of the earliest pending entry.  Pre: !empty().
-  [[nodiscard]] common::SimTime min_time() { return min_entry().time; }
-
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return buckets_.size();
-  }
-
-  /// Pre-size for n pending events (grid bring-up schedules one timer per
-  /// daemon per host up front).
-  void reserve(std::size_t n);
-
- private:
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
-
-  [[nodiscard]] double vbucket(common::SimTime t) const noexcept;
-  [[nodiscard]] std::size_t bucket_index(double vb) const noexcept;
-  /// Locate the minimum entry (cached until the next push/pop).
-  void find_min();
-  /// Re-bucket every entry into `nbuckets` buckets of width `width`.
-  void rebuild(std::size_t nbuckets, double width);
-  void maybe_resize_after_push();
-  void maybe_resize_after_pop();
-  [[nodiscard]] double estimate_width(std::size_t nbuckets) const;
-
-  std::vector<std::vector<QueueEntry>> buckets_;
-  double width_ = 1.0;
-  /// 1/width_, kept alongside it (rebuild sets both): vbucket() is on the
-  /// push/pop hot path and a multiply is several times cheaper than the
-  /// divide.
-  double inv_width_ = 1.0;
-  std::size_t size_ = 0;
-  /// Virtual bucket (floor(time/width), kept as an integral double so huge
-  /// times never overflow an integer) of the last dequeued entry: the
-  /// window scan resumes here.  Invariant: every pending entry's vbucket is
-  /// >= cursor_, because entries are enqueued at or after the engine clock.
-  double cursor_ = 0.0;
-  common::SimTime last_popped_ = common::kSimStart;
-  /// Cache of find_min(): bucket whose top is the global minimum.
-  bool cached_ = false;
-  std::size_t cached_bucket_ = 0;
-};
-
-/// The pre-redesign pending set: one binary heap over all events.  Kept as
-/// a frozen reference so any scenario can be replayed under the original
-/// firing order (QueueKind::kBinaryHeapReference) and compared byte-for-
-/// byte against the calendar queue.
+/// The pending set: one binary min-heap over all events in (time, seq)
+/// order.
 class BinaryHeapQueue {
  public:
   void push(QueueEntry e);
   QueueEntry pop_min();
   [[nodiscard]] const QueueEntry& min_entry() const { return heap_.front(); }
-  [[nodiscard]] common::SimTime min_time() const { return heap_.front().time; }
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
   void reserve(std::size_t n) { heap_.reserve(n); }
@@ -226,15 +143,13 @@ class Engine {
   /// Callback type; any callable whose closure fits Task's inline buffer.
   using Callback = Task;
 
-  explicit Engine(QueueKind queue = QueueKind::kCalendar);
+  Engine();
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time.
   [[nodiscard]] common::SimTime now() const noexcept { return now_; }
-
-  [[nodiscard]] QueueKind queue_kind() const noexcept { return kind_; }
 
   /// Schedule `fn` to run `delay` seconds from now (delay >= 0).
   EventHandle schedule(common::SimDuration delay, Task fn);
@@ -416,19 +331,12 @@ class Engine {
                         std::optional<common::SimDuration> initial_delay);
 
   [[nodiscard]] std::size_t queue_size() const noexcept {
-    return kind_ == QueueKind::kCalendar ? calendar_.size() : heap_.size();
-  }
-  [[nodiscard]] common::SimTime peek_time() { return peek_entry().time; }
-  /// Earliest pending entry (reference valid until the next push/pop).
-  [[nodiscard]] const detail::QueueEntry& peek_entry() {
-    return kind_ == QueueKind::kCalendar ? calendar_.min_entry()
-                                         : heap_.min_entry();
+    return heap_.size();
   }
 
   /// Pop and fire the earliest event.  Pre: queue not empty.
   void step();
 
-  QueueKind kind_;
   common::SimTime now_ = common::kSimStart;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
@@ -442,7 +350,6 @@ class Engine {
   std::deque<TimerSlot> timers_;
   std::uint32_t timer_free_head_ = kNil;
 
-  detail::CalendarQueue calendar_;
   detail::BinaryHeapQueue heap_;
 
   double wall_seconds_ = 0.0;

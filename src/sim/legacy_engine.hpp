@@ -6,7 +6,7 @@
 // flag.  It exists for two jobs only:
 //
 //   1. bench_sim_engine measures the redesigned kernel's events/sec against
-//      this one and enforces the >= 5x speedup threshold (BENCH_SIM.json,
+//      this one and enforces the documented speedup floor (BENCH_SIM.json,
 //      docs/SCALING.md).
 //   2. test_sim_kernel's differential suite replays randomised
 //      schedule/cancel/timer programs on both kernels and asserts the

@@ -16,7 +16,6 @@ VdceEnvironment::VdceEnvironment(net::Topology topology,
     : topology_(std::move(topology)),
       options_(options),
       obs_(options.metrics, options.trace, options.flight, options.health),
-      engine_(options.sim_kernel),
       fabric_(engine_, topology_),
       admission_(options.tenancy) {
   set_log_level(options_.log_level);

@@ -105,12 +105,6 @@ struct Session {
 
 struct EnvironmentOptions {
   runtime::RuntimeOptions runtime;
-  /// Which pending-set implementation the event kernel uses (DESIGN.md
-  /// "Event kernel").  kCalendar is the production zero-allocation kernel;
-  /// kBinaryHeapReference replays the frozen pre-redesign firing order and
-  /// exists so differential tests can assert the two produce byte-identical
-  /// traces on any scenario.  Never set the reference kind in real runs.
-  sim::QueueKind sim_kernel = sim::QueueKind::kCalendar;
   /// Environment-wide default scheduling policy (docs/SCHEDULING.md).
   /// Validated at try_bring_up(): a `strategy` naming nothing in the
   /// registry is a typed kInvalidArgument there, before any daemon starts.

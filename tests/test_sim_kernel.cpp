@@ -5,13 +5,9 @@
 //   * generation-checked handles stay safe no-ops across a million
 //     slot-recycling schedule/cancel cycles, after their event fired, and
 //     after the engine itself has been destroyed,
-//   * and the calendar queue's firing order is *identical* to both the
-//     frozen legacy kernel (sim/legacy_engine.hpp) and the in-engine
-//     binary-heap reference mode, under randomized operation scripts that
+//   * and its firing order is *identical* to the frozen legacy kernel
+//     (sim/legacy_engine.hpp) under randomized operation scripts that
 //     stress ties, cancellations, timers, bursts, and sparse horizons.
-//
-// The environment-level trace differential (chaos / tenancy / 200-case
-// scale corpus) lives in test_sim_kernel_differential.cpp (tier2).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -107,7 +103,7 @@ TEST(SimTask, DestroysCapturedStateExactlyOnce) {
 // The daemon-like steady state: a fixed population of periodic timers, each
 // tick scheduling a one-shot follow-up and cancelling every other one.  The
 // workload is strictly periodic, so once the arena, the timer list, and the
-// calendar buckets are warm, the measured window repeats the exact occupancy
+// pending heap are warm, the measured window repeats the exact occupancy
 // pattern of the warm-up — and must not touch the allocator at all.
 
 struct SteadyState {
@@ -145,7 +141,7 @@ TEST(SimKernelAlloc, SteadyStateScheduleFireCancelIsAllocationFree) {
   }
 
   // Warm-up: several full rotations of the slowest period so arena slots,
-  // timer slots, and every calendar bucket reach their plateau capacity.
+  // timer slots, and the pending heap reach their plateau capacity.
   engine.run_until(64.0);
   const std::uint64_t warm_ticks = state.ticks;
   ASSERT_GT(warm_ticks, 10000u);
@@ -304,15 +300,14 @@ TEST(SimKernelTimers, TimerSlotIsRecycledAfterStop) {
   EXPECT_LE(engine.timer_capacity(), 4u);
 }
 
-// ---- firing-order differential: calendar vs heap vs legacy ------------------
+// ---- firing-order differential: engine vs legacy -----------------------------
 //
-// A randomized operation script applied identically to (a) the production
-// calendar-queue engine, (b) the same engine in binary-heap-reference mode,
-// and (c) the frozen pre-redesign LegacyEngine.  Every callback appends
-// "<id>@<time>" to a log; the three logs must be byte-identical.  Times are
+// A randomized operation script applied identically to the production
+// engine and the frozen pre-redesign LegacyEngine.  Every callback appends
+// "<id>@<time>" to a log; the two logs must be byte-identical.  Times are
 // drawn on a coarse lattice so ties are common and the (time, seq)
-// tiebreak — the property the calendar queue must preserve exactly — is
-// stressed hard.
+// tiebreak — the property the engine must preserve exactly — is stressed
+// hard.
 
 struct ScriptOp {
   enum Kind { kOneShot, kCancelled, kCancelAt, kTimer, kTimerStopAt } kind;
@@ -423,25 +418,19 @@ void expect_kernels_agree(std::uint64_t seed, std::size_t ops, double lattice,
       make_script(seed, ops, lattice, horizon);
   ASSERT_FALSE(script.empty());
 
-  sim::Engine calendar(sim::QueueKind::kCalendar);
-  sim::Engine heap(sim::QueueKind::kBinaryHeapReference);
+  sim::Engine engine;
   sim::legacy::LegacyEngine legacy;
 
   const std::string a =
       replay_script<sim::Engine, sim::EventHandle, sim::TimerHandle>(
-          calendar, script, horizon);
+          engine, script, horizon);
   const std::string b =
-      replay_script<sim::Engine, sim::EventHandle, sim::TimerHandle>(
-          heap, script, horizon);
-  const std::string c =
       replay_script<sim::legacy::LegacyEngine, sim::legacy::LegacyEventHandle,
                     sim::legacy::LegacyTimerHandle>(legacy, script, horizon);
 
   ASSERT_FALSE(a.empty()) << "seed " << seed << ": nothing fired";
-  EXPECT_EQ(a, b) << "seed " << seed << ": calendar vs binary-heap reference";
-  EXPECT_EQ(a, c) << "seed " << seed << ": calendar vs frozen legacy kernel";
-  EXPECT_EQ(calendar.now(), legacy.now());
-  EXPECT_EQ(calendar.total_fired(), heap.total_fired());
+  EXPECT_EQ(a, b) << "seed " << seed << ": engine vs frozen legacy kernel";
+  EXPECT_EQ(engine.now(), legacy.now());
 }
 
 class KernelFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -460,33 +449,33 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KernelFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
 TEST(KernelFuzzEdges, SingleInstantBurstPreservesSubmissionOrder) {
-  // Everything at t=0: pure seq-order test, and the calendar's worst tie
-  // case (one bucket holds the whole population).
-  sim::Engine calendar(sim::QueueKind::kCalendar);
-  sim::Engine heap(sim::QueueKind::kBinaryHeapReference);
-  for (sim::Engine* engine : {&calendar, &heap}) {
+  // Everything at t=0: a pure seq-order test, with the whole population
+  // tied on one timestamp.
+  sim::Engine engine;
+  sim::legacy::LegacyEngine legacy;
+  std::string expected;
+  for (int i = 0; i < 2000; ++i) expected += std::to_string(i) + ",";
+  auto drive = [&expected](auto& kernel) {
     std::string log;
     for (int i = 0; i < 2000; ++i) {
-      engine->schedule(0.0, [&log, i] { log += std::to_string(i) + ","; });
+      kernel.schedule(0.0, [&log, i] { log += std::to_string(i) + ","; });
     }
-    engine->run();
-    std::string expected;
-    for (int i = 0; i < 2000; ++i) expected += std::to_string(i) + ",";
+    kernel.run();
     EXPECT_EQ(log, expected);
-  }
+  };
+  drive(engine);
+  drive(legacy);
 }
 
-TEST(KernelFuzzEdges, SparseHorizonExercisesTheCalendarFallback) {
-  // A handful of events spread across nine decades of simulated time: the
-  // window scan gives up and the sparse fallback (min over bucket tops)
-  // must still produce the exact order.
+TEST(KernelFuzzEdges, SparseHorizonKeepsExactOrder) {
+  // A handful of events spread across nine decades of simulated time.
   expect_kernels_agree(99, 200, 0.0, 1e9);
 }
 
 TEST(KernelFuzzEdges, DrainAndRefillKeepsOrderAcrossResizes) {
-  // Grow to thousands, drain to near-zero, grow again: crosses the
-  // calendar's resize thresholds in both directions repeatedly.
-  sim::Engine calendar(sim::QueueKind::kCalendar);
+  // Grow to thousands, drain to empty, grow again: every wave refills the
+  // pending set from recycled arena slots.
+  sim::Engine engine;
   sim::legacy::LegacyEngine legacy;
   std::string a, b;
   auto drive = [](auto& engine, std::string& log) {
@@ -504,7 +493,7 @@ TEST(KernelFuzzEdges, DrainAndRefillKeepsOrderAcrossResizes) {
       engine.run_until(base + 8.0);  // full drain between waves
     }
   };
-  drive(calendar, a);
+  drive(engine, a);
   drive(legacy, b);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);

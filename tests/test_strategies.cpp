@@ -118,24 +118,6 @@ TEST(StrategyRegistry, RegisterRejectsDuplicatesAndAcceptsNewNames) {
       }));
 }
 
-// ---- deprecated alias -------------------------------------------------------
-
-// The alias is [[deprecated]] now that every in-tree use is migrated; this
-// test intentionally keeps exercising it until the alias is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(PolicyMigration, SiteSchedulerOptionsIsTheSameType) {
-  static_assert(
-      std::is_same_v<sched::SiteSchedulerOptions, sched::SchedulingPolicy>,
-      "the deprecated alias must map onto SchedulingPolicy");
-  sched::SiteSchedulerOptions legacy;
-  legacy.objective = sched::SiteObjective::kPaperObjective;
-  sched::SchedulingPolicy& modern = legacy;
-  EXPECT_EQ(modern.objective, sched::SiteObjective::kPaperObjective);
-  EXPECT_TRUE(modern.strategy.empty());
-}
-#pragma GCC diagnostic pop
-
 // ---- environment fail-fast contract ----------------------------------------
 
 TEST(PolicyFailFast, BringUpRejectsUnknownDefaultStrategy) {
