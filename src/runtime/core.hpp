@@ -64,32 +64,12 @@ struct RuntimeOptions {
   /// host-selection outputs have arrived once this much simulated time has
   /// passed (a dead or unreachable remote site must not hang scheduling).
   common::SimDuration bid_timeout = 2.0;
-  /// Test-only escape hatch: bypass the strategy registry and call the VDCE
-  /// assignment phase directly, exactly as the pre-registry coordinator did.
-  /// Exists so the strategies differential suite can prove the registry
-  /// dispatch bit-identical to the frozen path; never set it in real runs.
-  bool legacy_direct_assign = false;
-  /// Test-only escape hatch: ignore the advance-reservation window plane
-  /// entirely — scheduling contexts carry no WindowTable and the
-  /// environment never parks a submission on a window, exactly as the
-  /// pre-window pipeline behaved.  Exists so the reservations differential
-  /// suite can prove the zero-booking path byte-identical to the
-  /// instantaneous-only scheduler (docs/RESERVATIONS.md); never set it in
-  /// real runs.
-  bool legacy_instant_reservations = false;
   // --- economy (docs/ECONOMY.md) ---
   /// Resource prices: per-CPU-second host prices (proportional to speed by
   /// default) and per-MB link prices.  Read by the cost-aware strategies
   /// through the scheduling context, by the admission controller's budget
   /// gate, by recovery re-placement, and by the report's spend() quote.
   econ::CostModel prices;
-  /// Test-only escape hatch: disable the economy plane entirely — scheduling
-  /// contexts carry no prices, no submission is budget-gated, recovery
-  /// ignores budgets, and reports carry zero spend, exactly as the
-  /// pre-economy pipeline behaved.  Exists so the economy differential suite
-  /// can prove the default path byte-identical with the plane present
-  /// (docs/ECONOMY.md); never set it in real runs.
-  bool legacy_no_economy = false;
   std::uint64_t seed = 1234;
 };
 

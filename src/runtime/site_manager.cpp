@@ -87,13 +87,8 @@ sched::SchedulerContext SiteManager::make_context(
   ctx.now = core_.now();
   ctx.reservations = &core_.reservations();
   ctx.reserving_app = scheduling_for;
-  if (!core_.options().legacy_instant_reservations) {
-    ctx.windows = &core_.reservations();
-    ctx.held_booking = core_.reservations().booking_of(scheduling_for);
-  }
-  if (!core_.options().legacy_no_economy) {
-    ctx.prices = &core_.options().prices;
-  }
+  ctx.held_booking = core_.reservations().booking_of(scheduling_for);
+  ctx.prices = &core_.options().prices;
   return ctx;
 }
 
@@ -162,8 +157,7 @@ void SiteManager::on_gm_host_down(const net::Message& message) {
   // of) a committed window re-places only the victim window — the lowest-id
   // up machine that keeps the window conflict-free substitutes for the dead
   // one, and the displacement is surfaced as a typed health alert.
-  if (!core_.options().legacy_instant_reservations &&
-      core_.reservations().has_windows()) {
+  if (core_.reservations().has_windows()) {
     std::vector<common::HostId> candidates;
     for (const net::Host& h : core_.topology().hosts()) {
       if (h.id != notice.host && core_.topology().host_up(h.id)) {
@@ -343,17 +337,6 @@ void SiteManager::finish_schedule(std::uint32_t app_value) {
         .add(core_.now() - pending.started);
   }
   auto ctx = make_context(common::AppId(app_value));
-  if (core_.options().legacy_direct_assign) {
-    // Frozen pre-registry dispatch, kept verbatim so the strategies
-    // differential suite can pin the registry path against it.
-    auto result = sched::assign_with_outputs(
-        *pending.graph, ctx, outputs, pending.options,
-        pending.options.objective == sched::SiteObjective::kPaperObjective
-            ? "vdce-level-paper"
-            : "vdce-level");
-    pending.callback(std::move(result));
-    return;
-  }
   auto strategy = sched::make_strategy(pending.options);
   if (!strategy) {
     // The environment validates policies at bring-up and submission, so
@@ -391,7 +374,7 @@ void SiteManager::execute_application(
     for (common::HostId h : a.hosts) app.involved.insert(h);
   }
   app.submitted = core_.now();
-  app.budget = core_.options().legacy_no_economy ? 0.0 : budget;
+  app.budget = budget;
   app.callback = std::move(callback);
   auto [it, inserted] = apps_.emplace(app_id.value(), std::move(app));
   assert(inserted);
@@ -626,11 +609,8 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
   // relaxed here — like the preferred-machine preference below, surviving
   // beats staying inside the booked set when the booked machine died.
   const sched::WindowTable& reservations = core_.reservations();
-  const bool windows_on = !core_.options().legacy_instant_reservations &&
-                          reservations.has_windows();
   auto reserved = [&](common::HostId h) {
-    if (reservations.reserved_by_other(h, app.plan->app)) return true;
-    return windows_on &&
+    return reservations.reserved_by_other(h, app.plan->app) ||
            reservations.window_blocked(h, app.plan->app, core_.now(), -1.0,
                                        /*backfill=*/false);
   };

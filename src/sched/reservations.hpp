@@ -28,7 +28,7 @@
 //    (user, seq).  The instantaneous table is the degenerate zero-window
 //    case: with no bookings every WindowTable query is a constant-false
 //    no-op and every code path behaves bit-identically to the pre-window
-//    scheduler (tests/test_reservations_differential.cpp proves this).
+//    scheduler (tests/golden/, checked by test_golden).
 //
 // With a single application in flight the instantaneous table never
 // reports a conflict, so every code path that consults it behaves

@@ -170,8 +170,8 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
   // estimate `f` is known.  With no committed windows both are constant
   // false and every decision is bit-identical to the window-free scheduler.
   const WindowTable* windows =
-      (context.windows != nullptr && context.windows->has_windows())
-          ? context.windows
+      (context.reservations != nullptr && context.reservations->has_windows())
+          ? context.reservations
           : nullptr;
   std::size_t window_skips = 0;
   auto window_unsafe = [&](common::HostId h, double finish_rel) {

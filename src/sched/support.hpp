@@ -37,24 +37,20 @@ struct SchedulerContext {
   obs::Observability* obs = nullptr;
   common::SimTime now = 0.0;
 
-  /// Multi-tenant co-scheduling (optional; docs/TENANCY.md).  When set, the
-  /// assignment phase skips every machine held by an application other than
-  /// `reserving_app` and deterministically re-ranks the remaining
-  /// candidates.  Null — or a table with no foreign reservations — leaves
-  /// every decision bit-identical to the reservation-free scheduler.
-  const ReservationTable* reservations = nullptr;
+  /// The shared reservation plane (optional; docs/TENANCY.md,
+  /// docs/RESERVATIONS.md).  When set, the assignment phase skips every
+  /// machine held by an application other than `reserving_app` and
+  /// deterministically re-ranks the remaining candidates, and it places
+  /// around committed [start, end) host windows: machines inside a foreign
+  /// active window are invisible, and under conservative backfill a pending
+  /// foreign window only admits work provably finishing before its start.
+  /// `held_booking` is the booking `reserving_app` owns (0 = none): the
+  /// owner restricts its candidates to the booked hosts instead.  Null — or
+  /// a table with no foreign holders and no committed windows — leaves
+  /// every decision bit-identical to the reservation-free scheduler
+  /// (tests/golden/, checked by test_golden).
+  const WindowTable* reservations = nullptr;
   common::AppId reserving_app;
-
-  /// Advance-reservation windows (optional; docs/RESERVATIONS.md).  When
-  /// set, the assignment phase places around committed [start, end) host
-  /// windows: machines inside a foreign active window are invisible, and
-  /// under conservative backfill a pending foreign window only admits work
-  /// provably finishing before its start.  `held_booking` is the booking
-  /// `reserving_app` owns (0 = none): the owner restricts its candidates to
-  /// the booked hosts instead.  Null — or a table with no committed
-  /// windows — leaves every decision bit-identical to the window-free
-  /// scheduler (tests/test_reservations_differential.cpp).
-  const WindowTable* windows = nullptr;
   std::uint64_t held_booking = 0;
 
   /// Resource prices (optional; docs/ECONOMY.md).  When set, the cost-aware

@@ -651,13 +651,11 @@ common::Expected<AppHandle> VdceEnvironment::submit_application(
   }
   // Economy (docs/ECONOMY.md): the user-level constraints travel inside the
   // scheduling policy so the cost-aware strategies (and any future ones)
-  // can optimise against them.  The legacy kill-switch leaves both at zero,
-  // keeping the policy — and with it every strategy decision — byte-
-  // identical to the pre-economy pipeline.
-  if (!options_.runtime.legacy_no_economy) {
-    options.sched.deadline = options.deadline;
-    options.sched.budget = options.budget;
-  }
+  // can optimise against them.  Unconstrained runs leave both at zero, and
+  // every strategy then decides exactly as without the economy plane
+  // (tests/golden/, checked by test_golden).
+  options.sched.deadline = options.deadline;
+  options.sched.budget = options.budget;
 
   AppHandle handle{++next_handle_};
   if (auto st = admission_.enqueue(handle.id, account->user_name,
@@ -704,7 +702,7 @@ void VdceEnvironment::pump_submissions() {
     slot.admitted = engine_.now();
     slot.released = slot.admitted;
     const std::uint64_t booking = slot.options.reservation.id;
-    if (booking != 0 && !options_.runtime.legacy_instant_reservations) {
+    if (booking != 0) {
       const sched::Window* window = core_->reservations().window(booking);
       if (window == nullptr) {
         // Cancelled between submit and admission.
@@ -732,7 +730,7 @@ void VdceEnvironment::begin_scheduling(SubmissionSlot& slot) {
   slot.state = AppState::kScheduling;
   slot.sched_app = common::AppId(next_app_++);
   const std::uint64_t booking = slot.options.reservation.id;
-  if (booking != 0 && !options_.runtime.legacy_instant_reservations) {
+  if (booking != 0) {
     // Bind the booking to this round's AppId so the site schedulers treat
     // the window as the owner's (candidates restricted to the booked
     // machines, own window never blocks).
@@ -817,7 +815,7 @@ void VdceEnvironment::on_scheduled(
   // spend() <= budget by construction.  Typed kBudgetExceeded, not
   // kNoFeasibleResource: the contention-deferral path above must not retry
   // a submission that no amount of waiting can make affordable.
-  if (!options_.runtime.legacy_no_economy && run.budget > 0.0) {
+  if (run.budget > 0.0) {
     const econ::SpendBreakdown quote = econ::estimate_spend(
         *slot.graph, *table, topology_, options_.runtime.prices);
     if (quote.total() > run.budget) {
@@ -843,8 +841,7 @@ void VdceEnvironment::on_scheduled(
   }
   slot.exec_app = common::AppId(next_app_++);
   slot.state = AppState::kExecuting;
-  if (slot.options.reservation.valid() &&
-      !options_.runtime.legacy_instant_reservations) {
+  if (slot.options.reservation.valid()) {
     // Re-bind to the execution's AppId: recovery re-placement checks the
     // window table against the executing app, not the scheduling round.
     core_->reservations().bind_owner(slot.options.reservation.id,
@@ -928,7 +925,6 @@ void VdceEnvironment::finalize_submission(
   // the user's booking-quota share.  A later cancel_reservation() on the
   // spent ticket is a clean kNotFound, never a double release.
   if (slot.options.reservation.valid() &&
-      !options_.runtime.legacy_instant_reservations &&
       core_->reservations().window(slot.options.reservation.id) != nullptr) {
     (void)core_->reservations().cancel(slot.options.reservation.id);
     admission_.release_booking(slot.session.account.user_name);

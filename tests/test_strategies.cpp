@@ -1,9 +1,9 @@
 // Scheduler-strategy plane (docs/SCHEDULING.md): registry units, the
 // policy-API fail-fast contract, end-to-end runs of every registered
-// strategy on the live runtime, the default-policy differential pinning the
-// registry dispatch bit-identical (reports) and byte-identical (traces) to
-// the frozen pre-registry path, and a 200-case scale-corpus property run
-// per new strategy (max-min, b-level, t-level, work-stealing).
+// strategy on the live runtime, and a 200-case scale-corpus property run
+// per new strategy (max-min, b-level, t-level, work-stealing).  The default
+// policy's equality with the pre-registry dispatch is pinned by the golden
+// digests (tests/test_golden.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -201,85 +201,6 @@ TEST(StrategyRuntime, EveryRegisteredStrategyCompletesEndToEnd) {
     // tiles the makespan exactly.
     auto cp = report->critical_path();
     EXPECT_NEAR(cp.phases.total(), report->makespan(), 1e-6);
-  }
-}
-
-// ---- differential: registry dispatch == frozen pre-registry path ------------
-
-void expect_reports_identical(const runtime::ExecutionReport& a,
-                              const runtime::ExecutionReport& b) {
-  EXPECT_EQ(a.app.value(), b.app.value());
-  EXPECT_EQ(a.app_name, b.app_name);
-  EXPECT_EQ(a.scheduler, b.scheduler);
-  EXPECT_EQ(a.success, b.success);
-  EXPECT_EQ(a.failure_reason, b.failure_reason);
-  EXPECT_EQ(a.enqueued, b.enqueued);
-  EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.submitted, b.submitted);
-  EXPECT_EQ(a.exec_started, b.exec_started);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.scheduling_time, b.scheduling_time);
-  EXPECT_EQ(a.reschedules, b.reschedules);
-  EXPECT_EQ(a.failures_survived, b.failures_survived);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    const runtime::TaskOutcome& x = a.outcomes[i];
-    const runtime::TaskOutcome& y = b.outcomes[i];
-    EXPECT_EQ(x.task, y.task);
-    EXPECT_EQ(x.host, y.host);
-    EXPECT_EQ(x.site, y.site);
-    EXPECT_EQ(x.started, y.started);
-    EXPECT_EQ(x.finished, y.finished);
-    EXPECT_EQ(x.attempts, y.attempts);
-  }
-}
-
-TEST(StrategyDifferential, DefaultPolicyMatchesLegacyDispatchBitForBit) {
-  // Same deployment, same workloads; the only difference is the test-only
-  // legacy_direct_assign flag that bypasses the strategy registry.  Reports
-  // must be bit-identical and traces byte-identical — the acceptance
-  // criterion for the dispatch refactor.
-  for (std::size_t i = 0; i < 6; ++i) {
-    SCOPED_TRACE("case " + std::to_string(i));
-    auto build_env = [i](bool legacy) {
-      EnvironmentOptions options;
-      options.trace.enabled = true;
-      options.background_load = i % 2 == 1;  // include the stochastic pieces
-      options.runtime.legacy_direct_assign = legacy;
-      auto env = std::make_unique<VdceEnvironment>(make_campus_pair(11 + i),
-                                                   options);
-      EXPECT_TRUE(env->try_bring_up().ok());
-      env->add_user("u", "p");
-      return env;
-    };
-    common::Rng rng(100 + i);
-    afg::LayeredDagSpec spec;
-    spec.tasks = 8 + 4 * (i % 3);
-    afg::Afg graph = afg::make_layered_dag(spec, rng);
-    RunOptions run;
-    run.real_kernels = false;
-    // Alternate the objective so both default resolutions are differenced.
-    run.sched.objective = i % 3 == 2 ? sched::SiteObjective::kPaperObjective
-                                     : sched::SiteObjective::kAvailabilityAware;
-
-    auto legacy_env = build_env(true);
-    auto legacy_session =
-        legacy_env->login(common::SiteId(0), "u", "p").value();
-    auto legacy_report = legacy_env->run_application(graph, legacy_session, run);
-    ASSERT_TRUE(legacy_report.has_value())
-        << legacy_report.error().to_string();
-
-    auto registry_env = build_env(false);
-    auto registry_session =
-        registry_env->login(common::SiteId(0), "u", "p").value();
-    auto registry_report =
-        registry_env->run_application(graph, registry_session, run);
-    ASSERT_TRUE(registry_report.has_value())
-        << registry_report.error().to_string();
-
-    expect_reports_identical(*legacy_report, *registry_report);
-    EXPECT_EQ(legacy_env->trace().to_jsonl(), registry_env->trace().to_jsonl())
-        << "traces diverge";
   }
 }
 
