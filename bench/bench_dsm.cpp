@@ -24,6 +24,9 @@ namespace {
 
 using namespace vdce;
 
+/// Raw message-passing baseline traffic (counted with the DSM protocol).
+const net::MsgType kPingPong("raw.pingpong");
+
 struct PatternResult {
   double total_time = 0.0;
   std::uint64_t messages = 0;
@@ -36,7 +39,7 @@ struct PatternResult {
 /// types with a "dsm." or "raw." prefix.
 std::uint64_t protocol_messages(const net::FabricStats& stats) {
   std::uint64_t total = 0;
-  for (const auto& [type, count] : stats.sent_by_type) {
+  for (const auto& [type, count] : stats.sent_types()) {
     if (type.rfind("dsm.", 0) == 0 || type.rfind("raw.", 0) == 0) {
       total += count;
     }
@@ -155,8 +158,8 @@ PatternResult run_ping_pong_messages(VdceEnvironment& env, int rounds) {
           *finished = env.now();
           return;
         }
-        (void)env.fabric().send(net::Message{from, to, "raw.pingpong", 4096,
-                                             std::any()});
+        (void)env.fabric().send(
+            net::Message{from, to, kPingPong, 4096, {}});
         // The reply leg fires when the message would have been processed;
         // emulate with an engine callback after the transfer time.
         env.engine().schedule(

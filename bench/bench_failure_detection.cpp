@@ -65,10 +65,7 @@ int main() {
           if (rec && !rec->up) detected = env.now();
         }
         if (detected >= 0) latency.add(detected - killed);
-        auto it = env.fabric().stats().sent_by_type.find("gm.echo");
-        if (it != env.fabric().stats().sent_by_type.end()) {
-          echo_messages += it->second;
-        }
+        echo_messages += env.fabric().stats().sent_by_type("gm.echo");
         observed_seconds += env.now() - killed;
       }
 

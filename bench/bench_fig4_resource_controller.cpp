@@ -49,10 +49,7 @@ int main() {
   bench::Table table({"interaction (Fig. 4)", "message type", "count"});
   auto row = [&](const char* what, const char* type,
                  const net::FabricStats& stats) {
-    auto it = stats.sent_by_type.find(type);
-    table.add_row({what, type,
-                   std::to_string(it == stats.sent_by_type.end() ? 0
-                                                                  : it->second)});
+    table.add_row({what, type, std::to_string(stats.sent_by_type(type))});
   };
   row("(2) monitor -> group mgr", "mon.report", monitoring);
   row("(3) group mgr -> site mgr (filtered)", "gm.report", monitoring);
@@ -75,10 +72,8 @@ int main() {
       static_cast<unsigned long long>(monitoring.sent),
       common::format_bytes(monitoring.bytes_sent).c_str(),
       100.0 *
-          static_cast<double>(monitoring.sent_by_type.count("gm.report")
-                                  ? monitoring.sent_by_type.at("gm.report")
-                                  : 0) /
-          static_cast<double>(monitoring.sent_by_type.at("mon.report")));
+          static_cast<double>(monitoring.sent_by_type("gm.report")) /
+          static_cast<double>(monitoring.sent_by_type("mon.report")));
   std::printf("execution: success=%s, failures survived=%d\n",
               report && report->success ? "yes" : "no",
               report ? report->failures_survived : -1);

@@ -56,6 +56,8 @@ BENCHMARK(BM_PeriodicTimers)->Arg(16)->Arg(256);
 
 // ---- fabric -----------------------------------------------------------------
 
+const net::MsgType kBench("bench");
+
 void BM_FabricSendDeliver(benchmark::State& state) {
   net::Topology topology = make_campus_pair();
   for (auto _ : state) {
@@ -70,8 +72,8 @@ void BM_FabricSendDeliver(benchmark::State& state) {
     for (int i = 0; i < 1000; ++i) {
       (void)fabric.send(net::Message{
           common::HostId(static_cast<std::uint32_t>(i % 12)),
-          common::HostId(static_cast<std::uint32_t>((i + 5) % 12)), "bench",
-          128, {}});
+          common::HostId(static_cast<std::uint32_t>((i + 5) % 12)), kBench, 128,
+          {}});
     }
     engine.run();
     benchmark::DoNotOptimize(sink);

@@ -96,8 +96,7 @@ int main(int argc, char** argv) {
 
     const auto& stats = env.fabric().stats();
     auto count = [&](const char* type) -> std::uint64_t {
-      auto it = stats.sent_by_type.find(type);
-      return it == stats.sent_by_type.end() ? 0 : it->second;
+      return stats.sent_by_type(type);
     };
 
     // Staleness: compare every host's db-recorded load to ground truth.

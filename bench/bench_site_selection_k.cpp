@@ -47,25 +47,15 @@ int main() {
     double sched_time = env.now() - t0;
     if (!table_result) return 1;
     const auto& stats = env.fabric().stats();
-    double sched_bytes = 0.0;
-    for (const char* type : {"sm.afg", "sm.bids"}) {
-      auto it = stats.sent_by_type.find(type);
-      if (it != stats.sent_by_type.end()) {
-        // Approximate: count * representative size is already folded into
-        // bytes_sent; recompute from per-type share of messages instead.
-        (void)it;
-      }
-    }
     // Count the exact bytes by type from send accounting.
     // (bytes_sent covers all traffic; scheduling phase had only scheduling
     // plus monitoring messages, so subtract monitoring's share.)
     auto count = [&](const char* type) -> double {
-      auto it = stats.sent_by_type.find(type);
-      return it == stats.sent_by_type.end() ? 0.0
-                                            : static_cast<double>(it->second);
+      return static_cast<double>(stats.sent_by_type(type));
     };
-    sched_bytes = count("sm.afg") * runtime::wire::afg(graph) +
-                  count("sm.bids") * (96 + 64.0 * graph.task_count());
+    const double sched_bytes =
+        count("sm.afg") * runtime::wire::afg(graph) +
+        count("sm.bids") * (96 + 64.0 * graph.task_count());
 
     RunOptions run;
     run.real_kernels = false;

@@ -326,7 +326,7 @@ bool ChaosInjector::should_drop(const net::Message& msg) {
   }
   for (ActiveLoss& l : losses_) {
     if (!l.type_prefix.empty() &&
-        msg.type.compare(0, l.type_prefix.size(), l.type_prefix) != 0) {
+        !msg.type.name().starts_with(l.type_prefix)) {
       continue;
     }
     if (l.site >= 0) {

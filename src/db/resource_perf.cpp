@@ -26,6 +26,11 @@ common::Expected<ResourceRecord> ResourcePerformanceDb::find(
   return it->second;
 }
 
+const ResourceRecord* ResourcePerformanceDb::record(common::HostId host) const {
+  auto it = records_.find(host);
+  return it == records_.end() ? nullptr : &it->second;
+}
+
 common::Expected<ResourceRecord> ResourcePerformanceDb::find(
     const std::string& host_name) const {
   for (const auto& [id, rec] : records_) {
@@ -43,9 +48,7 @@ common::Status ResourcePerformanceDb::record_workload(common::HostId host,
                          "workload for unknown host id " +
                              std::to_string(host.value())};
   }
-  auto& history = it->second.workload_history;
-  history.push_back(sample);
-  while (history.size() > ResourceRecord::kHistoryLen) history.pop_front();
+  it->second.workload_history.push_back(sample);
   return common::Status::success();
 }
 

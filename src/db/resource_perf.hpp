@@ -10,7 +10,8 @@
 // significant-change filtering) is itself an experimental variable (E4).
 #pragma once
 
-#include <deque>
+#include <array>
+#include <cstddef>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +29,59 @@ struct WorkloadSample {
   double available_mb = 0.0;  ///< free memory at sample time
 };
 
+/// The recent measurement window of one machine: a fixed-capacity FIFO
+/// held inline, oldest first.  push_back on a full window evicts the oldest
+/// sample, so the window always holds the latest kCapacity samples — and
+/// copying or sorting a record never allocates for its history.
+class WorkloadHistory {
+ public:
+  static constexpr std::size_t kCapacity = 16;
+
+  void push_back(const WorkloadSample& sample) {
+    if (size_ == kCapacity) {
+      slots_[head_] = sample;
+      head_ = (head_ + 1) % kCapacity;
+    } else {
+      slots_[(head_ + size_) % kCapacity] = sample;
+      ++size_;
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// `i`-th oldest retained sample (0 = oldest).
+  [[nodiscard]] const WorkloadSample& operator[](std::size_t i) const {
+    return slots_[(head_ + i) % kCapacity];
+  }
+  [[nodiscard]] const WorkloadSample& front() const { return (*this)[0]; }
+  [[nodiscard]] const WorkloadSample& back() const {
+    return (*this)[size_ - 1];
+  }
+
+  /// Oldest-first iteration.
+  class const_iterator {
+   public:
+    const_iterator(const WorkloadHistory* h, std::size_t i) : h_(h), i_(i) {}
+    const WorkloadSample& operator*() const { return (*h_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const WorkloadHistory* h_;
+    std::size_t i_;
+  };
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, size_}; }
+
+ private:
+  std::array<WorkloadSample, kCapacity> slots_{};
+  std::size_t head_ = 0;  ///< slot of the oldest sample
+  std::size_t size_ = 0;
+};
+
 /// A machine's record: static attributes plus the recent measurement window.
 struct ResourceRecord {
   common::HostId host;
@@ -42,9 +96,9 @@ struct ResourceRecord {
   bool up = true;
 
   /// Most recent samples, oldest first; bounded by kHistoryLen.
-  std::deque<WorkloadSample> workload_history;
+  WorkloadHistory workload_history;
 
-  static constexpr std::size_t kHistoryLen = 16;
+  static constexpr std::size_t kHistoryLen = WorkloadHistory::kCapacity;
 
   /// Latest known load; 0 when no sample has arrived yet (optimistic, like
   /// the prototype's freshly-registered hosts).
@@ -66,6 +120,9 @@ class ResourcePerformanceDb {
   common::Status register_host(ResourceRecord record);
 
   common::Expected<ResourceRecord> find(common::HostId host) const;
+  /// Non-copying lookup: null when `host` is not registered.  The pointer
+  /// stays valid for the database's lifetime (records are never erased).
+  [[nodiscard]] const ResourceRecord* record(common::HostId host) const;
   common::Expected<ResourceRecord> find(const std::string& host_name) const;
 
   /// Append a workload measurement (Site Manager, on Group Manager report).

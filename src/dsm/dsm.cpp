@@ -1,8 +1,8 @@
 #include "dsm/dsm.hpp"
 
-#include <any>
 #include <cassert>
 #include <functional>
+#include <memory>
 
 namespace vdce::dsm {
 
@@ -61,6 +61,24 @@ struct BarrierArrive {
 };
 
 constexpr double kCtrlBytes = 96;
+
+const net::MsgType kGet{"dsm.get"};
+const net::MsgType kData{"dsm.data"};
+const net::MsgType kFetch{"dsm.fetch"};
+const net::MsgType kFetchResp{"dsm.fetch_resp"};
+const net::MsgType kInv{"dsm.inv"};
+const net::MsgType kInvAck{"dsm.inv_ack"};
+const net::MsgType kLock{"dsm.lock"};
+const net::MsgType kLockGrant{"dsm.lock_grant"};
+const net::MsgType kUnlock{"dsm.unlock"};
+const net::MsgType kBarrier{"dsm.barrier"};
+
+/// Every DSM payload names its object (a string) and most carry a value,
+/// which outgrows the fabric's inline payload: they travel shared.
+template <typename T>
+const T& payload_of(const net::Message& message) {
+  return *message.payload.get<std::shared_ptr<const T>>();
+}
 
 }  // namespace
 
@@ -143,10 +161,15 @@ common::Expected<tasklib::Value> DsmRuntime::home_value(
   return it->second.value;
 }
 
+bool DsmRuntime::handles(net::MsgType type) {
+  return type.name().starts_with("dsm.");
+}
+
+template <typename T>
 void DsmRuntime::send(common::HostId from, common::HostId to,
-                      const std::string& type, double bytes,
-                      std::any payload) {
-  (void)fabric_.send(net::Message{from, to, type, bytes, std::move(payload)});
+                      net::MsgType type, double bytes, T payload) {
+  (void)fabric_.send(net::Message{
+      from, to, type, bytes, std::make_shared<const T>(std::move(payload))});
 }
 
 void DsmRuntime::client_read(common::HostId host, const std::string& name,
@@ -162,7 +185,7 @@ void DsmRuntime::client_read(common::HostId host, const std::string& name,
   ++stats_.read_misses;
   std::uint64_t op = next_op_++;
   ops.reads[op] = std::move(cb);
-  send(host, home_of(name), "dsm.get", kCtrlBytes,
+  send(host, home_of(name), kGet, kCtrlBytes,
        GetReq{name, op, host, /*exclusive=*/false, {}});
 }
 
@@ -181,7 +204,7 @@ void DsmRuntime::client_write(common::HostId host, const std::string& name,
   ++stats_.write_misses;
   std::uint64_t op = next_op_++;
   ops.dones[op] = std::move(cb);
-  send(host, home_of(name), "dsm.get", kCtrlBytes,
+  send(host, home_of(name), kGet, kCtrlBytes,
        GetReq{name, op, host, /*exclusive=*/true, std::move(value)});
 }
 
@@ -189,7 +212,7 @@ void DsmRuntime::client_acquire(common::HostId host, const std::string& name,
                                 DsmClient::DoneCallback cb) {
   std::uint64_t op = next_op_++;
   local_[host].dones[op] = std::move(cb);
-  send(host, home_of("lock:" + name), "dsm.lock", kCtrlBytes,
+  send(host, home_of("lock:" + name), kLock, kCtrlBytes,
        LockReq{name, op, host});
 }
 
@@ -197,7 +220,7 @@ void DsmRuntime::client_release(common::HostId host, const std::string& name,
                                 DsmClient::DoneCallback cb) {
   std::uint64_t op = next_op_++;
   local_[host].dones[op] = std::move(cb);
-  send(host, home_of("lock:" + name), "dsm.unlock", kCtrlBytes,
+  send(host, home_of("lock:" + name), kUnlock, kCtrlBytes,
        Unlock{name, op, host});
 }
 
@@ -206,7 +229,7 @@ void DsmRuntime::client_barrier(common::HostId host, const std::string& name,
                                 DsmClient::DoneCallback cb) {
   std::uint64_t op = next_op_++;
   local_[host].dones[op] = std::move(cb);
-  send(host, home_of("barrier:" + name), "dsm.barrier", kCtrlBytes,
+  send(host, home_of("barrier:" + name), kBarrier, kCtrlBytes,
        BarrierArrive{name, op, host, parties});
 }
 
@@ -225,20 +248,20 @@ void DsmRuntime::home_service_next(const std::string& name) {
     if (obj.owner.valid() && obj.owner != req.requester) {
       ++stats_.owner_recalls;
       ++obj.inv_acks_outstanding;
-      send(home, obj.owner, "dsm.fetch", kCtrlBytes,
+      send(home, obj.owner, kFetch, kCtrlBytes,
            Fetch{name, /*downgrade=*/false});
     }
     for (common::HostId sharer : obj.sharers) {
       if (sharer == req.requester) continue;
       ++stats_.invalidations_sent;
       ++obj.inv_acks_outstanding;
-      send(home, sharer, "dsm.inv", kCtrlBytes, Inv{name});
+      send(home, sharer, kInv, kCtrlBytes, Inv{name});
     }
   } else if (obj.owner.valid() && obj.owner != req.requester) {
     // Read while another host holds M: downgrade the owner to S.
     ++stats_.owner_recalls;
     ++obj.inv_acks_outstanding;
-    send(home, obj.owner, "dsm.fetch", kCtrlBytes,
+    send(home, obj.owner, kFetch, kCtrlBytes,
          Fetch{name, /*downgrade=*/true});
   }
 
@@ -255,11 +278,11 @@ void DsmRuntime::home_grant(const std::string& name,
     obj.owner = req.requester;
     // The new value is installed at the owner; the home copy is stale until
     // the next recall.
-    send(home, req.requester, "dsm.data", obj.size_bytes,
+    send(home, req.requester, kData, obj.size_bytes,
          DataGrant{name, req.op, true, req.new_value});
   } else {
     obj.sharers.insert(req.requester);
-    send(home, req.requester, "dsm.data", obj.size_bytes,
+    send(home, req.requester, kData, obj.size_bytes,
          DataGrant{name, req.op, false, obj.value});
   }
   obj.queue.pop_front();
@@ -270,10 +293,10 @@ void DsmRuntime::home_grant(const std::string& name,
 // ---- message dispatch ---------------------------------------------------------------
 
 void DsmRuntime::handle(const net::Message& message) {
-  const std::string& type = message.type;
+  const net::MsgType type = message.type;
 
-  if (type == "dsm.get") {
-    const auto& req = std::any_cast<const GetReq&>(message.payload);
+  if (type == kGet) {
+    const auto& req = payload_of<GetReq>(message);
     ObjectHome& obj = objects_.at(req.name);
     obj.queue.push_back(ObjectHome::Pending{req.requester, req.exclusive,
                                             req.op, req.new_value});
@@ -281,8 +304,8 @@ void DsmRuntime::handle(const net::Message& message) {
     return;
   }
 
-  if (type == "dsm.fetch") {
-    const auto& fetch = std::any_cast<const Fetch&>(message.payload);
+  if (type == kFetch) {
+    const auto& fetch = payload_of<Fetch>(message);
     LocalOps& ops = local_[message.dst];
     auto cached = ops.cache.find(fetch.name);
     tasklib::Value value;
@@ -292,13 +315,13 @@ void DsmRuntime::handle(const net::Message& message) {
           fetch.downgrade ? CacheState::kShared : CacheState::kInvalid;
     }
     const ObjectHome& obj = objects_.at(fetch.name);
-    send(message.dst, message.src, "dsm.fetch_resp", obj.size_bytes,
+    send(message.dst, message.src, kFetchResp, obj.size_bytes,
          FetchResp{fetch.name, message.dst, fetch.downgrade, std::move(value)});
     return;
   }
 
-  if (type == "dsm.fetch_resp") {
-    const auto& resp = std::any_cast<const FetchResp&>(message.payload);
+  if (type == kFetchResp) {
+    const auto& resp = payload_of<FetchResp>(message);
     ObjectHome& obj = objects_.at(resp.name);
     obj.value = resp.value;
     if (resp.downgraded) {
@@ -311,21 +334,21 @@ void DsmRuntime::handle(const net::Message& message) {
     return;
   }
 
-  if (type == "dsm.inv") {
-    const auto& inv = std::any_cast<const Inv&>(message.payload);
+  if (type == kInv) {
+    const auto& inv = payload_of<Inv>(message);
     LocalOps& ops = local_[message.dst];
     auto cached = ops.cache.find(inv.name);
     if (cached != ops.cache.end()) {
       cached->second.state = CacheState::kInvalid;
       cached->second.value = {};
     }
-    send(message.dst, message.src, "dsm.inv_ack", kCtrlBytes,
+    send(message.dst, message.src, kInvAck, kCtrlBytes,
          InvAck{inv.name, message.dst});
     return;
   }
 
-  if (type == "dsm.inv_ack") {
-    const auto& ack = std::any_cast<const InvAck&>(message.payload);
+  if (type == kInvAck) {
+    const auto& ack = payload_of<InvAck>(message);
     ObjectHome& obj = objects_.at(ack.name);
     obj.sharers.erase(ack.from);
     if (--obj.inv_acks_outstanding == 0 && !obj.queue.empty()) {
@@ -334,8 +357,8 @@ void DsmRuntime::handle(const net::Message& message) {
     return;
   }
 
-  if (type == "dsm.data") {
-    const auto& grant = std::any_cast<const DataGrant&>(message.payload);
+  if (type == kData) {
+    const auto& grant = payload_of<DataGrant>(message);
     LocalOps& ops = local_[message.dst];
     CachedCopy& copy = ops.cache[grant.name];
     copy.state = grant.exclusive ? CacheState::kModified : CacheState::kShared;
@@ -358,14 +381,14 @@ void DsmRuntime::handle(const net::Message& message) {
     return;
   }
 
-  if (type == "dsm.lock") {
-    const auto& req = std::any_cast<const LockReq&>(message.payload);
+  if (type == kLock) {
+    const auto& req = payload_of<LockReq>(message);
     LockHome& lock = locks_[req.name];
     if (!lock.held) {
       lock.held = true;
       lock.holder = req.requester;
       ++stats_.lock_grants;
-      send(message.dst, req.requester, "dsm.lock_grant", kCtrlBytes,
+      send(message.dst, req.requester, kLockGrant, kCtrlBytes,
            LockGrant{req.name, req.op});
     } else {
       lock.waiters.emplace_back(req.requester, req.op);
@@ -373,8 +396,8 @@ void DsmRuntime::handle(const net::Message& message) {
     return;
   }
 
-  if (type == "dsm.lock_grant") {
-    const auto& grant = std::any_cast<const LockGrant&>(message.payload);
+  if (type == kLockGrant) {
+    const auto& grant = payload_of<LockGrant>(message);
     LocalOps& ops = local_[message.dst];
     auto done = ops.dones.find(grant.op);
     if (done != ops.dones.end()) {
@@ -385,8 +408,8 @@ void DsmRuntime::handle(const net::Message& message) {
     return;
   }
 
-  if (type == "dsm.barrier") {
-    const auto& arrive = std::any_cast<const BarrierArrive&>(message.payload);
+  if (type == kBarrier) {
+    const auto& arrive = payload_of<BarrierArrive>(message);
     BarrierHome& barrier = barriers_[arrive.name];
     barrier.arrived.emplace_back(arrive.requester, arrive.op);
     if (barrier.arrived.size() >= arrive.parties) {
@@ -395,19 +418,19 @@ void DsmRuntime::handle(const net::Message& message) {
       auto generation = std::move(barrier.arrived);
       barrier.arrived.clear();
       for (const auto& [host, op] : generation) {
-        send(message.dst, host, "dsm.lock_grant", kCtrlBytes,
+        send(message.dst, host, kLockGrant, kCtrlBytes,
              LockGrant{arrive.name, op});
       }
     }
     return;
   }
 
-  if (type == "dsm.unlock") {
-    const auto& req = std::any_cast<const Unlock&>(message.payload);
+  if (type == kUnlock) {
+    const auto& req = payload_of<Unlock>(message);
     LockHome& lock = locks_[req.name];
     assert(lock.held);
     // Acknowledge the releaser, then pass the lock down the FIFO.
-    send(message.dst, req.requester, "dsm.lock_grant", kCtrlBytes,
+    send(message.dst, req.requester, kLockGrant, kCtrlBytes,
          LockGrant{req.name, req.op});
     if (lock.waiters.empty()) {
       lock.held = false;
@@ -417,7 +440,7 @@ void DsmRuntime::handle(const net::Message& message) {
       lock.waiters.pop_front();
       lock.holder = next_host;
       ++stats_.lock_grants;
-      send(message.dst, next_host, "dsm.lock_grant", kCtrlBytes,
+      send(message.dst, next_host, kLockGrant, kCtrlBytes,
            LockGrant{req.name, next_op});
     }
     return;

@@ -141,6 +141,8 @@ class DsmRuntime {
 
   /// Dispatch a "dsm.*" message (called by the environment's host agents).
   void handle(const net::Message& message);
+  /// True for the protocol's own message types (name prefix "dsm.").
+  [[nodiscard]] static bool handles(net::MsgType type);
 
   [[nodiscard]] common::HostId home_of(const std::string& name) const;
   [[nodiscard]] const DsmStats& stats() const noexcept { return stats_; }
@@ -209,8 +211,10 @@ class DsmRuntime {
 
   void home_service_next(const std::string& name);
   void home_grant(const std::string& name, const ObjectHome::Pending& req);
-  void send(common::HostId from, common::HostId to, const std::string& type,
-            double bytes, std::any payload);
+  /// Send one protocol message; the payload travels shared (dsm.cpp).
+  template <typename T>
+  void send(common::HostId from, common::HostId to, net::MsgType type,
+            double bytes, T payload);
 
   net::Fabric& fabric_;
   std::vector<common::HostId> hosts_;

@@ -5,6 +5,18 @@
 
 namespace vdce::net {
 
+std::vector<std::pair<std::string, std::uint64_t>> FabricStats::sent_types()
+    const {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  for (std::size_t id = 0; id < MsgType::count(); ++id) {
+    if (sent_per_type[id] == 0) continue;
+    out.emplace_back(MsgType::from_id(static_cast<std::uint16_t>(id)).name(),
+                     sent_per_type[id]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 void Fabric::set_observability(obs::Observability* obs) {
   obs_ = obs;
   if (obs_ != nullptr && obs_->metrics_on()) {
@@ -51,7 +63,7 @@ common::Expected<common::SimTime> Fabric::send(Message msg) {
 
   ++stats_.sent;
   stats_.bytes_sent += msg.size_bytes;
-  ++stats_.sent_by_type[msg.type];
+  ++stats_.sent_per_type[msg.type.id()];
 
   LinkSpec link = topology_.link_between(msg.src, msg.dst);
   if (fault_ != nullptr) {
@@ -85,7 +97,7 @@ common::Expected<common::SimTime> Fabric::send(Message msg) {
     if (obs_->trace_on()) {
       obs_->trace().span(
           "fabric", "fabric.transfer", engine_.now(), when, msg.src.value(),
-          {obs::arg("type", msg.type), obs::arg("bytes", msg.size_bytes),
+          {obs::arg("type", msg.type.name()), obs::arg("bytes", msg.size_bytes),
            obs::arg("src", msg.src.value()), obs::arg("dst", msg.dst.value())},
           obs::Causal{msg.cause.app, msg.cause.task, msg.cause.src_task, {}});
     }
@@ -105,8 +117,8 @@ std::uint64_t Fabric::segment_key(HostId src, HostId dst) const {
 }
 
 void Fabric::multicast(HostId src, const std::vector<HostId>& dsts,
-                       const std::string& type, double size_bytes,
-                       const std::any& payload) {
+                       MsgType type, double size_bytes,
+                       const Payload& payload) {
   for (HostId dst : dsts) {
     // Failure of one destination must not abort the rest of the multicast.
     (void)send(Message{src, dst, type, size_bytes, payload});

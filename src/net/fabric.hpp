@@ -9,46 +9,29 @@
 // silently dropped (exactly the behaviour echo-based failure detection
 // relies on, §4.1).
 //
-// Payloads are type-erased (std::any): control messages carry small structs
-// defined by their sender/receiver pair, data messages carry byte buffers.
-// The alternative — a closed variant of every message type — would couple
-// this substrate to every layer above it.
+// Messages (net/message.hpp) carry an interned type id and a typed payload
+// held inline, so a send allocates nothing and the fabric still knows
+// neither the protocols above it nor their structs: each layer interns its
+// own type names and defines its own payloads.  Per-type statistics are an
+// id-indexed array, resolved to names only when queried.
 #pragma once
 
-#include <any>
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
+#include "net/message.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
 
 namespace vdce::net {
-
-/// Causal identity a sender may stamp on a message so the trace layer can
-/// link the resulting `fabric.transfer` span into the per-application causal
-/// DAG (obs/causal.hpp): which application the bytes belong to, which task
-/// consumes them, and which task produced them.  All-default means "control
-/// traffic" and adds nothing to the record.
-struct MessageCause {
-  std::uint32_t app = obs::kNoCausalId;
-  std::uint32_t task = obs::kNoCausalId;      ///< consumer task
-  std::uint32_t src_task = obs::kNoCausalId;  ///< producer task
-};
-
-struct Message {
-  HostId src;
-  HostId dst;
-  std::string type;       ///< e.g. "echo", "rat", "dm.setup", "dm.data"
-  double size_bytes = 64;  ///< wire size charged to the link (headers incl.)
-  std::any payload;
-  MessageCause cause;     ///< optional causal tag (data-plane traffic)
-};
 
 /// Per-fabric traffic counters, broken down by message type — the raw data
 /// behind the monitoring-overhead experiment (E4) and Fig. 4's message-flow
@@ -63,7 +46,16 @@ struct FabricStats {
   /// transient-loss windows of the chaos plane).
   std::uint64_t dropped_injected = 0;
   double bytes_sent = 0.0;
-  std::map<std::string, std::uint64_t> sent_by_type;
+  /// Messages sent per type, indexed by MsgType id.
+  std::array<std::uint64_t, MsgType::kMaxTypes> sent_per_type{};
+
+  /// Messages sent of the type named `type` (0 for a name never sent).
+  [[nodiscard]] std::uint64_t sent_by_type(std::string_view type) const {
+    return sent_per_type[MsgType::find(type).id()];
+  }
+  /// Every type sent at least once with its count, sorted by type name.
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
+  sent_types() const;
 
   void reset() { *this = FabricStats{}; }
 };
@@ -120,9 +112,8 @@ class Fabric {
 
   /// Send the same message to many destinations ("multicast" in the paper —
   /// implemented as iterated unicast, as site-to-site multicast was).
-  void multicast(HostId src, const std::vector<HostId>& dsts,
-                 const std::string& type, double size_bytes,
-                 const std::any& payload);
+  void multicast(HostId src, const std::vector<HostId>& dsts, MsgType type,
+                 double size_bytes, const Payload& payload);
 
   [[nodiscard]] const FabricStats& stats() const noexcept { return stats_; }
   void reset_stats() { stats_.reset(); }

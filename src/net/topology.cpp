@@ -63,12 +63,6 @@ const Group& Topology::group(GroupId id) const {
   return groups_[id.value()];
 }
 
-std::vector<Group> Topology::groups_in_site(SiteId id) const {
-  std::vector<Group> out;
-  for (GroupId gid : site(id).groups) out.push_back(group(gid));
-  return out;
-}
-
 common::Expected<HostId> Topology::find_host(const std::string& name) const {
   for (const Host& h : hosts_) {
     if (h.spec.name == name) return h.id;

@@ -116,7 +116,6 @@ class Topology {
   [[nodiscard]] std::size_t site_count() const noexcept { return sites_.size(); }
   [[nodiscard]] const std::vector<Site>& sites() const noexcept { return sites_; }
   [[nodiscard]] const std::vector<Host>& hosts() const noexcept { return hosts_; }
-  [[nodiscard]] std::vector<Group> groups_in_site(SiteId id) const;
 
   /// Find a host by its DNS name (used by task-constraint lookups and the
   /// editor's "preferred machine" property).  Linear scan; host counts are

@@ -1,7 +1,5 @@
 #include "runtime/app_controller.hpp"
 
-#include <any>
-
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 
@@ -21,19 +19,16 @@ void AppController::handle(const net::Message& message) {
   if (message.type == msg::kGmExec) {
     on_exec(message);
   } else if (message.type == msg::kSmStart) {
-    const auto& signal = std::any_cast<const StartSignal&>(message.payload);
-    dm_.start_app(signal.app);
+    dm_.start_app(message.payload.get<StartSignal>().app);
   } else if (message.type == msg::kSmSuspend) {
-    const auto& signal = std::any_cast<const SuspendSignal&>(message.payload);
-    dm_.suspend(signal.app);
+    dm_.suspend(message.payload.get<SuspendSignal>().app);
   } else if (message.type == msg::kSmResume) {
-    const auto& signal = std::any_cast<const SuspendSignal&>(message.payload);
-    dm_.resume(signal.app);
+    dm_.resume(message.payload.get<SuspendSignal>().app);
   }
 }
 
 void AppController::on_exec(const net::Message& message) {
-  const auto& request = std::any_cast<const ExecRequest&>(message.payload);
+  const auto& request = message.payload.get<ExecRequest>();
   PlanPtr plan = request.plan;
   // Activate the Data Manager; once its channels are acknowledged, report
   // readiness to the origin Site Manager.
@@ -42,7 +37,7 @@ void AppController::on_exec(const net::Message& message) {
       [this, plan] {
         (void)core_.fabric().send(net::Message{
             host_, plan->origin, msg::kAcReady, wire::kSmall,
-            std::any(ReadyNotice{plan->app, host_})});
+            ReadyNotice{plan->app, host_}});
       },
       request.pin);
 }
@@ -77,8 +72,7 @@ void AppController::check_load() {
     }
     (void)core_.fabric().send(net::Message{
         host_, aborted.origin, msg::kAcOverload, wire::kSmall,
-        std::any(OverloadNotice{aborted.app, aborted.task, host_,
-                                h.state.cpu_load})});
+        OverloadNotice{aborted.app, aborted.task, host_, h.state.cpu_load}});
   }
 }
 

@@ -1,7 +1,6 @@
 #include "runtime/data_manager.hpp"
 
 #include <algorithm>
-#include <any>
 #include <cassert>
 #include <cmath>
 #include <set>
@@ -113,7 +112,7 @@ void DataManager::send_setup(common::AppId app, common::HostId peer) {
 
   (void)core_.fabric().send(net::Message{
       host_, peer, msg::kDmSetup, wire::kSmall,
-      std::any(ChannelSetup{app, host_, pending->second.channel})});
+      ChannelSetup{app, host_, pending->second.channel}});
 
   // Retry with exponential backoff: the setup or its ack may be lost to a
   // partition or a transient-loss window; a bounded number of resends keeps
@@ -181,10 +180,10 @@ void DataManager::start_app(common::AppId app) {
     // A repeated sm.start is the coordinator's stall recovery probing us:
     // re-send every completion notice it may have missed (at-least-once;
     // the coordinator dedupes on task id).
-    for (const TaskDone& done : state.done_log) {
+    for (const TaskDonePtr& done : state.done_log) {
       (void)core_.fabric().send(net::Message{host_, state.plan->origin,
                                              msg::kAcTaskDone, wire::kSmall,
-                                             std::any(done)});
+                                             done});
     }
   }
   state.started = true;
@@ -399,8 +398,9 @@ void DataManager::finish_task(common::AppId app, std::uint32_t task_value) {
     if (f.path.empty()) continue;
     (void)core_.fabric().send(net::Message{
         host_, plan.origin, msg::kDmOutput, std::max(f.size_bytes, 64.0),
-        std::any(OutputFile{plan.app, task.id, f.path, f.size_bytes,
-                            outputs[static_cast<std::size_t>(p)]})});
+        std::make_shared<const OutputFile>(
+            OutputFile{plan.app, task.id, f.path, f.size_bytes,
+                       outputs[static_cast<std::size_t>(p)]})});
   }
 
   // Exit tasks return their port-0 value with the completion notice.
@@ -427,7 +427,7 @@ void DataManager::send_edge(AppState& state, const afg::Edge& edge,
   double bytes = std::max(plan.graph.edge_bytes(edge), 64.0);
   (void)core_.fabric().send(net::Message{
       host_, dst, msg::kDmData, bytes,
-      std::any(DataDelivery{plan.app, edge.to, edge.to_port, value}),
+      DataDelivery{plan.app, edge.to, edge.to_port, value},
       // Causal tag: this transfer feeds `edge.to`, produced by `edge.from`
       // (the transfer->consumer edge of the causal DAG).
       net::MessageCause{plan.app.value(), edge.to.value(),
@@ -438,21 +438,21 @@ void DataManager::send_task_done(AppState& state, afg::TaskId task,
                                  common::SimDuration elapsed, bool failed,
                                  const std::string& error,
                                  tasklib::Value exit_output) {
-  TaskDone done;
-  done.app = state.plan->app;
-  done.task = task;
-  done.host = host_;
-  done.started = core_.now() - elapsed;
-  done.finished = core_.now();
-  done.elapsed = elapsed;
-  done.failed = failed;
-  done.error = error;
-  done.exit_output = std::move(exit_output);
-  // Keep a copy for at-least-once re-delivery on repeated sm.start.
+  auto done = std::make_shared<TaskDone>();
+  done->app = state.plan->app;
+  done->task = task;
+  done->host = host_;
+  done->started = core_.now() - elapsed;
+  done->finished = core_.now();
+  done->elapsed = elapsed;
+  done->failed = failed;
+  done->error = error;
+  done->exit_output = std::move(exit_output);
+  // Keep the notice for at-least-once re-delivery on repeated sm.start.
   state.done_log.push_back(done);
   (void)core_.fabric().send(net::Message{host_, state.plan->origin,
                                          msg::kAcTaskDone, wire::kSmall,
-                                         std::any(std::move(done))});
+                                         TaskDonePtr(std::move(done))});
 }
 
 void DataManager::deliver(AppState& state, afg::TaskId task, int port,
@@ -473,14 +473,14 @@ void DataManager::deliver(AppState& state, afg::TaskId task, int port,
 
 void DataManager::handle(const net::Message& message) {
   if (message.type == msg::kDmSetup) {
-    const auto& setup = std::any_cast<const ChannelSetup&>(message.payload);
+    const auto& setup = message.payload.get<ChannelSetup>();
     (void)core_.fabric().send(net::Message{
         host_, setup.from, msg::kDmSetupAck, wire::kSmall,
-        std::any(ChannelSetupAck{setup.app, host_, setup.channel})});
+        ChannelSetupAck{setup.app, host_, setup.channel}});
     return;
   }
   if (message.type == msg::kDmSetupAck) {
-    const auto& ack = std::any_cast<const ChannelSetupAck&>(message.payload);
+    const auto& ack = message.payload.get<ChannelSetupAck>();
     auto it = apps_.find(ack.app.value());
     if (it == apps_.end()) return;
     AppState& state = it->second;
@@ -489,7 +489,7 @@ void DataManager::handle(const net::Message& message) {
     return;
   }
   if (message.type == msg::kDmData || message.type == msg::kDmInput) {
-    const auto& delivery = std::any_cast<const DataDelivery&>(message.payload);
+    const auto& delivery = message.payload.get<DataDelivery>();
     auto it = apps_.find(delivery.app.value());
     if (it == apps_.end()) return;  // app unknown here (host never involved)
     deliver(it->second, delivery.to_task, delivery.to_port, delivery.value,
@@ -497,7 +497,7 @@ void DataManager::handle(const net::Message& message) {
     return;
   }
   if (message.type == msg::kDmResend) {
-    const auto& req = std::any_cast<const ResendRequest&>(message.payload);
+    const auto& req = message.payload.get<ResendRequest>();
     auto it = apps_.find(req.app.value());
     if (it == apps_.end()) return;
     AppState& state = it->second;
@@ -516,9 +516,8 @@ void DataManager::handle(const net::Message& message) {
       }
       (void)core_.fabric().send(net::Message{
           host_, req.new_host, msg::kDmData, bytes,
-          std::any(DataDelivery{
-              req.app, req.to_task, req.to_port,
-              out->second[static_cast<std::size_t>(req.from_port)]}),
+          DataDelivery{req.app, req.to_task, req.to_port,
+                       out->second[static_cast<std::size_t>(req.from_port)]},
           net::MessageCause{req.app.value(), req.to_task.value(),
                             req.from_task.value()}});
     }

@@ -131,7 +131,7 @@ class DataManager {
     /// Completion notices already sent, kept for at-least-once re-delivery
     /// when the coordinator re-sends sm.start (its copy may have been lost;
     /// the coordinator dedupes on task id).
-    std::vector<TaskDone> done_log;
+    std::vector<TaskDonePtr> done_log;
     /// Cached outputs of completed local tasks (for resends).
     std::unordered_map<std::uint32_t, std::vector<tasklib::Value>> outputs;
     std::unordered_map<EdgeKey, common::HostId, EdgeKeyHash> redirects;

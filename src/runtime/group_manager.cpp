@@ -1,6 +1,5 @@
 #include "runtime/group_manager.hpp"
 
-#include <any>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -27,51 +26,65 @@ void GroupManager::handle(const net::Message& message) {
   }
 }
 
+GroupManager::MemberState* GroupManager::member(common::HostId host) {
+  const std::vector<common::HostId>& ids =
+      core_.topology().group(group_).members;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] != host) continue;
+    if (members_.size() < ids.size()) members_.resize(ids.size());
+    return &members_[i];
+  }
+  return nullptr;
+}
+
 void GroupManager::on_mon_report(const net::Message& message) {
-  const auto& report = std::any_cast<const MonReport&>(message.payload);
+  const auto& report = message.payload.get<MonReport>();
   ++reports_received_;
   if (core_.metering()) core_.meters().counter("monitor.reports_received").add();
+  MemberState* state = member(report.host);
+  if (state == nullptr) return;  // not ours to aggregate
 
   // Any traffic from a host is proof of life: without this, an echo round
   // that straddles a host's recovery would declare it down again right
   // after its first post-recovery workload report.
-  echo_replied_.insert(report.host);
-  const bool recovered = reported_down_.erase(report.host) > 0;
+  state->alive_round = echo_seq_;
+  const bool recovered = state->reported_down;
+  state->reported_down = false;
 
   // Significant-change filter: forward only if the load moved by more than
   // the threshold since the last *forwarded* value.  First reports and
   // recovery reports always pass (the Site Manager must re-mark the host
   // up even if its load happens to match the last forwarded value).
-  auto it = last_forwarded_load_.find(report.host);
   const bool significant =
-      recovered || it == last_forwarded_load_.end() ||
-      std::fabs(report.sample.cpu_load - it->second) >=
+      recovered || !state->forwarded_any ||
+      std::fabs(report.sample.cpu_load - state->last_forwarded_load) >=
           core_.options().significant_change;
   if (!significant) return;
 
-  last_forwarded_load_[report.host] = report.sample.cpu_load;
+  state->forwarded_any = true;
+  state->last_forwarded_load = report.sample.cpu_load;
   ++reports_forwarded_;
   if (core_.metering()) {
     core_.meters().counter("monitor.reports_forwarded").add();
   }
-  GmReport batch;
-  batch.changed.push_back(report);
   (void)core_.fabric().send(net::Message{leader_, site_server_, msg::kGmReport,
-                                         wire::gm_report(batch.changed.size()),
-                                         std::any(std::move(batch))});
+                                         wire::gm_report(), GmReport{report}});
 }
 
 void GroupManager::echo_tick() {
   const net::Group& group = core_.topology().group(group_);
 
   // Close the previous round first: anyone silent is presumed failed.
+  if (members_.size() < group.members.size()) {
+    members_.resize(group.members.size());
+  }
   if (echo_outstanding_) {
-    for (common::HostId member : group.members) {
+    for (std::size_t i = 0; i < group.members.size(); ++i) {
+      const common::HostId member = group.members[i];
+      MemberState& state = members_[i];
       if (member == leader_) continue;  // the leader vouches for itself
-      if (echo_replied_.contains(member) || reported_down_.contains(member)) {
-        continue;
-      }
-      reported_down_.insert(member);
+      if (state.alive_round == echo_seq_ || state.reported_down) continue;
+      state.reported_down = true;
       VDCE_LOG(kInfo, "group-mgr", core_.now())
           << "host " << core_.topology().host(member).spec.name
           << " failed echo round " << echo_seq_;
@@ -90,13 +103,12 @@ void GroupManager::echo_tick() {
       }
       (void)core_.fabric().send(net::Message{leader_, site_server_,
                                              msg::kGmHostDown, wire::kSmall,
-                                             std::any(HostDownNotice{member})});
+                                             HostDownNotice{member}});
     }
   }
 
-  // Open the next round.
+  // Open the next round (every member's alive_round is now stale).
   ++echo_seq_;
-  echo_replied_.clear();
   echo_outstanding_ = true;
   if (core_.metering()) core_.meters().counter("monitor.echo_rounds").add();
   if (core_.tracing()) {
@@ -109,18 +121,18 @@ void GroupManager::echo_tick() {
     if (member == leader_) continue;
     (void)core_.fabric().send(net::Message{leader_, member, msg::kGmEcho,
                                            wire::kEcho,
-                                           std::any(EchoPacket{leader_, echo_seq_})});
+                                           EchoPacket{leader_, echo_seq_}});
   }
 }
 
 void GroupManager::on_echo_reply(const net::Message& message) {
-  const auto& echo = std::any_cast<const EchoPacket&>(message.payload);
+  const auto& echo = message.payload.get<EchoPacket>();
   if (echo.seq != echo_seq_) return;  // stale reply from an earlier round
-  echo_replied_.insert(message.src);
+  if (MemberState* state = member(message.src)) state->alive_round = echo_seq_;
 }
 
 void GroupManager::on_rat(const net::Message& message) {
-  const auto& rat = std::any_cast<const RatMulticast&>(message.payload);
+  const auto& rat = message.payload.get<RatMulticast>();
   const net::Group& group = core_.topology().group(group_);
 
   // Forward an execution request to the Application Controller of each
@@ -139,7 +151,7 @@ void GroupManager::on_rat(const net::Message& message) {
     if (!involved) continue;
     (void)core_.fabric().send(net::Message{leader_, member, msg::kGmExec,
                                            wire::kSmall,
-                                           std::any(ExecRequest{rat.plan, member})});
+                                           ExecRequest{rat.plan, member}});
   }
 }
 

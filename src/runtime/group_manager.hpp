@@ -17,8 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "net/fabric.hpp"
@@ -48,6 +47,18 @@ class GroupManager {
   }
 
  private:
+  /// Per-member monitoring state, parallel to the group's member list
+  /// (members are only ever appended, so an index never changes owner).
+  struct MemberState {
+    /// Last echo round in which the member showed a sign of life.
+    std::uint64_t alive_round = 0;
+    bool reported_down = false;  ///< avoid repeat gm.host_down notices
+    bool forwarded_any = false;  ///< a load was forwarded at least once
+    double last_forwarded_load = 0.0;  ///< for the change filter
+  };
+
+  /// State of `host`, or null when it is not a member of the group.
+  MemberState* member(common::HostId host);
   void on_mon_report(const net::Message& message);
   void on_echo_reply(const net::Message& message);
   void on_rat(const net::Message& message);
@@ -60,12 +71,8 @@ class GroupManager {
   sim::TimerHandle echo_timer_;
   bool started_ = false;
 
-  /// Last value actually forwarded per host, for the change filter.
-  std::unordered_map<common::HostId, double> last_forwarded_load_;
-  /// Hosts that replied to the current echo round.
-  std::unordered_set<common::HostId> echo_replied_;
-  /// Hosts already reported down (avoid repeat notifications).
-  std::unordered_set<common::HostId> reported_down_;
+  std::vector<MemberState> members_;
+  /// Current echo round; a member is alive in it iff alive_round == echo_seq_.
   std::uint64_t echo_seq_ = 0;
   bool echo_outstanding_ = false;
 

@@ -1,7 +1,5 @@
 #include "runtime/host_agent.hpp"
 
-#include <string_view>
-
 #include "runtime/protocol.hpp"
 
 namespace vdce::runtime {
@@ -48,7 +46,7 @@ void HostAgent::dispatch(const net::Message& message) {
   for (const Extension& extension : extensions_) {
     if (extension(message)) return;
   }
-  const std::string_view type = message.type;
+  const net::MsgType type = message.type;
 
   if (type == msg::kGmEcho || type == msg::kSmEcho) {
     monitor_.handle(message);

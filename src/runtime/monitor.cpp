@@ -1,7 +1,5 @@
 #include "runtime/monitor.hpp"
 
-#include <any>
-
 #include "common/logging.hpp"
 
 namespace vdce::runtime {
@@ -62,22 +60,24 @@ void MonitorDaemon::sample_and_report() {
   }
 
   (void)core_.fabric().send(net::Message{
-      host_, group_leader_, msg::kMonReport, wire::mon_report(),
-      std::any(report)});
+      host_, group_leader_, msg::kMonReport, wire::mon_report(), report});
 }
 
 void MonitorDaemon::handle(const net::Message& message) {
+  // Echo requests from the Group Manager and the Site Manager; each gets
+  // the matching reply type.
+  net::MsgType reply;
   if (message.type == msg::kGmEcho) {
-    const auto& echo = std::any_cast<const EchoPacket&>(message.payload);
-    (void)core_.fabric().send(net::Message{host_, echo.leader,
-                                           msg::kGmEchoReply, wire::kEcho,
-                                           std::any(EchoPacket{host_, echo.seq})});
+    reply = msg::kGmEchoReply;
   } else if (message.type == msg::kSmEcho) {
-    const auto& echo = std::any_cast<const EchoPacket&>(message.payload);
-    (void)core_.fabric().send(net::Message{host_, echo.leader,
-                                           msg::kSmEchoReply, wire::kEcho,
-                                           std::any(EchoPacket{host_, echo.seq})});
+    reply = msg::kSmEchoReply;
+  } else {
+    return;
   }
+  const auto& echo = message.payload.get<EchoPacket>();
+  (void)core_.fabric().send(net::Message{host_, echo.leader, reply,
+                                         wire::kEcho,
+                                         EchoPacket{host_, echo.seq}});
 }
 
 }  // namespace vdce::runtime

@@ -23,8 +23,12 @@
 //   App Controller --ac.overload-->  origin Site Manager  (reschedule request)
 //   Site Manager   --sm.host_down->  all Site Managers    (inter-site coord.)
 //
-// Payload structs are shared immutably (shared_ptr<const T>) where they are
-// multicast, so a 400-task plan is not copied per destination.
+// Type tags are interned net::MsgType ids; payloads travel inline in
+// net::Payload (at most 32 bytes).  Structs that are larger, or multicast,
+// travel as shared_ptr<const T>: the execution plan (so a 400-task plan is
+// not copied per destination), bids replies, completion notices and output
+// files.  Changing a struct's size past the inline budget fails to compile
+// at its send site.
 #pragma once
 
 #include <memory>
@@ -37,6 +41,7 @@
 #include "common/time.hpp"
 #include "db/resource_perf.hpp"
 #include "db/task_perf.hpp"
+#include "net/message.hpp"
 #include "sched/host_selection.hpp"
 #include "sched/types.hpp"
 #include "tasklib/registry.hpp"
@@ -45,34 +50,34 @@ namespace vdce::runtime {
 
 // ---- message type tags ----------------------------------------------------
 namespace msg {
-inline constexpr const char* kMonReport = "mon.report";
-inline constexpr const char* kGmReport = "gm.report";
-inline constexpr const char* kGmEcho = "gm.echo";
-inline constexpr const char* kGmEchoReply = "gm.echo_reply";
-inline constexpr const char* kGmHostDown = "gm.host_down";
+inline const net::MsgType kMonReport{"mon.report"};
+inline const net::MsgType kGmReport{"gm.report"};
+inline const net::MsgType kGmEcho{"gm.echo"};
+inline const net::MsgType kGmEchoReply{"gm.echo_reply"};
+inline const net::MsgType kGmHostDown{"gm.host_down"};
 // The Site Manager echo-checks its group-leader machines the same way the
 // Group Managers check their members — otherwise a dead leader would go
 // undetected (leaders vouch for their members, nobody vouched for them).
-inline constexpr const char* kSmEcho = "sm.echo";
-inline constexpr const char* kSmEchoReply = "sm.echo_reply";
-inline constexpr const char* kSmAfg = "sm.afg";
-inline constexpr const char* kSmBids = "sm.bids";
-inline constexpr const char* kSmRat = "sm.rat";
-inline constexpr const char* kSmRatGm = "sm.rat_gm";
-inline constexpr const char* kGmExec = "gm.exec";
-inline constexpr const char* kDmSetup = "dm.setup";
-inline constexpr const char* kDmSetupAck = "dm.setup_ack";
-inline constexpr const char* kAcReady = "ac.ready";
-inline constexpr const char* kSmStart = "sm.start";
-inline constexpr const char* kDmInput = "dm.input";
-inline constexpr const char* kDmData = "dm.data";
-inline constexpr const char* kDmResend = "dm.resend";
-inline constexpr const char* kAcTaskDone = "ac.task_done";
-inline constexpr const char* kDmOutput = "dm.output";
-inline constexpr const char* kAcOverload = "ac.overload";
-inline constexpr const char* kSmHostDown = "sm.host_down";
-inline constexpr const char* kSmSuspend = "sm.suspend";
-inline constexpr const char* kSmResume = "sm.resume";
+inline const net::MsgType kSmEcho{"sm.echo"};
+inline const net::MsgType kSmEchoReply{"sm.echo_reply"};
+inline const net::MsgType kSmAfg{"sm.afg"};
+inline const net::MsgType kSmBids{"sm.bids"};
+inline const net::MsgType kSmRat{"sm.rat"};
+inline const net::MsgType kSmRatGm{"sm.rat_gm"};
+inline const net::MsgType kGmExec{"gm.exec"};
+inline const net::MsgType kDmSetup{"dm.setup"};
+inline const net::MsgType kDmSetupAck{"dm.setup_ack"};
+inline const net::MsgType kAcReady{"ac.ready"};
+inline const net::MsgType kSmStart{"sm.start"};
+inline const net::MsgType kDmInput{"dm.input"};
+inline const net::MsgType kDmData{"dm.data"};
+inline const net::MsgType kDmResend{"dm.resend"};
+inline const net::MsgType kAcTaskDone{"ac.task_done"};
+inline const net::MsgType kDmOutput{"dm.output"};
+inline const net::MsgType kAcOverload{"ac.overload"};
+inline const net::MsgType kSmHostDown{"sm.host_down"};
+inline const net::MsgType kSmSuspend{"sm.suspend"};
+inline const net::MsgType kSmResume{"sm.resume"};
 }  // namespace msg
 
 // ---- monitoring payloads ---------------------------------------------------
@@ -82,8 +87,10 @@ struct MonReport {
   db::WorkloadSample sample;
 };
 
+/// One significant change, forwarded as it arrived: the Group Manager's
+/// filter passes or drops each monitor report individually.
 struct GmReport {
-  std::vector<MonReport> changed;
+  MonReport changed;
 };
 
 struct HostDownNotice {
@@ -104,11 +111,14 @@ struct AfgMulticast {
   std::shared_ptr<const afg::Afg> graph;
 };
 
-/// A remote site's host-selection answer (Fig. 2 step 5).
+/// A remote site's host-selection answer (Fig. 2 step 5).  Sent as
+/// BidsReplyPtr; the origin keeps the shared output until assignment.
 struct BidsReply {
   common::AppId app;
   sched::HostSelectionOutput output;
 };
+
+using BidsReplyPtr = std::shared_ptr<const BidsReply>;
 
 // ---- execution payloads ------------------------------------------------------
 
@@ -211,6 +221,8 @@ struct OutputFile {
   tasklib::Value value;
 };
 
+using OutputFilePtr = std::shared_ptr<const OutputFile>;
+
 struct TaskDone {
   common::AppId app;
   afg::TaskId task;
@@ -226,6 +238,10 @@ struct TaskDone {
   /// (lets the coordinator assemble application results).
   tasklib::Value exit_output;
 };
+
+/// Shared so the Data Manager's re-delivery log and the notice in flight
+/// are one object.
+using TaskDonePtr = std::shared_ptr<const TaskDone>;
 
 struct OverloadNotice {
   common::AppId app;
@@ -246,9 +262,7 @@ namespace wire {
 inline constexpr double kEcho = 64;
 inline constexpr double kSmall = 128;
 inline double mon_report() { return 160; }
-inline double gm_report(std::size_t changed) {
-  return 96 + 64 * static_cast<double>(changed);
-}
+inline double gm_report() { return 96 + 64; }  ///< header + one change
 inline double afg(const afg::Afg& graph) {
   return 256 + 192 * static_cast<double>(graph.task_count()) +
          48 * static_cast<double>(graph.edges().size());

@@ -1,7 +1,6 @@
 #include "runtime/site_manager.hpp"
 
 #include <algorithm>
-#include <any>
 #include <cassert>
 
 #include "common/logging.hpp"
@@ -36,43 +35,50 @@ void SiteManager::stop() {
 }
 
 void SiteManager::leader_echo_tick() {
+  const std::vector<common::GroupId>& groups =
+      core_.topology().site(site_).groups;
+  if (leaders_.size() < groups.size()) leaders_.resize(groups.size());
   // Close the previous round: a leader that stayed silent is down, and with
   // it the monitoring of its whole group — mark it and recover.
-  std::vector<common::HostId> leaders;
-  for (const net::Group& g : core_.topology().groups_in_site(site_)) {
-    if (g.leader != server_) leaders.push_back(g.leader);
-  }
   if (leader_echo_outstanding_) {
-    for (common::HostId leader : leaders) {
-      if (leader_echo_replied_.contains(leader) ||
-          leaders_reported_down_.contains(leader)) {
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      const common::HostId leader = core_.topology().group(groups[i]).leader;
+      LeaderState& state = leaders_[i];
+      if (leader == server_) continue;
+      if (state.alive_round == leader_echo_seq_ || state.reported_down) {
         continue;
       }
-      leaders_reported_down_.insert(leader);
+      state.reported_down = true;
       VDCE_LOG(kInfo, "site-mgr", core_.now())
           << "group leader " << core_.topology().host(leader).spec.name
           << " failed echo round " << leader_echo_seq_;
       // Reuse the gm.host_down path: mark down, broadcast, recover apps.
-      net::Message synthetic{server_, server_, msg::kGmHostDown, 0,
-                             std::any(HostDownNotice{leader})};
-      on_gm_host_down(synthetic);
+      on_gm_host_down(net::Message{server_, server_, msg::kGmHostDown, 0,
+                                   HostDownNotice{leader}});
     }
   }
   ++leader_echo_seq_;
-  leader_echo_replied_.clear();
   leader_echo_outstanding_ = true;
-  for (common::HostId leader : leaders) {
-    (void)core_.fabric().send(net::Message{
-        server_, leader, msg::kSmEcho, wire::kEcho,
-        std::any(EchoPacket{server_, leader_echo_seq_})});
+  for (common::GroupId g : groups) {
+    const common::HostId leader = core_.topology().group(g).leader;
+    if (leader == server_) continue;
+    (void)core_.fabric().send(
+        net::Message{server_, leader, msg::kSmEcho, wire::kEcho,
+                     EchoPacket{server_, leader_echo_seq_}});
   }
 }
 
 void SiteManager::on_sm_echo_reply(const net::Message& message) {
-  const auto& echo = std::any_cast<const EchoPacket&>(message.payload);
+  const auto& echo = message.payload.get<EchoPacket>();
   if (echo.seq != leader_echo_seq_) return;
-  leader_echo_replied_.insert(message.src);
-  leaders_reported_down_.erase(message.src);
+  const std::vector<common::GroupId>& groups =
+      core_.topology().site(site_).groups;
+  for (std::size_t i = 0; i < groups.size() && i < leaders_.size(); ++i) {
+    if (core_.topology().group(groups[i]).leader != message.src) continue;
+    leaders_[i].alive_round = leader_echo_seq_;
+    leaders_[i].reported_down = false;
+    return;
+  }
 }
 
 sched::SchedulerContext SiteManager::make_context(
@@ -114,7 +120,7 @@ void SiteManager::handle(const net::Message& message) {
   } else if (message.type == msg::kSmEchoReply) {
     on_sm_echo_reply(message);
   } else if (message.type == msg::kDmOutput) {
-    const auto& output = std::any_cast<const OutputFile&>(message.payload);
+    const auto& output = *message.payload.get<OutputFilePtr>();
     if (output_sink_) {
       output_sink_(output.path, output.value, output.size_bytes);
     }
@@ -124,19 +130,16 @@ void SiteManager::handle(const net::Message& message) {
 // ---- repository maintenance -------------------------------------------------
 
 void SiteManager::on_gm_report(const net::Message& message) {
-  const auto& report = std::any_cast<const GmReport&>(message.payload);
-  for (const MonReport& r : report.changed) {
-    (void)core_.repo(site_).resources().record_workload(r.host, r.sample);
-    // A report from a host previously marked down means it recovered.
-    auto rec = core_.repo(site_).resources().find(r.host);
-    if (rec && !rec->up) {
-      (void)core_.repo(site_).resources().set_host_up(r.host, true);
-    }
-  }
+  const MonReport& r = message.payload.get<GmReport>().changed;
+  db::ResourcePerformanceDb& resources = core_.repo(site_).resources();
+  (void)resources.record_workload(r.host, r.sample);
+  // A report from a host previously marked down means it recovered.
+  const db::ResourceRecord* rec = resources.record(r.host);
+  if (rec != nullptr && !rec->up) (void)resources.set_host_up(r.host, true);
 }
 
 void SiteManager::on_gm_host_down(const net::Message& message) {
-  const auto& notice = std::any_cast<const HostDownNotice&>(message.payload);
+  const auto& notice = message.payload.get<HostDownNotice>();
   VDCE_LOG(kInfo, "site-mgr", core_.now())
       << "site " << site_.value() << " marks host " << notice.host.value()
       << " down";
@@ -187,15 +190,14 @@ void SiteManager::on_gm_host_down(const net::Message& message) {
     if (s.id == site_) continue;
     (void)core_.fabric().send(net::Message{server_, s.server, msg::kSmHostDown,
                                            wire::kSmall,
-                                           std::any(HostDownNotice{notice.host})});
+                                           HostDownNotice{notice.host}});
   }
   // Recover any of our own coordinated applications immediately.
-  net::Message forwarded = message;
-  on_sm_host_down(forwarded);
+  on_sm_host_down(message);
 }
 
 void SiteManager::on_sm_host_down(const net::Message& message) {
-  const auto& notice = std::any_cast<const HostDownNotice&>(message.payload);
+  const auto& notice = message.payload.get<HostDownNotice>();
   for (auto& [app_value, app] : apps_) {
     if (app.finished) continue;
     // Re-place every unfinished task that touches the failed host; cascade
@@ -250,7 +252,7 @@ void SiteManager::schedule_application(common::AppId app,
          obs::arg("bids", std::uint64_t{local->bids.size()})},
         obs::Causal{.app = app.value()});
   }
-  pending.outputs.emplace(site_, std::move(*local));
+  pending.local_output = std::move(*local);
 
   const auto sites = pending.sites;
   pending_.emplace(app.value(), std::move(pending));
@@ -262,7 +264,7 @@ void SiteManager::schedule_application(common::AppId app,
     any_remote = true;
     (void)core_.fabric().send(net::Message{
         server_, core_.topology().site(s).server, msg::kSmAfg,
-        wire::afg(*graph), std::any(AfgMulticast{app, server_, graph})});
+        wire::afg(*graph), AfgMulticast{app, server_, graph}});
   }
   if (!any_remote) {
     finish_schedule(app.value());
@@ -283,7 +285,7 @@ void SiteManager::schedule_application(common::AppId app,
 }
 
 void SiteManager::on_sm_afg(const net::Message& message) {
-  const auto& request = std::any_cast<const AfgMulticast&>(message.payload);
+  const auto& request = message.payload.get<AfgMulticast>();
   auto output = sched::HostSelectionAlgorithm::run(
       *request.graph, site_, core_.repo(site_), core_.predictor());
   if (!output) return;  // cannot bid; origin proceeds without this site
@@ -297,16 +299,20 @@ void SiteManager::on_sm_afg(const net::Message& message) {
   double size = wire::bids(*output);
   (void)core_.fabric().send(net::Message{
       server_, request.reply_to, msg::kSmBids, size,
-      std::any(BidsReply{request.app, std::move(*output)})});
+      BidsReplyPtr(std::make_shared<const BidsReply>(
+          BidsReply{request.app, std::move(*output)}))});
 }
 
 void SiteManager::on_sm_bids(const net::Message& message) {
-  const auto& reply = std::any_cast<const BidsReply&>(message.payload);
-  auto it = pending_.find(reply.app.value());
+  const BidsReplyPtr& reply = message.payload.get<BidsReplyPtr>();
+  auto it = pending_.find(reply->app.value());
   if (it == pending_.end()) return;
-  it->second.outputs.emplace(reply.output.site, reply.output);
-  if (it->second.outputs.size() == it->second.sites.size()) {
-    finish_schedule(reply.app.value());
+  // Keep the shared reply (aliased to its output) instead of copying it.
+  it->second.remote_outputs.emplace(
+      reply->output.site,
+      std::shared_ptr<const sched::HostSelectionOutput>(reply, &reply->output));
+  if (it->second.reply_count() == it->second.sites.size()) {
+    finish_schedule(reply->app.value());
   }
 }
 
@@ -316,10 +322,17 @@ void SiteManager::finish_schedule(std::uint32_t app_value) {
   PendingSchedule pending = std::move(it->second);
   pending_.erase(it);
 
+  // Candidate-site order, local first: the local output moves, each remote
+  // one is copied once out of its shared, immutable bids reply.
   std::vector<sched::HostSelectionOutput> outputs;
+  outputs.reserve(pending.reply_count());
   for (common::SiteId s : pending.sites) {
-    auto found = pending.outputs.find(s);
-    if (found != pending.outputs.end()) outputs.push_back(found->second);
+    if (s == site_ && pending.local_output) {
+      outputs.push_back(std::move(*pending.local_output));
+    } else if (auto found = pending.remote_outputs.find(s);
+               found != pending.remote_outputs.end()) {
+      outputs.push_back(*found->second);
+    }
   }
   core_.flight(obs::FlightCode::kSchedule, server_.value(), app_value);
   if (core_.tracing()) {
@@ -393,14 +406,15 @@ void SiteManager::execute_application(
     (void)core_.fabric().send(net::Message{server_,
                                            core_.topology().site(s).server,
                                            msg::kSmRat, wire::rat(plan->rat),
-                                           std::any(rat_msg)});
+                                           rat_msg});
   }
 }
 
 void SiteManager::on_sm_rat(const net::Message& message) {
-  const auto& rat = std::any_cast<const RatMulticast&>(message.payload);
+  const auto& rat = message.payload.get<RatMulticast>();
   // Forward to each of our group leaders whose group has an involved member.
-  for (const net::Group& group : core_.topology().groups_in_site(site_)) {
+  for (common::GroupId gid : core_.topology().site(site_).groups) {
+    const net::Group& group = core_.topology().group(gid);
     bool involved = false;
     for (const sched::Assignment& a : rat.plan->rat.assignments) {
       for (common::HostId h : a.hosts) {
@@ -416,12 +430,12 @@ void SiteManager::on_sm_rat(const net::Message& message) {
     (void)core_.fabric().send(net::Message{server_, group.leader,
                                            msg::kSmRatGm,
                                            wire::rat(rat.plan->rat),
-                                           std::any(rat)});
+                                           rat});
   }
 }
 
 void SiteManager::on_ac_ready(const net::Message& message) {
-  const auto& notice = std::any_cast<const ReadyNotice&>(message.payload);
+  const auto& notice = message.payload.get<ReadyNotice>();
   auto it = apps_.find(notice.app.value());
   if (it == apps_.end()) return;
   it->second.ready.insert(notice.host);
@@ -434,8 +448,9 @@ void SiteManager::maybe_launch(ActiveApp& app) {
     if (app.ready.contains(h)) continue;
     // A host that is recorded down does not block the launch; its tasks
     // have been (or will be) rescheduled by the recovery path.
-    auto rec = core_.repo(core_.topology().host(h).site).resources().find(h);
-    if (rec && !rec->up) continue;
+    const db::ResourceRecord* rec =
+        core_.repo(core_.topology().host(h).site).resources().record(h);
+    if (rec != nullptr && !rec->up) continue;
     return;  // still waiting for this host
   }
   app.started = true;
@@ -448,7 +463,7 @@ void SiteManager::maybe_launch(ActiveApp& app) {
   for (common::HostId h : app.involved) {
     (void)core_.fabric().send(net::Message{server_, h, msg::kSmStart,
                                            wire::kSmall,
-                                           std::any(StartSignal{app.plan->app})});
+                                           StartSignal{app.plan->app}});
   }
 }
 
@@ -467,14 +482,14 @@ void SiteManager::stage_file_inputs(ActiveApp& app, afg::TaskId task) {
     (void)core_.fabric().send(net::Message{
         server_, assignment.primary_host(), msg::kDmInput,
         std::max(f.size_bytes, 64.0),
-        std::any(DataDelivery{app.plan->app, task, port, std::move(value)}),
+        DataDelivery{app.plan->app, task, port, std::move(value)},
         // Staging transfer: feeds `task`, no producer task (src_task unset).
         net::MessageCause{app.plan->app.value(), task.value()}});
   }
 }
 
 void SiteManager::on_ac_task_done(const net::Message& message) {
-  const auto& done = std::any_cast<const TaskDone&>(message.payload);
+  const TaskDone& done = *message.payload.get<TaskDonePtr>();
   auto it = apps_.find(done.app.value());
   if (it == apps_.end()) return;
   ActiveApp& app = it->second;
@@ -530,7 +545,7 @@ void SiteManager::on_ac_task_done(const net::Message& message) {
 }
 
 void SiteManager::on_ac_overload(const net::Message& message) {
-  const auto& notice = std::any_cast<const OverloadNotice&>(message.payload);
+  const auto& notice = message.payload.get<OverloadNotice>();
   auto it = apps_.find(notice.app.value());
   if (it == apps_.end()) return;
   ActiveApp& app = it->second;
@@ -799,12 +814,12 @@ void SiteManager::dispatch_updated_plan(ActiveApp& app, afg::TaskId task,
   // so the Group Manager fan-out is skipped for this one request.
   (void)core_.fabric().send(net::Message{
       server_, assignment.primary_host(), msg::kGmExec, wire::kSmall,
-      std::any(ExecRequest{plan, assignment.primary_host(),
-                           pin ? task : afg::TaskId{}})});
+      ExecRequest{plan, assignment.primary_host(),
+                  pin ? task : afg::TaskId{}}});
   if (app.started) {
     (void)core_.fabric().send(net::Message{server_, assignment.primary_host(),
                                            msg::kSmStart, wire::kSmall,
-                                           std::any(StartSignal{plan->app})});
+                                           StartSignal{plan->app}});
     stage_file_inputs(app, task);
     // Pull dataflow inputs from each parent's current host.
     for (const afg::Edge& e : app.plan->graph.in_edges(task)) {
@@ -812,8 +827,8 @@ void SiteManager::dispatch_updated_plan(ActiveApp& app, afg::TaskId task,
       if (!core_.topology().host_up(parent.primary_host())) continue;
       (void)core_.fabric().send(net::Message{
           server_, parent.primary_host(), msg::kDmResend, wire::kSmall,
-          std::any(ResendRequest{plan->app, e.from, e.from_port, task,
-                                 e.to_port, assignment.primary_host()})});
+          ResendRequest{plan->app, e.from, e.from_port, task, e.to_port,
+                        assignment.primary_host()}});
     }
   }
 }
@@ -869,7 +884,7 @@ void SiteManager::progress_sweep() {
       for (common::SiteId s : plan->rat.sites_used()) {
         (void)core_.fabric().send(net::Message{
             server_, core_.topology().site(s).server, msg::kSmRat,
-            wire::rat(plan->rat), std::any(RatMulticast{plan})});
+            wire::rat(plan->rat), RatMulticast{plan}});
       }
       continue;
     }
@@ -997,7 +1012,7 @@ void SiteManager::suspend_application(common::AppId app_id) {
   for (common::HostId h : it->second.involved) {
     (void)core_.fabric().send(net::Message{server_, h, msg::kSmSuspend,
                                            wire::kSmall,
-                                           std::any(SuspendSignal{app_id})});
+                                           SuspendSignal{app_id}});
   }
 }
 
@@ -1007,7 +1022,7 @@ void SiteManager::resume_application(common::AppId app_id) {
   for (common::HostId h : it->second.involved) {
     (void)core_.fabric().send(net::Message{server_, h, msg::kSmResume,
                                            wire::kSmall,
-                                           std::any(SuspendSignal{app_id})});
+                                           SuspendSignal{app_id}});
   }
 }
 

@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -101,9 +102,16 @@ class SiteManager {
     std::shared_ptr<const afg::Afg> graph;
     sched::SchedulingPolicy options;
     std::vector<common::SiteId> sites;  ///< candidate set, local first
-    std::map<common::SiteId, sched::HostSelectionOutput> outputs;
+    std::optional<sched::HostSelectionOutput> local_output;
+    /// Remote sites' outputs, aliasing the bids replies that carried them.
+    std::map<common::SiteId, std::shared_ptr<const sched::HostSelectionOutput>>
+        remote_outputs;
     ScheduleCallback callback;
     common::SimTime started = 0;  ///< when the request arrived (bid-gather span)
+
+    [[nodiscard]] std::size_t reply_count() const {
+      return remote_outputs.size() + (local_output ? 1 : 0);
+    }
   };
 
   struct ActiveApp {
@@ -202,9 +210,14 @@ class SiteManager {
   sim::TimerHandle leader_echo_timer_;
   bool started_ = false;
 
-  /// Leader failure detection (mirrors the Group Manager's member echo).
-  std::set<common::HostId> leader_echo_replied_;
-  std::set<common::HostId> leaders_reported_down_;
+  /// Leader failure detection (mirrors the Group Manager's member echo):
+  /// one entry per group of the site, parallel to Site::groups.
+  struct LeaderState {
+    std::uint64_t alive_round = 0;  ///< last round the leader answered
+    bool reported_down = false;
+  };
+  std::vector<LeaderState> leaders_;
+  /// Current echo round; a leader is alive in it iff alive_round matches.
   std::uint64_t leader_echo_seq_ = 0;
   bool leader_echo_outstanding_ = false;
 

@@ -17,7 +17,9 @@ namespace {
 /// One feasible (site, machine, predicted) option for a sequential task.
 struct Option {
   common::SiteId site;
-  RankedHost host;
+  common::HostId host;
+  double speed_mflops = 0.0;
+  common::SimDuration predicted = 0.0;
 };
 
 /// Per-task feasible options plus the mean-cost model the rank computation
@@ -47,15 +49,26 @@ common::Expected<Precomputed> precompute(
   pre.options.resize(graph.task_count());
   pre.mean_exec.resize(graph.task_count(), 0.0);
   pre.min_quote.resize(graph.task_count(), 0.0);
+  // One host-pool snapshot per candidate site, ranked by reference for
+  // every task: rank_hosts orders exactly as feasible_hosts does, without
+  // copying a ResourceRecord per (task, site) pair and option.
+  std::vector<std::vector<db::ResourceRecord>> pools;
+  pools.reserve(sites.size());
+  for (common::SiteId s : sites) {
+    pools.push_back(context.repo(s).resources().available_hosts(s));
+  }
   for (const afg::TaskNode& node : graph.tasks()) {
     auto record = resolve_perf(node, local_repo.tasks());
     if (!record) return record.error();
     pre.perf[node.id.value()] = *record;
-    for (common::SiteId s : sites) {
-      for (RankedHost& rh : HostSelectionAlgorithm::feasible_hosts(
-               node, pre.perf[node.id.value()], s, context.repo(s),
+    for (std::size_t k = 0; k < sites.size(); ++k) {
+      const std::vector<db::ResourceRecord>& pool = pools[k];
+      for (const RankedRef& r : HostSelectionAlgorithm::rank_hosts(
+               node, pre.perf[node.id.value()], pool, context.repo(sites[k]),
                *context.predictor)) {
-        pre.options[node.id.value()].push_back(Option{s, std::move(rh)});
+        const db::ResourceRecord& rec = pool[r.index];
+        pre.options[node.id.value()].push_back(
+            Option{sites[k], rec.host, rec.speed_mflops, r.predicted});
       }
     }
     if (pre.options[node.id.value()].empty()) {
@@ -66,10 +79,9 @@ common::Expected<Precomputed> precompute(
     double cheapest = 0.0;
     bool have = false;
     for (const Option& o : pre.options[node.id.value()]) {
-      acc += o.host.predicted;
+      acc += o.predicted;
       const double quote =
-          prices.cpu_price(o.host.record.host, o.host.record.speed_mflops) *
-          o.host.predicted;
+          prices.cpu_price(o.host, o.speed_mflops) * o.predicted;
       if (!have || quote < cheapest) {
         have = true;
         cheapest = quote;
@@ -177,8 +189,8 @@ common::Expected<ResourceAllocationTable> schedule_constrained(
       placed_site[task.value()] = bid->site;
       const db::SiteRepository& repo = context.repo(bid->site);
       for (common::HostId h : bid->hosts) {
-        auto rec = repo.resources().find(h);
-        const double speed = rec ? rec->speed_mflops : 100.0;
+        const db::ResourceRecord* rec = repo.resources().record(h);
+        const double speed = rec != nullptr ? rec->speed_mflops : 100.0;
         charge += prices.cpu_price(h, speed) * bid->predicted;
       }
       charge += transfer_quote(task, bid->hosts.front(), bid->site);
@@ -192,12 +204,10 @@ common::Expected<ResourceAllocationTable> schedule_constrained(
       bool best_ok = false;  ///< best satisfies the binding constraint
       for (const Option& o : options) {
         const double finish =
-            builder.earliest_start(task, o.host.record.host, staging) +
-            o.host.predicted;
+            builder.earliest_start(task, o.host, staging) + o.predicted;
         const double quote =
-            prices.cpu_price(o.host.record.host, o.host.record.speed_mflops) *
-                o.host.predicted +
-            transfer_quote(task, o.host.record.host, o.site);
+            prices.cpu_price(o.host, o.speed_mflops) * o.predicted +
+            transfer_quote(task, o.host, o.site);
         bool ok = true;
         bool better = false;
         if (mode == DbcStrategy::Mode::kCost) {
@@ -235,9 +245,8 @@ common::Expected<ResourceAllocationTable> schedule_constrained(
           best_ok = ok;
         }
       }
-      builder.place(task, best->site, {best->host.record.host},
-                    best->host.predicted, staging);
-      primary[task.value()] = best->host.record.host;
+      builder.place(task, best->site, {best->host}, best->predicted, staging);
+      primary[task.value()] = best->host;
       placed_site[task.value()] = best->site;
       charge = best_quote;
     }

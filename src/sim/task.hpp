@@ -2,7 +2,8 @@
 //
 // A move-only type-erased callable with fixed inline storage, sized so that
 // every in-tree closure (the largest is the fabric's delivery lambda, which
-// carries a whole net::Message) fits without touching the heap.  This is
+// carries a whole net::Message with its inline payload) fits without
+// touching the heap.  This is
 // what makes the engine's schedule/fire/cancel loop allocation-free: a
 // std::function would heap-allocate any capture larger than its small-buffer
 // optimisation (typically 16 bytes — i.e. almost every real closure in this
@@ -26,7 +27,8 @@ class Task {
  public:
   /// Inline capture budget, in bytes.  Chosen to fit the largest in-tree
   /// closure with headroom (net::Fabric's `[this, m = std::move(msg)]` is
-  /// ~96 bytes); revisit only with a size audit — every event slot in the
+  /// 88 bytes on LP64: an 80-byte net::Message with its 32-byte inline
+  /// payload); revisit only with a size audit — every event slot in the
   /// engine arena embeds one Task.
   static constexpr std::size_t kInlineBytes = 128;
 

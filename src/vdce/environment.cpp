@@ -11,6 +11,14 @@
 
 namespace vdce {
 
+namespace {
+
+// Inter-site health probes (the health plane's active RTT measurement).
+const net::MsgType kHealthProbe{"health.probe"};
+const net::MsgType kHealthProbeReply{"health.probe_reply"};
+
+}  // namespace
+
 VdceEnvironment::VdceEnvironment(net::Topology topology,
                                  EnvironmentOptions options)
     : topology_(std::move(topology)),
@@ -212,7 +220,7 @@ void VdceEnvironment::health_tick() {
       (void)fabric_.send(net::Message{
           topology_.site(common::SiteId(static_cast<std::uint32_t>(a))).server,
           topology_.site(common::SiteId(static_cast<std::uint32_t>(b))).server,
-          "health.probe", 64.0, std::any(probe)});
+          kHealthProbe, 64.0, probe});
     }
   }
   hp.observe(queue_series_, now,
@@ -222,16 +230,14 @@ void VdceEnvironment::health_tick() {
 }
 
 bool VdceEnvironment::handle_health_message(const net::Message& message) {
-  if (!common::starts_with(message.type, "health.")) return false;
-  if (message.type == "health.probe") {
+  if (message.type == kHealthProbe) {
     // Bounce the payload back unchanged; the reply's arrival time measures
     // the round trip.
     (void)fabric_.send(net::Message{message.dst, message.src,
-                                    "health.probe_reply", 64.0,
+                                    kHealthProbeReply, 64.0,
                                     message.payload});
-  } else if (message.type == "health.probe_reply") {
-    const auto& probe =
-        std::any_cast<const obs::health::HealthProbe&>(message.payload);
+  } else if (message.type == kHealthProbeReply) {
+    const auto& probe = message.payload.get<obs::health::HealthProbe>();
     obs::health::SeriesKey key;
     key.metric = obs::health::kLinkRtt;
     key.link_a = probe.site_a;
@@ -239,6 +245,8 @@ bool VdceEnvironment::handle_health_message(const net::Message& message) {
     obs::health::HealthPlane& hp = obs_.health();
     hp.observe(hp.find_series(key), engine_.now(),
                engine_.now() - probe.sent);
+  } else {
+    return false;
   }
   return true;
 }
@@ -350,7 +358,7 @@ dsm::DsmRuntime& VdceEnvironment::enable_dsm() {
     dsm_ = std::make_unique<dsm::DsmRuntime>(fabric_, std::move(hosts));
     for (auto& agent : agents_) {
       agent->add_extension([this](const net::Message& message) {
-        if (!common::starts_with(message.type, "dsm.")) return false;
+        if (!dsm::DsmRuntime::handles(message.type)) return false;
         dsm_->handle(message);
         return true;
       });

@@ -160,7 +160,7 @@ TEST(Chaos, PartitionDropsCrossSiteTrafficThenHeals) {
   // Unknown "x.*" probes are ignored by the receiving agent; we watch the
   // fabric's injected-drop counter instead of delivery.
   auto probe = [&] {
-    (void)env.fabric().send({a, b, "x.probe", 64, {}});
+    (void)env.fabric().send({a, b, net::MsgType("x.probe"), 64, {}});
   };
   env.engine().schedule(0.5, probe);   // before the window
   env.engine().schedule(2.0, probe);   // inside: dropped
@@ -183,8 +183,8 @@ TEST(Chaos, LossFiltersByTypePrefix) {
   common::HostId b = non_server_host(env, common::SiteId(1));
 
   env.engine().schedule(1.5, [&] {
-    (void)env.fabric().send({a, b, "x.probe", 64, {}});
-    (void)env.fabric().send({a, b, "y.probe", 64, {}});
+    (void)env.fabric().send({a, b, net::MsgType("x.probe"), 64, {}});
+    (void)env.fabric().send({a, b, net::MsgType("y.probe"), 64, {}});
   });
   env.run_for(4.0);
 

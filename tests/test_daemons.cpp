@@ -128,8 +128,8 @@ TEST_F(DaemonFixture, ChannelSetupCountsDistinctRemotePeers) {
   EXPECT_FALSE(ready);  // two setups in flight
   engine.run_until(1.0);
   EXPECT_TRUE(ready);
-  EXPECT_EQ(fabric.stats().sent_by_type.at("dm.setup"), 2u);
-  EXPECT_EQ(fabric.stats().sent_by_type.at("dm.setup_ack"), 2u);
+  EXPECT_EQ(fabric.stats().sent_by_type("dm.setup"), 2u);
+  EXPECT_EQ(fabric.stats().sent_by_type("dm.setup_ack"), 2u);
 }
 
 TEST_F(DaemonFixture, ReadyFiresImmediatelyWithoutRemoteEdges) {
@@ -199,7 +199,7 @@ TEST_F(DaemonFixture, DuplicateDeliveryIsIgnored) {
 
   // Two identical deliveries: the second must not double-start anything.
   net::Message delivery{host(1, 1), a, msg::kDmData, 100,
-                        std::any(DataDelivery{plan->app, *t, 0, {}})};
+                        DataDelivery{plan->app, *t, 0, {}}};
   dm.handle(delivery);
   dm.handle(delivery);
   engine.run();
@@ -264,7 +264,7 @@ TEST_F(DaemonFixture, FilterForwardsOnlySignificantChanges) {
     MonReport r;
     r.host = h;
     r.sample = db::WorkloadSample{engine.now(), load, 100.0};
-    gm.handle(net::Message{h, leader, msg::kMonReport, 160, std::any(r)});
+    gm.handle(net::Message{h, leader, msg::kMonReport, 160, r});
   };
   // Default threshold is 0.15.
   report(host(0, 1), 0.50);  // first: forwarded
@@ -273,7 +273,7 @@ TEST_F(DaemonFixture, FilterForwardsOnlySignificantChanges) {
   report(host(0, 1), 0.60);  // -0.10: filtered
   EXPECT_EQ(gm.reports_received(), 4u);
   EXPECT_EQ(gm.reports_forwarded(), 2u);
-  EXPECT_EQ(fabric.stats().sent_by_type.at("gm.report"), 2u);
+  EXPECT_EQ(fabric.stats().sent_by_type("gm.report"), 2u);
 }
 
 TEST_F(DaemonFixture, EchoRoundDetectsSilentMember) {
@@ -300,10 +300,9 @@ TEST_F(DaemonFixture, EchoRoundDetectsSilentMember) {
     }
     fabric.bind(member, [&, member](const net::Message& m) {
       if (m.type == msg::kGmEcho) {
-        const auto& echo = std::any_cast<const EchoPacket&>(m.payload);
+        const auto& echo = m.payload.get<EchoPacket>();
         (void)fabric.send(net::Message{member, echo.leader, msg::kGmEchoReply,
-                                       64,
-                                       std::any(EchoPacket{member, echo.seq})});
+                                       64, EchoPacket{member, echo.seq}});
       }
     });
   }

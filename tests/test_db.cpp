@@ -279,6 +279,58 @@ TEST(ResourcePerf, SerializeRoundTrip) {
   EXPECT_DOUBLE_EQ(got->workload_history.front().available_mb, 99.5);
 }
 
+TEST(ResourcePerf, WorkloadHistoryEvictsOldestFirst) {
+  ResourcePerformanceDb db;
+  (void)db.register_host(make_host(0, 0, "a"));
+  const std::size_t total = ResourceRecord::kHistoryLen + 5;
+  for (std::size_t i = 0; i < total; ++i) {
+    const double t = static_cast<double>(i);
+    (void)db.record_workload(common::HostId(0),
+                             WorkloadSample{t, 0.5, 10.0 * t});
+  }
+  const ResourceRecord* rec = db.record(common::HostId(0));
+  ASSERT_NE(rec, nullptr);
+  ASSERT_EQ(rec->workload_history.size(), ResourceRecord::kHistoryLen);
+  // The five oldest samples are gone; the rest stay oldest-first, by index
+  // and by iteration alike.
+  double expected = static_cast<double>(total - ResourceRecord::kHistoryLen);
+  for (std::size_t i = 0; i < rec->workload_history.size(); ++i) {
+    EXPECT_DOUBLE_EQ(rec->workload_history[i].time, expected + i);
+  }
+  for (const WorkloadSample& s : rec->workload_history) {
+    EXPECT_DOUBLE_EQ(s.time, expected);
+    EXPECT_DOUBLE_EQ(s.available_mb, 10.0 * expected);
+    expected += 1.0;
+  }
+  EXPECT_DOUBLE_EQ(rec->workload_history.front().time, 5.0);
+  EXPECT_DOUBLE_EQ(rec->last_sample_time(), static_cast<double>(total - 1));
+}
+
+TEST(ResourcePerf, SerializeRoundTripsFullWindow) {
+  ResourcePerformanceDb db;
+  (void)db.register_host(make_host(0, 0, "a"));
+  for (std::size_t i = 0; i < ResourceRecord::kHistoryLen + 3; ++i) {
+    const double t = static_cast<double>(i);
+    (void)db.record_workload(common::HostId(0),
+                             WorkloadSample{t, 0.25 * t, 64.0 + t});
+  }
+  auto restored = ResourcePerformanceDb::deserialize(db.serialize());
+  ASSERT_TRUE(restored.has_value()) << restored.error().message;
+  const ResourceRecord* a = db.record(common::HostId(0));
+  const ResourceRecord* b = restored->record(common::HostId(0));
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->workload_history.size(), ResourceRecord::kHistoryLen);
+  for (std::size_t i = 0; i < ResourceRecord::kHistoryLen; ++i) {
+    EXPECT_DOUBLE_EQ(b->workload_history[i].time, a->workload_history[i].time);
+    EXPECT_DOUBLE_EQ(b->workload_history[i].cpu_load,
+                     a->workload_history[i].cpu_load);
+    EXPECT_DOUBLE_EQ(b->workload_history[i].available_mb,
+                     a->workload_history[i].available_mb);
+  }
+  EXPECT_EQ(restored->serialize(), db.serialize());
+}
+
 TEST(ResourcePerf, DeserializeRejectsGarbage) {
   EXPECT_FALSE(ResourcePerformanceDb::deserialize("too|few|fields").has_value());
   EXPECT_FALSE(ResourcePerformanceDb::deserialize(

@@ -2,8 +2,9 @@
 // failure semantics.
 #include <gtest/gtest.h>
 
-#include <any>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -12,6 +13,8 @@
 
 namespace vdce::net {
 namespace {
+
+const MsgType kT("t");
 
 Topology two_sites() {
   Topology t;
@@ -47,7 +50,7 @@ TEST(Topology, GroupLeadership) {
   EXPECT_NE(a0.group, a2.group);  // different group indices
   EXPECT_EQ(t.group(a0.group).leader, common::HostId(0));
   EXPECT_EQ(t.group(a2.group).leader, common::HostId(2));
-  EXPECT_EQ(t.groups_in_site(common::SiteId(0)).size(), 2u);
+  EXPECT_EQ(t.site(common::SiteId(0)).groups.size(), 2u);
 }
 
 TEST(Topology, FindByName) {
@@ -131,7 +134,7 @@ TEST_F(FabricFixture, DeliversAfterTransferTime) {
     arrival.push_back(engine.now());
   });
   auto when = fabric.send(Message{common::HostId(0), common::HostId(3),
-                                  "test", 1e5, {}});
+                                  MsgType("test"), 1e5, {}});
   ASSERT_TRUE(when.has_value());
   EXPECT_NEAR(*when, 1.030, 1e-9);
   engine.run();
@@ -142,18 +145,68 @@ TEST_F(FabricFixture, DeliversAfterTransferTime) {
 TEST_F(FabricFixture, PayloadRoundTrip) {
   std::string got;
   fabric.bind(common::HostId(1), [&](const Message& m) {
-    got = std::any_cast<std::string>(m.payload);
+    got = m.payload.get<std::string>();
   });
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "t", 64,
-                            std::any(std::string("hello"))});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), kT, 64,
+                            std::string("hello")});
   engine.run();
   EXPECT_EQ(got, "hello");
+}
+
+TEST(MsgType, InterningIsStableAndNamed) {
+  const MsgType a("test.intern");
+  const MsgType b("test.intern");
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.name(), "test.intern");
+  EXPECT_EQ(MsgType::find("test.intern"), a);
+  EXPECT_FALSE(MsgType("test.other") == a);
+  // find() never interns: an unknown name maps to the default (empty) type.
+  EXPECT_EQ(MsgType::find("test.never-interned"), MsgType{});
+  EXPECT_EQ(MsgType{}.name(), "");
+}
+
+TEST(Payload, CopiesMovesAndTypeChecks) {
+  auto shared = std::make_shared<const std::vector<int>>(3, 7);
+  Payload p(shared);
+  EXPECT_TRUE(p.has_value());
+  EXPECT_TRUE(p.holds<std::shared_ptr<const std::vector<int>>>());
+  EXPECT_FALSE(p.holds<int>());
+  EXPECT_EQ(shared.use_count(), 2);
+  {
+    Payload copy = p;  // copies share, never deep-copy
+    EXPECT_EQ(shared.use_count(), 3);
+    Payload moved = std::move(copy);
+    EXPECT_FALSE(copy.has_value());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(shared.use_count(), 3);
+    EXPECT_EQ(moved.get<std::shared_ptr<const std::vector<int>>>()->at(2), 7);
+  }
+  EXPECT_EQ(shared.use_count(), 2);
+  p = Payload(42);
+  EXPECT_EQ(shared.use_count(), 1);
+  EXPECT_EQ(p.get<int>(), 42);
+  p.reset();
+  EXPECT_FALSE(p.has_value());
+}
+
+TEST_F(FabricFixture, SentTypesAreSortedByName) {
+  fabric.bind(common::HostId(1), [](const Message&) {});
+  const MsgType zeta("test.zeta");
+  const MsgType alpha("test.alpha");
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), zeta, 64});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), alpha, 64});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), zeta, 64});
+  const auto types = fabric.stats().sent_types();
+  ASSERT_EQ(types.size(), 2u);
+  EXPECT_EQ(types[0], (std::pair<std::string, std::uint64_t>{"test.alpha", 1}));
+  EXPECT_EQ(types[1], (std::pair<std::string, std::uint64_t>{"test.zeta", 2}));
+  EXPECT_EQ(fabric.stats().sent_by_type("test.zeta"), 2u);
+  EXPECT_EQ(fabric.stats().sent_by_type("test.unsent"), 0u);
 }
 
 TEST_F(FabricFixture, DropsWhenDestinationDownAtDelivery) {
   int delivered = 0;
   fabric.bind(common::HostId(3), [&](const Message&) { ++delivered; });
-  (void)fabric.send(Message{common::HostId(0), common::HostId(3), "t", 64, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(3), kT, 64, {}});
   // Kill the destination while the message is in flight.
   topology.set_host_up(common::HostId(3), false);
   engine.run();
@@ -164,13 +217,13 @@ TEST_F(FabricFixture, DropsWhenDestinationDownAtDelivery) {
 TEST_F(FabricFixture, RejectsWhenSourceDown) {
   topology.set_host_up(common::HostId(0), false);
   auto result = fabric.send(Message{common::HostId(0), common::HostId(1),
-                                    "t", 64, {}});
+                                    kT, 64, {}});
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, common::ErrorCode::kHostDown);
 }
 
 TEST_F(FabricFixture, UnboundDestinationCounted) {
-  (void)fabric.send(Message{common::HostId(0), common::HostId(4), "t", 64, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(4), kT, 64, {}});
   engine.run();
   EXPECT_EQ(fabric.stats().dropped_unbound, 1u);
 }
@@ -182,16 +235,17 @@ TEST_F(FabricFixture, MulticastReachesAll) {
   }
   fabric.multicast(common::HostId(0),
                    {common::HostId(1), common::HostId(2), common::HostId(3)},
-                   "mc", 64, {});
+                   MsgType("mc"), 64, {});
   engine.run();
   EXPECT_EQ(count, 3);
-  EXPECT_EQ(fabric.stats().sent_by_type.at("mc"), 3u);
+  EXPECT_EQ(fabric.stats().sent_by_type("mc"), 3u);
 }
 
 TEST_F(FabricFixture, StatsAccumulateAndReset) {
   fabric.bind(common::HostId(1), [](const Message&) {});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "a", 100, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "a", 100, {}});
+  const MsgType a("a");
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), a, 100, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), a, 100, {}});
   engine.run();
   EXPECT_EQ(fabric.stats().sent, 2u);
   EXPECT_EQ(fabric.stats().delivered, 2u);
@@ -204,8 +258,8 @@ TEST_F(FabricFixture, IntraSiteFasterThanInterSite) {
   double lan_arrival = -1, wan_arrival = -1;
   fabric.bind(common::HostId(1), [&](const Message&) { lan_arrival = engine.now(); });
   fabric.bind(common::HostId(3), [&](const Message&) { wan_arrival = engine.now(); });
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "t", 1e4, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(3), "t", 1e4, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), kT, 1e4, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(3), kT, 1e4, {}});
   engine.run();
   EXPECT_LT(lan_arrival, wan_arrival);
 }
@@ -223,8 +277,8 @@ TEST_F(FabricFixture, SharedSegmentsSerializeConcurrentTransfers) {
   });
 
   fabric.set_shared_segments(true);
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "t", 1e6, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(2), "t", 1e6, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), kT, 1e6, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(2), kT, 1e6, {}});
   engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_NEAR(arrivals[0], 1.001, 1e-6);
@@ -237,8 +291,8 @@ TEST_F(FabricFixture, SharedSegmentsIndependentAcrossSegments) {
   std::vector<double> arrivals(2, -1);
   fabric.bind(common::HostId(1), [&](const Message&) { arrivals[0] = engine.now(); });
   fabric.bind(common::HostId(3), [&](const Message&) { arrivals[1] = engine.now(); });
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "t", 1e6, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(3), "t", 1e5, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), kT, 1e6, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(3), kT, 1e5, {}});
   engine.run();
   EXPECT_NEAR(arrivals[0], 1.001, 1e-6);   // LAN: 1e6/1e6 + 1ms
   EXPECT_NEAR(arrivals[1], 1.030, 1e-6);   // WAN: 1e5/1e5 + 30ms, unqueued
@@ -248,8 +302,9 @@ TEST_F(FabricFixture, SharedSegmentsLoopbackNeverContends) {
   fabric.set_shared_segments(true);
   double arrival = -1;
   fabric.bind(common::HostId(0), [&](const Message&) { arrival = engine.now(); });
-  (void)fabric.send(Message{common::HostId(1), common::HostId(2), "t", 1e7, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(0), "self", 64, {}});
+  (void)fabric.send(Message{common::HostId(1), common::HostId(2), kT, 1e7, {}});
+  (void)fabric.send(
+      Message{common::HostId(0), common::HostId(0), MsgType("self"), 64, {}});
   engine.run();
   EXPECT_NEAR(arrival, 0.0, 1e-6);  // loopback ignores the busy LAN
 }
