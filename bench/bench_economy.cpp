@@ -15,19 +15,13 @@
 //     deadline-met rate rises with f while dbc-cost trades the slack for
 //     cheaper placements.
 //
-// Emits a JSON object on stdout and writes BENCH_ECONOMY.json for CI
-// artifact upload.
-//
-// Flags:
-//   --smoke   fewer/smaller configurations (CI per-commit signal)
-//   --check   exit non-zero unless no admitted run overspends its budget,
-//             loose constraints (f >= 1.25) are never rejected as
-//             unaffordable, every admitted run completes, and the flagship
-//             configuration replays byte-identically
+// Writes BENCH_ECONOMY.json (bench_util.hpp schema; --smoke runs
+// fewer/smaller configurations).  Checks: no admitted run overspends its
+// budget, loose constraints (f >= 1.25) are never rejected as
+// unaffordable, every admitted run completes, and the flagship
+// configuration replays byte-identically.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,14 +33,6 @@
 namespace {
 
 using namespace vdce;
-
-std::string json_num(double v) { return vdce::bench::json_num(v); }
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// The fleet: parameter-sweep applications of growing width.
 std::vector<afg::Afg> fleet(bool smoke) {
@@ -134,7 +120,7 @@ Measurement measure(const std::string& mode, double factor,
   Measurement m;
   m.mode = mode;
   m.factor = factor;
-  const double t0 = now_ms();
+  const double t0 = bench::now_ms();
   auto env = bring_up(smoke, want_trace);
   if (!env) {
     std::fprintf(stderr, "bring-up failed: %s\n",
@@ -174,19 +160,15 @@ Measurement measure(const std::string& mode, double factor,
     narratives += report->describe(graphs[i]);
   }
   if (want_trace) m.trace_jsonl = (*env)->trace().to_jsonl() + narratives;
-  m.wall_ms = now_ms() - t0;
+  m.wall_ms = bench::now_ms() - t0;
   return m;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  bench::Run run(argc, argv, "economy", "BENCH_ECONOMY.json");
+  const bool smoke = run.smoke();
 
   bench::print_title("E16",
                      "economy plane: completion and spend vs. deadline/budget "
@@ -210,21 +192,16 @@ int main(int argc, char** argv) {
 
   bench::Table table({"mode", "factor", "admitted", "completed", "rejected",
                       "deadline_met", "spend_G$", "overspend", "wall_ms"});
-  std::string json = "{\"bench\":\"economy\",\"smoke\":";
-  json += smoke ? "true" : "false";
-  json += ",\"baselines\":[";
   for (std::size_t i = 0; i < baselines.size(); ++i) {
-    if (i > 0) json += ",";
-    json += "{\"app\":\"" + graphs[i].name() + "\",\"spend\":" +
-            json_num(baselines[i].spend) + ",\"makespan\":" +
-            json_num(baselines[i].makespan) + "}";
+    run.row("baselines")
+        .str("app", graphs[i].name())
+        .num("spend", baselines[i].spend)
+        .num("makespan", baselines[i].makespan);
   }
-  json += "],\"configs\":[";
 
   bool within_budget = true;        // admitted => spend <= budget
   bool loose_never_rejected = true; // f >= 1.25 => zero budget rejections
   bool admitted_complete = true;    // admitted => success
-  bool first = true;
   for (const std::string mode : {"budget", "deadline"}) {
     for (double factor : factors) {
       Measurement m = measure(mode, factor, graphs, baselines, smoke,
@@ -237,7 +214,7 @@ int main(int argc, char** argv) {
         loose_never_rejected = false;
         std::fprintf(stderr,
                      "AFFORDABLE REJECTION: mode=%s factor=%s rejected %zu\n",
-                     mode.c_str(), json_num(factor).c_str(),
+                     mode.c_str(), bench::json_num(factor).c_str(),
                      m.budget_rejections);
       }
       table.add_row({m.mode, bench::Table::num(m.factor, 2),
@@ -250,17 +227,17 @@ int main(int argc, char** argv) {
                      bench::Table::num(m.spend_total),
                      bench::Table::num(m.overspend_max),
                      bench::Table::num(m.wall_ms, 1)});
-      if (!first) json += ",";
-      first = false;
-      json += "{\"mode\":\"" + m.mode + "\",\"factor\":" + json_num(m.factor) +
-              ",\"submitted\":" + std::to_string(m.submitted) +
-              ",\"admitted\":" + std::to_string(m.admitted) +
-              ",\"completed\":" + std::to_string(m.completed) +
-              ",\"budget_rejections\":" + std::to_string(m.budget_rejections) +
-              ",\"deadline_met\":" + std::to_string(m.deadline_met) +
-              ",\"spend_total\":" + json_num(m.spend_total) +
-              ",\"overspend_max\":" + json_num(m.overspend_max) +
-              ",\"wall_ms\":" + json_num(m.wall_ms) + "}";
+      run.row("configs")
+          .str("mode", m.mode)
+          .num("factor", m.factor)
+          .num("submitted", m.submitted)
+          .num("admitted", m.admitted)
+          .num("completed", m.completed)
+          .num("budget_rejections", m.budget_rejections)
+          .num("deadline_met", m.deadline_met)
+          .num("spend_total", m.spend_total)
+          .num("overspend_max", m.overspend_max)
+          .num("wall_ms", m.wall_ms);
     }
   }
 
@@ -273,46 +250,19 @@ int main(int argc, char** argv) {
   const bool deterministic =
       !rep1.trace_jsonl.empty() && rep1.trace_jsonl == rep2.trace_jsonl;
 
-  json += "],\"within_budget\":";
-  json += within_budget ? "true" : "false";
-  json += ",\"loose_never_rejected\":";
-  json += loose_never_rejected ? "true" : "false";
-  json += ",\"admitted_complete\":";
-  json += admitted_complete ? "true" : "false";
-  json += ",\"deterministic\":";
-  json += deterministic ? "true" : "false";
-  json += "}";
-
   table.print();
-  std::printf("\n%s\n", json.c_str());
-  if (FILE* f = std::fopen("BENCH_ECONOMY.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  }
-
-  if (check) {
-    if (!within_budget) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: an admitted run overspent its budget\n");
-      return 1;
-    }
-    if (!loose_never_rejected) {
-      std::fprintf(stderr, "CHECK FAILED: a loosely constrained run was "
-                           "rejected as unaffordable\n");
-      return 1;
-    }
-    if (!admitted_complete) {
-      std::fprintf(stderr, "CHECK FAILED: an admitted run failed\n");
-      return 1;
-    }
-    if (!deterministic) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: economy runs are not replay-deterministic\n");
-      return 1;
-    }
-    std::printf(
-        "check: ok (admitted within budget, loose constraints admitted, "
-        "replay deterministic)\n");
-  }
-  return 0;
+  run.row("summary")
+      .flag("within_budget", within_budget)
+      .flag("loose_never_rejected", loose_never_rejected)
+      .flag("admitted_complete", admitted_complete)
+      .flag("deterministic", deterministic);
+  run.check("within_budget", within_budget,
+            "no admitted run spent more than its budget");
+  run.check("loose_never_rejected", loose_never_rejected,
+            "no loosely constrained run was rejected as unaffordable");
+  run.check("admitted_complete", admitted_complete,
+            "every admitted run completed");
+  run.check("deterministic", deterministic,
+            "exact-budget dbc-time configuration replays byte-identically");
+  return run.finish();
 }

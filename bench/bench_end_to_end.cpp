@@ -7,10 +7,10 @@
 // signal kernels) — across 1/2/4-site deployments and reports scheduling
 // time, setup time, makespan, and wire traffic for each.
 //
-// Ends with one machine-readable JSON line (bench_fault_recovery-style);
-// `--smoke` restricts the sweep to the 1-site deployments.
+// Writes BENCH_END_TO_END.json (bench_util.hpp schema); `--smoke`
+// restricts the sweep to the 1-site deployments.  A failed schedule, a
+// failed run or a wrong answer exits 1 on the spot.
 #include <cmath>
-#include <cstring>
 
 #include "bench_util.hpp"
 #include "vdce/vdce.hpp"
@@ -81,7 +81,7 @@ afg::Afg build_c3i(VdceEnvironment& env, common::Rng& rng) {
 
 int main(int argc, char** argv) {
   using namespace vdce;
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  bench::Run run(argc, argv, "end_to_end", "BENCH_END_TO_END.json");
   bench::print_title("E8", "end-to-end pipeline: LES + C3I across sites");
   bench::print_note(
       "Real kernels; verified outputs.  sched = simulated bid-round time;\n"
@@ -90,12 +90,9 @@ int main(int argc, char** argv) {
 
   bench::Table table({"app", "sites", "sched (s)", "setup (s)",
                       "makespan (s)", "msgs", "verified"});
-  auto json_num = [](double v) { return bench::json_num(v); };
-  std::string json = "{\"bench\":\"end_to_end\",\"rows\":[";
-  bool first_row = true;
 
   for (std::size_t sites : {1u, 2u, 4u}) {
-    if (smoke && sites > 1u) continue;
+    if (run.smoke() && sites > 1u) continue;
     EnvironmentOptions options;
     options.runtime.exec_noise_cv = 0.0;
     options.runtime.k_nearest = sites - 1;
@@ -143,25 +140,22 @@ int main(int argc, char** argv) {
                      bench::Table::num(report->makespan(), 2),
                      std::to_string(env.fabric().stats().sent),
                      verified ? "OK" : "FAILED"});
-      if (!first_row) json += ",";
-      first_row = false;
-      json += std::string("{\"app\":\"") + which +
-              "\",\"sites\":" + std::to_string(sites) +
-              ",\"sched_s\":" + json_num(sched_time) +
-              ",\"setup_s\":" + json_num(report->setup_time()) +
-              ",\"makespan_s\":" + json_num(report->makespan()) +
-              ",\"msgs\":" + std::to_string(env.fabric().stats().sent) +
-              ",\"verified\":" + (verified ? "true" : "false") + "}";
+      run.row("rows")
+          .str("app", which)
+          .num("sites", sites)
+          .num("sched_s", sched_time)
+          .num("setup_s", report->setup_time())
+          .num("makespan_s", report->makespan())
+          .num("msgs", env.fabric().stats().sent)
+          .flag("verified", verified);
       if (!verified) return 1;
     }
   }
   table.print();
-  json += "]}";
 
   bench::print_note(
       "\nExpected shape: makespan is stable or improves with more sites\n"
       "(better machines to pick from); scheduling time and message counts\n"
       "grow with the candidate-site set — the cost of wide-area operation.");
-  std::printf("\n%s\n", json.c_str());
-  return 0;
+  return run.finish();
 }

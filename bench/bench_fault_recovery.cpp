@@ -10,11 +10,9 @@
 //   * loss sweep — dm.* traffic dropped at rates 0..0.5 for the whole run;
 //     measures how much the retry/stall safety nets stretch the makespan.
 //
-// Emits a single JSON object on stdout (in addition to the usual table) so
-// CI and notebooks can track the series.  `--smoke` runs one trial per
-// configuration for a fast CI signal.
+// Writes BENCH_FAULT_RECOVERY.json (bench_util.hpp schema) next to the
+// tables.  `--smoke` runs one trial per configuration for a fast CI signal.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -110,13 +108,11 @@ TrialResult run_trial(chaos::FaultPlan plan, std::uint64_t topology_seed,
   return result;
 }
 
-std::string json_num(double v) { return vdce::bench::json_num(v); }
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const int trials = smoke ? 1 : 5;
+  bench::Run run(argc, argv, "fault_recovery", "BENCH_FAULT_RECOVERY.json");
+  const int trials = run.smoke() ? 1 : 5;
 
   bench::print_title("E-chaos", "fault injection: detection and recovery cost");
   bench::print_note(
@@ -132,15 +128,14 @@ int main(int argc, char** argv) {
   }
   const double clean_makespan = clean.count() ? clean.mean() : 0.0;
 
-  std::string json = "{\"bench\":\"fault_recovery\",\"trials\":" +
-                     std::to_string(trials) +
-                     ",\"clean_makespan_s\":" + json_num(clean_makespan);
+  run.row("summary")
+      .num("trials", trials)
+      .num("clean_makespan_s", clean_makespan);
 
   // --- crash sweep ---------------------------------------------------------
   bench::Table crash_table({"hosts killed", "survived", "mean detect (s)",
                             "mean downtime (s)", "recoveries",
                             "makespan overhead"});
-  json += ",\"crash_sweep\":[";
   for (int kills = 1; kills <= 3; ++kills) {
     common::Stats detect, downtime, makespan;
     int survived = 0, recoveries = 0;
@@ -171,23 +166,19 @@ int main(int argc, char** argv) {
                          bench::Table::num(downtime.count() ? downtime.mean() : 0),
                          std::to_string(recoveries),
                          bench::Table::num(overhead, 2) + "x"});
-    if (kills > 1) json += ",";
-    json += "{\"kills\":" + std::to_string(kills) +
-            ",\"survived\":" + std::to_string(survived) +
-            ",\"mean_detect_s\":" + json_num(detect.count() ? detect.mean() : 0) +
-            ",\"mean_downtime_s\":" +
-            json_num(downtime.count() ? downtime.mean() : 0) +
-            ",\"recoveries\":" + std::to_string(recoveries) +
-            ",\"makespan_overhead\":" + json_num(overhead) + "}";
+    run.row("crash_sweep")
+        .num("kills", kills)
+        .num("survived", survived)
+        .num("mean_detect_s", detect.count() ? detect.mean() : 0)
+        .num("mean_downtime_s", downtime.count() ? downtime.mean() : 0)
+        .num("recoveries", recoveries)
+        .num("makespan_overhead", overhead);
   }
   crash_table.print();
-  json += "]";
 
   // --- loss sweep ----------------------------------------------------------
   bench::Table loss_table({"dm.* loss rate", "survived", "msgs dropped",
                            "recoveries", "makespan overhead"});
-  json += ",\"loss_sweep\":[";
-  bool first = true;
   for (double rate : {0.0, 0.1, 0.3, 0.5}) {
     common::Stats makespan;
     int survived = 0, recoveries = 0;
@@ -213,17 +204,13 @@ int main(int argc, char** argv) {
                         std::to_string(survived) + "/" + std::to_string(trials),
                         std::to_string(dropped), std::to_string(recoveries),
                         bench::Table::num(overhead, 2) + "x"});
-    if (!first) json += ",";
-    first = false;
-    json += "{\"rate\":" + json_num(rate) +
-            ",\"survived\":" + std::to_string(survived) +
-            ",\"dropped\":" + std::to_string(dropped) +
-            ",\"recoveries\":" + std::to_string(recoveries) +
-            ",\"makespan_overhead\":" + json_num(overhead) + "}";
+    run.row("loss_sweep")
+        .num("rate", rate)
+        .num("survived", survived)
+        .num("dropped", dropped)
+        .num("recoveries", recoveries)
+        .num("makespan_overhead", overhead);
   }
   loss_table.print();
-  json += "]}";
-
-  std::printf("\n%s\n", json.c_str());
-  return 0;
+  return run.finish();
 }

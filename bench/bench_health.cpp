@@ -9,17 +9,11 @@
 // pays for it in false positives; high sensitivity goes quiet in both
 // columns.
 //
-// Emits a JSON object on stdout and writes it to BENCH_HEALTH.json for CI
-// artifact upload.
-//
-// Flags:
-//   --smoke   fewer sensitivity settings, shorter horizon (CI signal)
-//   --check   exit non-zero unless, at sensitivity 1.0, crash and partition
-//             recall are both >= 0.9 with zero false-positive alerts, and a
-//             second identical run reproduces the score table and the alert
-//             log byte for byte
+// Writes BENCH_HEALTH.json (bench_util.hpp schema; --smoke sweeps fewer
+// sensitivity settings).  Checks: at sensitivity 1.0, crash and partition
+// recall are both >= 0.9 with zero false-positive alerts, and a second
+// identical run reproduces the score table and the alert log byte for byte.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,8 +24,6 @@
 namespace {
 
 namespace health = vdce::obs::health;
-
-std::string json_num(double v) { return vdce::bench::json_num(v); }
 
 struct SweepResult {
   double sensitivity = 1.0;
@@ -86,12 +78,8 @@ SweepResult run_corpus(double sensitivity, double horizon) {
 
 int main(int argc, char** argv) {
   using namespace vdce;
-  bool smoke = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  bench::Run run(argc, argv, "health", "BENCH_HEALTH.json");
+  const bool smoke = run.smoke();
   const double horizon = 45.0;
   const std::vector<double> sweep =
       smoke ? std::vector<double>{0.25, 1.0}
@@ -106,8 +94,7 @@ int main(int argc, char** argv) {
 
   bench::Table table({"sensitivity", "alerts", "fp", "precision", "crash",
                       "partition", "slow", "stale", "latency (s)"});
-  std::string json = "{\"bench\":\"health\",\"horizon_s\":" +
-                     json_num(horizon) + ",\"sweep\":[";
+  run.row("summary").num("horizon_s", horizon);
 
   std::vector<SweepResult> results;
   for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -132,27 +119,20 @@ int main(int argc, char** argv) {
                    bench::Table::num(recall("stale"), 2),
                    bench::Table::num(latency.mean(), 2)});
 
-    if (i > 0) json += ",";
-    json += "{\"sensitivity\":" + json_num(r.sensitivity) +
-            ",\"alerts\":" + std::to_string(r.alerts) +
-            ",\"true_positive_alerts\":" +
-            std::to_string(r.score.true_positive_alerts) +
-            ",\"false_positive_alerts\":" +
-            std::to_string(r.score.false_positive_alerts) +
-            ",\"precision\":" + json_num(r.score.precision()) +
-            ",\"mean_latency_s\":" + json_num(latency.mean()) +
-            ",\"by_class\":{";
-    bool first_class = true;
+    bench::Run::Row row = run.row("sweep")
+        .num("sensitivity", r.sensitivity)
+        .num("alerts", r.alerts)
+        .num("true_positive_alerts", r.score.true_positive_alerts)
+        .num("false_positive_alerts", r.score.false_positive_alerts)
+        .num("precision", r.score.precision())
+        .num("mean_latency_s", latency.mean());
     for (const auto& [cls, cs] : r.score.by_class) {
-      if (!first_class) json += ",";
-      first_class = false;
-      json += "\"" + cls + "\":{\"total\":" + std::to_string(cs.total) +
-              ",\"detected\":" + std::to_string(cs.detected) +
-              ",\"recall\":" + json_num(cs.recall()) + "}";
+      const std::string key = "by_class." + cls;
+      row.num(key + ".total", cs.total)
+          .num(key + ".detected", cs.detected)
+          .num(key + ".recall", cs.recall());
     }
-    json += "}}";
   }
-  json += "]}";
   table.print();
 
   bench::print_note(
@@ -160,53 +140,41 @@ int main(int argc, char** argv) {
       "across the sweep (their staleness signals are unambiguous) while\n"
       "false positives explode below sensitivity ~0.5, where the stale\n"
       "window undercuts the 1 Hz sampling period.");
-  std::printf("\n%s\n", json.c_str());
 
-  if (FILE* f = std::fopen("BENCH_HEALTH.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
+  const SweepResult* nominal = nullptr;
+  for (const SweepResult& r : results) {
+    if (r.sensitivity == 1.0) nominal = &r;
   }
-
-  if (check) {
-    const SweepResult* nominal = nullptr;
-    for (const SweepResult& r : results) {
-      if (r.sensitivity == 1.0) nominal = &r;
-    }
-    if (nominal == nullptr) {
-      std::printf("check: FAILED (sweep did not include sensitivity 1.0)\n");
-      return 1;
-    }
+  run.check("nominal_swept", nominal != nullptr,
+            "the sweep includes sensitivity 1.0");
+  if (nominal != nullptr) {
     auto class_recall = [&](const char* cls) {
       auto it = nominal->score.by_class.find(cls);
       return it == nominal->score.by_class.end() ? 1.0 : it->second.recall();
     };
-    if (class_recall("crash") < 0.9 || class_recall("partition") < 0.9) {
-      std::printf("check: FAILED (crash recall %.2f, partition recall %.2f; "
-                  "need >= 0.9)\n%s",
-                  class_recall("crash"), class_recall("partition"),
-                  nominal->score.render().c_str());
-      return 1;
-    }
-    if (nominal->score.false_positive_alerts != 0) {
-      std::printf("check: FAILED (%zu false-positive alerts at nominal "
-                  "sensitivity)\n%s",
-                  nominal->score.false_positive_alerts,
-                  nominal->alert_log.c_str());
-      return 1;
-    }
+    const double crash = class_recall("crash");
+    const double partition = class_recall("partition");
+    const bool recall_ok = crash >= 0.9 && partition >= 0.9;
+    run.check("recall", recall_ok,
+              bench::strf("crash recall %.2f, partition recall %.2f; need "
+                          ">= 0.9",
+                          crash, partition) +
+                  (recall_ok ? "" : "\n" + nominal->score.render()));
+    const std::size_t fp = nominal->score.false_positive_alerts;
+    run.check("no_false_positives", fp == 0,
+              bench::strf("%zu false-positive alerts at nominal sensitivity",
+                          fp) +
+                  (fp == 0 ? "" : "\n" + nominal->alert_log));
     // Bit-for-bit reproducibility: a second identical run must reproduce
     // the alert log and the score table (detection latencies included).
-    SweepResult rerun = run_corpus(1.0, horizon);
-    if (rerun.alert_log != nominal->alert_log ||
-        rerun.score.render() != nominal->score.render()) {
-      std::printf("check: FAILED (second run diverges)\n--- first ---\n%s"
-                  "--- second ---\n%s",
-                  nominal->score.render().c_str(), rerun.score.render().c_str());
-      return 1;
-    }
-    std::printf("check: ok (crash %.2f / partition %.2f recall, 0 false "
-                "positives, rerun bit-identical)\n",
-                class_recall("crash"), class_recall("partition"));
+    const SweepResult rerun = run_corpus(1.0, horizon);
+    const bool identical = rerun.alert_log == nominal->alert_log &&
+                           rerun.score.render() == nominal->score.render();
+    run.check("rerun_identical", identical,
+              identical ? "second run reproduces alerts and scores"
+                        : "second run diverges\n--- first ---\n" +
+                              nominal->score.render() + "--- second ---\n" +
+                              rerun.score.render());
   }
-  return 0;
+  return run.finish();
 }

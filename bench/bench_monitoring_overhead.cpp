@@ -14,11 +14,9 @@
 // zero-cost claims, including "the always-on flight recorder has no
 // measurable idle overhead" and the health plane's <= 5% budget.
 //
-// Ends with one machine-readable JSON line (bench_fault_recovery-style) so
-// CI and notebooks can track the series.  `--smoke` shortens the horizon;
-// `--check` exits non-zero if the health row exceeds metrics-only by more
-// than 5% (with an absolute noise floor for short smoke runs).
-#include <chrono>
+// Writes BENCH_MONITORING_OVERHEAD.json (bench_util.hpp schema; --smoke
+// shortens the horizon).  Check: the health row stays within 5% of
+// metrics-only, with an absolute noise floor for short smoke runs.
 #include <cmath>
 #include <cstring>
 
@@ -27,8 +25,6 @@
 #include "vdce/vdce.hpp"
 
 namespace {
-
-std::string json_num(double v) { return vdce::bench::json_num(v); }
 
 /// Wall-clock milliseconds of `run_for(horizon)` on a fresh monitored
 /// testbed under `options`; best of `reps` to shave scheduler noise.
@@ -42,11 +38,9 @@ double timed_run_ms(vdce::EnvironmentOptions options, double horizon,
     spec.hosts_per_site = 8;
     VdceEnvironment env(make_testbed(spec), options);
     env.bring_up();
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = vdce::bench::now_ms();
     env.run_for(horizon);
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
+    best = std::min(best, vdce::bench::now_ms() - t0);
   }
   return best;
 }
@@ -55,12 +49,9 @@ double timed_run_ms(vdce::EnvironmentOptions options, double horizon,
 
 int main(int argc, char** argv) {
   using namespace vdce;
-  bool smoke = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  bench::Run run(argc, argv, "monitoring_overhead",
+                 "BENCH_MONITORING_OVERHEAD.json");
+  const bool smoke = run.smoke();
   const double horizon = smoke ? 20.0 : 120.0;
   const int reps = smoke ? 1 : 3;
 
@@ -72,9 +63,7 @@ int main(int argc, char** argv) {
 
   bench::Table table({"threshold", "mon.report", "gm.report", "forwarded%",
                       "bytes", "db error"});
-  std::string json = "{\"bench\":\"monitoring_overhead\",\"horizon_s\":" +
-                     json_num(horizon) + ",\"sweep\":[";
-  bool first_row = true;
+  run.row("summary").num("horizon_s", horizon);
 
   for (double threshold : {0.0, 0.05, 0.15, 0.3, 0.6, 1.2}) {
     EnvironmentOptions options;
@@ -126,18 +115,15 @@ int main(int argc, char** argv) {
          bench::Table::num(forwarded_pct, 1),
          common::format_bytes(stats.bytes_sent),
          bench::Table::num(error.empty() ? 0.0 : error.mean(), 3)});
-    if (!first_row) json += ",";
-    first_row = false;
-    json += "{\"threshold\":" + json_num(threshold) +
-            ",\"mon_reports\":" + std::to_string(count("mon.report")) +
-            ",\"gm_reports\":" + std::to_string(count("gm.report")) +
-            ",\"forwarded_pct\":" + json_num(forwarded_pct) +
-            ",\"bytes\":" + json_num(stats.bytes_sent) +
-            ",\"db_error\":" + json_num(error.empty() ? 0.0 : error.mean()) +
-            "}";
+    run.row("sweep")
+        .num("threshold", threshold)
+        .num("mon_reports", count("mon.report"))
+        .num("gm_reports", count("gm.report"))
+        .num("forwarded_pct", forwarded_pct)
+        .num("bytes", stats.bytes_sent)
+        .num("db_error", error.empty() ? 0.0 : error.mean());
   }
   table.print();
-  json += "]";
 
   // --- observability overhead ------------------------------------------------
   bench::print_note(
@@ -177,7 +163,6 @@ int main(int argc, char** argv) {
   double baseline_ms = 0.0;
   double metrics_ms = 0.0;
   double health_ms = 0.0;
-  json += ",\"obs_overhead\":[";
   for (std::size_t i = 0; i < std::size(modes); ++i) {
     const double ms = timed_run_ms(modes[i].options, horizon, reps);
     if (i == 0) baseline_ms = ms;
@@ -187,12 +172,11 @@ int main(int argc, char** argv) {
         baseline_ms > 0 ? (ms - baseline_ms) / baseline_ms * 100.0 : 0.0;
     overhead.add_row({modes[i].name, bench::Table::num(ms, 2),
                       (pct >= 0 ? "+" : "") + bench::Table::num(pct, 2) + "%"});
-    if (i > 0) json += ",";
-    json += std::string("{\"mode\":\"") + modes[i].name +
-            "\",\"wall_ms\":" + json_num(ms) +
-            ",\"overhead_pct\":" + json_num(pct) + "}";
+    run.row("obs_overhead")
+        .str("mode", modes[i].name)
+        .num("wall_ms", ms)
+        .num("overhead_pct", pct);
   }
-  json += "]}";
   overhead.print();
 
   bench::print_note(
@@ -203,22 +187,13 @@ int main(int argc, char** argv) {
       "off_noflight: the always-on ring is a guarded handful of stores.\n"
       "The health row (metrics + windowed series + rules + probes) must\n"
       "stay within 5% of metrics-only — its budget in docs/OBSERVABILITY.md.");
-  std::printf("\n%s\n", json.c_str());
 
-  if (check) {
-    // Gate the health plane against its documented budget.  Short smoke runs
-    // jitter by tens of ms on shared CI hosts, so an absolute floor keeps a
-    // 12 ms run from failing on a 1 ms blip.
-    const double budget_ms = std::max(metrics_ms * 1.05, metrics_ms + 30.0);
-    if (health_ms > budget_ms) {
-      std::printf("check: FAILED (health %.2f ms vs metrics %.2f ms; budget "
-                  "%.2f ms)\n",
-                  health_ms, metrics_ms, budget_ms);
-      return 1;
-    }
-    std::printf("check: ok (health %.2f ms within %.2f ms budget over "
-                "metrics %.2f ms)\n",
-                health_ms, budget_ms, metrics_ms);
-  }
-  return 0;
+  // Gate the health plane against its documented budget.  Short smoke runs
+  // jitter by tens of ms on shared CI hosts, so an absolute floor keeps a
+  // 12 ms run from failing on a 1 ms blip.
+  const double budget_ms = std::max(metrics_ms * 1.05, metrics_ms + 30.0);
+  run.check("health_budget", health_ms <= budget_ms,
+            bench::strf("health %.2f ms, budget %.2f ms over metrics %.2f ms",
+                        health_ms, budget_ms, metrics_ms));
+  return run.finish();
 }

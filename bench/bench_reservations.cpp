@@ -17,21 +17,15 @@
 //     [window.start, owner completion) on a booked machine (after the owner
 //     finalizes, the spent window is cancelled and the machines are free).
 //
-// Emits a JSON object on stdout and writes BENCH_RESERVATIONS.json for CI
-// artifact upload.
-//
-// Flags:
-//   --smoke   fewer/smaller configurations (CI per-commit signal)
-//   --check   exit non-zero unless every application completed, every owner
-//             was released exactly at its window start, no filler task
-//             violated a committed window (the no-delay invariant: enabling
-//             backfill must not move any owner's start), and the flagship
-//             configuration replays byte-identically
+// Writes BENCH_RESERVATIONS.json (bench_util.hpp schema; --smoke runs
+// fewer/smaller configurations).  Checks: every application completed,
+// every owner was released exactly at its window start, no filler task
+// violated a committed window, enabling backfill moved no owner's start
+// (the no-delay invariant), and the flagship configuration replays
+// byte-identically.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,14 +38,6 @@
 namespace {
 
 using namespace vdce;
-
-std::string json_num(double v) { return vdce::bench::json_num(v); }
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Fan-out owner application: long enough that the window matters.
 afg::Afg owner_app(const std::string& name) {
@@ -109,7 +95,7 @@ Measurement measure(std::size_t bookings, bool backfill, bool smoke,
   Measurement m;
   m.bookings = bookings;
   m.backfill = backfill;
-  const double t0 = now_ms();
+  const double t0 = bench::now_ms();
 
   ScaleSpec spec;
   spec.grid.sites = smoke ? 2 : 3;
@@ -250,10 +236,10 @@ Measurement measure(std::size_t bookings, bool backfill, bool smoke,
           std::fprintf(stderr,
                        "WINDOW VIOLATION: filler task on host %u ran "
                        "[%s, %s] inside window [%s, %s)\n",
-                       out.host.value(), json_num(out.started).c_str(),
-                       json_num(out.finished).c_str(),
-                       json_num(o.window_start).c_str(),
-                       json_num(live_end).c_str());
+                       out.host.value(), bench::json_num(out.started).c_str(),
+                       bench::json_num(out.finished).c_str(),
+                       bench::json_num(o.window_start).c_str(),
+                       bench::json_num(live_end).c_str());
         }
       }
     }
@@ -267,19 +253,15 @@ Measurement measure(std::size_t bookings, bool backfill, bool smoke,
     m.filler_max = latencies.back();
   }
   if (want_trace) m.trace_jsonl = (*env)->trace().to_jsonl();
-  m.wall_ms = now_ms() - t0;
+  m.wall_ms = bench::now_ms() - t0;
   return m;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  bench::Run run(argc, argv, "reservations", "BENCH_RESERVATIONS.json");
+  const bool smoke = run.smoke();
 
   bench::print_title("E15",
                      "advance reservations: walk-in latency vs. booking "
@@ -297,15 +279,11 @@ int main(int argc, char** argv) {
   bench::Table table({"bookings", "backfill", "owners", "fillers", "p50_s",
                       "max_s", "release_err_s", "start_delay_s", "wait_s",
                       "wall_ms", "audit"});
-  std::string json = "{\"bench\":\"reservations\",\"smoke\":";
-  json += smoke ? "true" : "false";
-  json += ",\"configs\":[";
 
   bool all_success = true;
   bool window_exclusive = true;
   bool release_exact = true;
   bool no_delay = true;
-  bool first = true;
   for (std::size_t bookings : densities) {
     std::vector<double> starts_without;
     for (const bool backfill : {false, true}) {
@@ -335,22 +313,20 @@ int main(int argc, char** argv) {
            bench::Table::num(m.reservation_wait),
            bench::Table::num(m.wall_ms, 1),
            m.window_exclusive ? "exclusive" : "VIOLATED"});
-      if (!first) json += ",";
-      first = false;
-      json += "{\"bookings\":" + std::to_string(m.bookings) +
-              ",\"backfill\":" + (backfill ? std::string("true") : "false") +
-              ",\"owners_completed\":" + std::to_string(m.owners_completed) +
-              ",\"fillers_completed\":" + std::to_string(m.fillers_completed) +
-              ",\"fillers_submitted\":" + std::to_string(m.fillers_submitted) +
-              ",\"filler_p50_s\":" + json_num(m.filler_p50) +
-              ",\"filler_max_s\":" + json_num(m.filler_max) +
-              ",\"release_err_s\":" + json_num(m.release_delay_max) +
-              ",\"start_delay_s\":" + json_num(m.start_delay_max) +
-              ",\"reservation_wait_s\":" + json_num(m.reservation_wait) +
-              ",\"wall_ms\":" + json_num(m.wall_ms) +
-              ",\"all_success\":" + (m.all_success ? "true" : "false") +
-              ",\"window_exclusive\":" +
-              (m.window_exclusive ? "true" : "false") + "}";
+      run.row("configs")
+          .num("bookings", m.bookings)
+          .flag("backfill", backfill)
+          .num("owners_completed", m.owners_completed)
+          .num("fillers_completed", m.fillers_completed)
+          .num("fillers_submitted", m.fillers_submitted)
+          .num("filler_p50_s", m.filler_p50)
+          .num("filler_max_s", m.filler_max)
+          .num("release_err_s", m.release_delay_max)
+          .num("start_delay_s", m.start_delay_max)
+          .num("reservation_wait_s", m.reservation_wait)
+          .num("wall_ms", m.wall_ms)
+          .flag("all_success", m.all_success)
+          .flag("window_exclusive", m.window_exclusive);
     }
   }
 
@@ -363,54 +339,22 @@ int main(int argc, char** argv) {
   const bool deterministic =
       !rep1.trace_jsonl.empty() && rep1.trace_jsonl == rep2.trace_jsonl;
 
-  json += "],\"all_success\":";
-  json += all_success ? "true" : "false";
-  json += ",\"window_exclusive\":";
-  json += window_exclusive ? "true" : "false";
-  json += ",\"release_exact\":";
-  json += release_exact ? "true" : "false";
-  json += ",\"no_delay\":";
-  json += no_delay ? "true" : "false";
-  json += ",\"deterministic\":";
-  json += deterministic ? "true" : "false";
-  json += "}";
-
   table.print();
-  std::printf("\n%s\n", json.c_str());
-  if (FILE* f = std::fopen("BENCH_RESERVATIONS.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  }
-
-  if (check) {
-    if (!all_success) {
-      std::fprintf(stderr, "CHECK FAILED: an application failed or was "
-                           "rejected\n");
-      return 1;
-    }
-    if (!window_exclusive) {
-      std::fprintf(stderr, "CHECK FAILED: a walk-in task violated a "
-                           "committed window\n");
-      return 1;
-    }
-    if (!release_exact) {
-      std::fprintf(stderr, "CHECK FAILED: an owner was not released exactly "
-                           "at its window start\n");
-      return 1;
-    }
-    if (!no_delay) {
-      std::fprintf(stderr, "CHECK FAILED: conservative backfill delayed a "
-                           "committed window's start\n");
-      return 1;
-    }
-    if (!deterministic) {
-      std::fprintf(stderr, "CHECK FAILED: reservation runs are not "
-                           "replay-deterministic\n");
-      return 1;
-    }
-    std::printf(
-        "check: ok (windows exclusive, releases exact, backfill no-delay, "
-        "replay deterministic)\n");
-  }
-  return 0;
+  run.row("summary")
+      .flag("all_success", all_success)
+      .flag("window_exclusive", window_exclusive)
+      .flag("release_exact", release_exact)
+      .flag("no_delay", no_delay)
+      .flag("deterministic", deterministic);
+  run.check("all_success", all_success,
+            "every owner and filler application completed");
+  run.check("window_exclusive", window_exclusive,
+            "no walk-in task ran inside a committed window");
+  run.check("release_exact", release_exact,
+            "every owner released exactly at its window start");
+  run.check("no_delay", no_delay,
+            "conservative backfill moved no owner's first start");
+  run.check("deterministic", deterministic,
+            "densest backfill-on configuration replays byte-identically");
+  return run.finish();
 }

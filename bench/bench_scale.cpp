@@ -11,17 +11,11 @@
 // Each configuration times sched::reference::schedule_naive (the frozen
 // pre-optimization algorithm) against VdceSiteScheduler::schedule and
 // verifies the two allocation tables are bit-identical — the speedup is
-// only real if the caches change nothing.  Emits a JSON object on stdout
-// and writes it to BENCH_SCALE.json for CI artifact upload.
-//
-// Flags:
-//   --smoke   small configurations (CI per-commit signal)
-//   --check   exit non-zero unless every table pair is identical and the
-//             largest grid configuration's speedup meets the documented
-//             threshold (3x full, 2x smoke — see docs/SCALING.md)
-#include <chrono>
+// only real if the caches change nothing.  Writes BENCH_SCALE.json
+// (bench_util.hpp schema).  Checks: every table pair is identical, and the
+// largest grid configuration's speedup meets the documented threshold (3x
+// full, 2x smoke — see docs/SCALING.md).
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,8 +31,6 @@
 namespace {
 
 using namespace vdce;
-
-std::string json_num(double v) { return vdce::bench::json_num(v); }
 
 /// A topology with its per-site repositories and a ready SchedulerContext.
 struct Deployment {
@@ -78,12 +70,6 @@ bool tables_identical(const sched::ResourceAllocationTable& a,
   return true;
 }
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct Measurement {
   double naive_ms = 0.0;
   double opt_ms = 0.0;
@@ -97,9 +83,9 @@ Measurement measure(Deployment& dep, const afg::Afg& graph, int opt_repeats) {
   sched::SchedulingPolicy options;  // availability-aware, paper levels
   sched::VdceSiteScheduler scheduler(options);
 
-  double t0 = now_ms();
+  double t0 = bench::now_ms();
   auto naive = sched::reference::schedule_naive(graph, dep.context, options);
-  m.naive_ms = now_ms() - t0;
+  m.naive_ms = bench::now_ms() - t0;
   if (!naive) {
     std::fprintf(stderr, "naive schedule failed: %s\n",
                  naive.error().to_string().c_str());
@@ -108,11 +94,11 @@ Measurement measure(Deployment& dep, const afg::Afg& graph, int opt_repeats) {
 
   common::Expected<sched::ResourceAllocationTable> optimized =
       common::Error{common::ErrorCode::kInternal, "unset"};
-  t0 = now_ms();
+  t0 = bench::now_ms();
   for (int r = 0; r < opt_repeats; ++r) {
     optimized = scheduler.schedule(graph, dep.context);
   }
-  m.opt_ms = (now_ms() - t0) / opt_repeats;
+  m.opt_ms = (bench::now_ms() - t0) / opt_repeats;
   if (!optimized) {
     std::fprintf(stderr, "optimized schedule failed: %s\n",
                  optimized.error().to_string().c_str());
@@ -146,12 +132,8 @@ afg::Afg layered_workload(std::size_t tasks, std::size_t width,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  bench::Run run(argc, argv, "scale", "BENCH_SCALE.json");
+  const bool smoke = run.smoke();
 
   bench::print_title("E-scale", "scheduler scaling: optimized vs naive reference");
   bench::print_note(smoke ? "mode: smoke (small grids; CI signal)"
@@ -174,15 +156,18 @@ int main(int argc, char** argv) {
   const int opt_repeats = smoke ? 3 : 5;
 
   bool all_identical = true;
-  std::string json = "{\"bench\":\"scale\",\"mode\":\"";
-  json += smoke ? "smoke" : "full";
-  json += "\",\"threshold_speedup\":" + json_num(threshold);
+  const auto timings = [](bench::Run::Row row, const Measurement& m) {
+    row.num("naive_ms", m.naive_ms)
+        .num("opt_ms", m.opt_ms)
+        .num("speedup", m.speedup)
+        .num("makespan_s", m.makespan)
+        .flag("identical", m.identical);
+  };
 
   // --- grid sweep ---------------------------------------------------------
   bench::Table grid_table(
       {"sites", "hosts/site", "tasks", "naive_ms", "opt_ms", "speedup",
        "makespan_s", "identical"});
-  json += ",\"grid_sweep\":[";
   double largest_speedup = 0.0;
   for (std::size_t i = 0; i < grid_configs.size(); ++i) {
     const GridConfig& cfg = grid_configs[i];
@@ -201,24 +186,17 @@ int main(int argc, char** argv) {
                         bench::Table::num(m.speedup, 1),
                         bench::Table::num(m.makespan),
                         m.identical ? "yes" : "NO"});
-    if (i) json += ",";
-    json += "{\"sites\":" + std::to_string(cfg.sites) +
-            ",\"hosts_per_site\":" + std::to_string(cfg.hosts) +
-            ",\"tasks\":" + std::to_string(cfg.tasks) +
-            ",\"naive_ms\":" + json_num(m.naive_ms) +
-            ",\"opt_ms\":" + json_num(m.opt_ms) +
-            ",\"speedup\":" + json_num(m.speedup) +
-            ",\"makespan_s\":" + json_num(m.makespan) +
-            ",\"identical\":" + (m.identical ? "true" : "false") + "}";
+    timings(run.row("grid_sweep")
+                .num("sites", cfg.sites)
+                .num("hosts_per_site", cfg.hosts)
+                .num("tasks", cfg.tasks),
+            m);
   }
-  json += "]";
   grid_table.print();
 
   // --- AFG sweep ----------------------------------------------------------
   bench::Table afg_table({"shape", "tasks", "width", "naive_ms", "opt_ms",
                           "speedup", "makespan_s", "identical"});
-  json += ",\"afg_sweep\":[";
-  bool first = true;
   {
     scale::GridSpec g;
     g.sites = 8;
@@ -240,14 +218,9 @@ int main(int argc, char** argv) {
                          bench::Table::num(m.speedup, 1),
                          bench::Table::num(m.makespan),
                          m.identical ? "yes" : "NO"});
-      if (!first) json += ",";
-      first = false;
-      json += "{\"shape\":\"randomdag\",\"tasks\":" + std::to_string(tasks) +
-              ",\"naive_ms\":" + json_num(m.naive_ms) +
-              ",\"opt_ms\":" + json_num(m.opt_ms) +
-              ",\"speedup\":" + json_num(m.speedup) +
-              ",\"makespan_s\":" + json_num(m.makespan) +
-              ",\"identical\":" + (m.identical ? "true" : "false") + "}";
+      timings(
+          run.row("afg_sweep").str("shape", "randomdag").num("tasks", tasks),
+          m);
     }
     const std::size_t width_tasks = smoke ? 64 : 256;
     for (std::size_t width : afg_widths) {
@@ -260,46 +233,24 @@ int main(int argc, char** argv) {
                          bench::Table::num(m.speedup, 1),
                          bench::Table::num(m.makespan),
                          m.identical ? "yes" : "NO"});
-      json += ",{\"shape\":\"layered\",\"tasks\":" +
-              std::to_string(width_tasks) +
-              ",\"width\":" + std::to_string(width) +
-              ",\"naive_ms\":" + json_num(m.naive_ms) +
-              ",\"opt_ms\":" + json_num(m.opt_ms) +
-              ",\"speedup\":" + json_num(m.speedup) +
-              ",\"makespan_s\":" + json_num(m.makespan) +
-              ",\"identical\":" + (m.identical ? "true" : "false") + "}";
+      timings(run.row("afg_sweep")
+                  .str("shape", "layered")
+                  .num("tasks", width_tasks)
+                  .num("width", width),
+              m);
     }
   }
-  json += "]";
-
-  json += ",\"largest_grid_speedup\":" + json_num(largest_speedup);
-  json += ",\"all_identical\":";
-  json += all_identical ? "true" : "false";
-  json += "}";
   afg_table.print();
 
-  std::printf("\n%s\n", json.c_str());
-  if (FILE* f = std::fopen("BENCH_SCALE.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  }
-
-  if (check) {
-    if (!all_identical) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: optimized schedule diverged from the naive "
-                   "reference\n");
-      return 1;
-    }
-    if (largest_speedup < threshold) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: largest-grid speedup %.2fx below the %.1fx "
-                   "threshold (see docs/SCALING.md)\n",
-                   largest_speedup, threshold);
-      return 1;
-    }
-    std::printf("check: ok (speedup %.1fx >= %.1fx, schedules identical)\n",
-                largest_speedup, threshold);
-  }
-  return 0;
+  run.row("summary")
+      .num("threshold_speedup", threshold)
+      .num("largest_grid_speedup", largest_speedup)
+      .flag("all_identical", all_identical);
+  run.check("identical", all_identical,
+            "optimized schedules vs the naive reference");
+  run.check("speedup", largest_speedup >= threshold,
+            bench::strf("largest-grid speedup %.1fx, floor %.1fx; see "
+                        "docs/SCALING.md",
+                        largest_speedup, threshold));
+  return run.finish();
 }

@@ -31,8 +31,8 @@
 //
 // A firing-order checksum (FNV over every fired event's id and timestamp)
 // must match across both — the speedup only counts if the replay is
-// event-for-event identical.  Emits JSON to stdout and BENCH_SIM.json for
-// CI artifact upload.
+// event-for-event identical.  Writes BENCH_SIM.json (bench_util.hpp
+// schema), built only after every timed window has closed.
 //
 // Measurement methodology (docs/SCALING.md "Event-kernel throughput"):
 // each replay runs a warmup window first (bring-up transient: timers
@@ -48,13 +48,10 @@
 // complete elimination of allocator traffic — see docs/SCALING.md for the
 // numbers and the revision rationale).
 //
-// Flags:
-//   --smoke   8x8 grid, short horizon (CI per-commit signal)
-//   --check   exit non-zero unless (a) the firing-order checksums match,
-//             (b) the engine's steady-state window performed no heap
-//             allocation at all, and (c) the wall-clock speedup over
-//             legacy meets the documented floor (1.4x full, 1.25x smoke)
-#include <chrono>
+// Checks (--smoke runs an 8x8 grid with a short horizon): (a) the
+// firing-order checksums match, (b) the engine's steady-state window
+// performed no heap allocation at all, and (c) the wall-clock speedup over
+// legacy meets the documented floor (1.4x full, 1.25x smoke).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -90,14 +87,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 using namespace vdce;
-
-std::string json_num(double v) { return vdce::bench::json_num(v); }
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct MixSpec {
   std::size_t sites = 32;
@@ -261,10 +250,10 @@ ReplayResult replay(EngineT& engine, const MixSpec& spec) {
   engine.run_until(spec.warmup);
   const std::uint64_t fired0 = engine.total_fired();
   const std::uint64_t allocs0 = g_allocations;
-  const double t0 = now_ms();
+  const double t0 = bench::now_ms();
   engine.run_until(spec.horizon);
   ReplayResult r;
-  r.ms = now_ms() - t0;
+  r.ms = bench::now_ms() - t0;
   r.fired = engine.total_fired() - fired0;
   r.allocs = g_allocations - allocs0;
   r.checksum = mix.checksum;
@@ -276,12 +265,8 @@ ReplayResult replay(EngineT& engine, const MixSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  bench::Run run(argc, argv, "sim_engine", "BENCH_SIM.json");
+  const bool smoke = run.smoke();
 
   bench::print_title("E-simkernel",
                      "event-kernel throughput: arena + binary heap vs. "
@@ -351,64 +336,35 @@ int main(int argc, char** argv) {
   bench::print_note("arena high water: " +
                     std::to_string(engine.arena_high_water) + " slots");
 
-  std::string json = "{\"bench\":\"sim_engine\",\"mode\":\"";
-  json += smoke ? "smoke" : "full";
-  json += "\",\"threshold_speedup\":" + json_num(threshold);
-  json += ",\"grid\":{\"sites\":" + std::to_string(spec.sites) +
-          ",\"hosts_per_site\":" + std::to_string(spec.hosts_per_site) +
-          ",\"warmup_s\":" + json_num(spec.warmup) +
-          ",\"horizon_s\":" + json_num(spec.horizon) + "}";
-  json += ",\"events\":" + std::to_string(engine.fired);
-  json += ",\"legacy_ms\":" + json_num(legacy.ms);
-  json += ",\"engine_ms\":" + json_num(engine.ms);
-  json += ",\"legacy_events_per_sec\":" + json_num(legacy.events_per_sec);
-  json += ",\"engine_events_per_sec\":" + json_num(engine.events_per_sec);
-  json += ",\"legacy_allocs\":" + std::to_string(legacy.allocs);
-  json += ",\"engine_allocs\":" + std::to_string(engine.allocs);
-  json += ",\"legacy_allocs_per_event\":" +
-          json_num(allocs_per_event(legacy));
-  json += ",\"engine_allocs_per_event\":" +
-          json_num(allocs_per_event(engine));
-  json += ",\"speedup\":" + json_num(speedup);
-  json += ",\"arena_high_water\":" +
-          std::to_string(engine.arena_high_water);
-  json += ",\"order_identical\":";
-  json += order_identical ? "true" : "false";
-  json += ",\"zero_alloc\":";
-  json += zero_alloc ? "true" : "false";
-  json += "}";
-
-  std::printf("\n%s\n", json.c_str());
-  if (FILE* f = std::fopen("BENCH_SIM.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  }
-
-  if (check) {
-    if (!order_identical) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: the kernels fired different event "
-                   "sequences (checksum mismatch)\n");
-      return 1;
-    }
-    if (!zero_alloc) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: the engine allocated %llu times over "
-                   "%llu steady-state events (budget: 0)\n",
-                   static_cast<unsigned long long>(engine.allocs),
-                   static_cast<unsigned long long>(engine.fired));
-      return 1;
-    }
-    if (speedup < threshold) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: engine speedup %.2fx below the "
-                   "%.2fx floor (see docs/SCALING.md)\n",
-                   speedup, threshold);
-      return 1;
-    }
-    std::printf("check: ok (speedup %.2fx >= %.2fx, zero steady-state "
-                "allocations, firing order identical)\n",
-                speedup, threshold);
-  }
-  return 0;
+  run.row("summary")
+      .num("threshold_speedup", threshold)
+      .num("grid.sites", spec.sites)
+      .num("grid.hosts_per_site", spec.hosts_per_site)
+      .num("grid.warmup_s", spec.warmup)
+      .num("grid.horizon_s", spec.horizon)
+      .num("events", engine.fired)
+      .num("legacy_ms", legacy.ms)
+      .num("engine_ms", engine.ms)
+      .num("legacy_events_per_sec", legacy.events_per_sec)
+      .num("engine_events_per_sec", engine.events_per_sec)
+      .num("legacy_allocs", legacy.allocs)
+      .num("engine_allocs", engine.allocs)
+      .num("legacy_allocs_per_event", allocs_per_event(legacy))
+      .num("engine_allocs_per_event", allocs_per_event(engine))
+      .num("speedup", speedup)
+      .num("arena_high_water", engine.arena_high_water)
+      .flag("order_identical", order_identical)
+      .flag("zero_alloc", zero_alloc);
+  run.check("order_identical", order_identical,
+            "FNV firing-order checksum and event count, engine vs legacy");
+  run.check("zero_alloc", zero_alloc,
+            bench::strf("%llu engine allocations over %llu steady-state "
+                        "events; budget 0",
+                        static_cast<unsigned long long>(engine.allocs),
+                        static_cast<unsigned long long>(engine.fired)));
+  run.check("speedup", speedup >= threshold,
+            bench::strf("engine speedup %.2fx, floor %.2fx; see "
+                        "docs/SCALING.md",
+                        speedup, threshold));
+  return run.finish();
 }

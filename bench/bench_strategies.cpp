@@ -19,16 +19,11 @@
 // in makespan.  Per cell the bench records the mean makespan and the summed
 // critical-path phase decomposition (startup/compute/transfer/wait/
 // recovery/completion, obs::causal) so a regression is attributable to a
-// phase, not just a number.  Emits JSON on stdout and to
-// BENCH_STRATEGIES.json for CI artifact upload.
-//
-// Flags:
-//   --smoke   fewer/smaller workloads (CI per-commit signal)
-//   --check   exit non-zero unless every run succeeded, at least eight
-//             strategies were measured, and every run's critical path tiled
-//             its makespan
+// phase, not just a number.  Writes BENCH_STRATEGIES.json (bench_util.hpp
+// schema; --smoke runs fewer/smaller workloads).  Checks: at least eight
+// strategies were measured, every run succeeded, and every run's critical
+// path tiled its makespan.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,8 +37,6 @@
 namespace {
 
 using namespace vdce;
-
-std::string json_num(double v) { return vdce::bench::json_num(v); }
 
 struct StalenessSetting {
   const char* label;
@@ -126,25 +119,11 @@ Cell run_cell(const std::string& strategy, const StalenessSetting& stale,
   return cell;
 }
 
-std::string phases_json(const obs::causal::PhaseTotals& p) {
-  return "{\"startup\":" + json_num(p.startup) +
-         ",\"compute\":" + json_num(p.compute) +
-         ",\"transfer\":" + json_num(p.transfer) +
-         ",\"wait\":" + json_num(p.wait) +
-         ",\"recovery\":" + json_num(p.recovery) +
-         ",\"completion\":" + json_num(p.completion) +
-         ",\"total\":" + json_num(p.total()) + "}";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  bench::Run run(argc, argv, "strategies", "BENCH_STRATEGIES.json");
+  const bool smoke = run.smoke();
 
   bench::print_title("E-strategies",
                      "strategy x staleness sensitivity grid (live runtime)");
@@ -165,22 +144,16 @@ int main(int argc, char** argv) {
 
   bool all_success = true;
   bool all_tiled = true;
-  std::string json = "{\"bench\":\"strategies\",\"mode\":\"";
-  json += smoke ? "smoke" : "full";
-  json += "\",\"strategy_count\":" + std::to_string(strategies.size());
-  json += ",\"staleness_settings\":[";
-  for (std::size_t i = 0; i < staleness.size(); ++i) {
-    if (i) json += ",";
-    json += "{\"label\":\"" + std::string(staleness[i].label) +
-            "\",\"monitor_period_s\":" + json_num(staleness[i].monitor_period) +
-            ",\"stale_after_s\":" + json_num(staleness[i].stale_after) + "}";
+  for (const StalenessSetting& stale : staleness) {
+    run.row("staleness_settings")
+        .str("label", stale.label)
+        .num("monitor_period_s", stale.monitor_period)
+        .num("stale_after_s", stale.stale_after);
   }
-  json += "],\"grid\":[";
 
   bench::Table table({"strategy", "staleness", "ok", "mean_makespan_s",
                       "mean_sched_s", "cp_compute_s", "cp_transfer_s",
                       "cp_wait_s"});
-  bool first = true;
   for (const sched::StrategyInfo& info : strategies) {
     for (const StalenessSetting& stale : staleness) {
       const Cell cell = run_cell(info.name, stale, cases);
@@ -197,48 +170,38 @@ int main(int argc, char** argv) {
                      bench::Table::num(cell.phases.compute / n),
                      bench::Table::num(cell.phases.transfer / n),
                      bench::Table::num(cell.phases.wait / n)});
-      if (!first) json += ",";
-      first = false;
-      json += "{\"strategy\":\"" + info.name + "\",\"staleness\":\"" +
-              stale.label + "\",\"cases\":" + std::to_string(cell.cases) +
-              ",\"successes\":" + std::to_string(cell.successes) +
-              ",\"mean_makespan_s\":" + json_num(cell.makespan_sum / n) +
-              ",\"mean_scheduling_s\":" + json_num(cell.scheduling_sum / n) +
-              ",\"critical_path_phases\":" + phases_json(cell.phases) +
-              ",\"tiled\":" + (cell.tiled ? "true" : "false") + "}";
+      const obs::causal::PhaseTotals& p = cell.phases;
+      run.row("grid")
+          .str("strategy", info.name)
+          .str("staleness", stale.label)
+          .num("cases", cell.cases)
+          .num("successes", cell.successes)
+          .num("mean_makespan_s", cell.makespan_sum / n)
+          .num("mean_scheduling_s", cell.scheduling_sum / n)
+          .num("critical_path_phases.startup", p.startup)
+          .num("critical_path_phases.compute", p.compute)
+          .num("critical_path_phases.transfer", p.transfer)
+          .num("critical_path_phases.wait", p.wait)
+          .num("critical_path_phases.recovery", p.recovery)
+          .num("critical_path_phases.completion", p.completion)
+          .num("critical_path_phases.total", p.total())
+          .flag("tiled", cell.tiled);
     }
   }
-  json += "],\"all_success\":";
-  json += all_success ? "true" : "false";
-  json += ",\"all_tiled\":";
-  json += all_tiled ? "true" : "false";
-  json += "}";
   table.print();
 
-  std::printf("\n%s\n", json.c_str());
-  if (FILE* f = std::fopen("BENCH_STRATEGIES.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  }
-
-  if (check) {
-    if (strategies.size() < 8) {
-      std::fprintf(stderr, "CHECK FAILED: only %zu strategies registered\n",
-                   strategies.size());
-      return 1;
-    }
-    if (!all_success) {
-      std::fprintf(stderr, "CHECK FAILED: at least one grid run failed\n");
-      return 1;
-    }
-    if (!all_tiled) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: a critical path did not tile its makespan\n");
-      return 1;
-    }
-    std::printf("check: ok (%zu strategies x %zu staleness settings, all "
-                "runs succeeded)\n",
-                strategies.size(), staleness.size());
-  }
-  return 0;
+  run.row("summary")
+      .num("strategy_count", strategies.size())
+      .flag("all_success", all_success)
+      .flag("all_tiled", all_tiled);
+  run.check("strategy_count", strategies.size() >= 8,
+            bench::strf("%zu strategies registered, need >= 8",
+                        strategies.size()));
+  run.check("all_success", all_success,
+            bench::strf("every run of %zu strategies x %zu staleness "
+                        "settings succeeded",
+                        strategies.size(), staleness.size()));
+  run.check("all_tiled", all_tiled,
+            "every critical path tiled its makespan");
+  return run.finish();
 }

@@ -16,18 +16,12 @@
 //     checked pairwise across applications — overlap means two apps
 //     double-booked a machine, which the reservation table must prevent.
 //
-// Emits a JSON object on stdout and writes it to BENCH_TENANCY.json for CI
-// artifact upload.
-//
-// Flags:
-//   --smoke   fewer/smaller configurations (CI per-commit signal)
-//   --check   exit non-zero unless every submission completed successfully,
-//             no host was ever double-booked across applications, and the
-//             reservation table counted zero acquire conflicts
+// Writes BENCH_TENANCY.json (bench_util.hpp schema; --smoke runs
+// fewer/smaller configurations).  Checks: every submission completed
+// successfully, no host was ever double-booked across applications, and
+// the reservation table counted zero acquire conflicts.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,14 +34,6 @@
 namespace {
 
 using namespace vdce;
-
-std::string json_num(double v) { return vdce::bench::json_num(v); }
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// One application's busy claim on one host, for the double-booking audit.
 struct HostClaim {
@@ -72,7 +58,7 @@ bool find_double_booking(std::vector<HostClaim>& claims, std::string* who) {
         cur.start < prev.end) {
       *who = "host " + std::to_string(cur.host) + ": apps " +
              std::to_string(prev.app) + " and " + std::to_string(cur.app) +
-             " overlap at " + json_num(cur.start) + "s";
+             " overlap at " + bench::json_num(cur.start) + "s";
       return true;
     }
   }
@@ -100,7 +86,7 @@ Measurement measure(std::size_t tenants, std::size_t apps_per_tenant,
                     bool smoke) {
   Measurement m;
   m.tenants = tenants;
-  const double t0 = now_ms();
+  const double t0 = bench::now_ms();
 
   ScaleSpec spec;
   spec.grid.sites = smoke ? 2 : 3;
@@ -218,19 +204,15 @@ Measurement measure(std::size_t tenants, std::size_t apps_per_tenant,
   if (m.span > 0.0) {
     m.throughput = static_cast<double>(m.completed) * 60.0 / m.span;
   }
-  m.wall_ms = now_ms() - t0;
+  m.wall_ms = bench::now_ms() - t0;
   return m;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  bench::Run run(argc, argv, "tenancy", "BENCH_TENANCY.json");
+  const bool smoke = run.smoke();
 
   bench::print_title("E12", "multi-tenant throughput and latency vs. tenants");
   bench::print_note(
@@ -246,15 +228,10 @@ int main(int argc, char** argv) {
   bench::Table table({"tenants", "apps", "completed", "deferred", "peak",
                       "p50_s", "p99_s", "apps/min", "max_wait_s", "wall_ms",
                       "audit"});
-  std::string json = "{\"bench\":\"tenancy\",\"smoke\":";
-  json += smoke ? "true" : "false";
-  json += ",\"apps_per_tenant\":" + std::to_string(apps_per_tenant);
-  json += ",\"configs\":[";
 
   bool all_success = true;
   bool no_double_booking = true;
   std::uint64_t conflicts = 0;
-  bool first = true;
   for (std::size_t tenants : tenant_counts) {
     Measurement m = measure(tenants, apps_per_tenant, smoke);
     all_success = all_success && m.all_success;
@@ -268,61 +245,34 @@ int main(int argc, char** argv) {
                    bench::Table::num(m.contention_max),
                    bench::Table::num(m.wall_ms, 1),
                    m.no_double_booking ? "exclusive" : "DOUBLE-BOOKED"});
-    if (!first) json += ",";
-    first = false;
-    json += "{\"tenants\":" + std::to_string(m.tenants) +
-            ",\"submitted\":" + std::to_string(m.submitted) +
-            ",\"completed\":" + std::to_string(m.completed) +
-            ",\"deferred\":" + std::to_string(m.deferred) +
-            ",\"peak_in_flight\":" + std::to_string(m.peak_in_flight) +
-            ",\"p50_s\":" + json_num(m.p50) +
-            ",\"p99_s\":" + json_num(m.p99) +
-            ",\"apps_per_min\":" + json_num(m.throughput) +
-            ",\"max_admission_wait_s\":" + json_num(m.contention_max) +
-            ",\"span_s\":" + json_num(m.span) +
-            ",\"wall_ms\":" + json_num(m.wall_ms) +
-            ",\"all_success\":" + (m.all_success ? "true" : "false") +
-            ",\"no_double_booking\":" +
-            (m.no_double_booking ? "true" : "false") +
-            ",\"reservation_conflicts\":" +
-            std::to_string(m.reservation_conflicts) + "}";
+    run.row("configs")
+        .num("tenants", m.tenants)
+        .num("submitted", m.submitted)
+        .num("completed", m.completed)
+        .num("deferred", m.deferred)
+        .num("peak_in_flight", m.peak_in_flight)
+        .num("p50_s", m.p50)
+        .num("p99_s", m.p99)
+        .num("apps_per_min", m.throughput)
+        .num("max_admission_wait_s", m.contention_max)
+        .num("span_s", m.span)
+        .num("wall_ms", m.wall_ms)
+        .flag("all_success", m.all_success)
+        .flag("no_double_booking", m.no_double_booking)
+        .num("reservation_conflicts", m.reservation_conflicts);
   }
-  json += "],\"all_success\":";
-  json += all_success ? "true" : "false";
-  json += ",\"no_double_booking\":";
-  json += no_double_booking ? "true" : "false";
-  json += ",\"reservation_conflicts\":" + std::to_string(conflicts);
-  json += "}";
-
   table.print();
-  std::printf("\n%s\n", json.c_str());
-  if (FILE* f = std::fopen("BENCH_TENANCY.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  }
-
-  if (check) {
-    if (!all_success) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: a submission was rejected or failed\n");
-      return 1;
-    }
-    if (!no_double_booking) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: a host was double-booked across "
-                   "applications\n");
-      return 1;
-    }
-    if (conflicts != 0) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: reservation table counted %llu acquire "
-                   "conflicts\n",
-                   static_cast<unsigned long long>(conflicts));
-      return 1;
-    }
-    std::printf(
-        "check: ok (every submission completed, hosts exclusive, 0 "
-        "reservation conflicts)\n");
-  }
-  return 0;
+  run.row("summary")
+      .num("apps_per_tenant", apps_per_tenant)
+      .flag("all_success", all_success)
+      .flag("no_double_booking", no_double_booking)
+      .num("reservation_conflicts", conflicts);
+  run.check("all_success", all_success,
+            "every submission was admitted and completed");
+  run.check("no_double_booking", no_double_booking,
+            "no host was shared by two applications at once");
+  run.check("reservation_conflicts", conflicts == 0,
+            bench::strf("%llu reservation-table acquire conflicts; budget 0",
+                        static_cast<unsigned long long>(conflicts)));
+  return run.finish();
 }
