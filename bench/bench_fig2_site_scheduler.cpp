@@ -12,8 +12,7 @@
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "db/site_repository.hpp"
-#include "sched/baselines.hpp"
-#include "sched/site_scheduler.hpp"
+#include "sched/strategy.hpp"
 #include "vdce/vdce.hpp"
 
 namespace {
@@ -51,7 +50,7 @@ std::unique_ptr<Setup> make_setup(std::size_t sites, std::size_t hosts,
   return setup;
 }
 
-double mean_makespan(sched::Scheduler& scheduler,
+double mean_makespan(const char* strategy,
                      const sched::SchedulerContext& context,
                      std::size_t tasks, int trials) {
   common::Stats stats;
@@ -61,7 +60,9 @@ double mean_makespan(sched::Scheduler& scheduler,
     spec.tasks = tasks;
     spec.width = 8;
     afg::Afg graph = afg::make_layered_dag(spec, rng);
-    auto table = scheduler.schedule(graph, context);
+    sched::SchedulingPolicy policy;
+    policy.strategy = strategy;
+    auto table = sched::plan(graph, context, policy);
     if (table) stats.add(table->schedule_length);
   }
   return stats.empty() ? -1.0 : stats.mean();
@@ -88,9 +89,8 @@ int main() {
       std::vector<std::string> row{std::to_string(tasks)};
       for (const char* name : {"vdce-level", "vdce-level-paper", "vdce-local",
                                "min-min", "random"}) {
-        auto scheduler = sched::make_scheduler(name);
         row.push_back(bench::Table::num(
-            mean_makespan(**scheduler, setup->context, tasks, kTrials), 2));
+            mean_makespan(name, setup->context, tasks, kTrials), 2));
       }
       table.add_row(std::move(row));
     }
@@ -104,9 +104,8 @@ int main() {
       auto setup = make_setup(sites, 6, 11);
       std::vector<std::string> row{std::to_string(sites)};
       for (const char* name : {"vdce-level", "vdce-local", "min-min"}) {
-        auto scheduler = sched::make_scheduler(name);
         row.push_back(bench::Table::num(
-            mean_makespan(**scheduler, setup->context, 80, kTrials), 2));
+            mean_makespan(name, setup->context, 80, kTrials), 2));
       }
       table.add_row(std::move(row));
     }

@@ -17,7 +17,7 @@
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "db/site_repository.hpp"
-#include "sched/site_scheduler.hpp"
+#include "sched/strategy.hpp"
 #include "vdce/vdce.hpp"
 
 namespace {
@@ -29,7 +29,6 @@ double mean_makespan(sched::PriorityMode priority,
                      const std::string& shape, double edge_bytes) {
   sched::SchedulingPolicy options;
   options.priority = priority;
-  sched::VdceSiteScheduler scheduler(options);
   common::Stats stats;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     common::Rng rng(300 + seed);
@@ -46,7 +45,7 @@ double mean_makespan(sched::PriorityMode priority,
     } else {
       graph = afg::make_reduction_tree(16, 500, edge_bytes);
     }
-    auto table = scheduler.schedule(graph, context);
+    auto table = sched::plan(graph, context, options);
     if (table) stats.add(table->schedule_length);
   }
   return stats.empty() ? -1.0 : stats.mean();

@@ -9,7 +9,7 @@
 //     (bounded-fan-in random DAGs) and layer widths from 4 to 32.
 //
 // Each configuration times sched::reference::schedule_naive (the frozen
-// pre-optimization algorithm) against VdceSiteScheduler::schedule and
+// pre-optimization algorithm) against sched::plan ("vdce-level") and
 // verifies the two allocation tables are bit-identical — the speedup is
 // only real if the caches change nothing.  Writes BENCH_SCALE.json
 // (bench_util.hpp schema).  Checks: every table pair is identical, and the
@@ -26,7 +26,7 @@
 #include "predict/model.hpp"
 #include "scale/generate.hpp"
 #include "sched/reference.hpp"
-#include "sched/site_scheduler.hpp"
+#include "sched/strategy.hpp"
 
 namespace {
 
@@ -81,7 +81,6 @@ struct Measurement {
 Measurement measure(Deployment& dep, const afg::Afg& graph, int opt_repeats) {
   Measurement m;
   sched::SchedulingPolicy options;  // availability-aware, paper levels
-  sched::VdceSiteScheduler scheduler(options);
 
   double t0 = bench::now_ms();
   auto naive = sched::reference::schedule_naive(graph, dep.context, options);
@@ -96,7 +95,7 @@ Measurement measure(Deployment& dep, const afg::Afg& graph, int opt_repeats) {
       common::Error{common::ErrorCode::kInternal, "unset"};
   t0 = bench::now_ms();
   for (int r = 0; r < opt_repeats; ++r) {
-    optimized = scheduler.schedule(graph, dep.context);
+    optimized = sched::plan(graph, dep.context, options);
   }
   m.opt_ms = (bench::now_ms() - t0) / opt_repeats;
   if (!optimized) {

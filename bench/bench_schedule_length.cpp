@@ -11,7 +11,7 @@
 #include "afg/generate.hpp"
 #include "bench_util.hpp"
 #include "db/site_repository.hpp"
-#include "sched/baselines.hpp"
+#include "sched/strategy.hpp"
 #include "vdce/vdce.hpp"
 
 namespace {
@@ -79,8 +79,10 @@ int main() {
     for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
       afg::Afg graph = make_shape(shape, 100 + seed);
       for (std::size_t s = 0; s < schedulers.size(); ++s) {
-        auto scheduler = sched::make_scheduler(schedulers[s], seed);
-        auto result = (*scheduler)->schedule(graph, context);
+        sched::SchedulingPolicy policy;
+        policy.strategy = schedulers[s];
+        policy.seed = seed;
+        auto result = sched::plan(graph, context, policy);
         if (result) mean[s] += result->schedule_length / kSeeds;
       }
     }

@@ -1,7 +1,7 @@
 // E-strategies — the scheduler-strategy plane: a strategy × staleness ×
 // workload sensitivity grid over the live simulated runtime.
 //
-// Every strategy registered with vdce::sched (docs/SCHEDULING.md) runs the
+// Every row of the strategy table (docs/SCHEDULING.md) runs the
 // same workload corpus end-to-end — submission, Fig. 2 bid gathering,
 // placement, simulated execution — under three monitoring-staleness
 // settings:
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
             : std::vector<WorkloadCase>{
                   {16, 4, 1201}, {24, 6, 1202}, {40, 8, 1203}, {64, 8, 1204}};
 
-  const std::vector<sched::StrategyInfo> strategies = sched::strategies();
+  const auto strategies = sched::strategies();
 
   bool all_success = true;
   bool all_tiled = true;
@@ -154,14 +154,15 @@ int main(int argc, char** argv) {
   bench::Table table({"strategy", "staleness", "ok", "mean_makespan_s",
                       "mean_sched_s", "cp_compute_s", "cp_transfer_s",
                       "cp_wait_s"});
-  for (const sched::StrategyInfo& info : strategies) {
+  for (const sched::Strategy& row : strategies) {
+    const std::string name(row.name);
     for (const StalenessSetting& stale : staleness) {
-      const Cell cell = run_cell(info.name, stale, cases);
+      const Cell cell = run_cell(name, stale, cases);
       const bool ok = cell.successes == cases.size() && cell.cases == cases.size();
       all_success = all_success && ok;
       all_tiled = all_tiled && cell.tiled;
       const double n = cell.successes ? double(cell.successes) : 1.0;
-      table.add_row({info.name, stale.label,
+      table.add_row({name, stale.label,
                      ok ? std::to_string(cell.successes) + "/" +
                               std::to_string(cases.size())
                         : "FAIL",
@@ -172,7 +173,7 @@ int main(int argc, char** argv) {
                      bench::Table::num(cell.phases.wait / n)});
       const obs::causal::PhaseTotals& p = cell.phases;
       run.row("grid")
-          .str("strategy", info.name)
+          .str("strategy", name)
           .str("staleness", stale.label)
           .num("cases", cell.cases)
           .num("successes", cell.successes)
@@ -195,7 +196,7 @@ int main(int argc, char** argv) {
       .flag("all_success", all_success)
       .flag("all_tiled", all_tiled);
   run.check("strategy_count", strategies.size() >= 8,
-            bench::strf("%zu strategies registered, need >= 8",
+            bench::strf("%zu strategies in the table, need >= 8",
                         strategies.size()));
   run.check("all_success", all_success,
             bench::strf("every run of %zu strategies x %zu staleness "

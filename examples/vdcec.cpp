@@ -11,9 +11,13 @@
 // Options:
 //   --sites N      testbed size (default 2)
 //   --hosts N      hosts per site (default 6)
-//   --seed N       testbed seed (default 7)
-//   --scheduler S  vdce-level | vdce-level-paper | heft | min-min |
-//                  min-load | round-robin | random (default vdce-level)
+//   --seed N       testbed seed, and the seed of "random" (default 7)
+//   --scheduler S  any row of the strategy table (default vdce-level);
+//                  the usage message lists them
+//
+// A flag without a value, an unknown flag, or a non-numeric count prints
+// the usage message and exits 2.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -30,8 +34,21 @@ int usage() {
   std::fprintf(stderr,
                "usage: vdcec <check|panels|schedule|run> <file.afg>\n"
                "             [--sites N] [--hosts N] [--seed N]\n"
-               "             [--scheduler NAME]\n");
+               "             [--scheduler NAME]\n"
+               "NAME (default vdce-level):\n");
+  for (const sched::Strategy& row : sched::strategies()) {
+    std::fprintf(stderr, "  %.*s\n", static_cast<int>(row.name.size()),
+                 row.name.data());
+  }
   return 2;
+}
+
+/// Parse a whole argument as an unsigned count; false on anything else.
+template <typename T>
+bool parse_count(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 common::Expected<std::string> slurp(const std::string& path) {
@@ -54,20 +71,23 @@ int main(int argc, char** argv) {
   std::size_t sites = 2, hosts = 6;
   std::uint64_t seed = 7;
   std::string scheduler_name = "vdce-level";
-  for (int i = 3; i + 1 < argc; i += 2) {
+  for (int i = 3; i < argc; i += 2) {
+    if (i + 1 == argc) return usage();  // a flag without its value
     const std::string flag = argv[i];
     const std::string value = argv[i + 1];
+    bool ok = true;
     if (flag == "--sites") {
-      sites = std::stoul(value);
+      ok = parse_count(value, sites);
     } else if (flag == "--hosts") {
-      hosts = std::stoul(value);
+      ok = parse_count(value, hosts);
     } else if (flag == "--seed") {
-      seed = std::stoull(value);
+      ok = parse_count(value, seed);
     } else if (flag == "--scheduler") {
       scheduler_name = value;
     } else {
-      return usage();
+      ok = false;
     }
+    if (!ok) return usage();
   }
 
   auto text = slurp(path);
@@ -114,19 +134,14 @@ int main(int argc, char** argv) {
   env.add_user("cli", "cli");
   auto session = env.login(common::SiteId(0), "cli", "cli").value();
 
-  // Non-default schedulers run synchronously against the environment's
-  // repositories; the default uses the full distributed pipeline.
+  // Non-default strategies run synchronously against the environment's
+  // repositories through sched::plan(); the default uses the full
+  // distributed pipeline.
   common::Expected<sched::ResourceAllocationTable> table =
       common::Error{common::ErrorCode::kInternal, "unset"};
   if (scheduler_name == "vdce-level") {
     table = env.schedule(*graph, session);
   } else {
-    auto scheduler = sched::make_scheduler(scheduler_name, seed);
-    if (!scheduler) {
-      std::fprintf(stderr, "error: %s\n",
-                   scheduler.error().to_string().c_str());
-      return 1;
-    }
     sched::SchedulerContext ctx;
     ctx.topology = &env.topology();
     for (const net::Site& s : env.topology().sites()) {
@@ -135,7 +150,10 @@ int main(int argc, char** argv) {
     ctx.predictor = &env.core().predictor();
     ctx.local_site = session.site;
     ctx.k_nearest = options.runtime.k_nearest;
-    table = (*scheduler)->schedule(*graph, ctx);
+    sched::SchedulingPolicy policy;
+    policy.strategy = scheduler_name;
+    policy.seed = seed;
+    table = sched::plan(*graph, ctx, policy);
   }
   if (!table) {
     std::fprintf(stderr, "scheduling failed: %s\n",

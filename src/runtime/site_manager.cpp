@@ -227,11 +227,22 @@ void SiteManager::schedule_application(common::AppId app,
                                        std::shared_ptr<const afg::Afg> graph,
                                        sched::SchedulingPolicy options,
                                        ScheduleCallback callback) {
+  auto resolved = sched::resolve(options);
+  if (!resolved) {
+    // The environment resolves policies at bring-up and submission, so
+    // reaching this means a direct caller bypassed that check.
+    core_.engine().schedule(
+        0.0, [callback, err = resolved.error()] { callback(err); });
+    return;
+  }
   auto ctx = make_context(app);
   PendingSchedule pending;
   pending.graph = graph;
-  pending.options = options;
-  pending.sites = sched::candidate_site_set(ctx, options);
+  pending.policy = std::move(*resolved);
+  // Candidate sites come from the resolved policy: a row's fixed access
+  // domain ("vdce-local") must clip the AFG multicast, not just the
+  // assignment.
+  pending.sites = sched::candidate_site_set(ctx, pending.policy.policy);
   pending.callback = std::move(callback);
   pending.started = core_.now();
   if (core_.metering()) core_.meters().counter("sched.requests").add();
@@ -350,14 +361,8 @@ void SiteManager::finish_schedule(std::uint32_t app_value) {
         .add(core_.now() - pending.started);
   }
   auto ctx = make_context(common::AppId(app_value));
-  auto strategy = sched::make_strategy(pending.options);
-  if (!strategy) {
-    // The environment validates policies at bring-up and submission, so
-    // reaching this means a direct caller bypassed validation.
-    pending.callback(strategy.error());
-    return;
-  }
-  pending.callback((*strategy)->assign(*pending.graph, ctx, outputs));
+  pending.callback(pending.policy.row->assign(*pending.graph, ctx, outputs,
+                                              pending.policy.policy));
 }
 
 // ---- execution coordination (Fig. 4) ----------------------------------------

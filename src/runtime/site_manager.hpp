@@ -42,6 +42,7 @@
 #include "runtime/execution.hpp"
 #include "runtime/protocol.hpp"
 #include "sched/site_scheduler.hpp"
+#include "sched/strategy.hpp"
 #include "sim/engine.hpp"
 
 namespace vdce::runtime {
@@ -100,7 +101,7 @@ class SiteManager {
  private:
   struct PendingSchedule {
     std::shared_ptr<const afg::Afg> graph;
-    sched::SchedulingPolicy options;
+    sched::ResolvedPolicy policy;
     std::vector<common::SiteId> sites;  ///< candidate set, local first
     std::optional<sched::HostSelectionOutput> local_output;
     /// Remote sites' outputs, aliasing the bids replies that carried them.

@@ -4,24 +4,11 @@
 #include <cassert>
 
 #include "common/rng.hpp"
-#include "sched/heft.hpp"
-#include "sched/list_variants.hpp"
 #include "sched/site_scheduler.hpp"
 
 namespace vdce::sched {
 
 namespace {
-
-/// Candidate sites for a baseline run: local plus the k nearest — the same
-/// universe the VDCE scheduler sees, so comparisons are apples-to-apples.
-std::vector<common::SiteId> candidate_sites(const SchedulerContext& context) {
-  std::vector<common::SiteId> sites{context.local_site};
-  for (common::SiteId s :
-       context.topology->nearest_sites(context.local_site, context.k_nearest)) {
-    sites.push_back(s);
-  }
-  return sites;
-}
 
 /// All feasible (site, machine, predicted) options for a sequential task
 /// across the candidate sites, in deterministic order.
@@ -77,7 +64,9 @@ common::Expected<ResourceAllocationTable> run_baseline(
   auto order = graph.topological_order();
   if (!order) return order.error();
 
-  const auto sites = candidate_sites(context);
+  // Local plus the k nearest — the same universe the VDCE scheduler sees
+  // under the global access domain, so comparisons are apples-to-apples.
+  const auto sites = candidate_site_set(context, {});
   const db::SiteRepository& local_repo = context.repo(context.local_site);
   ScheduleBuilder builder(graph, *context.topology);
   const common::HostId staging = context.topology->site(context.local_site).server;
@@ -114,7 +103,7 @@ common::Expected<ResourceAllocationTable> run_batch_heuristic(
   auto valid = graph.validate();
   if (!valid.ok()) return valid.error();
 
-  const auto sites = candidate_sites(context);
+  const auto sites = candidate_site_set(context, {});
   const db::SiteRepository& local_repo = context.repo(context.local_site);
   ScheduleBuilder builder(graph, *context.topology);
   const common::HostId staging = context.topology->site(context.local_site).server;
@@ -203,22 +192,26 @@ common::Expected<ResourceAllocationTable> run_batch_heuristic(
 
 }  // namespace
 
-common::Expected<ResourceAllocationTable> RandomScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
-  common::Rng rng(seed_);
+common::Expected<ResourceAllocationTable> assign_random(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const SchedulingPolicy& policy) {
+  common::Rng rng(policy.seed);
   return run_baseline(
-      graph, context, name(),
+      graph, context, "random",
       [&rng](afg::TaskId, const std::vector<Option>& options,
              const ScheduleBuilder&) -> const Option& {
         return options[rng.pick_index(options.size())];
       });
 }
 
-common::Expected<ResourceAllocationTable> RoundRobinScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
+common::Expected<ResourceAllocationTable> assign_round_robin(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const SchedulingPolicy& /*policy*/) {
   std::size_t cursor = 0;
   return run_baseline(
-      graph, context, name(),
+      graph, context, "round-robin",
       [&cursor](afg::TaskId, const std::vector<Option>& options,
                 const ScheduleBuilder&) -> const Option& {
         // Cycle by a global cursor; options are deterministically ordered,
@@ -227,10 +220,12 @@ common::Expected<ResourceAllocationTable> RoundRobinScheduler::schedule(
       });
 }
 
-common::Expected<ResourceAllocationTable> MinLoadScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
+common::Expected<ResourceAllocationTable> assign_min_load(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const SchedulingPolicy& /*policy*/) {
   return run_baseline(
-      graph, context, name(),
+      graph, context, "min-load",
       [](afg::TaskId, const std::vector<Option>& options,
          const ScheduleBuilder& builder) -> const Option& {
         // Least database-reported load; ties by machine occupancy, then
@@ -257,48 +252,22 @@ common::Expected<ResourceAllocationTable> MinLoadScheduler::schedule(
       });
 }
 
-common::Expected<ResourceAllocationTable> MinMinScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
+common::Expected<ResourceAllocationTable> assign_min_min(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const SchedulingPolicy& /*policy*/) {
   // The batch heuristics need their own driver: they reorder the ready set
   // each step.
-  return run_batch_heuristic(graph, context, name(), /*prefer_largest=*/false);
+  return run_batch_heuristic(graph, context, "min-min",
+                             /*prefer_largest=*/false);
 }
 
-common::Expected<ResourceAllocationTable> MaxMinScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
-  return run_batch_heuristic(graph, context, name(), /*prefer_largest=*/true);
-}
-
-common::Expected<std::unique_ptr<Scheduler>> make_scheduler(
-    const std::string& name, std::uint64_t seed) {
-  if (name == "random") return std::unique_ptr<Scheduler>(new RandomScheduler(seed));
-  if (name == "round-robin") {
-    return std::unique_ptr<Scheduler>(new RoundRobinScheduler());
-  }
-  if (name == "min-load") return std::unique_ptr<Scheduler>(new MinLoadScheduler());
-  if (name == "heft") return std::unique_ptr<Scheduler>(new HeftScheduler());
-  if (name == "min-min") return std::unique_ptr<Scheduler>(new MinMinScheduler());
-  if (name == "max-min") return std::unique_ptr<Scheduler>(new MaxMinScheduler());
-  if (name == "b-level") return std::unique_ptr<Scheduler>(new BLevelScheduler());
-  if (name == "t-level") return std::unique_ptr<Scheduler>(new TLevelScheduler());
-  if (name == "work-stealing") {
-    return std::unique_ptr<Scheduler>(new WorkStealingScheduler());
-  }
-  if (name == "vdce-level") {
-    return std::unique_ptr<Scheduler>(new VdceSiteScheduler());
-  }
-  if (name == "vdce-level-paper") {
-    SchedulingPolicy opts;
-    opts.objective = SiteObjective::kPaperObjective;
-    return std::unique_ptr<Scheduler>(new VdceSiteScheduler(opts));
-  }
-  if (name == "vdce-local") {
-    SchedulingPolicy opts;
-    opts.access = db::AccessDomain::kLocalSite;
-    return std::unique_ptr<Scheduler>(new VdceSiteScheduler(opts));
-  }
-  return common::Error{common::ErrorCode::kNotFound,
-                       "unknown scheduler: " + name};
+common::Expected<ResourceAllocationTable> assign_max_min(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const SchedulingPolicy& /*policy*/) {
+  return run_batch_heuristic(graph, context, "max-min",
+                             /*prefer_largest=*/true);
 }
 
 }  // namespace vdce::sched

@@ -1,82 +1,65 @@
-// Baseline schedulers for the evaluation (experiments E1/E2).
+// Baseline strategies for the evaluation (experiments E1/E2): rows of the
+// strategy table (sched/strategy.hpp).
 //
 // The paper's claim is relative: level-based, prediction-driven list
 // scheduling assigns "the most suitable available resources ... to minimize
 // the schedule length".  Quantifying that needs comparators; these are the
 // standard ones from the literature the paper cites:
 //
-//  * RandomScheduler     — uniformly random feasible machine per task.
-//  * RoundRobinScheduler — cycle through machines regardless of speed/load.
-//  * MinLoadScheduler    — greedy least-loaded machine (monitoring data but
-//                          no per-task prediction): isolates the value of
-//                          the prediction model.
-//  * MinMinScheduler     — classic min-min batch heuristic over ready
-//                          tasks: a strong prediction-driven comparator.
-//  * MaxMinScheduler     — max-min: same batch sweep, but the ready task
-//                          whose best completion time is *largest* goes
-//                          first, front-loading long tasks so they overlap
-//                          the many short ones.
-//  * local-only VDCE     — VdceSiteScheduler with AccessDomain::kLocalSite:
-//                          isolates the value of wide-area (k-site)
-//                          scheduling (E2).
+//  * "random"      — uniformly random feasible machine per task, seeded by
+//                    policy.seed.
+//  * "round-robin" — cycle through machines regardless of speed/load.
+//  * "min-load"    — greedy least-loaded machine (monitoring data but no
+//                    per-task prediction): isolates the value of the
+//                    prediction model.
+//  * "min-min"     — classic min-min batch heuristic over ready tasks: a
+//                    strong prediction-driven comparator.
+//  * "max-min"     — max-min: same batch sweep, but the ready task whose
+//                    best completion time is *largest* goes first,
+//                    front-loading long tasks so they overlap the many
+//                    short ones.
+//  * "vdce-local"  — the VDCE row restricted to AccessDomain::kLocalSite:
+//                    isolates the value of wide-area (k-site) scheduling
+//                    (E2).
 //
 // All baselines share ScheduleBuilder bookkeeping, so reported schedule
 // lengths are directly comparable.  Tasks are processed in topological
-// order (parents first) — required for data-ready computation.
+// order (parents first) — required for data-ready computation.  They ignore
+// the gathered outputs and the policy ("random" reads only its seed): the
+// candidate sites are always the local site plus its k nearest.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
+#include <vector>
 
 #include "sched/host_selection.hpp"
-#include "sched/schedule_builder.hpp"
+#include "sched/policy.hpp"
 #include "sched/support.hpp"
 
 namespace vdce::sched {
 
-class RandomScheduler final : public Scheduler {
- public:
-  explicit RandomScheduler(std::uint64_t seed) : seed_(seed) {}
-  [[nodiscard]] std::string name() const override { return "random"; }
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
+common::Expected<ResourceAllocationTable> assign_random(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
- private:
-  std::uint64_t seed_;
-};
+common::Expected<ResourceAllocationTable> assign_round_robin(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
-class RoundRobinScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "round-robin"; }
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
-};
+common::Expected<ResourceAllocationTable> assign_min_load(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
-class MinLoadScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "min-load"; }
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
-};
+common::Expected<ResourceAllocationTable> assign_min_min(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
-class MinMinScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "min-min"; }
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
-};
-
-class MaxMinScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "max-min"; }
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
-};
-
-/// Factory covering every named scheduler in the bench harness, including
-/// "vdce-level", "vdce-level-paper" and "vdce-local".
-common::Expected<std::unique_ptr<Scheduler>> make_scheduler(
-    const std::string& name, std::uint64_t seed = 42);
+common::Expected<ResourceAllocationTable> assign_max_min(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
 }  // namespace vdce::sched

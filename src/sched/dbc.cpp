@@ -116,10 +116,12 @@ common::Expected<HostBid> parallel_bid(const afg::TaskNode& node,
   return best;
 }
 
+enum class Mode { kCost, kTime };
+
 /// The constrained list scheduler shared by both modes.
 common::Expected<ResourceAllocationTable> schedule_constrained(
     const afg::Afg& graph, const SchedulerContext& context,
-    const SchedulingPolicy& policy, DbcStrategy::Mode mode,
+    const SchedulingPolicy& policy, Mode mode,
     const std::string& scheduler_name) {
   assert(context.topology != nullptr && context.predictor != nullptr);
   assert(context.prices != nullptr);
@@ -210,7 +212,7 @@ common::Expected<ResourceAllocationTable> schedule_constrained(
             transfer_quote(task, o.host, o.site);
         bool ok = true;
         bool better = false;
-        if (mode == DbcStrategy::Mode::kCost) {
+        if (mode == Mode::kCost) {
           // Deadline-feasible iff this finish leaves the mean remaining
           // path enough room; among feasible, cheapest quote wins.
           ok = policy.deadline <= 0.0 || finish + tail <= policy.deadline;
@@ -269,22 +271,38 @@ common::Expected<ResourceAllocationTable> schedule_constrained(
   return builder.build(graph.name(), scheduler_name);
 }
 
+/// Both rows: with no prices or no constraints there is no economic
+/// objective, so the placement is exactly the default time-optimising
+/// assignment phase under this policy — byte-identical to vdce-level/
+/// vdce-level-paper (tests/test_differential.cpp), only the attribution
+/// name differs.
+common::Expected<ResourceAllocationTable> assign_dbc(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy, Mode mode) {
+  const std::string name = mode == Mode::kCost ? "dbc-cost" : "dbc-time";
+  const bool economic = context.prices != nullptr &&
+                        (policy.deadline > 0.0 || policy.budget > 0.0);
+  if (!economic) {
+    return assign_with_outputs(graph, context, outputs, policy, name);
+  }
+  return schedule_constrained(graph, context, policy, mode, name);
+}
+
 }  // namespace
 
-common::Expected<ResourceAllocationTable> DbcStrategy::assign(
+common::Expected<ResourceAllocationTable> assign_dbc_cost(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs) {
-  const bool economic =
-      context.prices != nullptr &&
-      (policy_.deadline > 0.0 || policy_.budget > 0.0);
-  if (!economic) {
-    // No prices or no constraints: there is no economic objective, so the
-    // placement is exactly the default time-optimising assignment phase
-    // under this policy — byte-identical to vdce-level/vdce-level-paper
-    // (tests/test_differential.cpp), only the attribution name differs.
-    return assign_with_outputs(graph, context, outputs, policy_, name());
-  }
-  return schedule_constrained(graph, context, policy_, mode_, name());
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy) {
+  return assign_dbc(graph, context, outputs, policy, Mode::kCost);
+}
+
+common::Expected<ResourceAllocationTable> assign_dbc_time(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy) {
+  return assign_dbc(graph, context, outputs, policy, Mode::kTime);
 }
 
 }  // namespace vdce::sched

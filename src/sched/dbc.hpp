@@ -1,9 +1,9 @@
 // Deadline/budget-constrained (DBC) scheduling strategies
 // (docs/ECONOMY.md; Buyya/Murshed/Abramson, arXiv cs/0203020).
 //
-// Two registry strategies turn the economy plane's prices (econ::CostModel
-// via SchedulerContext::prices) and the policy's deadline/budget constraints
-// into placement decisions:
+// Two rows of the strategy table (sched/strategy.hpp) turn the economy
+// plane's prices (econ::CostModel via SchedulerContext::prices) and the
+// policy's deadline/budget constraints into placement decisions:
 //
 //  * "dbc-cost" — cost-optimisation: minimise quoted spend subject to the
 //    deadline.  Rank by upward rank (b-level); for each ready task keep the
@@ -29,31 +29,22 @@
 // every existing plane for free.
 #pragma once
 
-#include <string>
+#include <vector>
 
+#include "sched/host_selection.hpp"
 #include "sched/policy.hpp"
-#include "sched/strategy.hpp"
+#include "sched/support.hpp"
 
 namespace vdce::sched {
 
-class DbcStrategy final : public SchedulerStrategy {
- public:
-  enum class Mode { kCost, kTime };
+common::Expected<ResourceAllocationTable> assign_dbc_cost(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
-  DbcStrategy(Mode mode, SchedulingPolicy policy)
-      : mode_(mode), policy_(std::move(policy)) {}
-
-  [[nodiscard]] std::string name() const override {
-    return mode_ == Mode::kCost ? "dbc-cost" : "dbc-time";
-  }
-
-  common::Expected<ResourceAllocationTable> assign(
-      const afg::Afg& graph, const SchedulerContext& context,
-      const std::vector<HostSelectionOutput>& outputs) override;
-
- private:
-  Mode mode_;
-  SchedulingPolicy policy_;
-};
+common::Expected<ResourceAllocationTable> assign_dbc_time(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
 }  // namespace vdce::sched

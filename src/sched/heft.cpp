@@ -41,8 +41,10 @@ struct MachineSchedule {
 
 }  // namespace
 
-common::Expected<ResourceAllocationTable> HeftScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
+common::Expected<ResourceAllocationTable> assign_heft(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const SchedulingPolicy& /*policy*/) {
   assert(context.topology != nullptr && context.predictor != nullptr);
   auto valid = graph.validate();
   if (!valid.ok()) return valid.error();
@@ -148,7 +150,7 @@ common::Expected<ResourceAllocationTable> HeftScheduler::schedule(
                      best->host.predicted, best_start);
   }
 
-  return builder.build(graph.name(), name());
+  return builder.build(graph.name(), "heft");
 }
 
 }  // namespace vdce::sched

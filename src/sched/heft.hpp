@@ -16,19 +16,20 @@
 // already-scheduled tasks on a machine.
 #pragma once
 
-#include <string>
+#include <vector>
 
 #include "sched/host_selection.hpp"
+#include "sched/policy.hpp"
 #include "sched/support.hpp"
 
 namespace vdce::sched {
 
-class HeftScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "heft"; }
-
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
-};
+/// The "heft" row of the strategy table (sched/strategy.hpp).  The
+/// candidate sites are always the local site plus its k nearest: HEFT
+/// ignores the outputs and every policy knob.
+common::Expected<ResourceAllocationTable> assign_heft(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
 }  // namespace vdce::sched

@@ -183,12 +183,14 @@ struct EarliestFinishPick {
 
 }  // namespace
 
-common::Expected<ResourceAllocationTable> BLevelScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
+common::Expected<ResourceAllocationTable> assign_b_level(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const SchedulingPolicy& policy) {
   assert(context.topology != nullptr && context.predictor != nullptr);
   auto valid = graph.validate();
   if (!valid.ok()) return valid.error();
-  const auto sites = candidate_site_set(context, policy_);
+  const auto sites = candidate_site_set(context, policy);
   auto pre = precompute(graph, context, sites);
   if (!pre) return pre.error();
 
@@ -202,16 +204,18 @@ common::Expected<ResourceAllocationTable> BLevelScheduler::schedule(
 
   const common::HostId staging =
       context.topology->site(context.local_site).server;
-  return run_list_variant(graph, context, sites, *pre, ranks->level, name(),
+  return run_list_variant(graph, context, sites, *pre, ranks->level, "b-level",
                           EarliestFinishPick{staging});
 }
 
-common::Expected<ResourceAllocationTable> TLevelScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
+common::Expected<ResourceAllocationTable> assign_t_level(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const SchedulingPolicy& policy) {
   assert(context.topology != nullptr && context.predictor != nullptr);
   auto valid = graph.validate();
   if (!valid.ok()) return valid.error();
-  const auto sites = candidate_site_set(context, policy_);
+  const auto sites = candidate_site_set(context, policy);
   auto pre = precompute(graph, context, sites);
   if (!pre) return pre.error();
 
@@ -226,16 +230,18 @@ common::Expected<ResourceAllocationTable> TLevelScheduler::schedule(
 
   const common::HostId staging =
       context.topology->site(context.local_site).server;
-  return run_list_variant(graph, context, sites, *pre, priority, name(),
+  return run_list_variant(graph, context, sites, *pre, priority, "t-level",
                           EarliestFinishPick{staging});
 }
 
-common::Expected<ResourceAllocationTable> WorkStealingScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
+common::Expected<ResourceAllocationTable> assign_work_stealing(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const SchedulingPolicy& policy) {
   assert(context.topology != nullptr && context.predictor != nullptr);
   auto valid = graph.validate();
   if (!valid.ok()) return valid.error();
-  const auto sites = candidate_site_set(context, policy_);
+  const auto sites = candidate_site_set(context, policy);
   auto pre = precompute(graph, context, sites);
   if (!pre) return pre.error();
 
@@ -269,8 +275,8 @@ common::Expected<ResourceAllocationTable> WorkStealingScheduler::schedule(
     }
     return *best;
   };
-  return run_list_variant(graph, context, sites, *pre, ranks->level, name(),
-                          steal_pick);
+  return run_list_variant(graph, context, sites, *pre, ranks->level,
+                          "work-stealing", steal_pick);
 }
 
 }  // namespace vdce::sched

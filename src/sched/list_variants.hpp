@@ -6,28 +6,29 @@
 // minimize?).  These variants fill in the neighbouring points so the
 // strategy × staleness sensitivity grid (bench_strategies) can show how the
 // *family* degrades under imperfect resource information, not just one
-// member:
+// member.  Each is a row of the strategy table (sched/strategy.hpp):
 //
-//  * BLevelScheduler ("b-level") — rank by bottom level (mean execution +
-//    communication to an exit node: HEFT's upward rank), placement by
-//    earliest finish over all feasible machines *without* HEFT's
-//    insertion — isolates the value of slot insertion.
-//  * TLevelScheduler ("t-level") — rank by smallest top level (longest
-//    mean path from an entry node, exclusive of the task itself): tasks
-//    that can start earliest go first, the ASAP companion to b-level.
-//  * WorkStealingScheduler ("work-stealing") — idle-worker pull: the
-//    highest-ranked ready task is stolen by whichever feasible machine can
-//    *start* it earliest, regardless of speed.  Models decentralized
-//    worker-pull systems where placement is availability-driven and
-//    speed-oblivious; the gap to b-level measures what prediction buys.
+//  * "b-level" — rank by bottom level (mean execution + communication to
+//    an exit node: HEFT's upward rank), placement by earliest finish over
+//    all feasible machines *without* HEFT's insertion — isolates the value
+//    of slot insertion.
+//  * "t-level" — rank by smallest top level (longest mean path from an
+//    entry node, exclusive of the task itself): tasks that can start
+//    earliest go first, the ASAP companion to b-level.
+//  * "work-stealing" — idle-worker pull: the highest-ranked ready task is
+//    stolen by whichever feasible machine can *start* it earliest,
+//    regardless of speed.  Models decentralized worker-pull systems where
+//    placement is availability-driven and speed-oblivious; the gap to
+//    b-level measures what prediction buys.
 //
-// MaxMinScheduler ("max-min", baselines.hpp) completes the set on the batch
-// side.  All variants share ScheduleBuilder bookkeeping and the Fig. 3
-// group rule for parallel tasks, so schedule lengths are directly
-// comparable with every other strategy.
+// "max-min" (baselines.hpp) completes the set on the batch side.  All
+// variants share ScheduleBuilder bookkeeping and the Fig. 3 group rule for
+// parallel tasks, so schedule lengths are directly comparable with every
+// other strategy.  They ignore the gathered outputs; the policy only clips
+// their candidate sites (candidate_site_set).
 #pragma once
 
-#include <string>
+#include <vector>
 
 #include "sched/host_selection.hpp"
 #include "sched/policy.hpp"
@@ -35,38 +36,19 @@
 
 namespace vdce::sched {
 
-class BLevelScheduler final : public Scheduler {
- public:
-  explicit BLevelScheduler(SchedulingPolicy policy = {}) : policy_(policy) {}
-  [[nodiscard]] std::string name() const override { return "b-level"; }
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
+common::Expected<ResourceAllocationTable> assign_b_level(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
- private:
-  SchedulingPolicy policy_;
-};
+common::Expected<ResourceAllocationTable> assign_t_level(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
-class TLevelScheduler final : public Scheduler {
- public:
-  explicit TLevelScheduler(SchedulingPolicy policy = {}) : policy_(policy) {}
-  [[nodiscard]] std::string name() const override { return "t-level"; }
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
-
- private:
-  SchedulingPolicy policy_;
-};
-
-class WorkStealingScheduler final : public Scheduler {
- public:
-  explicit WorkStealingScheduler(SchedulingPolicy policy = {})
-      : policy_(policy) {}
-  [[nodiscard]] std::string name() const override { return "work-stealing"; }
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
-
- private:
-  SchedulingPolicy policy_;
-};
+common::Expected<ResourceAllocationTable> assign_work_stealing(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy);
 
 }  // namespace vdce::sched

@@ -1,13 +1,10 @@
 // SchedulingPolicy — the value type users hand to the environment to say
 // *how* an application should be scheduled (docs/SCHEDULING.md).
 //
-// Historically the run options embedded the VDCE site scheduler's own
-// option struct, which hard-coded one algorithm family.  The policy object
-// decouples the *request* ("schedule this with HEFT, honour my access
-// domain, penalize stale samples") from the *implementation* (a
-// SchedulerStrategy resolved from the registry in sched/strategy.hpp), so
-// new strategy backends plug in without touching the runtime or the
-// environment API.
+// The policy decouples the *request* ("schedule this with HEFT, honour my
+// access domain, penalize stale samples") from the *implementation* (a row
+// of the strategy table in sched/strategy.hpp), so new strategies plug in
+// without touching the runtime or the environment API.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +34,7 @@ enum class PriorityMode { kPaperLevels, kCommLevels, kFifo };
 
 /// How one application should be scheduled.
 struct SchedulingPolicy {
-  /// Registered strategy name (sched::strategies() lists them: "vdce-level",
+  /// Strategy-table row name (sched::strategies() lists them: "vdce-level",
   /// "heft", "min-min", "max-min", "b-level", "t-level", "work-stealing",
   /// ...).  Empty selects the default VDCE strategy implied by `objective`
   /// ("vdce-level", or "vdce-level-paper" under kPaperObjective) — exactly
@@ -58,11 +55,10 @@ struct SchedulingPolicy {
   /// Graceful degradation under stale monitoring data: a host whose last
   /// repository sample is older than `stale_after` (relative to
   /// SchedulerContext::now) has its predicted times multiplied by
-  /// `stale_penalty`, so fresh information wins ties and silently muted
-  /// monitors stop attracting work.  0 disables the check (default — the
-  /// offline planners have no meaningful clock).
+  /// sched::kStalePenalty (site_scheduler.hpp), so fresh information wins
+  /// ties and silently muted monitors stop attracting work.  0 disables the
+  /// check (default — the offline planners have no meaningful clock).
   common::SimDuration stale_after = 0.0;
-  double stale_penalty = 1.5;
 
   /// Seed for strategies with randomized tie-breaking ("random").
   std::uint64_t seed = 42;
@@ -74,31 +70,22 @@ struct SchedulingPolicy {
   /// start; when false, any pending foreign window makes the machine
   /// inadmissible until the window ends.  Either way an *active* foreign
   /// window always blocks — a backfilled application may never delay a
-  /// committed window's start.  Irrelevant (a single never-taken branch)
-  /// while no windows are committed.
+  /// committed window's start.  The completion estimate is guarded by a
+  /// fixed safety factor (kBackfillGuard in site_scheduler.cpp).
+  /// Irrelevant (a single never-taken branch) while no windows are
+  /// committed.
   bool backfill = true;
-  /// Safety factor applied to a backfill candidate's predicted completion
-  /// before comparing it against the next committed window start:
-  /// admissible iff now + backfill_guard * (predicted finish - now) <= the
-  /// window start.  Absorbs execution noise, setup lag, and load drift so
-  /// the no-delay invariant holds in practice (bench_reservations --check
-  /// gates it).
-  double backfill_guard = 2.0;
 
   // --- economy (docs/ECONOMY.md) ------------------------------------------
   /// User-level economic constraints, in seconds of simulated time and G$
   /// respectively; 0 means unconstrained.  The environment copies
   /// RunOptions.deadline / RunOptions.budget here at submission so the
-  /// resolved strategy sees exactly what the user asked for.  Only the
+  /// strategy sees exactly what the user asked for.  Only the
   /// cost-aware strategies ("dbc-cost", "dbc-time") read them; with both at
   /// zero those strategies place identically to the default time-optimising
   /// path (tests/test_differential.cpp pins this).
   double deadline = 0.0;
   double budget = 0.0;
 };
-
-/// The concrete strategy name `policy` resolves to: `policy.strategy` when
-/// set, otherwise the VDCE default implied by the objective.
-[[nodiscard]] std::string resolved_strategy_name(const SchedulingPolicy& policy);
 
 }  // namespace vdce::sched

@@ -267,7 +267,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs_naive(
     if (context.now - record.last_sample_time() <= options.stale_after) {
       return 1.0;
     }
-    return options.stale_penalty;
+    return kStalePenalty;
   };
 
   common::Error cost_error{common::ErrorCode::kInternal, ""};

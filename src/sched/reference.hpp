@@ -35,7 +35,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs_naive(
 
 /// The full Fig. 2 pipeline (candidate sites -> host selection -> naive
 /// assignment).  Produces a table that must be bit-identical to
-/// VdceSiteScheduler::schedule() under the same options, except for the
+/// sched::plan() under the same VDCE options, except for the
 /// scheduler_name, which is "<name>-naive".
 common::Expected<ResourceAllocationTable> schedule_naive(
     const afg::Afg& graph, const SchedulerContext& context,

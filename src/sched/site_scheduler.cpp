@@ -9,6 +9,13 @@ namespace vdce::sched {
 
 namespace {
 
+/// Safety factor applied to a backfill candidate's predicted completion
+/// before comparing it against the next committed window start: admissible
+/// iff now + kBackfillGuard * (predicted finish - now) <= the window start.
+/// Absorbs execution noise, setup lag, and load drift so the no-delay
+/// invariant holds in practice (bench_reservations --check gates it).
+constexpr double kBackfillGuard = 2.0;
+
 /// Candidate placement at one site with its evaluated objective and the
 /// timing that placing it there would produce.
 struct SiteCandidate {
@@ -85,7 +92,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
       return 1.0;
     }
     ++stale_hosts_seen;
-    return options.stale_penalty;
+    return kStalePenalty;
   };
 
   // --- priorities: level of each node, computed before scheduling (§3) ---
@@ -187,7 +194,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
     }
     const common::SimTime est_finish =
         finish_rel < 0.0 ? -1.0
-                         : context.now + options.backfill_guard * finish_rel;
+                         : context.now + kBackfillGuard * finish_rel;
     if (windows->window_blocked(h, context.reserving_app, context.now,
                                 est_finish, options.backfill)) {
       ++window_skips;
@@ -452,26 +459,6 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
     }
   }
   return table;
-}
-
-common::Expected<ResourceAllocationTable> VdceSiteScheduler::schedule(
-    const afg::Afg& graph, const SchedulerContext& context) {
-  auto valid = graph.validate();
-  if (!valid.ok()) return valid.error();
-
-  const auto sites = candidate_site_set(context, options_);
-
-  // Fig. 2 steps 3-5: host selection at every candidate site.  (The
-  // distributed runtime performs this over the fabric; this synchronous
-  // entry point calls each site's algorithm directly.)
-  std::vector<HostSelectionOutput> outputs;
-  for (common::SiteId s : sites) {
-    auto out = HostSelectionAlgorithm::run(graph, s, context.repo(s),
-                                           *context.predictor);
-    if (!out) return out.error();
-    outputs.push_back(std::move(*out));
-  }
-  return assign_with_outputs(graph, context, outputs, options_, name());
 }
 
 }  // namespace vdce::sched

@@ -19,7 +19,7 @@
 // Priorities come from the level computation (levels.hpp): "the node with a
 // higher level value will have a higher priority for scheduling" (§3).
 //
-// Two fidelity modes, selectable for ablation (bench_site_scheduler):
+// Two fidelity modes, selectable for ablation (bench_fig2_site_scheduler):
 //  * kPaperObjective  — the literal Fig. 2 objective: per-site transfer
 //    term plus the static host-selection prediction, ignoring machine
 //    occupancy.  Matches the pseudocode exactly.
@@ -39,10 +39,15 @@
 
 namespace vdce::sched {
 
+/// Graceful degradation under stale monitoring data: with
+/// SchedulingPolicy::stale_after set, a host whose last repository sample is
+/// older than that has its predicted times multiplied by this penalty.
+inline constexpr double kStalePenalty = 1.5;
+
 /// The assignment phase of Fig. 2 (steps 6-7), taking host-selection
-/// outputs that were already collected — locally by VdceSiteScheduler, or
-/// over the fabric by the distributed runtime (real AFG multicast).
-/// `outputs` must contain one entry per candidate site, local site first.
+/// outputs that were already collected — locally by sched::plan(), or over
+/// the fabric by the distributed runtime (real AFG multicast).  `outputs`
+/// must contain one entry per candidate site, local site first.
 common::Expected<ResourceAllocationTable> assign_with_outputs(
     const afg::Afg& graph, const SchedulerContext& context,
     const std::vector<HostSelectionOutput>& outputs,
@@ -52,23 +57,5 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
 /// nearest neighbours, clipped by the user's access domain.
 std::vector<common::SiteId> candidate_site_set(
     const SchedulerContext& context, const SchedulingPolicy& options);
-
-class VdceSiteScheduler final : public Scheduler {
- public:
-  explicit VdceSiteScheduler(SchedulingPolicy options = {})
-      : options_(options) {}
-
-  [[nodiscard]] std::string name() const override {
-    return options_.objective == SiteObjective::kPaperObjective
-               ? "vdce-level-paper"
-               : "vdce-level";
-  }
-
-  common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) override;
-
- private:
-  SchedulingPolicy options_;
-};
 
 }  // namespace vdce::sched

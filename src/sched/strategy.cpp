@@ -1,5 +1,7 @@
 #include "sched/strategy.hpp"
 
+#include <array>
+#include <string>
 #include <utility>
 
 #include "sched/baselines.hpp"
@@ -10,249 +12,143 @@
 
 namespace vdce::sched {
 
-std::string resolved_strategy_name(const SchedulingPolicy& policy) {
-  if (!policy.strategy.empty()) return policy.strategy;
-  return policy.objective == SiteObjective::kPaperObjective ? "vdce-level-paper"
-                                                            : "vdce-level";
-}
-
 namespace {
 
-/// The VDCE assignment phase (Fig. 2 steps 6-7) as a strategy: the one
-/// backend that consumes the runtime's gathered host-selection outputs
-/// directly.  With an empty policy.strategy this is byte-for-byte the
-/// pre-registry dispatch, which the strategies differential test pins.
-class VdceAssignStrategy final : public SchedulerStrategy {
- public:
-  VdceAssignStrategy(std::string name, SchedulingPolicy policy)
-      : name_(std::move(name)), policy_(std::move(policy)) {}
+/// The VDCE assignment phase (Fig. 2 steps 6-7): the one family that
+/// consumes the gathered host-selection outputs directly.  The three VDCE
+/// rows differ only in the fixed settings resolve() applies.
+common::Expected<ResourceAllocationTable> assign_vdce(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy) {
+  return assign_with_outputs(graph, context, outputs, policy, policy.strategy);
+}
 
-  [[nodiscard]] std::string name() const override { return name_; }
-
-  common::Expected<ResourceAllocationTable> assign(
-      const afg::Afg& graph, const SchedulerContext& context,
-      const std::vector<HostSelectionOutput>& outputs) override {
-    return assign_with_outputs(graph, context, outputs, policy_, name_);
-  }
-
- private:
-  std::string name_;
-  SchedulingPolicy policy_;
+constexpr std::array kStrategies{
+    Strategy{"vdce-level",
+             "VDCE site scheduler (Fig. 2), availability-aware objective: "
+             "level-priority list scheduling, candidates re-ranked by earliest "
+             "finish under current occupancy.  Honours priority/access/"
+             "staleness tuning.  The default strategy.",
+             assign_vdce},
+    Strategy{"vdce-level-paper",
+             "VDCE site scheduler with the literal Fig. 2 objective: per-site "
+             "transfer term plus the static host-selection prediction, machine "
+             "occupancy ignored.",
+             assign_vdce},
+    Strategy{"vdce-local",
+             "VDCE site scheduler restricted to the local site (AccessDomain::"
+             "kLocalSite): isolates the value of wide-area scheduling.",
+             assign_vdce},
+    Strategy{"heft",
+             "Heterogeneous Earliest Finish Time (Topcuoglu et al.): upward-"
+             "rank priority with insertion-based earliest-finish placement.",
+             assign_heft},
+    Strategy{"min-min",
+             "Classic min-min batch heuristic: each step places the ready task "
+             "whose best completion time is smallest.",
+             assign_min_min},
+    Strategy{"max-min",
+             "Max-min batch heuristic: each step places the ready task whose "
+             "best completion time is largest, front-loading long tasks.",
+             assign_max_min},
+    Strategy{"b-level",
+             "Bottom-level list scheduling: upward-rank priority (as HEFT) with "
+             "earliest-finish placement but no slot insertion — isolates the "
+             "value of HEFT's insertion.",
+             assign_b_level},
+    Strategy{"t-level",
+             "Top-level list scheduling: the ready task with the smallest top "
+             "level (earliest possible start) goes first — the ASAP companion "
+             "to b-level.",
+             assign_t_level},
+    Strategy{"work-stealing",
+             "Idle-worker pull: the highest-ranked ready task is stolen by the "
+             "feasible machine that can start it earliest, regardless of speed "
+             "— models decentralized, availability-driven placement.",
+             assign_work_stealing},
+    Strategy{"min-load",
+             "Greedy least-loaded machine (monitoring data, no per-task "
+             "prediction): isolates the value of the prediction model.",
+             assign_min_load},
+    Strategy{"round-robin",
+             "Cycle through the feasible machines regardless of speed or load.",
+             assign_round_robin},
+    Strategy{"random",
+             "Uniformly random feasible machine per task, seeded by "
+             "policy.seed.",
+             assign_random},
+    Strategy{"dbc-cost",
+             "Deadline/budget-constrained cost-optimisation (Buyya et al., "
+             "arXiv cs/0203020): minimise quoted spend subject to the policy "
+             "deadline.  Without prices or constraints, identical to the "
+             "default assignment phase (docs/ECONOMY.md).",
+             assign_dbc_cost},
+    Strategy{"dbc-time",
+             "Deadline/budget-constrained time-optimisation (Buyya et al., "
+             "arXiv cs/0203020): minimise completion time subject to the "
+             "policy budget.  Without prices or constraints, identical to the "
+             "default assignment phase (docs/ECONOMY.md).",
+             assign_dbc_time},
 };
-
-/// Adapter running an offline planner (sched::Scheduler) as a strategy.
-/// The gathered outputs are ignored: the planner re-derives its own view
-/// from the same live repositories through the context, so it sees exactly
-/// the information the bids were computed from.
-class PlannerStrategy final : public SchedulerStrategy {
- public:
-  explicit PlannerStrategy(std::unique_ptr<Scheduler> planner)
-      : planner_(std::move(planner)) {}
-
-  [[nodiscard]] std::string name() const override { return planner_->name(); }
-
-  common::Expected<ResourceAllocationTable> assign(
-      const afg::Afg& graph, const SchedulerContext& context,
-      const std::vector<HostSelectionOutput>& /*outputs*/) override {
-    return planner_->schedule(graph, context);
-  }
-
- private:
-  std::unique_ptr<Scheduler> planner_;
-};
-
-struct Entry {
-  StrategyInfo info;
-  StrategyFactory factory;
-};
-
-/// Wrap a planner constructor into a StrategyFactory.
-template <typename MakePlanner>
-StrategyFactory planner_factory(MakePlanner make) {
-  return [make](const SchedulingPolicy& policy) {
-    return std::unique_ptr<SchedulerStrategy>(new PlannerStrategy(make(policy)));
-  };
-}
-
-std::vector<Entry> builtin_entries() {
-  std::vector<Entry> entries;
-  auto add = [&entries](std::string name, std::string description,
-                        StrategyFactory factory) {
-    entries.push_back(Entry{StrategyInfo{std::move(name), std::move(description)},
-                            std::move(factory)});
-  };
-
-  add("vdce-level",
-      "VDCE site scheduler (Fig. 2), availability-aware objective: level-"
-      "priority list scheduling, candidates re-ranked by earliest finish "
-      "under current occupancy.  Honours priority/access/staleness tuning.  "
-      "The default strategy.",
-      [](const SchedulingPolicy& policy) {
-        SchedulingPolicy p = policy;
-        p.objective = SiteObjective::kAvailabilityAware;
-        return std::unique_ptr<SchedulerStrategy>(
-            new VdceAssignStrategy("vdce-level", p));
-      });
-  add("vdce-level-paper",
-      "VDCE site scheduler with the literal Fig. 2 objective: per-site "
-      "transfer term plus the static host-selection prediction, machine "
-      "occupancy ignored.",
-      [](const SchedulingPolicy& policy) {
-        SchedulingPolicy p = policy;
-        p.objective = SiteObjective::kPaperObjective;
-        return std::unique_ptr<SchedulerStrategy>(
-            new VdceAssignStrategy("vdce-level-paper", p));
-      });
-  add("vdce-local",
-      "VDCE site scheduler restricted to the local site (AccessDomain::"
-      "kLocalSite): isolates the value of wide-area scheduling.",
-      [](const SchedulingPolicy& policy) {
-        SchedulingPolicy p = policy;
-        p.objective = SiteObjective::kAvailabilityAware;
-        p.access = db::AccessDomain::kLocalSite;
-        return std::unique_ptr<SchedulerStrategy>(
-            new VdceAssignStrategy("vdce-local", p));
-      });
-  add("heft",
-      "Heterogeneous Earliest Finish Time (Topcuoglu et al.): upward-rank "
-      "priority with insertion-based earliest-finish placement.",
-      planner_factory([](const SchedulingPolicy&) {
-        return std::unique_ptr<Scheduler>(new HeftScheduler());
-      }));
-  add("min-min",
-      "Classic min-min batch heuristic: each step places the ready task "
-      "whose best completion time is smallest.",
-      planner_factory([](const SchedulingPolicy&) {
-        return std::unique_ptr<Scheduler>(new MinMinScheduler());
-      }));
-  add("max-min",
-      "Max-min batch heuristic: each step places the ready task whose best "
-      "completion time is largest, front-loading long tasks.",
-      planner_factory([](const SchedulingPolicy&) {
-        return std::unique_ptr<Scheduler>(new MaxMinScheduler());
-      }));
-  add("b-level",
-      "Bottom-level list scheduling: upward-rank priority (as HEFT) with "
-      "earliest-finish placement but no slot insertion — isolates the value "
-      "of HEFT's insertion.",
-      planner_factory([](const SchedulingPolicy& policy) {
-        return std::unique_ptr<Scheduler>(new BLevelScheduler(policy));
-      }));
-  add("t-level",
-      "Top-level list scheduling: the ready task with the smallest top "
-      "level (earliest possible start) goes first — the ASAP companion to "
-      "b-level.",
-      planner_factory([](const SchedulingPolicy& policy) {
-        return std::unique_ptr<Scheduler>(new TLevelScheduler(policy));
-      }));
-  add("work-stealing",
-      "Idle-worker pull: the highest-ranked ready task is stolen by the "
-      "feasible machine that can start it earliest, regardless of speed — "
-      "models decentralized, availability-driven placement.",
-      planner_factory([](const SchedulingPolicy& policy) {
-        return std::unique_ptr<Scheduler>(new WorkStealingScheduler(policy));
-      }));
-  add("min-load",
-      "Greedy least-loaded machine (monitoring data, no per-task "
-      "prediction): isolates the value of the prediction model.",
-      planner_factory([](const SchedulingPolicy&) {
-        return std::unique_ptr<Scheduler>(new MinLoadScheduler());
-      }));
-  add("round-robin",
-      "Cycle through the feasible machines regardless of speed or load.",
-      planner_factory([](const SchedulingPolicy&) {
-        return std::unique_ptr<Scheduler>(new RoundRobinScheduler());
-      }));
-  add("random",
-      "Uniformly random feasible machine per task, seeded by policy.seed.",
-      planner_factory([](const SchedulingPolicy& policy) {
-        return std::unique_ptr<Scheduler>(new RandomScheduler(policy.seed));
-      }));
-  add("dbc-cost",
-      "Deadline/budget-constrained cost-optimisation (Buyya et al., arXiv "
-      "cs/0203020): minimise quoted spend subject to the policy deadline.  "
-      "Without prices or constraints, identical to the default assignment "
-      "phase (docs/ECONOMY.md).",
-      [](const SchedulingPolicy& policy) {
-        return std::unique_ptr<SchedulerStrategy>(
-            new DbcStrategy(DbcStrategy::Mode::kCost, policy));
-      });
-  add("dbc-time",
-      "Deadline/budget-constrained time-optimisation (Buyya et al., arXiv "
-      "cs/0203020): minimise completion time subject to the policy budget.  "
-      "Without prices or constraints, identical to the default assignment "
-      "phase (docs/ECONOMY.md).",
-      [](const SchedulingPolicy& policy) {
-        return std::unique_ptr<SchedulerStrategy>(
-            new DbcStrategy(DbcStrategy::Mode::kTime, policy));
-      });
-  return entries;
-}
-
-/// The registry.  Single-threaded by design, like the rest of the
-/// simulation: registration happens at startup, lookups at schedule time.
-std::vector<Entry>& registry() {
-  static std::vector<Entry> entries = builtin_entries();
-  return entries;
-}
-
-const Entry* find_entry(const std::string& name) {
-  for (const Entry& e : registry()) {
-    if (e.info.name == name) return &e;
-  }
-  return nullptr;
-}
-
-std::string known_names() {
-  std::string names;
-  for (const Entry& e : registry()) {
-    if (!names.empty()) names += ", ";
-    names += e.info.name;
-  }
-  return names;
-}
 
 }  // namespace
 
-bool register_strategy(StrategyInfo info, StrategyFactory factory) {
-  if (info.name.empty() || !factory || find_entry(info.name) != nullptr) {
-    return false;
-  }
-  registry().push_back(Entry{std::move(info), std::move(factory)});
-  return true;
-}
+std::span<const Strategy> strategies() { return kStrategies; }
 
-std::vector<StrategyInfo> strategies() {
-  std::vector<StrategyInfo> out;
-  out.reserve(registry().size());
-  for (const Entry& e : registry()) out.push_back(e.info);
+common::Expected<ResolvedPolicy> resolve(const SchedulingPolicy& policy) {
+  ResolvedPolicy out{nullptr, policy};
+  SchedulingPolicy& p = out.policy;
+  if (p.strategy.empty()) {
+    p.strategy = p.objective == SiteObjective::kPaperObjective
+                     ? "vdce-level-paper"
+                     : "vdce-level";
+  }
+  for (const Strategy& row : kStrategies) {
+    if (row.name == p.strategy) {
+      out.row = &row;
+      break;
+    }
+  }
+  if (out.row == nullptr) {
+    std::string known;
+    for (const Strategy& row : kStrategies) {
+      if (!known.empty()) known += ", ";
+      known += row.name;
+    }
+    return common::Error{common::ErrorCode::kInvalidArgument,
+                         "unknown scheduling strategy \"" + p.strategy +
+                             "\" (known: " + known + ")"};
+  }
+  // The VDCE rows' fixed settings.
+  if (p.strategy == "vdce-level-paper") {
+    p.objective = SiteObjective::kPaperObjective;
+  } else if (p.strategy == "vdce-level" || p.strategy == "vdce-local") {
+    p.objective = SiteObjective::kAvailabilityAware;
+  }
+  if (p.strategy == "vdce-local") p.access = db::AccessDomain::kLocalSite;
   return out;
 }
 
-bool strategy_registered(const std::string& name) {
-  return find_entry(name) != nullptr;
-}
-
-common::Status validate_policy(const SchedulingPolicy& policy) {
-  const std::string name = resolved_strategy_name(policy);
-  if (find_entry(name) == nullptr) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "unknown scheduling strategy \"" + name +
-                             "\" (known: " + known_names() + ")"};
-  }
-  return common::Status::success();
-}
-
-common::Expected<std::unique_ptr<SchedulerStrategy>> make_strategy(
+common::Expected<ResourceAllocationTable> plan(
+    const afg::Afg& graph, const SchedulerContext& context,
     const SchedulingPolicy& policy) {
-  const std::string name = resolved_strategy_name(policy);
-  const Entry* entry = find_entry(name);
-  if (entry == nullptr) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "unknown scheduling strategy \"" + name +
-                             "\" (known: " + known_names() + ")"};
+  auto resolved = resolve(policy);
+  if (!resolved) return resolved.error();
+  auto valid = graph.validate();
+  if (!valid.ok()) return valid.error();
+
+  // Fig. 2 steps 3-5: host selection at every candidate site.  (The
+  // distributed runtime performs this over the fabric; this synchronous
+  // entry point calls each site's algorithm directly.)
+  std::vector<HostSelectionOutput> outputs;
+  for (common::SiteId s : candidate_site_set(context, resolved->policy)) {
+    auto out = HostSelectionAlgorithm::run(graph, s, context.repo(s),
+                                           *context.predictor);
+    if (!out) return out.error();
+    outputs.push_back(std::move(*out));
   }
-  return entry->factory(policy);
+  return resolved->row->assign(graph, context, outputs, resolved->policy);
 }
 
 }  // namespace vdce::sched

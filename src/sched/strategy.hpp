@@ -1,31 +1,35 @@
-// SchedulerStrategy — the pluggable assignment backend of the live runtime
-// (docs/SCHEDULING.md).
+// The strategy table — every scheduling decision backend, offline and on the
+// live runtime (docs/SCHEDULING.md).
 //
 // The Fig. 2 flow splits naturally in two: the *protocol* half (multicast
-// the AFG to the candidate sites, gather each site's host-selection output
-// over the fabric) and the *decision* half (turn those outputs into a
-// resource allocation table).  runtime/site_manager owns the protocol half;
-// the decision half used to be hard-coded to the VDCE assignment phase.
-// SchedulerStrategy is that decision half as an interface, resolved by name
-// from a registry, so HEFT, min-min, work-stealing — and later the ROADMAP
-// economy and decentralised backends — run on the real simulated runtime
-// instead of only in offline benches.
+// the AFG to the candidate sites, gather each site's host-selection output)
+// and the *decision* half (turn those outputs into a resource allocation
+// table).  The decision half is one closed, constant table: each row is a
+// name, a description and a free assign function with one signature.
+// Adding a strategy means adding a row.
 //
-// Contract for assign():
+// Both faces of the protocol half run every row the same way:
+//  * the live runtime (runtime/site_manager) resolves the policy, gathers
+//    the outputs over the fabric from candidate_site_set(resolved policy),
+//    then calls the row;
+//  * plan() does the same synchronously, calling each candidate site's
+//    host-selection algorithm directly.
+//
+// Contract for a row's assign():
 //  * `outputs` holds one HostSelectionOutput per candidate site, local site
-//    first — exactly what the runtime gathered.  Strategies that re-derive
-//    their own view (the offline planners wrapped by the adapter in
-//    strategy.cpp) may ignore it; they read the same live repositories
-//    through `context`, so the information base is identical.
-//  * The returned table's `scheduler_name` must equal name(), which is how
+//    first.  The offline planners ignore it: they re-derive their own view
+//    from the same live repositories through `context`, so the information
+//    base is identical.
+//  * `policy` is the resolved policy (resolve()): `policy.strategy` is the
+//    row's name and the row's fixed settings are applied.
+//  * The returned table's `scheduler_name` is the row's name, which is how
 //    ExecutionReport attributes the schedule.
-//  * Determinism: same graph + context + outputs must yield the same table
-//    (randomized strategies derive their RNG from the policy seed).
+//  * Determinism: same graph + context + outputs + policy yield the same
+//    table (randomized rows derive their RNG from the policy seed).
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "afg/graph.hpp"
@@ -39,48 +43,45 @@ namespace vdce::sched {
 
 /// The decision half of Fig. 2: host-selection outputs in, resource
 /// allocation table out.
-class SchedulerStrategy {
- public:
-  virtual ~SchedulerStrategy() = default;
-
-  /// Registered name; also the `scheduler_name` of every table produced.
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  virtual common::Expected<ResourceAllocationTable> assign(
-      const afg::Afg& graph, const SchedulerContext& context,
-      const std::vector<HostSelectionOutput>& outputs) = 0;
-};
-
-/// Registry entry, as reported by strategies().
-struct StrategyInfo {
-  std::string name;
-  std::string description;
-};
-
-/// Builds a strategy instance configured by the (already validated) policy.
-using StrategyFactory =
-    std::function<std::unique_ptr<SchedulerStrategy>(const SchedulingPolicy&)>;
-
-/// Register a strategy under `info.name`.  Returns false (and changes
-/// nothing) if the name is already taken.  The built-in strategies are
-/// pre-registered; this hook is for out-of-tree backends.
-bool register_strategy(StrategyInfo info, StrategyFactory factory);
-
-/// Every registered strategy, in registration order (built-ins first).
-[[nodiscard]] std::vector<StrategyInfo> strategies();
-
-/// True iff `name` is a registered strategy name.
-[[nodiscard]] bool strategy_registered(const std::string& name);
-
-/// Reject policies naming an unregistered strategy with kInvalidArgument
-/// (the message lists every known name).  Environments call this at
-/// bring-up and submission so bad names fail fast instead of silently
-/// falling back to the default.
-[[nodiscard]] common::Status validate_policy(const SchedulingPolicy& policy);
-
-/// Resolve `policy` to a configured strategy instance.  kInvalidArgument on
-/// unknown names; never silently substitutes a default.
-common::Expected<std::unique_ptr<SchedulerStrategy>> make_strategy(
+using AssignFn = common::Expected<ResourceAllocationTable> (*)(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy);
+
+/// One row of the strategy table.
+struct Strategy {
+  std::string_view name;
+  std::string_view description;
+  AssignFn assign;
+};
+
+/// Every strategy, in table order (the VDCE rows first).
+[[nodiscard]] std::span<const Strategy> strategies();
+
+/// A policy bound to its row.
+struct ResolvedPolicy {
+  const Strategy* row = nullptr;
+  /// The input policy with `strategy` set to the row's name and the row's
+  /// fixed settings applied: the objective of "vdce-level",
+  /// "vdce-level-paper" and "vdce-local", and the local-site access domain
+  /// of "vdce-local".
+  SchedulingPolicy policy;
+};
+
+/// Resolve `policy` to its row.  An empty `policy.strategy` selects the
+/// VDCE default implied by the objective ("vdce-level", or
+/// "vdce-level-paper" under kPaperObjective).  Unknown names are
+/// kInvalidArgument, and the message lists every known name; nothing ever
+/// silently falls back to the default.  Environments call this at bring-up
+/// and submission so bad names fail fast.
+[[nodiscard]] common::Expected<ResolvedPolicy> resolve(
+    const SchedulingPolicy& policy);
+
+/// The synchronous Fig. 2 pipeline for every row: resolve the policy, run
+/// host selection at each site of candidate_site_set(resolved policy),
+/// local first, then call the row.
+[[nodiscard]] common::Expected<ResourceAllocationTable> plan(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const SchedulingPolicy& policy = {});
 
 }  // namespace vdce::sched

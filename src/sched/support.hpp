@@ -1,5 +1,5 @@
-// Shared scheduler plumbing: the scheduling context (what every algorithm
-// may consult), task-record resolution, and the common Scheduler interface.
+// Shared scheduler plumbing: the scheduling context (what every strategy
+// may consult) and task-record resolution.
 #pragma once
 
 #include <memory>
@@ -75,15 +75,5 @@ common::Expected<db::TaskPerfRecord> resolve_perf(
 /// Base-processor computation cost of a node, used for level computation.
 common::Expected<common::SimDuration> base_cost(
     const afg::TaskNode& node, const db::TaskPerformanceDb& database);
-
-/// Abstract scheduler: interprets an AFG against a context and produces a
-/// resource allocation table.
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  virtual common::Expected<ResourceAllocationTable> schedule(
-      const afg::Afg& graph, const SchedulerContext& context) = 0;
-};
 
 }  // namespace vdce::sched

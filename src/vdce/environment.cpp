@@ -43,11 +43,10 @@ common::Status VdceEnvironment::try_bring_up() {
   if (common::Status plan_ok = options_.faults.validate(); !plan_ok.ok()) {
     return plan_ok;
   }
-  // Fail fast on a default policy naming an unregistered strategy — a typo
+  // Fail fast on a default policy naming an unknown strategy — a typo
   // here must not silently fall back to the VDCE default at schedule time.
-  if (common::Status policy_ok = sched::validate_policy(options_.scheduling);
-      !policy_ok.ok()) {
-    return policy_ok;
+  if (auto resolved = sched::resolve(options_.scheduling); !resolved) {
+    return resolved.error();
   }
   up_ = true;
 
@@ -452,10 +451,10 @@ common::Expected<sched::ResourceAllocationTable> VdceEnvironment::schedule(
   // Clip the candidate set to what this user may touch.
   options.access = session.account.domain;
   // An empty per-call strategy inherits the environment default; a named
-  // one must exist in the registry — fail fast with the known-name list.
+  // one must name a strategy-table row — fail fast with the known-name list.
   if (options.strategy.empty()) options.strategy = options_.scheduling.strategy;
-  if (auto policy_ok = sched::validate_policy(options); !policy_ok.ok()) {
-    return policy_ok.error();
+  if (auto resolved = sched::resolve(options); !resolved) {
+    return resolved.error();
   }
 
   common::AppId app(next_app_++);
@@ -654,8 +653,8 @@ common::Expected<AppHandle> VdceEnvironment::submit_application(
   if (options.sched.strategy.empty()) {
     options.sched.strategy = options_.scheduling.strategy;
   }
-  if (auto policy_ok = sched::validate_policy(options.sched); !policy_ok.ok()) {
-    return policy_ok.error();
+  if (auto resolved = sched::resolve(options.sched); !resolved) {
+    return resolved.error();
   }
   // Economy (docs/ECONOMY.md): the user-level constraints travel inside the
   // scheduling policy so the cost-aware strategies (and any future ones)

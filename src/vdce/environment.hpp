@@ -106,8 +106,9 @@ struct Session {
 struct EnvironmentOptions {
   runtime::RuntimeOptions runtime;
   /// Environment-wide default scheduling policy (docs/SCHEDULING.md).
-  /// Validated at try_bring_up(): a `strategy` naming nothing in the
-  /// registry is a typed kInvalidArgument there, before any daemon starts.
+  /// Validated at try_bring_up(): a `strategy` naming no row of the
+  /// strategy table is a typed kInvalidArgument there, before any daemon
+  /// starts.
   /// Per-run RunOptions::sched with an empty strategy inherits this
   /// policy's strategy name; a non-empty per-run strategy wins.
   sched::SchedulingPolicy scheduling;

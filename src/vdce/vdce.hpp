@@ -17,9 +17,7 @@
 #include "predict/model.hpp"
 #include "runtime/execution.hpp"
 #include "runtime/services.hpp"
-#include "sched/baselines.hpp"
 #include "sched/host_selection.hpp"
-#include "sched/list_variants.hpp"
 #include "sched/policy.hpp"
 #include "sched/site_scheduler.hpp"
 #include "sched/strategy.hpp"

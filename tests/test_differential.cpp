@@ -1,6 +1,6 @@
 // Differential tests for the scheduler hot-path optimisation.
 //
-// The optimized VdceSiteScheduler (memoized transfer/data-ready caches,
+// The optimized VDCE site scheduler (memoized transfer/data-ready caches,
 // cached ranked host lists, incremental ready heap) must produce
 // bit-identical resource allocation tables to sched::reference — the frozen
 // pre-optimization implementation — on every corpus case and under every
@@ -20,8 +20,6 @@
 #include "econ/econ.hpp"
 #include "predict/model.hpp"
 #include "scale/generate.hpp"
-#include "sched/baselines.hpp"
-#include "sched/heft.hpp"
 #include "sched/host_selection.hpp"
 #include "sched/reference.hpp"
 #include "sched/site_scheduler.hpp"
@@ -89,8 +87,7 @@ TEST(Differential, OptimizedMatchesNaiveAcrossCorpus) {
         SchedulingPolicy options;
         options.objective = objective;
         options.priority = priority;
-        VdceSiteScheduler optimized(options);
-        auto fast = optimized.schedule(graph, dep.context);
+        auto fast = plan(graph, dep.context, options);
         auto slow = reference::schedule_naive(graph, dep.context, options);
         ASSERT_EQ(fast.has_value(), slow.has_value()) << "case " << c.index;
         if (!fast) continue;  // both infeasible the same way is fine
@@ -120,8 +117,7 @@ TEST(Differential, StalenessPenaltyPathAlsoMatches) {
   afg::Afg graph = scale::make_workload(w, "stale-diff");
   SchedulingPolicy options;
   options.stale_after = 10.0;
-  VdceSiteScheduler optimized(options);
-  auto fast = optimized.schedule(graph, dep.context);
+  auto fast = plan(graph, dep.context, options);
   auto slow = reference::schedule_naive(graph, dep.context, options);
   ASSERT_TRUE(fast.has_value() && slow.has_value());
   expect_bit_identical(*fast, *slow, "stale");
@@ -188,13 +184,16 @@ TEST(EconDifferential, UnconstrainedDbcMatchesDefaultAcrossCorpus) {
         base.strategy = objective == SiteObjective::kPaperObjective
                             ? "vdce-level-paper"
                             : "vdce-level";
-        auto reference_table =
-            make_strategy(base).value()->assign(graph, dep.context, outputs);
+        auto assign = [&](const SchedulingPolicy& policy) {
+          const ResolvedPolicy resolved = resolve(policy).value();
+          return resolved.row->assign(graph, dep.context, outputs,
+                                      resolved.policy);
+        };
+        auto reference_table = assign(base);
         for (const char* name : {"dbc-cost", "dbc-time"}) {
           SchedulingPolicy dbc = base;
           dbc.strategy = name;  // deadline/budget stay 0: must delegate
-          auto dbc_table =
-              make_strategy(dbc).value()->assign(graph, dep.context, outputs);
+          auto dbc_table = assign(dbc);
           ASSERT_EQ(reference_table.has_value(), dbc_table.has_value())
               << "case " << c.index << " strategy " << name;
           if (!reference_table) continue;
@@ -228,10 +227,11 @@ TEST(Ranking, VdceBeatsRandomOnGeneratedGrids) {
     w.width = 8;
     w.seed = seed;
     afg::Afg graph = scale::make_workload(w, "rank");
-    VdceSiteScheduler vdce;
-    RandomScheduler random(seed);
-    auto t1 = vdce.schedule(graph, dep.context);
-    auto t2 = random.schedule(graph, dep.context);
+    SchedulingPolicy random;
+    random.strategy = "random";
+    random.seed = seed;
+    auto t1 = plan(graph, dep.context);
+    auto t2 = plan(graph, dep.context, random);
     ASSERT_TRUE(t1.has_value() && t2.has_value());
     vdce_total += t1->schedule_length;
     random_total += t2->schedule_length;
@@ -253,10 +253,10 @@ TEST(Ranking, HeftCompetitiveWithVdceOnGeneratedGrids) {
     w.tasks = 40;
     w.seed = 200 + seed;
     afg::Afg graph = scale::make_workload(w, "rank-heft");
-    HeftScheduler heft;
-    VdceSiteScheduler vdce;
-    auto t1 = heft.schedule(graph, dep.context);
-    auto t2 = vdce.schedule(graph, dep.context);
+    SchedulingPolicy heft;
+    heft.strategy = "heft";
+    auto t1 = plan(graph, dep.context, heft);
+    auto t2 = plan(graph, dep.context);
     ASSERT_TRUE(t1.has_value() && t2.has_value());
     heft_total += t1->schedule_length;
     vdce_total += t2->schedule_length;

@@ -326,8 +326,7 @@ TEST(ScaleCorpus, SchedulerInvariantsHoldAcrossTwoHundredCases) {
     afg::Afg graph = scale::make_workload(
         c.workload, "corpus-" + std::to_string(c.index));
     ASSERT_TRUE(graph.validate().ok()) << "case " << c.index;
-    sched::VdceSiteScheduler scheduler(corpus_options(c.index));
-    auto table = scheduler.schedule(graph, dep.context);
+    auto table = sched::plan(graph, dep.context, corpus_options(c.index));
     ASSERT_TRUE(table.has_value())
         << "case " << c.index << ": " << table.error().to_string();
     check_schedule_invariants(graph, dep.topology, *table, c.index);
@@ -349,7 +348,7 @@ TEST(ScaleCorpus, SchedulerInvariantsHoldAcrossTwoHundredCases) {
 //      assignment-phase table (the delegation contract the differential
 //      suite pins end to end).
 
-/// Run a registry strategy against a corpus deployment (host-selection
+/// Run a strategy-table row against a corpus deployment (host-selection
 /// outputs gathered exactly as the runtime gathers them: every site bids).
 common::Expected<sched::ResourceAllocationTable> run_strategy(
     const CorpusDeployment& dep, const afg::Afg& graph,
@@ -360,9 +359,9 @@ common::Expected<sched::ResourceAllocationTable> run_strategy(
                                                   dep.predictor);
     if (out) outputs.push_back(std::move(*out));
   }
-  auto strategy = sched::make_strategy(policy);
-  if (!strategy) return strategy.error();
-  return (*strategy)->assign(graph, dep.context, outputs);
+  auto resolved = sched::resolve(policy);
+  if (!resolved) return resolved.error();
+  return resolved->row->assign(graph, dep.context, outputs, resolved->policy);
 }
 
 TEST(EconCorpus, SpendTilingAndDbcInvariantsHoldAcrossTwoHundredCases) {
@@ -501,8 +500,11 @@ TEST(EconAdmission, DeadlineOnlyRunsAreNeverBudgetRejected) {
 }
 
 TEST(EconAdmission, DbcStrategiesAreRegistered) {
-  EXPECT_TRUE(sched::strategy_registered("dbc-cost"));
-  EXPECT_TRUE(sched::strategy_registered("dbc-time"));
+  for (const char* name : {"dbc-cost", "dbc-time"}) {
+    sched::SchedulingPolicy policy;
+    policy.strategy = name;
+    EXPECT_TRUE(sched::resolve(policy).has_value()) << name;
+  }
   VdceEnvironment env(make_campus_pair(), fast_options());
   env.bring_up();
   auto session = login(env);

@@ -7,10 +7,10 @@
 #include "afg/generate.hpp"
 #include "db/site_repository.hpp"
 #include "predict/model.hpp"
-#include "sched/baselines.hpp"
 #include "sched/host_selection.hpp"
 #include "sched/schedule_builder.hpp"
 #include "sched/site_scheduler.hpp"
+#include "sched/strategy.hpp"
 #include "tasklib/registry.hpp"
 #include "vdce/testbed.hpp"
 
@@ -250,8 +250,7 @@ TEST_F(SchedFixture, BuilderChargesEdgeTransfers) {
 
 TEST_F(SchedFixture, SchedulesFigure1Shape) {
   afg::Afg graph = afg::make_linear_solver_shape(1e5);
-  VdceSiteScheduler scheduler;
-  auto table = scheduler.schedule(graph, context);
+  auto table = plan(graph, context);
   ASSERT_TRUE(table.has_value()) << table.error().message;
   expect_feasible(graph, *table);
   EXPECT_EQ(table->scheduler_name, "vdce-level");
@@ -261,8 +260,7 @@ TEST_F(SchedFixture, PaperObjectiveAlsoFeasible) {
   afg::Afg graph = afg::make_linear_solver_shape(1e5);
   SchedulingPolicy options;
   options.objective = SiteObjective::kPaperObjective;
-  VdceSiteScheduler scheduler(options);
-  auto table = scheduler.schedule(graph, context);
+  auto table = plan(graph, context, options);
   ASSERT_TRUE(table.has_value());
   expect_feasible(graph, *table);
 }
@@ -274,8 +272,7 @@ TEST_F(SchedFixture, LocalAccessStaysOnLocalSite) {
   afg::Afg graph = afg::make_layered_dag(spec, rng);
   SchedulingPolicy options;
   options.access = db::AccessDomain::kLocalSite;
-  VdceSiteScheduler scheduler(options);
-  auto table = scheduler.schedule(graph, context);
+  auto table = plan(graph, context, options);
   ASSERT_TRUE(table.has_value());
   for (const Assignment& a : table->assignments) {
     EXPECT_EQ(a.site, common::SiteId(0));
@@ -285,8 +282,7 @@ TEST_F(SchedFixture, LocalAccessStaysOnLocalSite) {
 TEST_F(SchedFixture, WideAreaUsesRemoteSitesWhenItHelps) {
   // A wide bag of equal tasks overflows the local site's machines.
   afg::Afg graph = afg::make_independent(24, 2000);
-  VdceSiteScheduler scheduler;
-  auto table = scheduler.schedule(graph, context);
+  auto table = plan(graph, context);
   ASSERT_TRUE(table.has_value());
   EXPECT_GT(table->sites_used().size(), 1u);
 }
@@ -302,8 +298,7 @@ TEST_F(SchedFixture, RejectsCyclicGraph) {
   auto b = graph.add_task("b", "synthetic.w100", p);
   ASSERT_TRUE(graph.connect(*a, 0, *b, 0).ok());
   ASSERT_TRUE(graph.connect(*b, 0, *a, 0).ok());
-  VdceSiteScheduler scheduler;
-  auto table = scheduler.schedule(graph, context);
+  auto table = plan(graph, context);
   ASSERT_FALSE(table.has_value());
   EXPECT_EQ(table.error().code, common::ErrorCode::kCycleDetected);
 }
@@ -311,8 +306,7 @@ TEST_F(SchedFixture, RejectsCyclicGraph) {
 TEST_F(SchedFixture, HigherLevelTasksPlacedOnFasterMachinesFirst) {
   // A chain: the head has the highest level and must start at t=0.
   afg::Afg graph = afg::make_chain(4, 500, 1e4);
-  VdceSiteScheduler scheduler;
-  auto table = scheduler.schedule(graph, context);
+  auto table = plan(graph, context);
   ASSERT_TRUE(table.has_value());
   auto head = table->find(graph.find_task("s0").value());
   EXPECT_DOUBLE_EQ(head->est_start, 0.0);
@@ -344,11 +338,19 @@ afg::Afg make_shape(const std::string& shape) {
   return afg::make_linear_solver_shape(1e5);
 }
 
+/// The offline entry for a named strategy.
+common::Expected<ResourceAllocationTable> plan_with(
+    const std::string& strategy, const afg::Afg& graph,
+    const SchedulerContext& context, std::uint64_t seed = 42) {
+  SchedulingPolicy policy;
+  policy.strategy = strategy;
+  policy.seed = seed;
+  return plan(graph, context, policy);
+}
+
 TEST_P(SchedulerProperty, ProducesFeasibleCompleteSchedule) {
-  auto scheduler = make_scheduler(GetParam().scheduler);
-  ASSERT_TRUE(scheduler.has_value());
   afg::Afg graph = make_shape(GetParam().shape);
-  auto table = (*scheduler)->schedule(graph, context);
+  auto table = plan_with(GetParam().scheduler, graph, context);
   ASSERT_TRUE(table.has_value()) << table.error().message;
   expect_feasible(graph, *table);
 }
@@ -388,8 +390,7 @@ TEST_F(SchedFixture, PriorityModesAllProduceFeasibleSchedules) {
                         PriorityMode::kFifo}) {
     SchedulingPolicy options;
     options.priority = priority;
-    VdceSiteScheduler scheduler(options);
-    auto table = scheduler.schedule(graph, context);
+    auto table = plan(graph, context, options);
     ASSERT_TRUE(table.has_value());
     expect_feasible(graph, *table);
   }
@@ -408,8 +409,27 @@ TEST_F(SchedFixture, NeighborsDomainClipsCandidateSites) {
   EXPECT_EQ(candidate_site_set(wide, options).size(), 1u);
 }
 
+TEST_F(SchedFixture, EveryStrategyPlansOfflineUnderItsOwnName) {
+  afg::Afg graph = make_shape("layered");
+  for (const Strategy& row : strategies()) {
+    const std::string name(row.name);
+    auto table = plan_with(name, graph, context);
+    ASSERT_TRUE(table.has_value()) << name << ": " << table.error().message;
+    EXPECT_EQ(table->scheduler_name, name);
+    expect_feasible(graph, *table);
+    if (name == "vdce-local") {
+      for (const Assignment& a : table->assignments) {
+        EXPECT_EQ(a.site, context.local_site);
+      }
+    }
+  }
+}
+
 TEST_F(SchedFixture, FactoryRejectsUnknownName) {
-  EXPECT_FALSE(make_scheduler("dcp").has_value());
+  afg::Afg graph = afg::make_chain(3, 100, 1e4);
+  auto table = plan_with("dcp", graph, context);
+  ASSERT_FALSE(table.has_value());
+  EXPECT_EQ(table.error().code, common::ErrorCode::kInvalidArgument);
 }
 
 TEST_F(SchedFixture, HeftCompetitiveWithVdce) {
@@ -422,10 +442,8 @@ TEST_F(SchedFixture, HeftCompetitiveWithVdce) {
     spec.tasks = 40;
     spec.width = 6;
     afg::Afg graph = afg::make_layered_dag(spec, rng);
-    auto heft = make_scheduler("heft");
-    VdceSiteScheduler vdce;
-    auto t1 = (*heft)->schedule(graph, context);
-    auto t2 = vdce.schedule(graph, context);
+    auto t1 = plan_with("heft", graph, context);
+    auto t2 = plan(graph, context);
     ASSERT_TRUE(t1.has_value() && t2.has_value());
     expect_feasible(graph, *t1);
     heft_total += t1->schedule_length;
@@ -442,10 +460,8 @@ TEST_F(SchedFixture, VdceBeatsRandomOnAverage) {
     spec.tasks = 50;
     spec.width = 8;
     afg::Afg graph = afg::make_layered_dag(spec, rng);
-    VdceSiteScheduler vdce;
-    RandomScheduler random(seed);
-    auto t1 = vdce.schedule(graph, context);
-    auto t2 = random.schedule(graph, context);
+    auto t1 = plan(graph, context);
+    auto t2 = plan_with("random", graph, context, seed);
     ASSERT_TRUE(t1.has_value() && t2.has_value());
     vdce_total += t1->schedule_length;
     random_total += t2->schedule_length;
@@ -457,13 +473,10 @@ TEST_F(SchedFixture, EverySchedulerIsDeterministic) {
   // Same context + same graph -> byte-identical allocation tables, for
   // every algorithm (the reproducibility EXPERIMENTS.md promises).
   afg::Afg graph = make_shape("layered");
-  for (const char* name :
-       {"vdce-level", "vdce-level-paper", "heft", "min-min", "min-load",
-        "round-robin", "random"}) {
-    auto s1 = make_scheduler(name, 9);
-    auto s2 = make_scheduler(name, 9);
-    auto t1 = (*s1)->schedule(graph, context);
-    auto t2 = (*s2)->schedule(graph, context);
+  for (const Strategy& row : strategies()) {
+    const std::string name(row.name);
+    auto t1 = plan_with(name, graph, context, 9);
+    auto t2 = plan_with(name, graph, context, 9);
     ASSERT_TRUE(t1.has_value() && t2.has_value()) << name;
     ASSERT_EQ(t1->assignments.size(), t2->assignments.size()) << name;
     EXPECT_DOUBLE_EQ(t1->schedule_length, t2->schedule_length) << name;
@@ -478,17 +491,15 @@ TEST_F(SchedFixture, EverySchedulerIsDeterministic) {
 
 TEST_F(SchedFixture, RandomIsSeedDeterministic) {
   afg::Afg graph = make_shape("layered");
-  RandomScheduler a(5), b(5);
-  auto t1 = a.schedule(graph, context);
-  auto t2 = b.schedule(graph, context);
+  auto t1 = plan_with("random", graph, context, 5);
+  auto t2 = plan_with("random", graph, context, 5);
   ASSERT_TRUE(t1.has_value() && t2.has_value());
   EXPECT_DOUBLE_EQ(t1->schedule_length, t2->schedule_length);
 }
 
 TEST_F(SchedFixture, TableDescribeMentionsEveryTask) {
   afg::Afg graph = afg::make_linear_solver_shape(1e5);
-  VdceSiteScheduler scheduler;
-  auto table = scheduler.schedule(graph, context);
+  auto table = plan(graph, context);
   ASSERT_TRUE(table.has_value());
   std::string text = table->describe(graph);
   for (const afg::TaskNode& t : graph.tasks()) {
@@ -498,8 +509,7 @@ TEST_F(SchedFixture, TableDescribeMentionsEveryTask) {
 
 TEST_F(SchedFixture, TableLookupHelpers) {
   afg::Afg graph = afg::make_chain(3, 100, 1e4);
-  VdceSiteScheduler scheduler;
-  auto table = scheduler.schedule(graph, context);
+  auto table = plan(graph, context);
   ASSERT_TRUE(table.has_value());
   EXPECT_TRUE(table->find(common::TaskId(1)).has_value());
   EXPECT_FALSE(table->find(common::TaskId(99)).has_value());

@@ -1,8 +1,8 @@
-// Scheduler-strategy plane (docs/SCHEDULING.md): registry units, the
-// policy-API fail-fast contract, end-to-end runs of every registered
-// strategy on the live runtime, and a 200-case scale-corpus property run
+// Scheduler-strategy plane (docs/SCHEDULING.md): strategy-table units, the
+// policy-API fail-fast contract, end-to-end runs of every strategy on the
+// live runtime, and a 200-case scale-corpus property run
 // per new strategy (max-min, b-level, t-level, work-stealing).  The default
-// policy's equality with the pre-registry dispatch is pinned by the golden
+// policy's equality with the pre-table dispatch is pinned by the golden
 // digests (tests/test_golden.cpp).
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 #include "db/site_repository.hpp"
 #include "predict/model.hpp"
 #include "scale/generate.hpp"
-#include "sched/baselines.hpp"
-#include "sched/list_variants.hpp"
 #include "sched/site_scheduler.hpp"
 #include "sched/strategy.hpp"
 #include "vdce/environment.hpp"
@@ -27,95 +25,81 @@
 namespace vdce {
 namespace {
 
-// ---- registry units ---------------------------------------------------------
+// ---- strategy table units --------------------------------------------------
 
 TEST(StrategyRegistry, ListsEveryBuiltInWithDescriptions) {
-  const std::vector<sched::StrategyInfo> all = sched::strategies();
+  const auto all = sched::strategies();
   EXPECT_GE(all.size(), 8u);  // the sensitivity grid needs at least eight
   std::set<std::string> names;
-  for (const sched::StrategyInfo& info : all) {
-    EXPECT_FALSE(info.name.empty());
-    EXPECT_FALSE(info.description.empty()) << info.name;
-    EXPECT_TRUE(names.insert(info.name).second)
-        << "duplicate registration: " << info.name;
+  for (const sched::Strategy& row : all) {
+    EXPECT_FALSE(row.name.empty());
+    EXPECT_FALSE(row.description.empty()) << row.name;
+    EXPECT_NE(row.assign, nullptr) << row.name;
+    EXPECT_TRUE(names.insert(std::string(row.name)).second)
+        << "duplicate row: " << row.name;
   }
   for (const char* required :
        {"vdce-level", "vdce-level-paper", "vdce-local", "heft", "min-min",
         "max-min", "min-load", "round-robin", "random", "b-level", "t-level",
-        "work-stealing"}) {
+        "work-stealing", "dbc-cost", "dbc-time"}) {
     EXPECT_TRUE(names.contains(required)) << required;
-    EXPECT_TRUE(sched::strategy_registered(required)) << required;
   }
 }
 
 TEST(StrategyRegistry, MakeStrategyHonoursRegisteredNames) {
-  for (const sched::StrategyInfo& info : sched::strategies()) {
+  for (const sched::Strategy& row : sched::strategies()) {
     sched::SchedulingPolicy policy;
-    policy.strategy = info.name;
-    auto strategy = sched::make_strategy(policy);
-    ASSERT_TRUE(strategy.has_value()) << info.name;
-    EXPECT_EQ((*strategy)->name(), info.name);
+    policy.strategy = std::string(row.name);
+    auto resolved = sched::resolve(policy);
+    ASSERT_TRUE(resolved.has_value()) << row.name;
+    EXPECT_EQ(resolved->row, &row);
+    EXPECT_EQ(resolved->policy.strategy, row.name);
   }
 }
 
 TEST(StrategyRegistry, UnknownNameIsTypedInvalidArgument) {
   sched::SchedulingPolicy policy;
   policy.strategy = "no-such-strategy";
-  auto strategy = sched::make_strategy(policy);
-  ASSERT_FALSE(strategy.has_value());
-  EXPECT_EQ(strategy.error().code, common::ErrorCode::kInvalidArgument);
+  auto resolved = sched::resolve(policy);
+  ASSERT_FALSE(resolved.has_value());
+  EXPECT_EQ(resolved.error().code, common::ErrorCode::kInvalidArgument);
   // The message names the offender and lists the alternatives.
-  EXPECT_NE(strategy.error().message.find("no-such-strategy"),
+  EXPECT_NE(resolved.error().message.find("no-such-strategy"),
             std::string::npos);
-  EXPECT_NE(strategy.error().message.find("vdce-level"), std::string::npos);
-
-  auto status = sched::validate_policy(policy);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, common::ErrorCode::kInvalidArgument);
+  EXPECT_NE(resolved.error().message.find("vdce-level"), std::string::npos);
 }
 
 TEST(StrategyRegistry, EmptyStrategyResolvesToVdceDefaultByObjective) {
+  auto name_of = [](const sched::SchedulingPolicy& policy) {
+    return std::string(sched::resolve(policy).value().row->name);
+  };
   sched::SchedulingPolicy policy;
-  EXPECT_EQ(sched::resolved_strategy_name(policy), "vdce-level");
+  EXPECT_EQ(name_of(policy), "vdce-level");
   policy.objective = sched::SiteObjective::kPaperObjective;
-  EXPECT_EQ(sched::resolved_strategy_name(policy), "vdce-level-paper");
+  EXPECT_EQ(name_of(policy), "vdce-level-paper");
   policy.strategy = "heft";
-  EXPECT_EQ(sched::resolved_strategy_name(policy), "heft");
-  EXPECT_TRUE(sched::validate_policy(sched::SchedulingPolicy{}).ok());
+  EXPECT_EQ(name_of(policy), "heft");
 }
 
-TEST(StrategyRegistry, RegisterRejectsDuplicatesAndAcceptsNewNames) {
-  EXPECT_FALSE(sched::register_strategy(
-      sched::StrategyInfo{"vdce-level", "imposter"},
-      [](const sched::SchedulingPolicy&) {
-        return std::unique_ptr<sched::SchedulerStrategy>();
-      }));
-
-  struct NullStrategy final : sched::SchedulerStrategy {
-    [[nodiscard]] std::string name() const override { return "test-null"; }
-    common::Expected<sched::ResourceAllocationTable> assign(
-        const afg::Afg&, const sched::SchedulerContext&,
-        const std::vector<sched::HostSelectionOutput>&) override {
-      return common::Error{common::ErrorCode::kInternal, "null strategy"};
-    }
-  };
-  ASSERT_TRUE(sched::register_strategy(
-      sched::StrategyInfo{"test-null", "unit-test stub"},
-      [](const sched::SchedulingPolicy&) {
-        return std::unique_ptr<sched::SchedulerStrategy>(new NullStrategy());
-      }));
-  EXPECT_TRUE(sched::strategy_registered("test-null"));
+TEST(StrategyRegistry, ResolveAppliesEachRowsFixedSettings) {
   sched::SchedulingPolicy policy;
-  policy.strategy = "test-null";
-  auto made = sched::make_strategy(policy);
-  ASSERT_TRUE(made.has_value());
-  EXPECT_EQ((*made)->name(), "test-null");
-  // Double registration of the new name fails too.
-  EXPECT_FALSE(sched::register_strategy(
-      sched::StrategyInfo{"test-null", "again"},
-      [](const sched::SchedulingPolicy&) {
-        return std::unique_ptr<sched::SchedulerStrategy>(new NullStrategy());
-      }));
+  policy.objective = sched::SiteObjective::kPaperObjective;
+  policy.strategy = "vdce-level";
+  EXPECT_EQ(sched::resolve(policy)->policy.objective,
+            sched::SiteObjective::kAvailabilityAware);
+  policy.strategy = "vdce-local";
+  auto local = sched::resolve(policy);
+  EXPECT_EQ(local->policy.objective, sched::SiteObjective::kAvailabilityAware);
+  EXPECT_EQ(local->policy.access, db::AccessDomain::kLocalSite);
+  policy.objective = sched::SiteObjective::kAvailabilityAware;
+  policy.strategy = "vdce-level-paper";
+  EXPECT_EQ(sched::resolve(policy)->policy.objective,
+            sched::SiteObjective::kPaperObjective);
+  // Other rows keep the caller's tuning.
+  policy.strategy = "dbc-cost";
+  EXPECT_EQ(sched::resolve(policy)->policy.objective,
+            sched::SiteObjective::kAvailabilityAware);
+  EXPECT_EQ(sched::resolve(policy)->policy.access, db::AccessDomain::kGlobal);
 }
 
 // ---- environment fail-fast contract ----------------------------------------
@@ -178,9 +162,9 @@ TEST(PolicyFailFast, RunInheritsEnvironmentDefaultStrategy) {
 // ---- every strategy runs on the live runtime --------------------------------
 
 TEST(StrategyRuntime, EveryRegisteredStrategyCompletesEndToEnd) {
-  for (const sched::StrategyInfo& info : sched::strategies()) {
-    if (info.name == "test-null") continue;  // unit-test stub, always errors
-    SCOPED_TRACE(info.name);
+  for (const sched::Strategy& row : sched::strategies()) {
+    const std::string name(row.name);
+    SCOPED_TRACE(name);
     VdceEnvironment env(make_campus_pair());
     ASSERT_TRUE(env.try_bring_up().ok());
     env.add_user("u", "p");
@@ -191,17 +175,58 @@ TEST(StrategyRuntime, EveryRegisteredStrategyCompletesEndToEnd) {
     afg::Afg graph = afg::make_layered_dag(spec, rng);
     RunOptions run;
     run.real_kernels = false;
-    run.sched.strategy = info.name;
+    run.sched.strategy = name;
     auto report = env.run_application(graph, session, run);
     ASSERT_TRUE(report.has_value()) << report.error().to_string();
     EXPECT_TRUE(report->success) << report->failure_reason;
-    EXPECT_EQ(report->scheduler, info.name);
+    EXPECT_EQ(report->scheduler, name);
     EXPECT_EQ(report->outcomes.size(), graph.task_count());
     // The causal plane attributes every strategy's run: the critical path
     // tiles the makespan exactly.
     auto cp = report->critical_path();
     EXPECT_NEAR(cp.phases.total(), report->makespan(), 1e-6);
   }
+}
+
+// vdce-local's access domain is fixed when the policy is resolved, before
+// the candidate sites are chosen: the runtime neither multicasts the AFG to
+// a remote site nor places a task there.
+TEST(StrategyRuntime, VdceLocalKeepsEveryTaskOnTheSessionSite) {
+  TestbedSpec spec;
+  spec.sites = 4;
+  spec.hosts_per_site = 4;
+  VdceEnvironment env(make_testbed(spec));
+  ASSERT_TRUE(env.try_bring_up().ok());
+  env.add_user("u", "p");
+  const common::SiteId home(1);
+  auto session = env.login(home, "u", "p").value();
+  // Wide enough to overflow one site, so a global strategy goes remote.
+  afg::Afg graph = afg::make_independent(24, 2000);
+
+  sched::SchedulingPolicy policy;
+  policy.strategy = "vdce-local";
+  auto table = env.schedule(graph, session, policy);
+  ASSERT_TRUE(table.has_value()) << table.error().to_string();
+  EXPECT_EQ(table->scheduler_name, "vdce-local");
+  for (const sched::Assignment& a : table->assignments) {
+    EXPECT_EQ(a.site, home) << "task " << a.task.value();
+  }
+
+  RunOptions run;
+  run.real_kernels = false;
+  run.sched.strategy = "vdce-local";
+  auto report = env.run_application(graph, session, run);
+  ASSERT_TRUE(report.has_value()) << report.error().to_string();
+  EXPECT_TRUE(report->success) << report->failure_reason;
+  ASSERT_EQ(report->outcomes.size(), graph.task_count());
+  for (const runtime::TaskOutcome& outcome : report->outcomes) {
+    EXPECT_EQ(outcome.site, home) << outcome.task_name;
+  }
+
+  // The control: the global default spreads the same graph across sites.
+  auto global = env.schedule(graph, session);
+  ASSERT_TRUE(global.has_value());
+  EXPECT_GT(global->sites_used().size(), 1u);
 }
 
 // ---- scale-corpus property run per new strategy -----------------------------
@@ -304,9 +329,9 @@ TEST_P(NewStrategyCorpus, InvariantsHoldAcrossTwoHundredCases) {
     afg::Afg graph =
         scale::make_workload(c.workload, "corpus-" + std::to_string(c.index));
     ASSERT_TRUE(graph.validate().ok()) << "case " << c.index;
-    auto scheduler = sched::make_scheduler(name);
-    ASSERT_TRUE(scheduler.has_value());
-    auto table = (*scheduler)->schedule(graph, dep.context);
+    sched::SchedulingPolicy policy;
+    policy.strategy = name;
+    auto table = sched::plan(graph, dep.context, policy);
     ASSERT_TRUE(table.has_value())
         << "case " << c.index << ": " << table.error().to_string();
     EXPECT_EQ(table->scheduler_name, name);
@@ -323,8 +348,8 @@ INSTANTIATE_TEST_SUITE_P(AllNewStrategies, NewStrategyCorpus,
                            return n;
                          });
 
-// The strategy object over the same outputs must equal the direct
-// assignment call — the offline face of the dispatch differential.
+// The table row over the same outputs must equal the direct assignment
+// call — the offline face of the dispatch differential.
 TEST(StrategyDifferential, VdceStrategyAssignEqualsDirectAssignment) {
   scale::CorpusSpec spec;
   spec.cases = 40;
@@ -339,7 +364,9 @@ TEST(StrategyDifferential, VdceStrategyAssignEqualsDirectAssignment) {
     policy.objective = c.index % 2 == 0
                            ? sched::SiteObjective::kAvailabilityAware
                            : sched::SiteObjective::kPaperObjective;
-    const std::string expected_name = sched::resolved_strategy_name(policy);
+    auto resolved = sched::resolve(policy);
+    ASSERT_TRUE(resolved.has_value());
+    const std::string expected_name(resolved->row->name);
 
     const auto sites = sched::candidate_site_set(dep.context, policy);
     std::vector<sched::HostSelectionOutput> outputs;
@@ -354,18 +381,17 @@ TEST(StrategyDifferential, VdceStrategyAssignEqualsDirectAssignment) {
                                              policy, expected_name);
     ASSERT_TRUE(direct.has_value()) << direct.error().to_string();
 
-    auto strategy = sched::make_strategy(policy);
-    ASSERT_TRUE(strategy.has_value());
-    auto via_registry = (*strategy)->assign(graph, dep.context, outputs);
-    ASSERT_TRUE(via_registry.has_value()) << via_registry.error().to_string();
+    auto via_table = resolved->row->assign(graph, dep.context, outputs,
+                                              resolved->policy);
+    ASSERT_TRUE(via_table.has_value()) << via_table.error().to_string();
 
-    EXPECT_EQ(via_registry->scheduler_name, direct.value().scheduler_name);
-    EXPECT_EQ(via_registry->scheduler_name, expected_name);
-    EXPECT_DOUBLE_EQ(via_registry->schedule_length, direct->schedule_length);
-    ASSERT_EQ(via_registry->assignments.size(), direct->assignments.size());
+    EXPECT_EQ(via_table->scheduler_name, direct.value().scheduler_name);
+    EXPECT_EQ(via_table->scheduler_name, expected_name);
+    EXPECT_DOUBLE_EQ(via_table->schedule_length, direct->schedule_length);
+    ASSERT_EQ(via_table->assignments.size(), direct->assignments.size());
     for (std::size_t i = 0; i < direct->assignments.size(); ++i) {
       const sched::Assignment& x = direct->assignments[i];
-      const sched::Assignment& y = via_registry->assignments[i];
+      const sched::Assignment& y = via_table->assignments[i];
       EXPECT_EQ(x.task, y.task);
       EXPECT_EQ(x.site, y.site);
       EXPECT_EQ(x.hosts, y.hosts);
