@@ -6,7 +6,7 @@ namespace vdce::econ {
 
 double CostModel::host_price(const net::Topology& topology,
                              common::HostId host) const {
-  return cpu_price(host, topology.host(host).spec.speed_mflops);
+  return cpu_price(topology.host(host).spec.speed_mflops);
 }
 
 double CostModel::edge_cost(const net::Topology& topology, common::HostId from,

@@ -24,9 +24,6 @@
 // budget once admitted" holds by construction rather than by luck.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
-
 #include "afg/graph.hpp"
 #include "common/ids.hpp"
 #include "net/topology.hpp"
@@ -44,7 +41,7 @@ struct Constraints {
   [[nodiscard]] bool active() const { return deadline > 0.0 || budget > 0.0; }
 };
 
-/// Per-resource prices.  Deterministic defaults derive from the static host
+/// Per-resource prices: a fixed rate card derived from the static host
 /// specs, so two environments built from the same topology always agree on
 /// every quote (the differential and replay suites depend on this).
 struct CostModel {
@@ -52,29 +49,23 @@ struct CostModel {
   /// scales linearly with its advertised speed — the Nimrod/G convention
   /// that makes cost-vs-time a real trade-off instead of "fastest is also
   /// cheapest".
-  double base_cpu_rate = 1.0;
+  static constexpr double kBaseCpuRate = 1.0;
   /// G$ per megabyte moved over an intra-site LAN link.
-  double lan_price_per_mb = 0.01;
+  static constexpr double kLanPricePerMb = 0.01;
   /// G$ per megabyte moved over an inter-site WAN link.
-  double wan_price_per_mb = 0.10;
-  /// Per-host overrides (host id value -> G$ per CPU-second), for markets
-  /// where a provider prices off the speed curve.
-  std::unordered_map<std::uint32_t, double> host_price_override;
+  static constexpr double kWanPricePerMb = 0.10;
 
   /// A host's per-CPU-second price given its advertised speed (the
   /// resource-performance database view — schedulers never read topology
   /// ground truth, but static specs are identical in both).
-  [[nodiscard]] double cpu_price(common::HostId host,
-                                 double speed_mflops) const {
-    auto it = host_price_override.find(host.value());
-    if (it != host_price_override.end()) return it->second;
-    return base_cpu_rate * speed_mflops / 100.0;
+  [[nodiscard]] double cpu_price(double speed_mflops) const {
+    return kBaseCpuRate * speed_mflops / 100.0;
   }
 
   /// Per-MB price of the link class between two placements.
   [[nodiscard]] double mb_price(bool same_host, bool same_site) const {
     if (same_host) return 0.0;
-    return same_site ? lan_price_per_mb : wan_price_per_mb;
+    return same_site ? kLanPricePerMb : kWanPricePerMb;
   }
 
   [[nodiscard]] double transfer_cost(double bytes, bool same_host,
@@ -89,6 +80,10 @@ struct CostModel {
                                  common::HostId from, common::HostId to,
                                  double bytes) const;
 };
+
+/// The rate card the runtime quotes with: the scheduling context's prices,
+/// the admission budget gate, recovery re-placement and the report's spend.
+inline constexpr CostModel kRateCard{};
 
 /// Spend split by what the money bought, mirroring the causal phase
 /// breakdown's exact-tiling discipline: compute + transfer == total(),

@@ -77,7 +77,6 @@ class FlightRecorder {
   }
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool on) noexcept { enabled_ = on; }
 
   /// The hot path: a guarded handful of stores into the preallocated ring.
   void record(common::SimTime t, FlightCode code,

@@ -3,21 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
 namespace vdce::obs::health {
 
 namespace {
-
-/// Same formatter as the trace/metrics exporters (%.9g) so every rendered
-/// number round-trips through the JSONL trace bit-stably.
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
 
 std::string sanitize(const std::string& name) {
   std::string out = name;
@@ -181,11 +172,11 @@ std::string render_alerts(const std::vector<Alert>& alerts) {
   std::string out;
   for (const Alert& a : alerts) {
     out += "alert rule=" + a.rule + " series=" + a.series.label() +
-           " fired=" + fmt(a.fired) +
-           " value=" + fmt(a.value) +
-           " threshold=" + fmt(a.threshold) +
-           " cleared=" + (a.active() ? std::string("-") : fmt(a.cleared)) +
-           "\n";
+           " fired=" + json_number(a.fired) +
+           " value=" + json_number(a.value) +
+           " threshold=" + json_number(a.threshold) +
+           " cleared=" +
+           (a.active() ? std::string("-") : json_number(a.cleared)) + "\n";
   }
   return out;
 }
@@ -451,14 +442,14 @@ std::string HealthPlane::to_openmetrics(common::SimTime now,
     if (!k.tenant.empty()) append("tenant", k.tenant);
     return labels;
   };
-  const std::string window_label = "window=\"" + fmt(window) + "\"";
+  const std::string window_label = "window=\"" + json_number(window) + "\"";
   for (const auto& [metric, list] : families) {
     const std::string family = "vdce_health_" + sanitize(metric);
     out += "# TYPE " + family + " gauge\n";
     for (const TimeSeries* ts : list) {
       std::string labels = label_set(ts->key());
       out += family + (labels.empty() ? "" : "{" + labels + "}") + " " +
-             fmt(ts->last()) + "\n";
+             json_number(ts->last()) + "\n";
     }
     out += "# TYPE " + family + "_window gauge\n";
     for (const TimeSeries* ts : list) {
@@ -470,7 +461,7 @@ std::string HealthPlane::to_openmetrics(common::SimTime now,
         labels += agg;
         labels += "\",";
         labels += window_label;
-        out += family + "_window{" + labels + "} " + fmt(v) + "\n";
+        out += family + "_window{" + labels + "} " + json_number(v) + "\n";
       };
       line("count", static_cast<double>(w.count));
       line("mean", w.mean);
@@ -492,6 +483,17 @@ std::string HealthPlane::to_openmetrics(common::SimTime now,
 // ---------------------------------------------------------------------------
 // Default rules
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// admission-backlog fires on a queue this deep (sustained).
+constexpr double kQueueAlertDepth = 16.0;
+/// quota-burn and recovery-storm fire above this many events per second.
+constexpr double kRecoveryRatePerSec = 0.5;
+/// sched-slow fires on a scheduling decision this long (x sensitivity).
+constexpr double kSchedAlertSeconds = 30.0;
+
+}  // namespace
 
 std::vector<HealthRule> default_rules(const DefaultRuleParams& p) {
   const double s = p.sensitivity;
@@ -522,24 +524,24 @@ std::vector<HealthRule> default_rules(const DefaultRuleParams& p) {
   }
   {
     HealthRule r{"admission-backlog", RuleKind::kSustained, kQueueDepth,
-                 p.queue_alert_depth, true, 5.0 * s * p.cadence};
+                 kQueueAlertDepth, true, 5.0 * s * p.cadence};
     r.min_samples = 3;
     rules.push_back(std::move(r));
   }
   {
     HealthRule r{"quota-burn", RuleKind::kBurnRate, kRejections,
-                 p.recovery_rate_per_sec, true, 5.0 * s};
+                 kRecoveryRatePerSec, true, 5.0 * s};
     r.long_window = 20.0 * s;
     rules.push_back(std::move(r));
   }
   {
     HealthRule r{"recovery-storm", RuleKind::kBurnRate, kRecoveryActions,
-                 p.recovery_rate_per_sec, true, 5.0 * s};
+                 kRecoveryRatePerSec, true, 5.0 * s};
     r.long_window = 20.0 * s;
     rules.push_back(std::move(r));
   }
   rules.push_back(HealthRule{"sched-slow", RuleKind::kThreshold,
-                             kSchedSeconds, p.sched_alert_seconds * s, true});
+                             kSchedSeconds, kSchedAlertSeconds * s, true});
   return rules;
 }
 
@@ -636,8 +638,8 @@ DetectionScore score_detections(const std::vector<GroundTruthFault>& faults,
 std::string DetectionScore::render() const {
   std::string out;
   for (const FaultDetection& d : faults) {
-    out += "fault kind=" + d.fault.kind + " at=" + fmt(d.fault.at) +
-           " duration=" + fmt(d.fault.duration);
+    out += "fault kind=" + d.fault.kind + " at=" + json_number(d.fault.at) +
+           " duration=" + json_number(d.fault.duration);
     if (d.fault.host >= 0) out += " host=" + std::to_string(d.fault.host);
     if (d.fault.site >= 0) out += " site=" + std::to_string(d.fault.site);
     if (d.fault.site_a >= 0) {
@@ -645,8 +647,8 @@ std::string DetectionScore::render() const {
              std::to_string(d.fault.site_b);
     }
     if (d.detected) {
-      out += " detected_at=" + fmt(d.detected_at) +
-             " latency=" + fmt(d.latency) + " rule=" + d.rule;
+      out += " detected_at=" + json_number(d.detected_at) +
+             " latency=" + json_number(d.latency) + " rule=" + d.rule;
     } else {
       out += " detected=no";
     }
@@ -655,16 +657,16 @@ std::string DetectionScore::render() const {
   for (const auto& [kind, cls] : by_class) {
     out += "class " + kind + ": total=" + std::to_string(cls.total) +
            " detected=" + std::to_string(cls.detected) +
-           " recall=" + fmt(cls.recall());
+           " recall=" + json_number(cls.recall());
     if (!cls.latency.empty()) {
-      out += " latency_mean=" + fmt(cls.latency.mean()) +
-             " latency_max=" + fmt(cls.latency.max());
+      out += " latency_mean=" + json_number(cls.latency.mean()) +
+             " latency_max=" + json_number(cls.latency.max());
     }
     out += "\n";
   }
   out += "alerts: tp=" + std::to_string(true_positive_alerts) +
          " fp=" + std::to_string(false_positive_alerts) +
-         " precision=" + fmt(precision()) + "\n";
+         " precision=" + json_number(precision()) + "\n";
   return out;
 }
 

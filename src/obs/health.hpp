@@ -388,9 +388,6 @@ struct DefaultRuleParams {
   common::SimDuration cadence = 1.0;
   double sensitivity = 1.0;
   double overload_threshold = 2.5;
-  double queue_alert_depth = 16.0;
-  double recovery_rate_per_sec = 0.5;
-  double sched_alert_seconds = 30.0;
 };
 
 /// The rules installed when HealthOptions::default_rules is set:

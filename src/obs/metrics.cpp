@@ -1,30 +1,9 @@
 #include "obs/metrics.hpp"
 
-#include <cstdio>
-
 #include "common/strings.hpp"
+#include "obs/trace.hpp"
 
 namespace vdce::obs {
-
-namespace {
-
-std::string json_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
   auto it = counters_.find(name);
@@ -34,11 +13,6 @@ std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
 double MetricsRegistry::gauge_value(const std::string& name) const {
   auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second.value();
-}
-
-double MetricsRegistry::wall_gauge_value(const std::string& name) const {
-  auto it = wall_gauges_.find(name);
-  return it == wall_gauges_.end() ? 0.0 : it->second.value();
 }
 
 const common::Stats* MetricsRegistry::find_histogram(

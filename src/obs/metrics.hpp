@@ -62,7 +62,6 @@ class MetricsRegistry {
   /// Read helpers that never create the metric: 0 / empty when absent.
   [[nodiscard]] std::uint64_t counter_value(const std::string& name) const;
   [[nodiscard]] double gauge_value(const std::string& name) const;
-  [[nodiscard]] double wall_gauge_value(const std::string& name) const;
   [[nodiscard]] const common::Stats* find_histogram(
       const std::string& name) const;
 
@@ -76,10 +75,6 @@ class MetricsRegistry {
   [[nodiscard]] const std::map<std::string, common::Stats>& histograms() const
       noexcept {
     return histograms_;
-  }
-  [[nodiscard]] const std::map<std::string, Gauge>& wall_gauges() const
-      noexcept {
-    return wall_gauges_;
   }
 
   [[nodiscard]] bool empty() const noexcept {

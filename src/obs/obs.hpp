@@ -40,8 +40,6 @@ class Observability {
     return metrics_on_ || trace_on();
   }
 
-  void set_metrics_on(bool on) noexcept { metrics_on_ = on; }
-
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
     return metrics_;

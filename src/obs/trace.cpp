@@ -6,11 +6,6 @@
 
 namespace vdce::obs {
 
-namespace {
-
-/// Deterministic JSON number rendering: shortest-ish fixed form via %.9g.
-/// The same binary over the same event sequence renders identical bytes,
-/// which is what the determinism guarantee needs.
 std::string json_number(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.9g", v);
@@ -40,6 +35,8 @@ std::string json_escape(std::string_view s) {
   }
   return out;
 }
+
+namespace {
 
 void append_args_object(std::string& out, const std::vector<TraceArg>& args) {
   out += '{';

@@ -59,6 +59,13 @@ struct TraceArg {
   bool is_number = false;
 };
 
+/// The JSON rendering every obs exporter shares.  Numbers use %.9g: the same
+/// binary over the same event sequence renders identical bytes, which is
+/// what the determinism guarantee needs.  Strings escape quotes,
+/// backslashes and every control byte.
+[[nodiscard]] std::string json_number(double v);
+[[nodiscard]] std::string json_escape(std::string_view s);
+
 [[nodiscard]] TraceArg arg(std::string key, std::string value);
 [[nodiscard]] TraceArg arg(std::string key, const char* value);
 [[nodiscard]] TraceArg arg(std::string key, double value);
@@ -131,7 +138,6 @@ class TraceSink {
 
   /// The guard every instrumentation site checks before building a record.
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool on) noexcept { enabled_ = on; }
 
   /// Record a span covering [start, end] in simulated time.  No-op (plus a
   /// drop count once full) when disabled or at capacity.

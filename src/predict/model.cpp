@@ -5,6 +5,16 @@
 
 namespace vdce::predict {
 
+namespace {
+
+/// Per-node synchronization overhead for parallel tasks (seconds).
+constexpr common::SimDuration kParallelSyncOverhead = 0.01;
+/// Multiplier applied when required memory exceeds available memory
+/// (paging); infeasible if required exceeds *total* memory.
+constexpr double kPagingPenalty = 4.0;
+
+}  // namespace
+
 double Predictor::effective_mflops(const db::ResourceRecord& host) {
   // A load of L background-busy CPUs' worth leaves the task 1/(1+L) of the
   // machine under fair scheduling.
@@ -28,7 +38,7 @@ common::Expected<common::SimDuration> Predictor::predict(
   }
   if (measured_db != nullptr) {
     auto m = measured_db->measured(task.task_name, host.host);
-    if (m && m->count >= options_.min_measurements) return m->mean;
+    if (m && m->count >= kMinMeasurements) return m->mean;
   }
   const double slowest = effective_mflops(host);
   if (slowest <= 0.0) {
@@ -37,7 +47,7 @@ common::Expected<common::SimDuration> Predictor::predict(
   }
   double time = task.computation_mflop / slowest;
   if (task.required_memory_mb > host.available_mb()) {
-    time *= options_.paging_penalty;
+    time *= kPagingPenalty;
   }
   return time;
 }
@@ -65,7 +75,7 @@ common::Expected<common::SimDuration> Predictor::predict(
   // Measured path (sequential placements only: parallel groups vary).
   if (hosts.size() == 1 && measured_db != nullptr) {
     auto m = measured_db->measured(task.task_name, hosts.front().host);
-    if (m && m->count >= options_.min_measurements) return m->mean;
+    if (m && m->count >= kMinMeasurements) return m->mean;
   }
 
   // Analytic path.  The slowest effective node gates both the serial part
@@ -88,13 +98,13 @@ common::Expected<common::SimDuration> Predictor::predict(
   } else {
     time = task.computation_mflop * (1.0 - pf) / slowest +
            task.computation_mflop * pf / (slowest * n) +
-           options_.parallel_sync_overhead * n;
+           kParallelSyncOverhead * n;
   }
 
   // Paging penalty when the task does not fit in *available* memory.
   for (const db::ResourceRecord& h : hosts) {
     if (task.required_memory_mb > h.available_mb()) {
-      time *= options_.paging_penalty;
+      time *= kPagingPenalty;
       break;
     }
   }
@@ -129,9 +139,9 @@ double GroundTruthModel::rate_mflops(
   } else {
     time = task.computation_mflop * (1.0 - pf) / slowest +
            task.computation_mflop * pf / (slowest * n) +
-           options_.parallel_sync_overhead * n;
+           kParallelSyncOverhead * n;
   }
-  if (task.required_memory_mb > min_avail_mb) time *= options_.paging_penalty;
+  if (task.required_memory_mb > min_avail_mb) time *= kPagingPenalty;
   time = std::max(time, 1e-9);
   return std::max(task.computation_mflop, 1e-3) / time;
 }
@@ -164,9 +174,9 @@ common::SimDuration GroundTruthModel::actual_time(
   } else {
     time = task.computation_mflop * (1.0 - pf) / slowest +
            task.computation_mflop * pf / (slowest * n) +
-           options_.parallel_sync_overhead * n;
+           kParallelSyncOverhead * n;
   }
-  if (task.required_memory_mb > min_avail_mb) time *= options_.paging_penalty;
+  if (task.required_memory_mb > min_avail_mb) time *= kPagingPenalty;
 
   if (noise_cv_ > 0.0) {
     // Multiplicative log-ish noise, floored so time stays positive.

@@ -35,20 +35,11 @@
 
 namespace vdce::predict {
 
-struct ModelOptions {
-  /// Measured mean is trusted once at least this many runs were recorded.
-  std::size_t min_measurements = 1;
-  /// Per-node synchronization overhead for parallel tasks (seconds).
-  common::SimDuration parallel_sync_overhead = 0.01;
-  /// Multiplier applied when required memory exceeds available memory
-  /// (paging); infeasible if required exceeds *total* memory.
-  double paging_penalty = 4.0;
-};
+/// The measured mean is trusted once at least this many runs were recorded.
+inline constexpr std::size_t kMinMeasurements = 1;
 
 class Predictor {
  public:
-  explicit Predictor(ModelOptions options = {}) : options_(options) {}
-
   /// Predict(task_i, R_j) for a sequential placement, or a parallel task on
   /// `nodes` homogeneous-ish hosts (pass the actual records selected; the
   /// slowest one gates the parallel part).  Fails with kNoFeasibleResource
@@ -65,11 +56,6 @@ class Predictor {
 
   /// Effective sustainable MFLOPS of a host under its last measured load.
   [[nodiscard]] static double effective_mflops(const db::ResourceRecord& host);
-
-  [[nodiscard]] const ModelOptions& options() const noexcept { return options_; }
-
- private:
-  ModelOptions options_;
 };
 
 /// Ground truth: what an execution *actually* costs on the live topology.
@@ -80,9 +66,8 @@ class GroundTruthModel {
  public:
   /// `noise_cv` is the coefficient of variation of the multiplicative noise
   /// (0 = perfectly deterministic executions).
-  GroundTruthModel(const net::Topology& topology, double noise_cv,
-                   ModelOptions options = {})
-      : topology_(topology), noise_cv_(noise_cv), options_(options) {}
+  GroundTruthModel(const net::Topology& topology, double noise_cv)
+      : topology_(topology), noise_cv_(noise_cv) {}
 
   /// Actual execution time of `task` on live hosts `hosts` (parallel tasks
   /// pass all assigned nodes).  Never fails: an overloaded host just runs
@@ -105,7 +90,6 @@ class GroundTruthModel {
  private:
   const net::Topology& topology_;
   double noise_cv_;
-  ModelOptions options_;
 };
 
 }  // namespace vdce::predict

@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "db/site_repository.hpp"
-#include "econ/econ.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
@@ -32,20 +31,8 @@ struct RuntimeOptions {
   // --- application control (§4.1) ---
   common::SimDuration controller_period = 1.0;  ///< App Controller load checks
   double overload_threshold = 2.5;  ///< terminate + reschedule above this load
-  /// After this many placements of one task, further overload notices pin
-  /// the task in place instead of moving it again (anti-livelock).
-  int max_task_attempts = 4;
   common::SimDuration progress_period = 5.0;  ///< coordinator stall sweep
   // --- hardened recovery (fault-injection plane) ---
-  /// Data Manager channel setup: resend an unacknowledged dm.setup after
-  /// this long (covers setup/ack messages lost to partitions or transient
-  /// loss).  0 disables the retry.
-  common::SimDuration channel_retry_timeout = 1.0;
-  /// Give up on a peer's ack after this many resends and proceed without it
-  /// (a permanently partitioned peer must not wedge channel setup forever).
-  int channel_max_retries = 3;
-  /// Each retry waits `channel_backoff` times longer than the previous one.
-  double channel_backoff = 2.0;
   /// Coordinator recovery budget per application: after this many recovery
   /// actions (reschedules, stall resends) the app is failed with a
   /// descriptive report instead of looping forever.
@@ -55,21 +42,12 @@ struct RuntimeOptions {
   int stall_sweeps = 2;
   // --- execution model ---
   double exec_noise_cv = 0.05;  ///< run-to-run execution time variation
-  /// Execution proceeds in quanta: each boundary re-reads live host load,
-  /// so background spikes slow a running task (and departures speed it up).
-  common::SimDuration exec_quantum = 1.0;
   // --- scheduling ---
   std::size_t k_nearest = 2;  ///< S_remote size (Fig. 2 step 2)
   /// Bid-gathering deadline: the origin assigns with whatever
   /// host-selection outputs have arrived once this much simulated time has
   /// passed (a dead or unreachable remote site must not hang scheduling).
   common::SimDuration bid_timeout = 2.0;
-  // --- economy (docs/ECONOMY.md) ---
-  /// Resource prices: per-CPU-second host prices (proportional to speed by
-  /// default) and per-MB link prices.  Read by the cost-aware strategies
-  /// through the scheduling context, by the admission controller's budget
-  /// gate, by recovery re-placement, and by the report's spend() quote.
-  econ::CostModel prices;
   std::uint64_t seed = 1234;
 };
 

@@ -17,6 +17,10 @@ bool primary_here(const sched::Assignment& a, common::HostId host) {
   return a.primary_host() == host;
 }
 
+/// Execution proceeds in quanta: each boundary re-reads live host load, so
+/// background spikes slow a running task (and departures speed it up).
+constexpr common::SimDuration kExecQuantum = 1.0;
+
 }  // namespace
 
 void DataManager::activate(const PlanPtr& plan,
@@ -114,15 +118,9 @@ void DataManager::send_setup(common::AppId app, common::HostId peer) {
       host_, peer, msg::kDmSetup, wire::kSmall,
       ChannelSetup{app, host_, pending->second.channel}});
 
-  // Retry with exponential backoff: the setup or its ack may be lost to a
-  // partition or a transient-loss window; a bounded number of resends keeps
-  // readiness from wedging on a permanently unreachable peer.
-  const RuntimeOptions& opt = core_.options();
-  if (opt.channel_retry_timeout <= 0.0) return;
-  const int attempt = pending->second.resends;
+  // Retry with exponential backoff (kChannelRetryTimeout, data_manager.hpp).
   const common::SimDuration wait =
-      opt.channel_retry_timeout *
-      std::pow(std::max(opt.channel_backoff, 1.0), attempt);
+      kChannelRetryTimeout * std::pow(kChannelBackoff, pending->second.resends);
   core_.engine().schedule(wait, [this, app, peer] {
     auto app_it = apps_.find(app.value());
     if (app_it == apps_.end()) return;
@@ -130,7 +128,7 @@ void DataManager::send_setup(common::AppId app, common::HostId peer) {
     auto p = st.pending_setups.find(peer);
     if (p == st.pending_setups.end()) return;  // acked: nothing to do
     if (!core_.topology().host_up(host_)) return;
-    if (p->second.resends >= core_.options().channel_max_retries) {
+    if (p->second.resends >= kChannelMaxRetries) {
       // Abandon the peer: report readiness anyway so the application can
       // proceed; if the peer matters, task-level recovery takes over later.
       st.pending_setups.erase(p);
@@ -307,7 +305,7 @@ void DataManager::run_quantum(common::AppId app, std::uint32_t task_value) {
   const double rate = core_.ground_truth().rate_mflops(
       plan.perf[task_value], a.hosts, /*exclude_own_share=*/true);
   const common::SimDuration dt =
-      std::min(task.remaining_mflop / rate, core_.options().exec_quantum);
+      std::min(task.remaining_mflop / rate, kExecQuantum);
   state.completion =
       core_.engine().schedule(dt, [this, app, task_value, rate, dt] {
         // A dead host computes nothing; its events are inert.

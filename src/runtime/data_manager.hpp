@@ -42,6 +42,15 @@
 
 namespace vdce::runtime {
 
+/// Channel setup retry: an unacknowledged dm.setup (lost to a partition or
+/// a transient-loss window) is resent after kChannelRetryTimeout, each later
+/// wait kChannelBackoff times longer, and the peer is abandoned after
+/// kChannelMaxRetries resends — a permanently partitioned peer must not
+/// wedge channel setup forever.
+inline constexpr common::SimDuration kChannelRetryTimeout = 1.0;
+inline constexpr double kChannelBackoff = 2.0;
+inline constexpr int kChannelMaxRetries = 3;
+
 class DataManager {
  public:
   DataManager(RuntimeCore& core, common::HostId host)

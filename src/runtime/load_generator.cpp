@@ -4,6 +4,13 @@
 
 namespace vdce::runtime {
 
+namespace {
+
+/// Simulated seconds between background-load updates.
+constexpr common::SimDuration kUpdatePeriod = 0.5;
+
+}  // namespace
+
 void BackgroundLoadGenerator::start() {
   background_.assign(topology_.host_count(), 0.0);
   // Start each host at an independent draw around the mean.
@@ -12,7 +19,7 @@ void BackgroundLoadGenerator::start() {
     topology_.add_cpu_load(common::HostId(static_cast<std::uint32_t>(h)),
                            background_[h]);
   }
-  timer_ = engine_.every(options_.period, [this] { step(); });
+  timer_ = engine_.every(kUpdatePeriod, [this] { step(); });
 }
 
 void BackgroundLoadGenerator::stop() { timer_.cancel(); }

@@ -18,10 +18,9 @@
 namespace vdce::runtime {
 
 struct LoadGeneratorOptions {
-  common::SimDuration period = 0.5;  ///< update interval
-  double mean_load = 0.4;            ///< long-run mean per host
-  double reversion = 0.2;            ///< pull toward the mean per step
-  double volatility = 0.15;          ///< per-step noise stddev
+  double mean_load = 0.4;    ///< long-run mean per host
+  double reversion = 0.2;    ///< pull toward the mean per step
+  double volatility = 0.15;  ///< per-step noise stddev
 };
 
 class BackgroundLoadGenerator {

@@ -94,7 +94,7 @@ sched::SchedulerContext SiteManager::make_context(
   ctx.reservations = &core_.reservations();
   ctx.reserving_app = scheduling_for;
   ctx.held_booking = core_.reservations().booking_of(scheduling_for);
-  ctx.prices = &core_.options().prices;
+  ctx.prices = &econ::kRateCard;
   return ctx;
 }
 
@@ -560,7 +560,7 @@ void SiteManager::on_ac_overload(const net::Message& message) {
   // Anti-livelock: after the attempt cap, restart the task where it was and
   // pin it — moving again under fleet-wide load just keeps resetting its
   // progress to zero.
-  if (app.attempts[notice.task.value()] >= core_.options().max_task_attempts) {
+  if (app.attempts[notice.task.value()] >= kMaxTaskAttempts) {
     VDCE_LOG(kInfo, "site-mgr", core_.now())
         << "task " << app.plan->graph.task(notice.task).instance_name
         << " hit the attempt cap; pinning on host " << notice.host.value();
@@ -799,7 +799,7 @@ econ::SpendBreakdown SiteManager::quote_current(
             : app.current.at(a.task.value());
   }
   return econ::estimate_spend(app.plan->graph, rat, core_.topology(),
-                              core_.options().prices);
+                              econ::kRateCard);
 }
 
 PlanPtr SiteManager::current_plan(const ActiveApp& app) const {

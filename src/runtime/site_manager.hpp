@@ -47,6 +47,10 @@
 
 namespace vdce::runtime {
 
+/// After this many placements of one task, further overload notices pin the
+/// task in place instead of moving it again (anti-livelock).
+inline constexpr int kMaxTaskAttempts = 4;
+
 class SiteManager {
  public:
   SiteManager(RuntimeCore& core, common::SiteId site, common::HostId server)

@@ -81,7 +81,7 @@ common::Expected<Precomputed> precompute(
     for (const Option& o : pre.options[node.id.value()]) {
       acc += o.predicted;
       const double quote =
-          prices.cpu_price(o.host, o.speed_mflops) * o.predicted;
+          prices.cpu_price(o.speed_mflops) * o.predicted;
       if (!have || quote < cheapest) {
         have = true;
         cheapest = quote;
@@ -193,7 +193,7 @@ common::Expected<ResourceAllocationTable> schedule_constrained(
       for (common::HostId h : bid->hosts) {
         const db::ResourceRecord* rec = repo.resources().record(h);
         const double speed = rec != nullptr ? rec->speed_mflops : 100.0;
-        charge += prices.cpu_price(h, speed) * bid->predicted;
+        charge += prices.cpu_price(speed) * bid->predicted;
       }
       charge += transfer_quote(task, bid->hosts.front(), bid->site);
     } else {
@@ -208,7 +208,7 @@ common::Expected<ResourceAllocationTable> schedule_constrained(
         const double finish =
             builder.earliest_start(task, o.host, staging) + o.predicted;
         const double quote =
-            prices.cpu_price(o.host, o.speed_mflops) * o.predicted +
+            prices.cpu_price(o.speed_mflops) * o.predicted +
             transfer_quote(task, o.host, o.site);
         bool ok = true;
         bool better = false;

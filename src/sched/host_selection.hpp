@@ -59,16 +59,15 @@ struct RankedRef {
 /// state is constant for the duration of one schedule() call, so
 /// assign_with_outputs can reuse these instead of recomputing
 /// feasible_hosts per (task, site) — the O(tasks × hosts) prediction
-/// recomputation this cache eliminates is pure overhead.  Outputs built
-/// elsewhere (e.g. reconstructed from fabric bid replies) may leave
-/// `ranked` empty; consumers must fall back to feasible_hosts then.
+/// recomputation this cache eliminates is pure overhead.  Fabric bid
+/// replies (sm.bids) carry the whole output, cache included.
 struct HostSelectionOutput {
   common::SiteId site;
   std::unordered_map<afg::TaskId, HostBid> bids;
   /// Available hosts of the site at run() time, sorted by host id.
   std::vector<db::ResourceRecord> host_pool;
   /// Per task id: feasible machines as indices into `host_pool`, sorted by
-  /// (predicted, host).  Valid iff `ranked.size() == graph.task_count()`.
+  /// (predicted, host); run() fills one entry per task.
   std::vector<std::vector<RankedRef>> ranked;
 };
 

@@ -79,12 +79,6 @@ class ReservationTable {
   /// (tests/test_reservations.cpp asserts it).
   [[nodiscard]] std::vector<common::HostId> hosts_of(common::AppId app) const;
 
-  [[nodiscard]] std::size_t held_count() const noexcept {
-    return holder_.size();
-  }
-  [[nodiscard]] std::size_t app_count() const noexcept {
-    return by_app_.size();
-  }
   /// Attempts to acquire a host already held by a different app.
   [[nodiscard]] std::uint64_t conflicts() const noexcept { return conflicts_; }
 

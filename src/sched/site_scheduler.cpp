@@ -228,30 +228,12 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
       cand.valid = true;
       ++candidates_evaluated;
 
-      // Ranked feasible machines of this site: reuse the cached refs when
-      // the output carries them (repository state cannot have changed since
-      // run()), and only recompute for outputs rebuilt without the cache.
-      // Filled lazily — the pure paper-objective path never touches it.
-      const bool cached = output.ranked.size() == graph.task_count();
-      std::vector<RankedHost> scratch;
-      bool scratch_ready = false;
-      auto ensure_ranked = [&] {
-        if (!cached && !scratch_ready) {
-          scratch = HostSelectionAlgorithm::feasible_hosts(
-              node, *perf, s, context.repo(s), *context.predictor);
-          scratch_ready = true;
-        }
-      };
-      auto ranked_size = [&] {
-        return cached ? output.ranked[task.value()].size() : scratch.size();
-      };
+      // Ranked feasible machines of this site, cached by run() (repository
+      // state cannot have changed since).
+      assert(output.ranked.size() == graph.task_count());
+      const std::vector<RankedRef>& ranked = output.ranked[task.value()];
       auto rec_of = [&](std::size_t i) -> const db::ResourceRecord& {
-        return cached ? output.host_pool[output.ranked[task.value()][i].index]
-                      : scratch[i].record;
-      };
-      auto predicted_of = [&](std::size_t i) {
-        return cached ? output.ranked[task.value()][i].predicted
-                      : scratch[i].predicted;
+        return output.host_pool[ranked[i].index];
       };
       const auto need = node.props.mode == afg::ComputationMode::kParallel
                             ? static_cast<std::size_t>(node.props.num_nodes)
@@ -273,10 +255,9 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
           // re-rank deterministically over the remaining feasible machines
           // (same (predicted, host-id) order Fig. 3 produced).
           ++contention_reranked;
-          ensure_ranked();
           std::vector<db::ResourceRecord> group;
           for (std::size_t i = 0;
-               i < ranked_size() && cand.hosts.size() < need; ++i) {
+               i < ranked.size() && cand.hosts.size() < need; ++i) {
             if (reserved(rec_of(i).host)) {
               ++contention_skips;
               continue;
@@ -284,7 +265,8 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
             if (window_unsafe(rec_of(i).host, -1.0)) continue;
             cand.hosts.push_back(rec_of(i).host);
             group.push_back(rec_of(i));
-            cand.predicted = predicted_of(i);  // last = slowest for need == 1
+            // last = slowest for need == 1
+            cand.predicted = ranked[i].predicted;
           }
           if (cand.hosts.size() < need) continue;  // site fully occupied
           if (need > 1) {
@@ -302,21 +284,20 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
       } else {
         // Availability-aware: re-rank this site's feasible machines by the
         // finish time they would actually yield given current occupancy.
-        ensure_ranked();
-        if (ranked_size() < need) continue;
+        if (ranked.size() < need) continue;
 
         if (need == 1) {
           bool have = false;
           double best_finish = 0.0;
           common::HostId best_host;
           double best_predicted = 0.0;
-          for (std::size_t i = 0; i < ranked_size(); ++i) {
+          for (std::size_t i = 0; i < ranked.size(); ++i) {
             const db::ResourceRecord& rec = rec_of(i);
             if (reserved(rec.host)) {
               ++contention_skips;
               continue;
             }
-            const double predicted = predicted_of(i) * staleness(rec);
+            const double predicted = ranked[i].predicted * staleness(rec);
             double finish =
                 builder.earliest_start(task, rec.host, staging) + predicted;
             // Conservative backfill: the guarded finish estimate must land
@@ -341,9 +322,9 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
             double predicted;
           };
           std::vector<PoolEntry> pool;
-          pool.reserve(std::min(ranked_size(), 2 * need));
+          pool.reserve(std::min(ranked.size(), 2 * need));
           for (std::size_t i = 0;
-               i < ranked_size() && pool.size() < 2 * need; ++i) {
+               i < ranked.size() && pool.size() < 2 * need; ++i) {
             if (reserved(rec_of(i).host)) {
               ++contention_skips;
               continue;
@@ -352,7 +333,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
             // group's joint finish estimate is too coupled to prove the
             // no-delay invariant host by host.
             if (window_unsafe(rec_of(i).host, -1.0)) continue;
-            pool.push_back(PoolEntry{&rec_of(i), predicted_of(i)});
+            pool.push_back(PoolEntry{&rec_of(i), ranked[i].predicted});
           }
           if (pool.size() < need) continue;
           std::sort(pool.begin(), pool.end(),

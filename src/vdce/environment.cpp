@@ -43,11 +43,6 @@ common::Status VdceEnvironment::try_bring_up() {
   if (common::Status plan_ok = options_.faults.validate(); !plan_ok.ok()) {
     return plan_ok;
   }
-  // Fail fast on a default policy naming an unknown strategy — a typo
-  // here must not silently fall back to the VDCE default at schedule time.
-  if (auto resolved = sched::resolve(options_.scheduling); !resolved) {
-    return resolved.error();
-  }
   up_ = true;
 
   // One repository per site, populated with its hosts and the standard
@@ -398,9 +393,10 @@ common::Expected<Session> VdceEnvironment::login(common::SiteId site,
   return Session{site, *account};
 }
 
-common::Status VdceEnvironment::drive_until(const bool& flag) {
+template <class Done>
+common::Status VdceEnvironment::drive_until(Done done) {
   const common::SimTime deadline = engine_.now() + options_.sync_timeout;
-  while (!flag) {
+  while (!done()) {
     if (engine_.empty()) {
       return common::Error{common::ErrorCode::kInternal,
                            "simulation drained with operation incomplete"};
@@ -450,9 +446,8 @@ common::Expected<sched::ResourceAllocationTable> VdceEnvironment::schedule(
 
   // Clip the candidate set to what this user may touch.
   options.access = session.account.domain;
-  // An empty per-call strategy inherits the environment default; a named
-  // one must name a strategy-table row — fail fast with the known-name list.
-  if (options.strategy.empty()) options.strategy = options_.scheduling.strategy;
+  // A named strategy must name a strategy-table row — fail fast with the
+  // known-name list.
   if (auto resolved = sched::resolve(options); !resolved) {
     return resolved.error();
   }
@@ -468,7 +463,7 @@ common::Expected<sched::ResourceAllocationTable> VdceEnvironment::schedule(
             result = std::move(r);
             done = true;
           });
-  auto st = drive_until(done);
+  auto st = drive_until([&done] { return done; });
   if (!st.ok()) return st.error();
   return result;
 }
@@ -647,12 +642,8 @@ common::Expected<AppHandle> VdceEnvironment::submit_application(
     }
   }
 
-  // Resolve the effective policy before admission: an empty per-run
-  // strategy inherits the environment default, and unknown names are a
-  // typed kInvalidArgument here — never a silent fallback at schedule time.
-  if (options.sched.strategy.empty()) {
-    options.sched.strategy = options_.scheduling.strategy;
-  }
+  // Resolve the policy before admission: unknown names are a typed
+  // kInvalidArgument here — never a silent fallback at schedule time.
   if (auto resolved = sched::resolve(options.sched); !resolved) {
     return resolved.error();
   }
@@ -824,7 +815,7 @@ void VdceEnvironment::on_scheduled(
   // a submission that no amount of waiting can make affordable.
   if (run.budget > 0.0) {
     const econ::SpendBreakdown quote = econ::estimate_spend(
-        *slot.graph, *table, topology_, options_.runtime.prices);
+        *slot.graph, *table, topology_, econ::kRateCard);
     if (quote.total() > run.budget) {
       if (obs_.metrics_on()) {
         obs_.metrics().counter("econ.budget_rejections").add();
@@ -956,7 +947,7 @@ common::Expected<runtime::ExecutionReport> VdceEnvironment::wait(
   }
   SubmissionSlot& slot = *it->second;
   if (!slot.terminal) {
-    if (auto st = drive_until(slot.terminal); !st.ok()) {
+    if (auto st = drive_until([&slot] { return slot.terminal; }); !st.ok()) {
       obs_.flight().record(engine_.now(), obs::FlightCode::kRunFailed,
                            obs::kControlTrack, slot.exec_app.value());
       dump_postmortem();
@@ -971,19 +962,7 @@ common::Status VdceEnvironment::drain() {
     return common::Error{common::ErrorCode::kInternal,
                          "drain(): environment not brought up"};
   }
-  const common::SimTime deadline = engine_.now() + options_.sync_timeout;
-  while (active_submissions_ > 0) {
-    if (engine_.empty()) {
-      return common::Error{common::ErrorCode::kInternal,
-                           "simulation drained with operation incomplete"};
-    }
-    if (engine_.now() > deadline) {
-      return common::Error{common::ErrorCode::kTimeout,
-                           "operation exceeded sync timeout"};
-    }
-    engine_.run_steps(8);
-  }
-  return common::Status::success();
+  return drive_until([this] { return active_submissions_ == 0; });
 }
 
 common::Expected<runtime::ExecutionReport> VdceEnvironment::report(
@@ -1087,7 +1066,7 @@ common::Expected<runtime::ExecutionReport> VdceEnvironment::execute_plan(
                              done = true;
                            },
                            options.budget);
-  auto st = drive_until(done);
+  auto st = drive_until([&done] { return done; });
   if (!st.ok()) {
     obs_.flight().record(engine_.now(), obs::FlightCode::kRunFailed,
                          obs::kControlTrack, app.value());

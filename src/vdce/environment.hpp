@@ -105,13 +105,6 @@ struct Session {
 
 struct EnvironmentOptions {
   runtime::RuntimeOptions runtime;
-  /// Environment-wide default scheduling policy (docs/SCHEDULING.md).
-  /// Validated at try_bring_up(): a `strategy` naming no row of the
-  /// strategy table is a typed kInvalidArgument there, before any daemon
-  /// starts.
-  /// Per-run RunOptions::sched with an empty strategy inherits this
-  /// policy's strategy name; a non-empty per-run strategy wins.
-  sched::SchedulingPolicy scheduling;
   /// Start the background-load generator at bring-up.
   bool background_load = false;
   runtime::LoadGeneratorOptions load;
@@ -501,8 +494,10 @@ class VdceEnvironment {
       const afg::Afg& graph, sched::ResourceAllocationTable table,
       const Session& session, const RunOptions& options);
 
-  /// Drive the engine until `*flag` is true or the sync timeout elapses.
-  common::Status drive_until(const bool& flag);
+  /// Drive the engine in small steps until `done()` holds; fails when the
+  /// engine drains first or the sync timeout elapses.
+  template <class Done>
+  common::Status drive_until(Done done);
 
   /// Post-mortem: dump the flight-recorder ring to
   /// EnvironmentOptions::flight.postmortem_path (no-op when the recorder is

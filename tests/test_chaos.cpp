@@ -11,6 +11,7 @@
 #include "chaos/injector.hpp"
 #include "common/strings.hpp"
 #include "editor/builder.hpp"
+#include "runtime/data_manager.hpp"
 #include "vdce/environment.hpp"
 #include "vdce/testbed.hpp"
 
@@ -276,6 +277,38 @@ TEST(Chaos, SetupMessageLossRecoversViaRetries) {
   ASSERT_TRUE(report.has_value()) << report.error().message;
   ASSERT_TRUE(report->success) << report->failure_reason;
   EXPECT_GT(env.chaos()->messages_dropped(), 0u);
+}
+
+TEST(Chaos, ChannelSetupAbandonsAnUnreachablePeerAfterMaxRetries) {
+  // Every channel-setup message is lost for the whole run, so the producer
+  // host never hears back from its consumer.  It resends kChannelMaxRetries
+  // times, then abandons the peer and reports ready; the data itself still
+  // flows and the run completes.
+  net::Topology topology = make_campus_pair(13);
+  const net::Site& site0 = topology.site(common::SiteId(0));
+  std::string host_a = topology.host(site0.hosts[1]).spec.name;
+  std::string host_b = topology.host(site0.hosts[2]).spec.name;
+
+  chaos::FaultPlan plan;
+  plan.name("setup-cut").loss(1.0, 0.0, 1e5, "dm.setup");
+  VdceEnvironment env(std::move(topology), chaos_options(std::move(plan)));
+  ASSERT_TRUE(env.try_bring_up().ok());
+  Session session = login(env);
+
+  afg::Afg graph = make_pinned_chain(host_a, host_b);
+  RunOptions run;
+  run.real_kernels = false;
+  auto report = env.run_application(graph, session, run);
+  ASSERT_TRUE(report.has_value()) << report.error().message;
+  EXPECT_TRUE(report->success) << report->failure_reason;
+
+  // One producer -> consumer channel: the first send plus every resend was
+  // dropped, and the peer was abandoned exactly once.
+  EXPECT_EQ(env.metrics().counter_value("recovery.channel_abandoned"), 1u);
+  EXPECT_EQ(env.metrics().counter_value("recovery.channel_retries"),
+            static_cast<std::uint64_t>(runtime::kChannelMaxRetries));
+  EXPECT_EQ(env.chaos()->messages_dropped(),
+            static_cast<std::uint64_t>(runtime::kChannelMaxRetries + 1));
 }
 
 TEST(Chaos, DegradedLinksSlowButDoNotBreakExecution) {

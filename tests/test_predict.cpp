@@ -66,7 +66,7 @@ TEST(Predictor, PagingPenaltyWhenAvailableTight) {
   h.workload_history.push_back(db::WorkloadSample{0.0, 0.0, 4.0});
   auto t = p.predict(task(1000, /*mem_mb=*/8), h);
   ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(*t, 10.0 * p.options().paging_penalty);
+  EXPECT_DOUBLE_EQ(*t, 10.0 * 4.0);  // the 4x paging penalty
 }
 
 TEST(Predictor, MeasuredHistoryWins) {
@@ -84,17 +84,21 @@ TEST(Predictor, MeasuredHistoryWins) {
 }
 
 TEST(Predictor, MeasurementThresholdRespected) {
-  ModelOptions options;
-  options.min_measurements = 3;
-  Predictor p(options);
+  Predictor p;
   db::TaskPerformanceDb database;
   auto rec = task(1000);
   database.register_task(rec);
   db::ResourceRecord h = host(200);
+  for (std::size_t i = 1; i < kMinMeasurements; ++i) {
+    (void)database.record_execution("t", h.host, 42.0);
+  }
+  auto below = p.predict(rec, h, &database);
+  ASSERT_TRUE(below.has_value());
+  EXPECT_DOUBLE_EQ(*below, 5.0);  // analytic path: one sample short
   (void)database.record_execution("t", h.host, 42.0);
-  auto t = p.predict(rec, h, &database);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(*t, 5.0);  // analytic path: only 1 of 3 required samples
+  auto at = p.predict(rec, h, &database);
+  ASSERT_TRUE(at.has_value());
+  EXPECT_DOUBLE_EQ(*at, 42.0);  // threshold reached: the measured mean wins
 }
 
 TEST(Predictor, ParallelSpeedupFollowsAmdahl) {

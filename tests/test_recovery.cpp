@@ -4,6 +4,7 @@
 
 #include "afg/generate.hpp"
 #include "editor/builder.hpp"
+#include "runtime/site_manager.hpp"
 #include "tasklib/matrix.hpp"
 #include "vdce/environment.hpp"
 #include "vdce/testbed.hpp"
@@ -208,6 +209,49 @@ TEST(Recovery, SuspendDuringSetupDelaysButCompletes) {
   auto report = env.execute_with_table(graph, *table, session, run);
   ASSERT_TRUE(report.has_value());
   EXPECT_TRUE(report->success);
+}
+
+TEST(Recovery, OverloadNoticesPastTheAttemptCapPinTheTask) {
+  // An external job spikes every machine by one CPU.  An idle machine stays
+  // under the threshold; the machine running the task goes over it.  So each
+  // overload check moves the task, until kMaxTaskAttempts placements have
+  // been made.  The next notice pins it where it is, and it completes.
+  EnvironmentOptions options = recovery_options();
+  options.runtime.overload_threshold = 1.5;
+  options.background_load = true;
+  options.load.mean_load = 0.0;
+  options.load.reversion = 0.0;
+  options.load.volatility = 0.0;
+  VdceEnvironment env(make_campus_pair(13), options);
+  env.bring_up();
+  auto session = login(env);
+  for (const net::Host& h : env.topology().hosts()) {
+    env.background().inject_spike(h.id, 1.0, 1e5);
+  }
+
+  afg::Afg graph = afg::make_chain(1, 5000, 1e4);
+  RunOptions run;
+  run.real_kernels = false;
+  auto report = env.run_application(graph, session, run);
+  ASSERT_TRUE(report.has_value()) << report.error().to_string();
+  ASSERT_TRUE(report->success) << report->failure_reason;
+
+  int overload_moves = 0;
+  int pins = 0;
+  for (const runtime::RecoveryEvent& r : report->recoveries) {
+    if (r.reason == "overload") {
+      ++overload_moves;
+      EXPECT_NE(r.to_host, r.from_host);
+    } else if (r.reason == "pin") {
+      ++pins;
+      EXPECT_EQ(r.to_host, r.from_host);
+      EXPECT_EQ(r.attempt, runtime::kMaxTaskAttempts + 1);
+    }
+  }
+  EXPECT_EQ(overload_moves, runtime::kMaxTaskAttempts - 1);
+  EXPECT_EQ(pins, 1);
+  ASSERT_EQ(report->outcomes.size(), 1u);
+  EXPECT_EQ(report->outcomes.front().attempts, runtime::kMaxTaskAttempts + 1);
 }
 
 TEST(Recovery, DsmAndApplicationsShareTheFabric) {

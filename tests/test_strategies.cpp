@@ -104,17 +104,6 @@ TEST(StrategyRegistry, ResolveAppliesEachRowsFixedSettings) {
 
 // ---- environment fail-fast contract ----------------------------------------
 
-TEST(PolicyFailFast, BringUpRejectsUnknownDefaultStrategy) {
-  EnvironmentOptions options;
-  options.scheduling.strategy = "definitely-not-registered";
-  VdceEnvironment env(make_campus_pair(), options);
-  auto st = env.try_bring_up();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.error().code, common::ErrorCode::kInvalidArgument);
-  EXPECT_NE(st.error().message.find("definitely-not-registered"),
-            std::string::npos);
-}
-
 TEST(PolicyFailFast, SubmitAndScheduleRejectUnknownStrategy) {
   VdceEnvironment env(make_campus_pair());
   ASSERT_TRUE(env.try_bring_up().ok());
@@ -136,27 +125,6 @@ TEST(PolicyFailFast, SubmitAndScheduleRejectUnknownStrategy) {
   auto table = env.schedule(graph, session, policy);
   ASSERT_FALSE(table.has_value());
   EXPECT_EQ(table.error().code, common::ErrorCode::kInvalidArgument);
-}
-
-TEST(PolicyFailFast, RunInheritsEnvironmentDefaultStrategy) {
-  EnvironmentOptions options;
-  options.scheduling.strategy = "heft";
-  VdceEnvironment env(make_campus_pair(), options);
-  ASSERT_TRUE(env.try_bring_up().ok());
-  env.add_user("u", "p");
-  auto session = env.login(common::SiteId(0), "u", "p").value();
-  afg::Afg graph = afg::make_chain(4, 500, 1e4);
-  RunOptions run;
-  run.real_kernels = false;
-  auto report = env.run_application(graph, session, run);
-  ASSERT_TRUE(report.has_value()) << report.error().to_string();
-  EXPECT_EQ(report->scheduler, "heft");
-
-  // A per-run strategy overrides the environment default.
-  run.sched.strategy = "min-min";
-  auto report2 = env.run_application(graph, session, run);
-  ASSERT_TRUE(report2.has_value()) << report2.error().to_string();
-  EXPECT_EQ(report2->scheduler, "min-min");
 }
 
 // ---- every strategy runs on the live runtime --------------------------------
