@@ -9,6 +9,8 @@
 // plane — and every run under each of them produced the default path's
 // digest.  A match here therefore still proves the default path equal to
 // all three, without keeping a second code path in the runtime.
+// tests/golden/plan.txt, in the same format, digests offline resource
+// allocation tables instead: it pins every strategy row's decisions.
 //
 // Scenario families:
 //   corpus — the 200-case scale corpus (exec noise cv 0.1) under each of
@@ -21,6 +23,14 @@
 //            without the registry and the econ-* runs against the runtime
 //            without the economy plane, so their two tests keep the names
 //            of the differentials they replace.
+//   plan   — offline sched::plan() of every strategy-table row on the
+//            200-case scale corpus with a priced context, plus dbc-cost
+//            under a deadline and dbc-time under a budget derived from the
+//            case's vdce-level table (tight on even cases, loose on odd
+//            ones, so the constrained scheduler meets and misses both).
+//            Each digest covers the table's bytes: scheduler name, schedule
+//            length and every assignment's task, site, hosts and timing at
+//            full precision.
 //
 // After an intended behaviour change, regenerate the files and justify the
 // digest diff in the change description:
@@ -32,13 +42,18 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "afg/generate.hpp"
 #include "common/rng.hpp"
+#include "db/site_repository.hpp"
+#include "econ/econ.hpp"
+#include "predict/model.hpp"
 #include "scale/generate.hpp"
+#include "sched/strategy.hpp"
 #include "vdce/environment.hpp"
 #include "vdce/testbed.hpp"
 
@@ -239,6 +254,114 @@ std::vector<Run> campus_econ_runs() {
   return runs;
 }
 
+/// A corpus case's grid as an offline planner sees it: one repository per
+/// site, local site 0, every other site a neighbour, the runtime's prices.
+struct Deployment {
+  explicit Deployment(const scale::GridSpec& spec)
+      : topology(scale::make_grid(spec)) {
+    for (const net::Site& site : topology.sites()) {
+      auto repo = std::make_unique<db::SiteRepository>(site.id);
+      repo->register_site_hosts(topology);
+      repos.push_back(std::move(repo));
+    }
+    context.topology = &topology;
+    for (auto& r : repos) context.repos.push_back(r.get());
+    context.predictor = &predictor;
+    context.local_site = common::SiteId(0);
+    context.k_nearest = topology.site_count() - 1;
+    context.prices = &econ::kRateCard;
+  }
+
+  net::Topology topology;
+  std::vector<std::unique_ptr<db::SiteRepository>> repos;
+  predict::Predictor predictor;
+  sched::SchedulerContext context;
+};
+
+/// The table's bytes: every double printed at round-trip precision.
+std::string table_bytes(const sched::ResourceAllocationTable& table) {
+  auto num = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf);
+  };
+  std::string out = table.scheduler_name + " " + num(table.schedule_length);
+  for (const sched::Assignment& a : table.assignments) {
+    out += "\n" + std::to_string(a.task.value()) + " " +
+           std::to_string(a.site.value());
+    for (common::HostId h : a.hosts) out += " " + std::to_string(h.value());
+    out += " " + num(a.predicted_time) + " " + num(a.est_start) + " " +
+           num(a.est_finish);
+  }
+  return out;
+}
+
+/// How often the constrained dbc runs met their derived constraint.
+struct ConstraintCounts {
+  std::size_t deadline_met = 0;
+  std::size_t deadline_missed = 0;
+  std::size_t budget_met = 0;
+  std::size_t budget_missed = 0;
+};
+
+std::vector<Run> plan_runs(ConstraintCounts* counts = nullptr) {
+  std::vector<Run> runs;
+  ConstraintCounts local;
+  ConstraintCounts& n = counts != nullptr ? *counts : local;
+  for (const scale::CorpusCase& c : scale::make_corpus(scale::CorpusSpec{})) {
+    char index[8];
+    std::snprintf(index, sizeof index, "%03zu", c.index);
+    Deployment dep(c.grid);
+    afg::Afg graph =
+        scale::make_workload(c.workload, "plan-" + std::to_string(c.index));
+    auto planned = [&](const std::string& label,
+                       const sched::SchedulingPolicy& policy)
+        -> common::Expected<sched::ResourceAllocationTable> {
+      auto table = sched::plan(graph, dep.context, policy);
+      Run run{label + "/" + index, {}, {}};
+      if (!table) {
+        run.anomaly = table.error().to_string();
+      } else {
+        run.digest = fnv1a(table_bytes(*table));
+      }
+      runs.push_back(std::move(run));
+      return table;
+    };
+
+    common::Expected<sched::ResourceAllocationTable> baseline =
+        common::Error{common::ErrorCode::kInternal, "no vdce-level row"};
+    for (const sched::Strategy& row : sched::strategies()) {
+      sched::SchedulingPolicy policy;
+      policy.strategy = std::string(row.name);
+      auto table = planned(policy.strategy, policy);
+      if (row.name == "vdce-level") baseline = std::move(table);
+    }
+    if (!baseline) continue;
+
+    // Tight constraints on even cases, loose ones on odd cases.
+    const double factor = c.index % 2 == 0 ? 0.75 : 1.5;
+    sched::SchedulingPolicy cost;
+    cost.strategy = "dbc-cost";
+    cost.deadline = factor * baseline->schedule_length;
+    if (auto t = planned("dbc-cost+deadline", cost)) {
+      ++(t->schedule_length <= cost.deadline ? n.deadline_met
+                                             : n.deadline_missed);
+    }
+    sched::SchedulingPolicy time;
+    time.strategy = "dbc-time";
+    time.budget = factor * econ::estimate_spend(graph, *baseline, dep.topology,
+                                                econ::kRateCard)
+                               .total();
+    if (auto t = planned("dbc-time+budget", time)) {
+      const double spend =
+          econ::estimate_spend(graph, *t, dep.topology, econ::kRateCard)
+              .total();
+      ++(spend <= time.budget ? n.budget_met : n.budget_missed);
+    }
+  }
+  return runs;
+}
+
 // ---- golden files -----------------------------------------------------------
 
 std::string golden_path(const std::string& family) {
@@ -300,6 +423,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Golden, FleetDigestMatches) { expect_golden("fleet", fleet_runs()); }
 
+TEST(Golden, PlanDigestsMatch) {
+  ConstraintCounts counts;
+  expect_golden("plan", plan_runs(&counts));
+  // The derived constraints drive the constrained scheduler down both of
+  // its branches: some runs meet the constraint and some cannot.
+  EXPECT_GT(counts.deadline_met, 0u);
+  EXPECT_GT(counts.deadline_missed, 0u);
+  EXPECT_GT(counts.budget_met, 0u);
+  EXPECT_GT(counts.budget_missed, 0u);
+}
+
 TEST(StrategyDifferential, DefaultPolicyMatchesLegacyDispatchBitForBit) {
   expect_golden("campus", campus_strategy_runs(), "strategy-");
 }
@@ -317,8 +451,16 @@ int update_golden() {
   }
   std::vector<Run> campus = campus_strategy_runs();
   for (Run& run : campus_econ_runs()) campus.push_back(std::move(run));
+  ConstraintCounts counts;
   const std::map<std::string, std::vector<Run>> families = {
-      {"corpus", corpus}, {"fleet", fleet_runs()}, {"campus", campus}};
+      {"corpus", corpus},
+      {"fleet", fleet_runs()},
+      {"campus", campus},
+      {"plan", plan_runs(&counts)}};
+  std::cout << "plan: dbc-cost deadline met " << counts.deadline_met
+            << ", missed " << counts.deadline_missed
+            << "; dbc-time budget met " << counts.budget_met << ", missed "
+            << counts.budget_missed << "\n";
   int anomalies = 0;
   for (const auto& [family, runs] : families) {
     for (const Run& run : runs) {
