@@ -1,96 +1,33 @@
 #include "sched/baselines.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/rng.hpp"
-#include "sched/site_scheduler.hpp"
+#include "sched/schedule_builder.hpp"
 
 namespace vdce::sched {
 
 namespace {
 
-/// All feasible (site, machine, predicted) options for a sequential task
-/// across the candidate sites, in deterministic order.
-struct Option {
-  common::SiteId site;
-  RankedHost host;
-};
-
-common::Expected<std::vector<Option>> sequential_options(
-    const afg::TaskNode& node, const db::TaskPerfRecord& perf,
-    const std::vector<common::SiteId>& sites, const SchedulerContext& context) {
-  std::vector<Option> out;
-  for (common::SiteId s : sites) {
-    for (RankedHost& rh : HostSelectionAlgorithm::feasible_hosts(
-             node, perf, s, context.repo(s), *context.predictor)) {
-      out.push_back(Option{s, std::move(rh)});
-    }
-  }
-  if (out.empty()) {
-    return common::Error{common::ErrorCode::kNoFeasibleResource,
-                         "no feasible machine for " + node.instance_name};
-  }
-  return out;
-}
-
-/// Parallel tasks are placed via the Fig. 3 group rule at the cheapest
-/// bidding site regardless of baseline flavour — the baselines differ in
-/// their *sequential* placement policy, which dominates the comparison.
-common::Expected<HostBid> parallel_bid(const afg::TaskNode& node,
-                                       const db::TaskPerfRecord& perf,
-                                       const std::vector<common::SiteId>& sites,
-                                       const SchedulerContext& context) {
-  common::Expected<HostBid> best =
-      common::Error{common::ErrorCode::kNoFeasibleResource,
-                    "no site can host parallel task " + node.instance_name};
-  for (common::SiteId s : sites) {
-    auto bid = HostSelectionAlgorithm::best_bid(node, perf, s, context.repo(s),
-                                                *context.predictor);
-    if (bid && (!best || bid->predicted < best->predicted)) best = bid;
-  }
-  return best;
-}
-
-/// Common driver: walk tasks in topological order, let `pick` choose among
-/// the feasible sequential options, and book everything through
-/// ScheduleBuilder.
+/// Common driver of the topological baselines: tasks in topological order
+/// (parents first), `pick` choosing among each sequential task's feasible
+/// options.  Priority -(topological position) makes the ready-list driver
+/// pop exactly that order: the next task in it is always ready, and it is
+/// the lowest-positioned ready task.
 template <typename PickFn>
 common::Expected<ResourceAllocationTable> run_baseline(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::string& scheduler_name, PickFn&& pick) {
-  auto valid = graph.validate();
-  if (!valid.ok()) return valid.error();
+    const SchedulingPolicy& policy, const std::string& scheduler_name,
+    PickFn&& pick) {
+  auto view = PlannerView::make(graph, context, policy);
+  if (!view) return view.error();
   auto order = graph.topological_order();
   if (!order) return order.error();
-
-  // Local plus the k nearest — the same universe the VDCE scheduler sees
-  // under the global access domain, so comparisons are apples-to-apples.
-  const auto sites = candidate_site_set(context, {});
-  const db::SiteRepository& local_repo = context.repo(context.local_site);
-  ScheduleBuilder builder(graph, *context.topology);
-  const common::HostId staging = context.topology->site(context.local_site).server;
-
-  for (afg::TaskId task : *order) {
-    const afg::TaskNode& node = graph.task(task);
-    auto perf = resolve_perf(node, local_repo.tasks());
-    if (!perf) return perf.error();
-
-    if (node.props.mode == afg::ComputationMode::kParallel &&
-        node.props.num_nodes > 1) {
-      auto bid = parallel_bid(node, *perf, sites, context);
-      if (!bid) return bid.error();
-      builder.place(task, bid->site, bid->hosts, bid->predicted, staging);
-      continue;
-    }
-
-    auto options = sequential_options(node, *perf, sites, context);
-    if (!options) return options.error();
-    const Option& chosen = pick(task, *options, builder);
-    builder.place(task, chosen.site, {chosen.host.record.host},
-                  chosen.host.predicted, staging);
+  std::vector<double> priority(graph.task_count());
+  for (std::size_t i = 0; i < order->size(); ++i) {
+    priority[(*order)[i].value()] = -static_cast<double>(i);
   }
-  return builder.build(graph.name(), scheduler_name);
+  return schedule_list(*view, priority, scheduler_name, pick);
 }
 
 /// Shared min-min / max-min batch driver: each step computes, for every
@@ -99,18 +36,14 @@ common::Expected<ResourceAllocationTable> run_baseline(
 /// Ties break toward the lower task id in both flavours.
 common::Expected<ResourceAllocationTable> run_batch_heuristic(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::string& scheduler_name, bool prefer_largest) {
-  auto valid = graph.validate();
-  if (!valid.ok()) return valid.error();
-
-  const auto sites = candidate_site_set(context, {});
-  const db::SiteRepository& local_repo = context.repo(context.local_site);
+    const SchedulingPolicy& policy, const std::string& scheduler_name,
+    bool prefer_largest) {
+  auto view = PlannerView::make(graph, context, policy);
+  if (!view) return view.error();
   ScheduleBuilder builder(graph, *context.topology);
-  const common::HostId staging = context.topology->site(context.local_site).server;
+  const common::HostId staging = view->staging();
 
   std::vector<afg::TaskId> ready = graph.entry_tasks();
-  std::size_t placed = 0;
-
   while (!ready.empty()) {
     struct Choice {
       afg::TaskId task;
@@ -124,32 +57,29 @@ common::Expected<ResourceAllocationTable> run_batch_heuristic(
 
     for (afg::TaskId task : ready) {
       const afg::TaskNode& node = graph.task(task);
-      auto perf = resolve_perf(node, local_repo.tasks());
-      if (!perf) return perf.error();
-
       Choice best_for_task;
       if (node.props.mode == afg::ComputationMode::kParallel &&
           node.props.num_nodes > 1) {
-        auto bid = parallel_bid(node, *perf, sites, context);
+        auto bid = view->parallel_bid(task);
         if (!bid) return bid.error();
         best_for_task = Choice{task, bid->site, bid->hosts, bid->predicted,
                                builder.earliest_start(task, bid->hosts, staging) +
                                    bid->predicted,
                                true};
       } else {
-        auto options = sequential_options(node, *perf, sites, context);
-        if (!options) return options.error();
-        for (const Option& o : *options) {
-          std::vector<common::HostId> hs{o.host.record.host};
+        const PlanOption* best = nullptr;
+        common::SimTime best_finish = 0.0;
+        for (const PlanOption& o : view->options(task)) {
           common::SimTime finish =
-              builder.earliest_start(task, hs, staging) + o.host.predicted;
-          if (!best_for_task.valid || finish < best_for_task.finish) {
-            best_for_task =
-                Choice{task, o.site, hs, o.host.predicted, finish, true};
+              builder.earliest_start(task, o.host(), staging) + o.predicted;
+          if (best == nullptr || finish < best_finish) {
+            best = &o;
+            best_finish = finish;
           }
         }
+        best_for_task = Choice{task,        best->site,  {best->host()},
+                               best->predicted, best_finish, true};
       }
-      assert(best_for_task.valid);
       bool wins;
       if (!overall.valid) {
         wins = true;
@@ -164,7 +94,6 @@ common::Expected<ResourceAllocationTable> run_batch_heuristic(
 
     builder.place(overall.task, overall.site, overall.hosts, overall.predicted,
                   staging);
-    ++placed;
     ready.erase(std::find(ready.begin(), ready.end(), overall.task));
     for (afg::TaskId child : graph.children(overall.task)) {
       bool all_placed = true;
@@ -180,13 +109,6 @@ common::Expected<ResourceAllocationTable> run_batch_heuristic(
       }
     }
   }
-
-  if (placed != graph.task_count()) {
-    return common::Error{common::ErrorCode::kInternal,
-                         scheduler_name + " placed " + std::to_string(placed) +
-                             " of " + std::to_string(graph.task_count()) +
-                             " tasks"};
-  }
   return builder.build(graph.name(), scheduler_name);
 }
 
@@ -198,9 +120,9 @@ common::Expected<ResourceAllocationTable> assign_random(
     const SchedulingPolicy& policy) {
   common::Rng rng(policy.seed);
   return run_baseline(
-      graph, context, "random",
-      [&rng](afg::TaskId, const std::vector<Option>& options,
-             const ScheduleBuilder&) -> const Option& {
+      graph, context, policy, "random",
+      [&rng](afg::TaskId, const std::vector<PlanOption>& options,
+             const ScheduleBuilder&) -> const PlanOption& {
         return options[rng.pick_index(options.size())];
       });
 }
@@ -208,12 +130,12 @@ common::Expected<ResourceAllocationTable> assign_random(
 common::Expected<ResourceAllocationTable> assign_round_robin(
     const afg::Afg& graph, const SchedulerContext& context,
     const std::vector<HostSelectionOutput>& /*outputs*/,
-    const SchedulingPolicy& /*policy*/) {
+    const SchedulingPolicy& policy) {
   std::size_t cursor = 0;
   return run_baseline(
-      graph, context, "round-robin",
-      [&cursor](afg::TaskId, const std::vector<Option>& options,
-                const ScheduleBuilder&) -> const Option& {
+      graph, context, policy, "round-robin",
+      [&cursor](afg::TaskId, const std::vector<PlanOption>& options,
+                const ScheduleBuilder&) -> const PlanOption& {
         // Cycle by a global cursor; options are deterministically ordered,
         // so this spreads consecutive tasks across machines.
         return options[cursor++ % options.size()];
@@ -223,28 +145,28 @@ common::Expected<ResourceAllocationTable> assign_round_robin(
 common::Expected<ResourceAllocationTable> assign_min_load(
     const afg::Afg& graph, const SchedulerContext& context,
     const std::vector<HostSelectionOutput>& /*outputs*/,
-    const SchedulingPolicy& /*policy*/) {
+    const SchedulingPolicy& policy) {
   return run_baseline(
-      graph, context, "min-load",
-      [](afg::TaskId, const std::vector<Option>& options,
-         const ScheduleBuilder& builder) -> const Option& {
+      graph, context, policy, "min-load",
+      [](afg::TaskId, const std::vector<PlanOption>& options,
+         const ScheduleBuilder& builder) -> const PlanOption& {
         // Least database-reported load; ties by machine occupancy, then
         // nominal speed descending.  No per-task prediction involved.
-        const Option* best = &options.front();
-        for (const Option& o : options) {
-          double lo = o.host.record.current_load();
-          double lb = best->host.record.current_load();
+        const PlanOption* best = &options.front();
+        for (const PlanOption& o : options) {
+          double lo = o.record->current_load();
+          double lb = best->record->current_load();
           if (lo != lb) {
             if (lo < lb) best = &o;
             continue;
           }
-          auto fo = builder.host_free(o.host.record.host);
-          auto fb = builder.host_free(best->host.record.host);
+          auto fo = builder.host_free(o.host());
+          auto fb = builder.host_free(best->host());
           if (fo != fb) {
             if (fo < fb) best = &o;
             continue;
           }
-          if (o.host.record.speed_mflops > best->host.record.speed_mflops) {
+          if (o.record->speed_mflops > best->record->speed_mflops) {
             best = &o;
           }
         }
@@ -255,18 +177,18 @@ common::Expected<ResourceAllocationTable> assign_min_load(
 common::Expected<ResourceAllocationTable> assign_min_min(
     const afg::Afg& graph, const SchedulerContext& context,
     const std::vector<HostSelectionOutput>& /*outputs*/,
-    const SchedulingPolicy& /*policy*/) {
+    const SchedulingPolicy& policy) {
   // The batch heuristics need their own driver: they reorder the ready set
   // each step.
-  return run_batch_heuristic(graph, context, "min-min",
+  return run_batch_heuristic(graph, context, policy, "min-min",
                              /*prefer_largest=*/false);
 }
 
 common::Expected<ResourceAllocationTable> assign_max_min(
     const afg::Afg& graph, const SchedulerContext& context,
     const std::vector<HostSelectionOutput>& /*outputs*/,
-    const SchedulingPolicy& /*policy*/) {
-  return run_batch_heuristic(graph, context, "max-min",
+    const SchedulingPolicy& policy) {
+  return run_batch_heuristic(graph, context, policy, "max-min",
                              /*prefer_largest=*/true);
 }
 

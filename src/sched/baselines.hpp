@@ -18,15 +18,13 @@
 //                    best completion time is *largest* goes first,
 //                    front-loading long tasks so they overlap the many
 //                    short ones.
-//  * "vdce-local"  — the VDCE row restricted to AccessDomain::kLocalSite:
-//                    isolates the value of wide-area (k-site) scheduling
-//                    (E2).
 //
-// All baselines share ScheduleBuilder bookkeeping, so reported schedule
-// lengths are directly comparable.  Tasks are processed in topological
-// order (parents first) — required for data-ready computation.  They ignore
-// the gathered outputs and the policy ("random" reads only its seed): the
-// candidate sites are always the local site plus its k nearest.
+// All baselines read the grid through the shared PlannerView and book
+// through ScheduleBuilder (sched/schedule_builder.hpp), so reported schedule
+// lengths are directly comparable.  The first three place tasks in
+// topological order (parents first).  They ignore the gathered outputs; the
+// policy's access domain clips their candidate sites exactly as it clips the
+// VDCE rows', and "random" also reads its seed.
 #pragma once
 
 #include <vector>

@@ -24,9 +24,9 @@
 
 namespace vdce::sched {
 
-/// The "heft" row of the strategy table (sched/strategy.hpp).  The
-/// candidate sites are always the local site plus its k nearest: HEFT
-/// ignores the outputs and every policy knob.
+/// The "heft" row of the strategy table (sched/strategy.hpp).  It ignores
+/// the outputs and every policy knob except the access domain, which clips
+/// its candidate sites (PlannerView).
 common::Expected<ResourceAllocationTable> assign_heft(
     const afg::Afg& graph, const SchedulerContext& context,
     const std::vector<HostSelectionOutput>& outputs,

@@ -55,37 +55,24 @@ std::vector<RankedHost> HostSelectionAlgorithm::feasible_hosts(
   return out;
 }
 
-common::Expected<HostBid> HostSelectionAlgorithm::best_bid(
+common::Expected<HostBid> HostSelectionAlgorithm::group_bid(
     const afg::TaskNode& node, const db::TaskPerfRecord& perf,
-    common::SiteId site, const db::SiteRepository& repo,
-    const predict::Predictor& predictor) {
-  auto ranked = feasible_hosts(node, perf, site, repo, predictor);
-  const auto nodes_needed =
-      node.props.mode == afg::ComputationMode::kParallel
-          ? static_cast<std::size_t>(node.props.num_nodes)
-          : std::size_t{1};
-  if (ranked.size() < nodes_needed) {
+    common::SiteId site, const std::vector<const db::ResourceRecord*>& ranked,
+    const db::SiteRepository& repo, const predict::Predictor& predictor) {
+  const auto need = static_cast<std::size_t>(node.props.num_nodes);
+  if (ranked.size() < need) {
     return common::Error{common::ErrorCode::kNoFeasibleResource,
                          "site " + std::to_string(site.value()) + " has " +
                              std::to_string(ranked.size()) +
                              " feasible hosts for " + node.instance_name +
-                             ", needs " + std::to_string(nodes_needed)};
+                             ", needs " + std::to_string(need)};
   }
-
   HostBid bid;
   bid.site = site;
-  if (nodes_needed == 1) {
-    bid.hosts.push_back(ranked.front().record.host);
-    bid.predicted = ranked.front().predicted;
-    return bid;
-  }
-
-  // Parallel task: the `num_nodes` individually fastest machines form the
-  // group; the group prediction is gated by its slowest member.
   std::vector<db::ResourceRecord> group;
-  for (std::size_t i = 0; i < nodes_needed; ++i) {
-    group.push_back(ranked[i].record);
-    bid.hosts.push_back(ranked[i].record.host);
+  for (std::size_t i = 0; i < need; ++i) {
+    group.push_back(*ranked[i]);
+    bid.hosts.push_back(ranked[i]->host);
   }
   auto predicted = predictor.predict(perf, group, &repo.tasks());
   if (!predicted) return predicted.error();
@@ -100,8 +87,7 @@ common::Expected<HostSelectionOutput> HostSelectionAlgorithm::run(
   output.site = site;
   // One snapshot of the site's hosts for the whole run; every task's ranked
   // list is kept as indices into it so assign_with_outputs never recomputes
-  // feasible_hosts.  Bids derived from the refs match best_bid exactly: the
-  // ranking order and the parallel-group membership are the same.
+  // feasible_hosts.
   output.host_pool = repo.resources().available_hosts(site);
   output.ranked.resize(graph.task_count());
   for (const afg::TaskNode& node : graph.tasks()) {
@@ -109,31 +95,20 @@ common::Expected<HostSelectionOutput> HostSelectionAlgorithm::run(
     if (!perf) return perf.error();  // unknown task is a caller error
     std::vector<RankedRef> refs =
         rank_hosts(node, *perf, output.host_pool, repo, predictor);
-    const auto need = node.props.mode == afg::ComputationMode::kParallel
-                          ? static_cast<std::size_t>(node.props.num_nodes)
-                          : std::size_t{1};
-    // No feasible machine here: this site simply does not bid for the task.
-    if (refs.size() >= need) {
-      HostBid bid;
-      bid.site = site;
-      if (need == 1) {
-        bid.hosts.push_back(output.host_pool[refs.front().index].host);
-        bid.predicted = refs.front().predicted;
-        output.bids.emplace(node.id, std::move(bid));
-      } else {
-        // Parallel task: the `num_nodes` individually fastest machines form
-        // the group; the group prediction is gated by its slowest member.
-        std::vector<db::ResourceRecord> group;
-        for (std::size_t i = 0; i < need; ++i) {
-          group.push_back(output.host_pool[refs[i].index]);
-          bid.hosts.push_back(group.back().host);
-        }
-        auto predicted = predictor.predict(*perf, group, &repo.tasks());
-        if (predicted) {
-          bid.predicted = *predicted;
-          output.bids.emplace(node.id, std::move(bid));
-        }
+    // A site with too few feasible machines simply does not bid.
+    if (node.props.mode == afg::ComputationMode::kParallel &&
+        node.props.num_nodes != 1) {
+      std::vector<const db::ResourceRecord*> ranked;
+      ranked.reserve(refs.size());
+      for (const RankedRef& r : refs) {
+        ranked.push_back(&output.host_pool[r.index]);
       }
+      auto bid = group_bid(node, *perf, site, ranked, repo, predictor);
+      if (bid) output.bids.emplace(node.id, std::move(*bid));
+    } else if (!refs.empty()) {
+      output.bids.emplace(
+          node.id, HostBid{site, {output.host_pool[refs.front().index].host},
+                           refs.front().predicted});
     }
     output.ranked[node.id.value()] = std::move(refs);
   }

@@ -93,12 +93,15 @@ class HostSelectionAlgorithm {
       common::SiteId site, const db::SiteRepository& repo,
       const predict::Predictor& predictor);
 
-  /// Best bid for one task at one site, honouring parallel node counts.
-  static common::Expected<HostBid> best_bid(const afg::TaskNode& node,
-                                            const db::TaskPerfRecord& perf,
-                                            common::SiteId site,
-                                            const db::SiteRepository& repo,
-                                            const predict::Predictor& predictor);
+  /// The rule for a parallel task at one site (§3): the `num_nodes`
+  /// individually fastest machines of `ranked` (the site's feasible
+  /// machines in rank order) form the group, and the group prediction is
+  /// gated by its slowest member.  Fails with kNoFeasibleResource when fewer
+  /// than `num_nodes` machines are feasible.
+  static common::Expected<HostBid> group_bid(
+      const afg::TaskNode& node, const db::TaskPerfRecord& perf,
+      common::SiteId site, const std::vector<const db::ResourceRecord*>& ranked,
+      const db::SiteRepository& repo, const predict::Predictor& predictor);
 
   /// Core of feasible_hosts over a pre-fetched host pool: filter, predict,
   /// and rank by (predicted, host id) without copying any record.  `pool`

@@ -1,5 +1,5 @@
 // List-scheduling variants for the strategy-sensitivity plane
-// (docs/SCHEDULING.md, ROADMAP item 5 / Beránek et al., arXiv 2204.07211).
+// (docs/SCHEDULING.md; Beránek et al., arXiv 2204.07211).
 //
 // The VDCE scheduler and HEFT are two points in the classic list-scheduling
 // design space (which rank orders the ready list? what does placement
@@ -21,11 +21,11 @@
 //    placement is availability-driven and speed-oblivious; the gap to
 //    b-level measures what prediction buys.
 //
-// "max-min" (baselines.hpp) completes the set on the batch side.  All
-// variants share ScheduleBuilder bookkeeping and the Fig. 3 group rule for
-// parallel tasks, so schedule lengths are directly comparable with every
-// other strategy.  They ignore the gathered outputs; the policy only clips
-// their candidate sites (candidate_site_set).
+// "max-min" (baselines.hpp) completes the set on the batch side.  Each
+// variant is a priority plus a pick over the shared PlannerView, driven by
+// the shared ready list (sched/schedule_builder.hpp), so schedule lengths
+// are directly comparable with every other strategy.  They ignore the
+// gathered outputs; the policy only clips their candidate sites.
 #pragma once
 
 #include <vector>

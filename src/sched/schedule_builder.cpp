@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <queue>
+
+#include "sched/site_scheduler.hpp"
 
 namespace vdce::sched {
 
@@ -179,8 +182,14 @@ const Assignment& ScheduleBuilder::assignment(afg::TaskId task) const {
   return assignments_[task.value()];
 }
 
-ResourceAllocationTable ScheduleBuilder::build(std::string app_name,
-                                               std::string scheduler_name) const {
+common::Expected<ResourceAllocationTable> ScheduleBuilder::build(
+    std::string app_name, std::string scheduler_name) const {
+  if (placed_count_ != graph_.task_count()) {
+    return common::Error{common::ErrorCode::kInternal,
+                         scheduler_name + " placed " +
+                             std::to_string(placed_count_) + " of " +
+                             std::to_string(graph_.task_count()) + " tasks"};
+  }
   ResourceAllocationTable table;
   table.app_name = std::move(app_name);
   table.scheduler_name = std::move(scheduler_name);
@@ -192,6 +201,158 @@ ResourceAllocationTable ScheduleBuilder::build(std::string app_name,
     }
   }
   return table;
+}
+
+// ---- PlannerView -----------------------------------------------------------------
+
+common::Expected<PlannerView> PlannerView::make(const afg::Afg& graph,
+                                                const SchedulerContext& context,
+                                                const SchedulingPolicy& policy) {
+  assert(context.topology != nullptr && context.predictor != nullptr);
+  auto valid = graph.validate();
+  if (!valid.ok()) return valid.error();
+  PlannerView view(graph, context);
+  view.sites_ = candidate_site_set(context, policy);
+  // One host-pool snapshot per candidate site, ranked by reference for
+  // every task: rank_hosts orders exactly as feasible_hosts does, without
+  // copying a ResourceRecord per (task, site) pair.
+  view.pools_.reserve(view.sites_.size());
+  for (common::SiteId s : view.sites_) {
+    view.pools_.push_back(context.repo(s).resources().available_hosts(s));
+  }
+  const db::SiteRepository& local_repo = context.repo(context.local_site);
+  view.perf_.resize(graph.task_count());
+  view.options_.resize(graph.task_count());
+  view.mean_exec_.resize(graph.task_count(), 0.0);
+  for (const afg::TaskNode& node : graph.tasks()) {
+    const std::size_t t = node.id.value();
+    auto record = resolve_perf(node, local_repo.tasks());
+    if (!record) return record.error();
+    view.perf_[t] = *record;
+    for (std::size_t k = 0; k < view.sites_.size(); ++k) {
+      const std::vector<db::ResourceRecord>& pool = view.pools_[k];
+      for (const RankedRef& r : HostSelectionAlgorithm::rank_hosts(
+               node, view.perf_[t], pool, context.repo(view.sites_[k]),
+               *context.predictor)) {
+        view.options_[t].push_back(
+            PlanOption{view.sites_[k], &pool[r.index], r.predicted});
+      }
+    }
+    if (view.options_[t].empty()) {
+      return common::Error{common::ErrorCode::kNoFeasibleResource,
+                           "no feasible machine for " + node.instance_name};
+    }
+    double acc = 0.0;
+    for (const PlanOption& o : view.options_[t]) acc += o.predicted;
+    view.mean_exec_[t] = acc / static_cast<double>(view.options_[t].size());
+  }
+  return view;
+}
+
+common::HostId PlannerView::staging() const {
+  return context_->topology->site(context_->local_site).server;
+}
+
+common::Expected<HostBid> PlannerView::bid_at(afg::TaskId task,
+                                              common::SiteId site) const {
+  const afg::TaskNode& node = graph_->task(task);
+  assert(node.props.mode == afg::ComputationMode::kParallel &&
+         node.props.num_nodes > 1);
+  // This site's options are its feasible machines in rank order.
+  std::vector<const db::ResourceRecord*> ranked;
+  for (const PlanOption& o : options_[task.value()]) {
+    if (o.site == site) ranked.push_back(o.record);
+  }
+  return HostSelectionAlgorithm::group_bid(node, perf_[task.value()], site,
+                                           ranked, context_->repo(site),
+                                           *context_->predictor);
+}
+
+common::Expected<HostBid> PlannerView::parallel_bid(afg::TaskId task) const {
+  common::Expected<HostBid> best = common::Error{
+      common::ErrorCode::kNoFeasibleResource,
+      "no site can host parallel task " + graph_->task(task).instance_name};
+  for (common::SiteId s : sites_) {
+    auto bid = bid_at(task, s);
+    if (bid && (!best || bid->predicted < best->predicted)) best = bid;
+  }
+  return best;
+}
+
+common::Expected<afg::Levels> PlannerView::upward_ranks() const {
+  return afg::compute_levels_with_comm(
+      *graph_,
+      [this](const afg::TaskNode& node) { return mean_exec(node.id); },
+      [this](const afg::Edge& e) {
+        return mean_edge_cost(*graph_, e, *context_);
+      });
+}
+
+double mean_edge_cost(const afg::Afg& graph, const afg::Edge& e,
+                      const SchedulerContext& context) {
+  const double bytes = graph.edge_bytes(e);
+  return 0.5 *
+         (context.topology->site(context.local_site).lan.transfer_time(bytes) +
+          context.topology->default_wan().transfer_time(bytes));
+}
+
+// ---- the ready-list driver -----------------------------------------------------
+
+namespace {
+
+/// Ready-list priority queue: pops the highest priority, ties broken by
+/// lowest task id, at O(log n) per operation.  Each task is pushed once
+/// (the driver's unplaced-parent counters guarantee that).
+class ReadyQueue {
+ public:
+  void push(afg::TaskId task, double priority) {
+    heap_.push(Entry{priority, task});
+  }
+
+  /// Pop the highest-priority task.  Pre: !empty().
+  afg::TaskId pop() {
+    afg::TaskId t = heap_.top().task;
+    heap_.pop();
+    return t;
+  }
+
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+
+ private:
+  struct Entry {
+    double priority;
+    afg::TaskId task;
+  };
+  struct Lower {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.priority != b.priority) return a.priority < b.priority;
+      return a.task.value() > b.task.value();
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, Lower> heap_;
+};
+
+}  // namespace
+
+common::Status run_ready_list(
+    const afg::Afg& graph, const std::vector<double>& priority,
+    const std::function<common::Status(afg::TaskId)>& place) {
+  ReadyQueue ready;
+  std::vector<std::size_t> waiting(graph.task_count(), 0);
+  for (const afg::TaskNode& t : graph.tasks()) {
+    waiting[t.id.value()] = graph.parents(t.id).size();
+  }
+  for (afg::TaskId t : graph.entry_tasks()) ready.push(t, priority[t.value()]);
+  while (!ready.empty()) {
+    const afg::TaskId task = ready.pop();
+    if (auto st = place(task); !st.ok()) return st;
+    for (afg::TaskId child : graph.children(task)) {
+      if (--waiting[child.value()] == 0) {
+        ready.push(child, priority[child.value()]);
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace vdce::sched

@@ -9,6 +9,12 @@
 // VDCE scheduler and every baseline produce *comparable* estimated
 // schedules: they differ only in their placement decisions.
 //
+// The same goes for what the rows see and how they walk the graph: every
+// offline row reads the grid through one PlannerView (feasible options,
+// mean costs, the parallel-group rule) and every list scheduler pops its
+// ready list through one driver (run_ready_list), so an offline row is a
+// priority plus a pick.
+//
 // Grid-scale hot path: evaluating one task against every candidate host at
 // every candidate site made data_ready() the dominant cost — O(tasks ×
 // hosts × links) across a run.  Two memos eliminate the recomputation
@@ -29,12 +35,17 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
+#include <functional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "afg/graph.hpp"
+#include "afg/levels.hpp"
 #include "net/topology.hpp"
+#include "sched/host_selection.hpp"
+#include "sched/policy.hpp"
+#include "sched/support.hpp"
 #include "sched/types.hpp"
 
 namespace vdce::sched {
@@ -84,9 +95,10 @@ class ScheduleBuilder {
   [[nodiscard]] const Assignment& assignment(afg::TaskId task) const;
   [[nodiscard]] common::SimDuration makespan() const noexcept { return makespan_; }
 
-  /// Assemble the final table (assignments in task-id order).
-  [[nodiscard]] ResourceAllocationTable build(std::string app_name,
-                                              std::string scheduler_name) const;
+  /// Assemble the final table (assignments in task-id order).  Fails
+  /// unless every task of the graph was placed.
+  [[nodiscard]] common::Expected<ResourceAllocationTable> build(
+      std::string app_name, std::string scheduler_name) const;
 
  private:
   /// Per-task lazy data-ready cache: one value per candidate site, plus the
@@ -133,36 +145,118 @@ class ScheduleBuilder {
   common::SimDuration makespan_ = 0.0;
 };
 
-/// Incremental ready-list priority queue for list schedulers: pops the
-/// highest-level task, ties broken by lowest task id — the same total order
-/// the previous linear scan over an ordered set used, at O(log n) per
-/// operation.  Each task must be pushed at most once (the caller's
-/// unplaced-parent counters guarantee that).
-class ReadyQueue {
+// ---- the offline planners' shared view of the grid -------------------------
+
+/// One feasible option for a sequential task: a machine of a candidate site
+/// and its predicted time.  `record` points into the view's host pools.
+struct PlanOption {
+  common::SiteId site;
+  const db::ResourceRecord* record = nullptr;
+  common::SimDuration predicted = 0.0;
+
+  [[nodiscard]] common::HostId host() const { return record->host; }
+};
+
+/// How every offline strategy row sees the grid: the candidate sites of the
+/// policy's access domain (candidate_site_set), one available-host snapshot
+/// per site, and for each task its performance record (resolved at the
+/// local repository), its feasible options in (site order, then (predicted,
+/// host id)) order — Fig. 3's ranking at each site — and its mean predicted
+/// time over them.  Repository state is constant for one planning call, so
+/// every decision reads this one snapshot.
+class PlannerView {
  public:
-  void push(afg::TaskId task, double level) { heap_.push(Entry{level, task}); }
+  /// Validates the graph; fails when a task has no performance record or no
+  /// feasible machine at any candidate site.
+  static common::Expected<PlannerView> make(const afg::Afg& graph,
+                                            const SchedulerContext& context,
+                                            const SchedulingPolicy& policy);
 
-  /// Pop the highest-priority task.  Pre: !empty().
-  afg::TaskId pop() {
-    afg::TaskId t = heap_.top().task;
-    heap_.pop();
-    return t;
+  PlannerView(const PlannerView&) = delete;  // options point into pools_
+  PlannerView(PlannerView&&) = default;
+
+  [[nodiscard]] const afg::Afg& graph() const { return *graph_; }
+  [[nodiscard]] const SchedulerContext& context() const { return *context_; }
+  [[nodiscard]] const std::vector<PlanOption>& options(afg::TaskId task) const {
+    return options_[task.value()];
   }
+  [[nodiscard]] double mean_exec(afg::TaskId task) const {
+    return mean_exec_[task.value()];
+  }
+  /// The local site's server, which stages non-dataflow file inputs.
+  [[nodiscard]] common::HostId staging() const;
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  /// The group rule (HostSelectionAlgorithm::group_bid) at one candidate
+  /// site, over the task's options there.  Pre: the task is parallel with
+  /// num_nodes > 1.
+  [[nodiscard]] common::Expected<HostBid> bid_at(afg::TaskId task,
+                                                 common::SiteId site) const;
+  /// The group rule at the candidate site with the fastest bid (ties: the
+  /// earlier site).  Every row places parallel groups this way except
+  /// HEFT, which bids at the site of its first option (bid_at).
+  [[nodiscard]] common::Expected<HostBid> parallel_bid(afg::TaskId task) const;
+
+  /// Upward rank (b-level): mean execution plus mean_edge_cost down to an
+  /// exit node.
+  [[nodiscard]] common::Expected<afg::Levels> upward_ranks() const;
 
  private:
-  struct Entry {
-    double level;
-    afg::TaskId task;
-  };
-  struct Lower {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.level != b.level) return a.level < b.level;
-      return a.task.value() > b.task.value();
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, Lower> heap_;
+  PlannerView(const afg::Afg& graph, const SchedulerContext& context)
+      : graph_(&graph), context_(&context) {}
+
+  const afg::Afg* graph_;
+  const SchedulerContext* context_;
+  std::vector<common::SiteId> sites_;
+  std::vector<std::vector<db::ResourceRecord>> pools_;  ///< by site index
+  std::vector<db::TaskPerfRecord> perf_;                ///< by task id
+  std::vector<std::vector<PlanOption>> options_;        ///< by task id
+  std::vector<double> mean_exec_;                       ///< by task id
 };
+
+/// The edge cost a planner can know before placing either end: the mean of
+/// the local site's LAN and the default WAN transfer time for the edge's
+/// volume.
+[[nodiscard]] double mean_edge_cost(const afg::Afg& graph, const afg::Edge& e,
+                                    const SchedulerContext& context);
+
+// ---- the ready-list driver -----------------------------------------------------
+
+/// The ready-list driver every list scheduler shares (Fig. 2 steps 6-7): a
+/// task becomes ready once all its parents are placed, and the ready task
+/// with the highest priority (`priority` is indexed by task id; ties: lowest
+/// id) goes to `place` next.  Returns the first error `place` reports.
+common::Status run_ready_list(
+    const afg::Afg& graph, const std::vector<double>& priority,
+    const std::function<common::Status(afg::TaskId)>& place);
+
+/// The list scheduler most offline rows are: tasks in `priority` order,
+/// parallel groups by view.parallel_bid, and each sequential task on the
+/// option `pick(task, options, builder)` returns.
+template <typename PickFn>
+common::Expected<ResourceAllocationTable> schedule_list(
+    const PlannerView& view, const std::vector<double>& priority,
+    const std::string& scheduler_name, PickFn&& pick) {
+  const afg::Afg& graph = view.graph();
+  ScheduleBuilder builder(graph, *view.context().topology);
+  const common::HostId staging = view.staging();
+  auto place = [&](afg::TaskId task) -> common::Status {
+    const afg::TaskNode& node = graph.task(task);
+    if (node.props.mode == afg::ComputationMode::kParallel &&
+        node.props.num_nodes > 1) {
+      auto bid = view.parallel_bid(task);
+      if (!bid) return bid.error();
+      builder.place(task, bid->site, bid->hosts, bid->predicted, staging);
+    } else {
+      const PlanOption& chosen = pick(task, view.options(task), builder);
+      builder.place(task, chosen.site, {chosen.host()}, chosen.predicted,
+                    staging);
+    }
+    return {};
+  };
+  if (auto st = run_ready_list(graph, priority, place); !st.ok()) {
+    return st.error();
+  }
+  return builder.build(graph.name(), scheduler_name);
+}
 
 }  // namespace vdce::sched

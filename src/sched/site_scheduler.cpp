@@ -113,19 +113,12 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
     case PriorityMode::kPaperLevels:
       levels = afg::compute_levels(graph, cost_fn);
       break;
-    case PriorityMode::kCommLevels: {
-      // Edge cost: the mean of LAN and default-WAN transfer time for the
-      // edge volume — the representative figure a site scheduler can know
-      // before placement.
-      net::LinkSpec lan = topology.site(context.local_site).lan;
-      net::LinkSpec wan = topology.default_wan();
+    case PriorityMode::kCommLevels:
       levels = afg::compute_levels_with_comm(
           graph, cost_fn, [&](const afg::Edge& e) {
-            double bytes = graph.edge_bytes(e);
-            return 0.5 * (lan.transfer_time(bytes) + wan.transfer_time(bytes));
+            return mean_edge_cost(graph, e, context);
           });
       break;
-    }
     case PriorityMode::kFifo: {
       // Degenerate levels: all zero, so the ready-set tiebreak (task id)
       // decides — plain FIFO over the ready list.
@@ -140,18 +133,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
 
   // --- Fig. 2 steps 6-7: ready-list scheduling by level priority ---------
   ScheduleBuilder builder(graph, topology);
-  // Incremental heap over (level desc, id asc) plus unplaced-unique-parent
-  // counters: a task enters the queue exactly once, the moment its last
-  // parent is placed.
-  ReadyQueue ready;
-  std::vector<std::size_t> waiting(graph.task_count(), 0);
-  for (const afg::TaskNode& t : graph.tasks()) {
-    waiting[t.id.value()] = graph.parents(t.id).size();
-  }
-  for (afg::TaskId t : graph.entry_tasks()) ready.push(t, levels->of(t));
-
   const common::HostId staging = topology.site(context.local_site).server;
-  std::size_t placed = 0;
   std::size_t candidates_evaluated = 0;
 
   // Multi-tenant co-scheduling (docs/TENANCY.md): machines held by another
@@ -206,10 +188,9 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
     return reserved(h) || window_unsafe(h, -1.0);
   };
 
-  while (!ready.empty()) {
-    // Highest level first; ties by id.
-    afg::TaskId task = ready.pop();
-
+  // Place each task as the ready list yields it: highest level first, ties
+  // by id.
+  auto place = [&](afg::TaskId task) -> common::Status {
     const afg::TaskNode& node = graph.task(task);
     auto perf = resolve_perf(node, local_repo.tasks());
     if (!perf) return perf.error();
@@ -385,22 +366,15 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
     }
 
     builder.place(task, best.site, best.hosts, best.predicted, staging);
-    ++placed;
-
-    // Children become ready once every parent is placed.
-    for (afg::TaskId child : graph.children(task)) {
-      if (--waiting[child.value()] == 0) {
-        ready.push(child, levels->of(child));
-      }
-    }
+    return {};
+  };
+  if (auto st = run_ready_list(graph, levels->level, place); !st.ok()) {
+    return st.error();
   }
-
-  if (placed != graph.task_count()) {
-    return common::Error{common::ErrorCode::kInternal,
-                         "scheduler placed " + std::to_string(placed) + " of " +
-                             std::to_string(graph.task_count()) + " tasks"};
-  }
-  auto table = builder.build(graph.name(), scheduler_name);
+  auto built = builder.build(graph.name(), scheduler_name);
+  if (!built) return built.error();
+  const ResourceAllocationTable& table = *built;
+  const std::size_t placed = graph.task_count();
 
   if (context.obs != nullptr) {
     if (context.obs->metrics_on()) {
@@ -439,7 +413,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
            obs::arg("schedule_length", table.schedule_length)});
     }
   }
-  return table;
+  return built;
 }
 
 }  // namespace vdce::sched

@@ -17,9 +17,9 @@
 //
 // Contract for a row's assign():
 //  * `outputs` holds one HostSelectionOutput per candidate site, local site
-//    first.  The offline planners ignore it: they re-derive their own view
-//    from the same live repositories through `context`, so the information
-//    base is identical.
+//    first.  The offline planners ignore it: they read the same live
+//    repositories through one PlannerView (sched/schedule_builder.hpp) over
+//    candidate_site_set(policy), so the information base is identical.
 //  * `policy` is the resolved policy (resolve()): `policy.strategy` is the
 //    row's name and the row's fixed settings are applied.
 //  * The returned table's `scheduler_name` is the row's name, which is how

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "afg/generate.hpp"
 #include "db/site_repository.hpp"
@@ -174,13 +175,16 @@ TEST_F(SchedFixture, ParallelBidFailsWhenSiteTooSmall) {
   props.num_nodes = 99;
   props.outputs.push_back(afg::FileSpec{"", 100, false});
   auto id = graph.add_task("p", "synthetic.w1000", props);
-  auto perf = resolve_perf(graph.task(*id), repos[0]->tasks());
-  ASSERT_TRUE(perf.has_value());
-  auto bid = HostSelectionAlgorithm::best_bid(graph.task(*id), *perf,
-                                              common::SiteId(0), *repos[0],
-                                              predictor);
+  ASSERT_TRUE(id.has_value());
+  auto view = PlannerView::make(graph, context, SchedulingPolicy{});
+  ASSERT_TRUE(view.has_value()) << view.error().to_string();
+  auto bid = view->bid_at(*id, common::SiteId(0));
   ASSERT_FALSE(bid.has_value());
   EXPECT_EQ(bid.error().code, common::ErrorCode::kNoFeasibleResource);
+  // No candidate site is large enough either.
+  auto any = view->parallel_bid(*id);
+  ASSERT_FALSE(any.has_value());
+  EXPECT_EQ(any.error().code, common::ErrorCode::kNoFeasibleResource);
 }
 
 TEST_F(SchedFixture, RankedHostsAscendByPrediction) {
@@ -270,12 +274,20 @@ TEST_F(SchedFixture, LocalAccessStaysOnLocalSite) {
   afg::LayeredDagSpec spec;
   spec.tasks = 30;
   afg::Afg graph = afg::make_layered_dag(spec, rng);
-  SchedulingPolicy options;
-  options.access = db::AccessDomain::kLocalSite;
-  auto table = plan(graph, context, options);
-  ASSERT_TRUE(table.has_value());
-  for (const Assignment& a : table->assignments) {
-    EXPECT_EQ(a.site, common::SiteId(0));
+  // Every row honours the user's access domain, not only the VDCE ones.
+  for (const Strategy& row : strategies()) {
+    SCOPED_TRACE(std::string(row.name));
+    SchedulingPolicy options;
+    options.strategy = std::string(row.name);
+    options.access = db::AccessDomain::kLocalSite;
+    auto table = plan(graph, context, options);
+    ASSERT_TRUE(table.has_value()) << table.error().to_string();
+    std::size_t remote = 0;
+    for (const Assignment& a : table->assignments) {
+      if (a.site != common::SiteId(0)) ++remote;
+    }
+    EXPECT_EQ(remote, 0u) << remote << " of " << graph.task_count()
+                          << " tasks on remote sites";
   }
 }
 
