@@ -47,50 +47,73 @@ std::string SeriesKey::label() const {
 // ---------------------------------------------------------------------------
 
 TimeSeries::TimeSeries(SeriesKey key, std::size_t capacity,
-                       common::SimTime created, bool wall)
+                       common::SimTime created, bool wall, std::size_t index)
     : key_(std::move(key)),
       ring_(std::max<std::size_t>(capacity, 2)),
       created_(created),
+      index_(index),
       wall_(wall) {}
 
 void TimeSeries::observe(common::SimTime time, double value) {
-  const std::size_t cap = ring_.size();
-  if (size_ < cap) {
-    ring_[(start_ + size_) % cap] = SeriesPoint{time, value};
+  // window() binary-searches on time, so it must never decrease.
+  assert(time >= last_time());
+  if (size_ < ring_.size()) {
+    ring_[slot(size_)] = SeriesPoint{time, value};
     ++size_;
   } else {
     ring_[start_] = SeriesPoint{time, value};
-    start_ = (start_ + 1) % cap;
+    start_ = slot(1);
   }
   ++total_;
 }
 
 double TimeSeries::last() const noexcept {
   if (size_ == 0) return 0.0;
-  return ring_[(start_ + size_ - 1) % ring_.size()].value;
+  return at(size_ - 1).value;
 }
 
 common::SimTime TimeSeries::last_time() const noexcept {
   if (size_ == 0) return -1.0;
-  return ring_[(start_ + size_ - 1) % ring_.size()].time;
+  return at(size_ - 1).time;
+}
+
+std::size_t TimeSeries::first_at_or_after(
+    common::SimTime cutoff) const noexcept {
+  // Rule windows are short next to the ring, so first gallop back from the
+  // newest point to bracket the cutoff: the search then costs O(log k) for
+  // k in-window points and touches only the ring's newest cache lines.
+  // Every point in [hi, size_) is at or after the cutoff.
+  std::size_t hi = size_;
+  std::size_t step = 1;
+  while (step <= hi && at(hi - step).time >= cutoff) {
+    hi -= step;
+    step *= 2;
+  }
+  std::size_t lo = step <= hi ? hi - step + 1 : 0;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (at(mid).time < cutoff) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 WindowStats TimeSeries::window(common::SimTime now,
                                common::SimDuration window) const {
   WindowStats w;
   const common::SimTime cutoff = now - window;
-  double baseline = 0.0;
-  bool has_baseline = false;
+  const std::size_t first = first_at_or_after(cutoff);
+  // The baseline is the newest point before the window.
+  const bool has_baseline = first > 0;
+  const double baseline = has_baseline ? at(first - 1).value : 0.0;
   double first_value = 0.0;
   common::SimTime first_time = 0.0;
   double sum = 0.0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    const SeriesPoint& p = ring_[(start_ + i) % ring_.size()];
-    if (p.time < cutoff) {
-      baseline = p.value;
-      has_baseline = true;
-      continue;
-    }
+  for (std::size_t i = first; i < size_; ++i) {
+    const SeriesPoint& p = at(i);
     if (w.count == 0) {
       first_value = p.value;
       first_time = p.time;
@@ -128,10 +151,8 @@ double TimeSeries::window_quantile(common::SimTime now,
                                    common::SimDuration window, double q,
                                    std::vector<double>& scratch) const {
   scratch.clear();
-  const common::SimTime cutoff = now - window;
-  for (std::size_t i = 0; i < size_; ++i) {
-    const SeriesPoint& p = ring_[(start_ + i) % ring_.size()];
-    if (p.time >= cutoff) scratch.push_back(p.value);
+  for (std::size_t i = first_at_or_after(now - window); i < size_; ++i) {
+    scratch.push_back(at(i).value);
   }
   if (scratch.empty()) return 0.0;
   std::sort(scratch.begin(), scratch.end());
@@ -191,7 +212,16 @@ HealthPlane::HealthPlane(HealthOptions options)
 void HealthPlane::wire(MetricsRegistry* metrics, TraceSink* trace) {
   if (!options_.enabled) return;  // off means off: never touch the sinks
   metrics_ = metrics;
+  samples_counter_ = nullptr;
+  evaluations_counter_ = nullptr;
   trace_ = trace;
+}
+
+Counter& HealthPlane::cached_counter(Counter*& slot, const char* name) {
+  // First use, not wire(): the registry only learns the name once the plane
+  // has something to count, as it did with a per-call lookup.
+  if (slot == nullptr) slot = &metrics_->counter(name);
+  return *slot;
 }
 
 void HealthPlane::start(common::SimTime now) {
@@ -207,62 +237,56 @@ void HealthPlane::start(common::SimTime now) {
 }
 
 TimeSeries* HealthPlane::series(const SeriesKey& key, common::SimTime now) {
+  return register_series(key, now, false);
+}
+
+TimeSeries* HealthPlane::wall_series(const SeriesKey& key,
+                                     common::SimTime now) {
+  return register_series(key, now, true);
+}
+
+TimeSeries* HealthPlane::register_series(const SeriesKey& key,
+                                         common::SimTime now, bool wall) {
   if (!options_.enabled) return nullptr;
   auto it = index_.find(key);
   if (it != index_.end()) return store_[it->second].get();
   if (store_.size() >= options_.max_series) {
-    ++series_dropped_;
     if (metrics_ != nullptr) {
       metrics_->counter("vdce.health.series_dropped").add();
     }
     return nullptr;
   }
   const std::size_t index = store_.size();
-  store_.push_back(
-      std::make_unique<TimeSeries>(key, options_.ring_capacity, now));
+  store_.push_back(std::make_unique<TimeSeries>(key, options_.ring_capacity,
+                                                now, wall, index));
   index_.emplace(key, index);
-  emit_series_record(*store_.back(), index, now);
-  return store_.back().get();
-}
-
-TimeSeries* HealthPlane::wall_series(const SeriesKey& key,
-                                     common::SimTime now) {
-  if (!options_.enabled) return nullptr;
-  auto it = index_.find(key);
-  if (it != index_.end()) return store_[it->second].get();
-  if (store_.size() >= options_.max_series) {
-    ++series_dropped_;
-    return nullptr;
-  }
-  const std::size_t index = store_.size();
-  store_.push_back(
-      std::make_unique<TimeSeries>(key, options_.ring_capacity, now, true));
-  index_.emplace(key, index);
+  TimeSeries* ts = store_.back().get();
+  for (std::size_t r = 0; r < rules_.size(); ++r) bind(r, *ts);
   // Wall series are never traced — replay must not depend on wall time.
-  return store_.back().get();
+  if (!wall) emit_series_record(*ts, now);
+  return ts;
 }
 
-TimeSeries* HealthPlane::find_series(const SeriesKey& key) {
-  auto it = index_.find(key);
-  return it == index_.end() ? nullptr : store_[it->second].get();
+void HealthPlane::bind(std::size_t r, const TimeSeries& ts) {
+  const HealthRule& rule = rules_[r];
+  const SeriesKey& key = ts.key();
+  if (ts.wall() || key.metric != rule.metric) return;
+  if (rule.host >= 0 && key.host != rule.host) return;
+  if (rule.site >= 0 && key.site != rule.site) return;
+  bindings_[r].push_back(Binding{&ts});
 }
 
-const TimeSeries* HealthPlane::find_series(const SeriesKey& key) const {
-  auto it = index_.find(key);
-  return it == index_.end() ? nullptr : store_[it->second].get();
-}
-
-void HealthPlane::emit_series_record(const TimeSeries& ts, std::size_t index,
+void HealthPlane::emit_series_record(const TimeSeries& ts,
                                      common::SimTime now) {
   if (trace_ == nullptr || !trace_->enabled() || replay_) return;
   const SeriesKey& k = ts.key();
   const std::uint32_t track =
       k.host >= 0 ? static_cast<std::uint32_t>(k.host) : kControlTrack;
   trace_->instant("health", "health.series", now, track,
-                  {arg("s", std::uint64_t{index}), arg("metric", k.metric),
-                   arg("host", k.host), arg("site", k.site),
-                   arg("link_a", k.link_a), arg("link_b", k.link_b),
-                   arg("tenant", k.tenant)});
+                  {arg("s", std::uint64_t{ts.index()}),
+                   arg("metric", k.metric), arg("host", k.host),
+                   arg("site", k.site), arg("link_a", k.link_a),
+                   arg("link_b", k.link_b), arg("tenant", k.tenant)});
 }
 
 void HealthPlane::observe(TimeSeries* ts, common::SimTime time, double value) {
@@ -270,14 +294,15 @@ void HealthPlane::observe(TimeSeries* ts, common::SimTime time, double value) {
   ts->observe(time, value);
   if (ts->wall()) return;  // wall feeds stay out of traces and metrics
   ++samples_;
-  if (metrics_ != nullptr) metrics_->counter("vdce.health.samples").add();
+  if (metrics_ != nullptr) {
+    cached_counter(samples_counter_, "vdce.health.samples").add();
+  }
   if (trace_ != nullptr && trace_->enabled() && !replay_) {
-    auto it = index_.find(ts->key());
     const SeriesKey& k = ts->key();
     const std::uint32_t track =
         k.host >= 0 ? static_cast<std::uint32_t>(k.host) : kControlTrack;
     trace_->instant("health", "health.sample", time, track,
-                    {arg("s", std::uint64_t{it->second}), arg("v", value)});
+                    {arg("s", std::uint64_t{ts->index()}), arg("v", value)});
   }
 }
 
@@ -306,6 +331,8 @@ void HealthPlane::add_rule(HealthRule rule, common::SimTime now) {
          arg("rhost", rule.host), arg("rsite", rule.site)});
   }
   rules_.push_back(std::move(rule));
+  bindings_.emplace_back();
+  for (const auto& ts : store_) bind(rules_.size() - 1, *ts);
 }
 
 bool HealthPlane::violated(const HealthRule& rule, const TimeSeries& ts,
@@ -354,11 +381,8 @@ bool HealthPlane::violated(const HealthRule& rule, const TimeSeries& ts,
 }
 
 void HealthPlane::emit_transition(const HealthRule& rule,
-                                  std::size_t rule_index, const TimeSeries& ts,
-                                  std::size_t series_index, bool fire,
-                                  common::SimTime now, double value,
-                                  double threshold) {
-  (void)rule_index;
+                                  const TimeSeries& ts, bool fire,
+                                  common::SimTime now, double value) {
   if (metrics_ != nullptr) {
     metrics_->counter(fire ? "vdce.health.alerts_fired"
                            : "vdce.health.alerts_cleared")
@@ -373,43 +397,39 @@ void HealthPlane::emit_transition(const HealthRule& rule,
     trace_->instant("health", "health.alert", now, track,
                     {arg("state", fire ? "fire" : "clear"),
                      arg("rule", rule.id),
-                     arg("s", std::uint64_t{series_index}),
-                     arg("value", value), arg("threshold", threshold)});
+                     arg("s", std::uint64_t{ts.index()}),
+                     arg("value", value), arg("threshold", rule.threshold)});
   }
 }
 
 void HealthPlane::evaluate(common::SimTime now) {
   if (!options_.enabled) return;
   ++evaluations_;
-  if (metrics_ != nullptr) metrics_->counter("vdce.health.evaluations").add();
+  if (metrics_ != nullptr) {
+    cached_counter(evaluations_counter_, "vdce.health.evaluations").add();
+  }
   if (trace_ != nullptr && trace_->enabled() && !replay_) {
     trace_->instant("health", "health.eval", now, kControlTrack,
                     {arg("seq", evaluations_)});
   }
   for (std::size_t r = 0; r < rules_.size(); ++r) {
     const HealthRule& rule = rules_[r];
-    for (std::size_t s = 0; s < store_.size(); ++s) {
-      const TimeSeries& ts = *store_[s];
-      if (ts.wall()) continue;
-      const SeriesKey& key = ts.key();
-      if (key.metric != rule.metric) continue;
-      if (rule.host >= 0 && key.host != rule.host) continue;
-      if (rule.site >= 0 && key.site != rule.site) continue;
+    for (Binding& b : bindings_[r]) {
+      const TimeSeries& ts = *b.series;
       double value = 0.0;
       const bool firing = violated(rule, ts, now, value);
-      RuleState& state = state_[{r, s}];
-      if (firing && !state.firing) {
-        state.firing = true;
-        state.alert = alerts_.size();
-        alerts_.push_back(Alert{rule.id, key, now, -1.0, value,
+      if (firing && !b.firing) {
+        b.firing = true;
+        b.alert = alerts_.size();
+        alerts_.push_back(Alert{rule.id, ts.key(), now, -1.0, value,
                                 rule.threshold});
         ++active_;
-        emit_transition(rule, r, ts, s, true, now, value, rule.threshold);
-      } else if (!firing && state.firing) {
-        state.firing = false;
-        alerts_[state.alert].cleared = now;
+        emit_transition(rule, ts, true, now, value);
+      } else if (!firing && b.firing) {
+        b.firing = false;
+        alerts_[b.alert].cleared = now;
         --active_;
-        emit_transition(rule, r, ts, s, false, now, value, rule.threshold);
+        emit_transition(rule, ts, false, now, value);
       }
     }
   }

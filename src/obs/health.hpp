@@ -15,8 +15,13 @@
 //    (replay_trace / vdce-inspect --alerts) reconstructs the live alert
 //    stream exactly.
 //  * Zero steady-state allocation.  Rings are preallocated at registration;
-//    observe() is a store into a ring slot; windowed aggregates walk the
-//    ring in place (the quantile scratch vector is preallocated and reused).
+//    observe() is a store into a ring slot; windowed aggregates read the
+//    ring in place (the quantile scratch vector is reused), and the metrics
+//    counters the hot paths bump are looked up once and cached.
+//  * O(window) evaluation.  Each rule keeps the list of series it matches
+//    (its bindings, built at registration), so a tick visits only matching
+//    (rule, series) pairs; a windowed aggregate searches back from the
+//    newest point for the window start and reads only the in-window points.
 //  * Off means off.  A disabled plane registers nothing, observes nothing,
 //    and emits nothing — traces of a health-off run are byte-identical to a
 //    build without the plane.
@@ -119,15 +124,20 @@ struct WindowStats {
 /// total.  Once the ring is full the oldest point is overwritten — windowed
 /// rules only ever look `window` seconds back, so capacity need only cover
 /// the longest rule window at the feed rate (HealthOptions::ring_capacity).
+/// Point times never decrease, which is what lets a window find its start
+/// by binary search.
 class TimeSeries {
  public:
   TimeSeries(SeriesKey key, std::size_t capacity, common::SimTime created,
-             bool wall = false);
+             bool wall = false, std::size_t index = 0);
 
-  /// Append a point.  No allocation; O(1).
+  /// Append a point; `time` must not precede last_time().  No allocation;
+  /// O(1).
   void observe(common::SimTime time, double value);
 
   [[nodiscard]] const SeriesKey& key() const noexcept { return key_; }
+  /// Registration index in the owning plane (the `s` of its trace records).
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
   /// Wall-clock-derived series (sim.events_per_sec) are excluded from trace
   /// emission, replay, and rule evaluation — same contract as the metrics
   /// registry's wall_gauge family.
@@ -142,13 +152,17 @@ class TimeSeries {
   [[nodiscard]] double last() const noexcept;
   [[nodiscard]] common::SimTime last_time() const noexcept;
 
-  /// Aggregate the points in [now - window, now].  O(retained).
+  /// Aggregate the points in [now - window, now].  O(k) for k in-window
+  /// points: the window start is bracketed by galloping back from the
+  /// newest point and binary-searched, then the in-window points are read
+  /// oldest to newest.
   [[nodiscard]] WindowStats window(common::SimTime now,
                                    common::SimDuration window) const;
 
   /// Exact nearest-rank quantile (q in [0,1]) over the window, using the
   /// caller-provided scratch buffer (reused across calls — no steady-state
   /// allocation once scratch has grown to ring capacity).  0 when empty.
+  /// O(k log k) for k in-window points.
   [[nodiscard]] double window_quantile(common::SimTime now,
                                        common::SimDuration window, double q,
                                        std::vector<double>& scratch) const;
@@ -156,18 +170,30 @@ class TimeSeries {
   /// Visit retained points oldest-to-newest.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < size_; ++i) {
-      fn(ring_[(start_ + i) % ring_.size()]);
-    }
+    for (std::size_t i = 0; i < size_; ++i) fn(at(i));
   }
 
  private:
+  /// Ring slot of the i-th retained point, oldest first (i < capacity).
+  [[nodiscard]] std::size_t slot(std::size_t i) const noexcept {
+    const std::size_t j = start_ + i;
+    return j < ring_.size() ? j : j - ring_.size();
+  }
+  [[nodiscard]] const SeriesPoint& at(std::size_t i) const noexcept {
+    return ring_[slot(i)];
+  }
+  /// Offset (oldest first) of the first point with time >= cutoff; size()
+  /// when there is none.
+  [[nodiscard]] std::size_t first_at_or_after(
+      common::SimTime cutoff) const noexcept;
+
   SeriesKey key_;
   std::vector<SeriesPoint> ring_;
   std::size_t start_ = 0;  ///< index of the oldest point
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;
   common::SimTime created_;
+  std::size_t index_ = 0;
   bool wall_ = false;
 };
 
@@ -292,8 +318,6 @@ class HealthPlane {
   /// Wall-clock variant: the series is excluded from tracing, replay, and
   /// rules (sim.events_per_sec).
   TimeSeries* wall_series(const SeriesKey& key, common::SimTime now);
-  [[nodiscard]] TimeSeries* find_series(const SeriesKey& key);
-  [[nodiscard]] const TimeSeries* find_series(const SeriesKey& key) const;
 
   /// Record one sample.  The TimeSeries* overload is the zero-lookup hot
   /// path; `ts` may be null (no-op, so callers can cache the result of
@@ -312,7 +336,9 @@ class HealthPlane {
 
   /// Evaluate every rule against every matching series at `now`, emitting
   /// fire/clear transitions into the alert log (and the trace/metrics
-  /// sinks).  Deterministic: series are visited in registration order.
+  /// sinks).  Deterministic: rules in insertion order, each rule's series
+  /// in registration order.  Cost: one window per (rule, matching series)
+  /// binding, O(in-window points) each.
   void evaluate(common::SimTime now);
 
   [[nodiscard]] const std::vector<Alert>& alerts() const noexcept {
@@ -342,17 +368,24 @@ class HealthPlane {
                                            bool include_wall = false) const;
 
  private:
-  struct RuleState {
+  /// One series a rule applies to, with the rule's firing state on it.
+  struct Binding {
+    const TimeSeries* series = nullptr;
     bool firing = false;
     std::size_t alert = 0;  ///< index into alerts_ while firing
   };
 
-  void emit_series_record(const TimeSeries& ts, std::size_t index,
-                          common::SimTime now);
-  void emit_transition(const HealthRule& rule, std::size_t rule_index,
-                       const TimeSeries& ts, std::size_t series_index,
-                       bool fire, common::SimTime now, double value,
-                       double threshold);
+  /// The one find-or-create path behind series() and wall_series(); also
+  /// where a new series is bound to every rule that matches it.
+  TimeSeries* register_series(const SeriesKey& key, common::SimTime now,
+                              bool wall);
+  /// Append `ts` to rule `r`'s bindings when the rule applies to it.
+  void bind(std::size_t r, const TimeSeries& ts);
+  /// The named counter, looked up on first use and cached in `slot`.
+  Counter& cached_counter(Counter*& slot, const char* name);
+  void emit_series_record(const TimeSeries& ts, common::SimTime now);
+  void emit_transition(const HealthRule& rule, const TimeSeries& ts,
+                       bool fire, common::SimTime now, double value);
   /// True (and fills value) when `rule` is in violation for `ts` at `now`.
   [[nodiscard]] bool violated(const HealthRule& rule, const TimeSeries& ts,
                               common::SimTime now, double& value) const;
@@ -361,17 +394,17 @@ class HealthPlane {
   std::map<SeriesKey, std::size_t> index_;
   std::vector<std::unique_ptr<TimeSeries>> store_;  ///< registration order
   std::vector<HealthRule> rules_;
-  /// (rule index * store size + series index) -> state; node-based so the
-  /// evaluate loop never invalidates entries it is iterating near.
-  std::map<std::pair<std::size_t, std::size_t>, RuleState> state_;
+  /// bindings_[r]: the series rule r applies to, in registration order.
+  std::vector<std::vector<Binding>> bindings_;
   std::vector<Alert> alerts_;
   std::size_t active_ = 0;
   std::uint64_t evaluations_ = 0;
   std::uint64_t samples_ = 0;
-  std::uint64_t series_dropped_ = 0;
   mutable std::vector<double> scratch_;
 
   MetricsRegistry* metrics_ = nullptr;
+  Counter* samples_counter_ = nullptr;      ///< vdce.health.samples
+  Counter* evaluations_counter_ = nullptr;  ///< vdce.health.evaluations
   TraceSink* trace_ = nullptr;
   bool replay_ = false;
   bool started_ = false;

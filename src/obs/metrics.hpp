@@ -15,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/stats.hpp"
 
@@ -46,18 +48,23 @@ class Gauge {
 
 /// Name-indexed metric store.  Handles returned by counter()/gauge()/
 /// histogram() stay valid for the registry's lifetime (node-based map), so
-/// they may be cached by instrumented components.
+/// they may be cached by instrumented components.  Looking up a name that
+/// is already registered never allocates (the maps compare transparently
+/// against the string_view).
 class MetricsRegistry {
  public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  common::Stats& histogram(const std::string& name) {
-    return histograms_[name];
+  template <typename T>
+  using Family = std::map<std::string, T, std::less<>>;
+
+  Counter& counter(std::string_view name) { return slot(counters_, name); }
+  Gauge& gauge(std::string_view name) { return slot(gauges_, name); }
+  common::Stats& histogram(std::string_view name) {
+    return slot(histograms_, name);
   }
   /// Wall-clock-derived gauge (e.g. sim.events_per_sec).  Kept apart from
   /// the deterministic families: render() includes it, to_jsonl() does not,
   /// so identical-seed exports stay byte-identical.
-  Gauge& wall_gauge(const std::string& name) { return wall_gauges_[name]; }
+  Gauge& wall_gauge(std::string_view name) { return slot(wall_gauges_, name); }
 
   /// Read helpers that never create the metric: 0 / empty when absent.
   [[nodiscard]] std::uint64_t counter_value(const std::string& name) const;
@@ -65,15 +72,11 @@ class MetricsRegistry {
   [[nodiscard]] const common::Stats* find_histogram(
       const std::string& name) const;
 
-  [[nodiscard]] const std::map<std::string, Counter>& counters() const
-      noexcept {
+  [[nodiscard]] const Family<Counter>& counters() const noexcept {
     return counters_;
   }
-  [[nodiscard]] const std::map<std::string, Gauge>& gauges() const noexcept {
-    return gauges_;
-  }
-  [[nodiscard]] const std::map<std::string, common::Stats>& histograms() const
-      noexcept {
+  [[nodiscard]] const Family<Gauge>& gauges() const noexcept { return gauges_; }
+  [[nodiscard]] const Family<common::Stats>& histograms() const noexcept {
     return histograms_;
   }
 
@@ -107,10 +110,17 @@ class MetricsRegistry {
   [[nodiscard]] std::string render() const;
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, common::Stats> histograms_;
-  std::map<std::string, Gauge> wall_gauges_;
+  template <typename T>
+  static T& slot(Family<T>& family, std::string_view name) {
+    auto it = family.find(name);
+    if (it == family.end()) it = family.emplace(std::string(name), T{}).first;
+    return it->second;
+  }
+
+  Family<Counter> counters_;
+  Family<Gauge> gauges_;
+  Family<common::Stats> histograms_;
+  Family<Gauge> wall_gauges_;
 };
 
 }  // namespace vdce::obs

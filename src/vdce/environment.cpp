@@ -170,15 +170,17 @@ void VdceEnvironment::setup_health_plane() {
     key.metric = obs::health::kHostMem;
     (void)hp.series(key, now);
   }
-  // One RTT series per unordered site pair, fed by the cadence probes.
+  // One RTT series per unordered site pair, fed by the cadence probes and
+  // cached at a * site_count + b for the probe replies.
   const std::size_t site_count = topology_.site_count();
+  link_series_.assign(site_count * site_count, nullptr);
   for (std::size_t a = 0; a + 1 < site_count; ++a) {
     for (std::size_t b = a + 1; b < site_count; ++b) {
       key = obs::health::SeriesKey{};
       key.metric = obs::health::kLinkRtt;
       key.link_a = static_cast<std::int64_t>(a);
       key.link_b = static_cast<std::int64_t>(b);
-      (void)hp.series(key, now);
+      link_series_[a * site_count + b] = hp.series(key, now);
     }
   }
   // Control-plane series, cached for the tick's zero-lookup feeds.
@@ -232,13 +234,11 @@ bool VdceEnvironment::handle_health_message(const net::Message& message) {
                                     message.payload});
   } else if (message.type == kHealthProbeReply) {
     const auto& probe = message.payload.get<obs::health::HealthProbe>();
-    obs::health::SeriesKey key;
-    key.metric = obs::health::kLinkRtt;
-    key.link_a = probe.site_a;
-    key.link_b = probe.site_b;
-    obs::health::HealthPlane& hp = obs_.health();
-    hp.observe(hp.find_series(key), engine_.now(),
-               engine_.now() - probe.sent);
+    const auto pair = static_cast<std::size_t>(probe.site_a) *
+                          topology_.site_count() +
+                      static_cast<std::size_t>(probe.site_b);
+    obs_.health().observe(link_series_[pair], engine_.now(),
+                          engine_.now() - probe.sent);
   } else {
     return false;
   }

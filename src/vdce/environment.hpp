@@ -545,6 +545,8 @@ class VdceEnvironment {
   obs::health::TimeSeries* queue_series_ = nullptr;
   obs::health::TimeSeries* sched_series_ = nullptr;
   obs::health::TimeSeries* events_series_ = nullptr;
+  /// link.rtt series of site pair (a < b) at a * site_count + b.
+  std::vector<obs::health::TimeSeries*> link_series_;
 
   // --- multi-tenant submission pipeline (docs/TENANCY.md) -----------------
   tenancy::AdmissionController admission_;

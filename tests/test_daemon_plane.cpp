@@ -9,6 +9,10 @@
 // steady size, a window of pure daemon activity must not touch the
 // allocator at all.  Proven with a counting replacement operator new, the
 // same way tests/test_sim_kernel.cpp gates the event kernel.
+//
+// The same holds with the health plane on: its cadence ticks (inter-site
+// probes, ring stores, rule evaluation) allocate nothing either, with or
+// without a metrics registry wired to it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -91,6 +95,51 @@ TEST(DaemonPlane, SteadyStateWindowAllocatesNothing) {
   EXPECT_EQ(allocs, 0u)
       << "monitor samples, GM reports and GM/SM echo rounds must not "
          "allocate in steady state";
+}
+
+/// Warm up a health-on grid, then run a window of cadence ticks and count
+/// the allocations inside it.
+void expect_health_ticks_allocate_nothing(bool metrics) {
+  EnvironmentOptions options;
+  options.health.enabled = true;
+  options.metrics.enabled = metrics;
+  VdceEnvironment env(scale::make_grid(scale::GridSpec{}), options);
+  ASSERT_TRUE(env.try_bring_up().ok());
+  const double cadence = options.health.cadence;
+  env.run_for(10.0 * env.core().options().echo_period);
+
+  const obs::health::HealthPlane& health = env.health();
+  const std::uint64_t evaluations_before = health.evaluations();
+  const std::uint64_t samples_before = health.samples();
+  const std::uint64_t replies_before =
+      env.fabric().stats().sent_by_type("health.probe_reply");
+  const std::uint64_t allocs_before =
+      g_allocations.load(std::memory_order_relaxed);
+  env.run_for(8.0 * cadence);
+  const std::uint64_t allocs =
+      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+
+  // The window evaluated the rules and fed host and link series...
+  EXPECT_GE(health.evaluations() - evaluations_before, 8u);
+  EXPECT_GT(health.samples(), samples_before);
+  EXPECT_GT(env.fabric().stats().sent_by_type("health.probe_reply"),
+            replies_before);
+  if (metrics) {
+    EXPECT_EQ(env.metrics().counter_value("vdce.health.evaluations"),
+              health.evaluations());
+  }
+  // ...without a single heap allocation.
+  EXPECT_EQ(allocs, 0u) << "health cadence ticks must not allocate in steady "
+                           "state (metrics "
+                        << (metrics ? "on" : "off") << ")";
+}
+
+TEST(DaemonPlane, HealthTicksAllocateNothingWithMetricsOff) {
+  expect_health_ticks_allocate_nothing(false);
+}
+
+TEST(DaemonPlane, HealthTicksAllocateNothingWithMetricsOn) {
+  expect_health_ticks_allocate_nothing(true);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // byte identity, and offline replay matching the live run exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -98,6 +101,120 @@ TEST(TimeSeries, WindowQuantileIsExactNearestRank) {
   EXPECT_DOUBLE_EQ(ts.window_quantile(10.0, 100.0, 0.0, scratch), 1.0);
   // Empty window: 0.0, never NaN.
   EXPECT_DOUBLE_EQ(ts.window_quantile(100.0, 1.0, 0.5, scratch), 0.0);
+}
+
+// A linear scan over every retained point: the oracle the binary-searched
+// window must reproduce field for field.
+health::WindowStats naive_window(const health::TimeSeries& ts,
+                                 common::SimTime now,
+                                 common::SimDuration window) {
+  health::WindowStats w;
+  const common::SimTime cutoff = now - window;
+  double baseline = 0.0;
+  bool has_baseline = false;
+  double first_value = 0.0;
+  common::SimTime first_time = 0.0;
+  double sum = 0.0;
+  ts.for_each([&](const health::SeriesPoint& p) {
+    if (p.time < cutoff) {
+      baseline = p.value;
+      has_baseline = true;
+      return;
+    }
+    if (w.count == 0) {
+      first_value = p.value;
+      first_time = p.time;
+      w.min = w.max = p.value;
+    } else {
+      w.min = std::min(w.min, p.value);
+      w.max = std::max(w.max, p.value);
+    }
+    sum += p.value;
+    w.last = p.value;
+    w.last_time = p.time;
+    ++w.count;
+  });
+  if (w.count > 0) {
+    w.mean = sum / static_cast<double>(w.count);
+    if (w.count >= 2 && w.last_time > first_time) {
+      w.rate = (w.last - first_value) / (w.last_time - first_time);
+    }
+    if (has_baseline) {
+      w.increase = w.last - baseline;
+    } else if (cutoff <= ts.created()) {
+      w.increase = w.last;
+    } else {
+      w.increase = w.last - first_value;
+    }
+  }
+  return w;
+}
+
+double naive_quantile(const health::TimeSeries& ts, common::SimTime now,
+                      common::SimDuration window, double q) {
+  std::vector<double> in;
+  ts.for_each([&](const health::SeriesPoint& p) {
+    if (p.time >= now - window) in.push_back(p.value);
+  });
+  if (in.empty()) return 0.0;
+  std::sort(in.begin(), in.end());
+  auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(in.size())));
+  rank = std::min(std::max<std::size_t>(rank, 1), in.size());
+  return in[rank - 1];
+}
+
+TEST(TimeSeries, WindowMatchesALinearScanOnWrappedRings) {
+  std::mt19937_64 rng(20261018);
+  std::uniform_int_distribution<int> step(0, 3);  // 0: repeated timestamp
+  std::uniform_int_distribution<int> value(-4, 12);
+  std::size_t windows = 0;
+  std::size_t nonempty = 0;
+  for (std::size_t capacity = 2; capacity <= 9; ++capacity) {
+    for (int round = 0; round < 40; ++round) {
+      const common::SimTime created = 0.5 * (round % 4);
+      health::TimeSeries ts(key_of("m"), capacity, created);
+      common::SimTime t = created + 0.5 * step(rng);
+      const int points = round % 23;
+      for (int i = 0; i < points; ++i) {
+        ts.observe(t, value(rng) * 0.75);
+        t += 0.5 * step(rng);
+      }
+      // Cutoffs on every retained point, between points, before creation and
+      // past the last point; windows of 0 and longer than the whole span.
+      std::vector<common::SimTime> cutoffs = {created - 1.0, created,
+                                              t + 1.0, -1e9};
+      ts.for_each([&](const health::SeriesPoint& p) {
+        cutoffs.push_back(p.time);
+        cutoffs.push_back(p.time + 0.25);
+      });
+      for (common::SimTime cutoff : cutoffs) {
+        for (common::SimDuration window : {0.0, 0.5, 1.0, 2.5, 1e9}) {
+          const common::SimTime now = cutoff + window;
+          const health::WindowStats got = ts.window(now, window);
+          const health::WindowStats want = naive_window(ts, now, window);
+          ++windows;
+          if (want.count > 0) ++nonempty;
+          EXPECT_EQ(got.count, want.count);
+          EXPECT_EQ(got.mean, want.mean);
+          EXPECT_EQ(got.min, want.min);
+          EXPECT_EQ(got.max, want.max);
+          EXPECT_EQ(got.last, want.last);
+          EXPECT_EQ(got.rate, want.rate);
+          EXPECT_EQ(got.increase, want.increase);
+          EXPECT_EQ(got.last_time, want.last_time);
+          std::vector<double> scratch;
+          for (double q : {0.0, 0.3, 0.5, 0.99, 1.0}) {
+            EXPECT_EQ(ts.window_quantile(now, window, q, scratch),
+                      naive_quantile(ts, now, window, q));
+          }
+        }
+      }
+    }
+  }
+  // The sweep covered both empty and populated windows.
+  EXPECT_GT(nonempty, 0u);
+  EXPECT_GT(windows, nonempty);
 }
 
 // --- rule kinds -------------------------------------------------------------
@@ -252,6 +369,62 @@ TEST(HealthPlane, SeriesCapDropsRegistrationsPastIt) {
   EXPECT_NE(plane.series(key_of("b"), 0.0), nullptr);
   EXPECT_EQ(plane.series(key_of("c"), 0.0), nullptr);
   EXPECT_EQ(plane.series_count(), 2u);
+}
+
+TEST(HealthPlane, WallRegistrationPastTheCapIsCounted) {
+  health::HealthOptions options;
+  options.enabled = true;
+  options.max_series = 1;
+  options.default_rules = false;
+  health::HealthPlane plane(std::move(options));
+  obs::MetricsRegistry metrics;
+  plane.wire(&metrics, nullptr);
+  plane.start(0.0);
+  EXPECT_NE(plane.series(key_of("a"), 0.0), nullptr);
+  EXPECT_EQ(plane.wall_series(key_of("w"), 0.0), nullptr);
+  EXPECT_EQ(metrics.counter_value("vdce.health.series_dropped"), 1u);
+  EXPECT_EQ(plane.series(key_of("b"), 0.0), nullptr);
+  EXPECT_EQ(metrics.counter_value("vdce.health.series_dropped"), 2u);
+}
+
+TEST(HealthPlane, AlertsComeInRuleThenRegistrationOrder) {
+  auto rule = [](const char* id, const char* metric, std::int64_t host) {
+    health::HealthRule r;
+    r.id = id;
+    r.kind = health::RuleKind::kThreshold;
+    r.metric = metric;
+    r.threshold = 0.0;
+    r.host = host;
+    return r;
+  };
+  health::HealthPlane plane = make_plane({rule("early", "m", -1)});
+  health::TimeSeries* m1 = plane.series(key_of("m", 1, 0), 0.0);
+  health::TimeSeries* wall = plane.wall_series(key_of("m", 2, 0), 0.0);
+  health::TimeSeries* x1 = plane.series(key_of("x", 1, 0), 0.0);
+  // Added after their series exist.
+  plane.add_rule(rule("late", "m", -1), 0.0);
+  plane.add_rule(rule("host-3", "m", 3), 0.0);
+  plane.add_rule(rule("x-rule", "x", -1), 0.0);
+  plane.observe(m1, 1.0, 1.0);
+  plane.observe(wall, 1.0, 1.0);
+  plane.observe(x1, 1.0, 1.0);
+  // Created after every rule, lazily by observe.
+  plane.observe(key_of("m", 3, 0), 1.0, 1.0);
+  plane.observe(key_of("m", 4, 0), 1.0, 1.0);
+  plane.evaluate(1.0);
+
+  std::vector<std::string> got;
+  for (const health::Alert& a : plane.alerts()) {
+    got.push_back(a.rule + " " + a.series.label());
+  }
+  // Rules in insertion order, each rule's series in registration order; the
+  // wall series never fires.
+  const std::vector<std::string> want = {
+      "early m{host=1,site=0}",  "early m{host=3,site=0}",
+      "early m{host=4,site=0}",  "late m{host=1,site=0}",
+      "late m{host=3,site=0}",   "late m{host=4,site=0}",
+      "host-3 m{host=3,site=0}", "x-rule x{host=1,site=0}"};
+  EXPECT_EQ(got, want);
 }
 
 // --- detection scoring ------------------------------------------------------
