@@ -51,7 +51,10 @@
 // Checks (--smoke runs an 8x8 grid with a short horizon): (a) the
 // firing-order checksums match, (b) the engine's steady-state window
 // performed no heap allocation at all, and (c) the wall-clock speedup over
-// legacy meets the documented floor (1.4x full, 1.25x smoke).
+// legacy meets the documented floor (1.4x full, 1.25x smoke).  The speedup
+// is the median over alternating legacy/engine pairs (9 in smoke mode, 3
+// in full mode).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -287,28 +290,30 @@ int main(int argc, char** argv) {
   // docs/SCALING.md).  The floors sit ~10-25% under the measured means so
   // scheduler/allocator noise on shared CI runners doesn't flake the gate.
   const double threshold = smoke ? 1.25 : 1.4;
-  const int repeats = smoke ? 2 : 3;
+  const int pairs = smoke ? 9 : 3;
 
-  // Best-of-N for each engine: the mix is deterministic, so variance is
-  // pure scheduler/allocator noise and the minimum is the honest figure.
+  // Alternating pairs (legacy, then engine) and the median of the per-pair
+  // speedups: the mix is deterministic, so variance is pure host noise, and
+  // a pair's two runs share whatever load the host had at that moment.  A
+  // best-of-N over separate runs let one lucky or unlucky ~25 ms smoke run
+  // decide the gate.  The table reports each kernel's fastest run.
   ReplayResult legacy, engine;
-  for (int r = 0; r < repeats; ++r) {
-    {
-      sim::legacy::LegacyEngine kernel;
-      ReplayResult res = replay(kernel, spec);
-      if (r == 0 || res.ms < legacy.ms) legacy = res;
-    }
-    {
-      sim::Engine kernel;
-      ReplayResult res = replay(kernel, spec);
-      res.arena_high_water = kernel.arena_high_water();
-      if (r == 0 || res.ms < engine.ms) engine = res;
-    }
+  std::vector<double> ratios;
+  bool order_identical = true;
+  for (int r = 0; r < pairs; ++r) {
+    sim::legacy::LegacyEngine old_kernel;
+    const ReplayResult old_res = replay(old_kernel, spec);
+    sim::Engine kernel;
+    ReplayResult res = replay(kernel, spec);
+    res.arena_high_water = kernel.arena_high_water();
+    order_identical = order_identical && old_res.checksum == res.checksum &&
+                      old_res.fired == res.fired;
+    ratios.push_back(res.ms > 0.0 ? old_res.ms / res.ms : 0.0);
+    if (r == 0 || old_res.ms < legacy.ms) legacy = old_res;
+    if (r == 0 || res.ms < engine.ms) engine = res;
   }
-
-  const bool order_identical = legacy.checksum == engine.checksum &&
-                               legacy.fired == engine.fired;
-  const double speedup = engine.ms > 0.0 ? legacy.ms / engine.ms : 0.0;
+  std::sort(ratios.begin(), ratios.end());
+  const double speedup = ratios[ratios.size() / 2];
 
   // Allocations per fired event inside the timed steady-state window; the
   // redesigned kernel's structural claim is that this is zero.

@@ -372,7 +372,7 @@ void SiteManager::execute_application(
     std::vector<db::TaskPerfRecord> perf, std::vector<tasklib::Kernel> kernels,
     std::unordered_map<std::uint32_t, std::unordered_map<int, tasklib::Value>>
         initial_inputs,
-    ReportCallback callback, double budget) {
+    ReportCallback callback, double budget, db::AccessDomain access) {
   assert(rat.assignments.size() == graph.task_count());
   auto plan = std::make_shared<ExecutionPlan>();
   plan->app = app_id;
@@ -393,6 +393,7 @@ void SiteManager::execute_application(
   }
   app.submitted = core_.now();
   app.budget = budget;
+  app.access = access;
   app.callback = std::move(callback);
   auto [it, inserted] = apps_.emplace(app_id.value(), std::move(app));
   assert(inserted);
@@ -617,23 +618,23 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
 
   const afg::TaskNode& node = app.plan->graph.task(task);
   const db::TaskPerfRecord& perf = app.plan->perf[task.value()];
+  // Recovery asks the scheduling round's filter (sched/host_filter.hpp)
+  // inside the application's access domain: machines held by concurrent
+  // applications and machines inside foreign committed windows are
+  // unavailable.  Two inputs differ.  The task already blew its prediction
+  // once, so there is no trustworthy completion estimate and it never
+  // backfills across a pending foreign window.  The application's *own*
+  // booking is not a limit: like the preferred-machine preference below,
+  // surviving beats staying inside the booked set when the booked machine
+  // died.
   auto ctx = make_context(app.plan->app);
-  const auto sites = sched::candidate_site_set(ctx, {});
+  ctx.held_booking = 0;
+  sched::SchedulingPolicy policy;
+  policy.access = app.access;
+  policy.backfill = false;
+  sched::HostFilter filter(ctx, policy);
+  const auto sites = filter.sites();
   const auto& excluded = app.excluded[task.value()];
-  // Machines held by concurrent applications are as unavailable to a
-  // recovery re-placement as they are to a scheduling round, and so are
-  // machines inside foreign committed reservation windows.  A recovery
-  // re-placement has no trustworthy completion estimate (the task already
-  // blew its prediction once), so it never backfills across a pending
-  // foreign window.  The application's *own* booking is deliberately
-  // relaxed here — like the preferred-machine preference below, surviving
-  // beats staying inside the booked set when the booked machine died.
-  const sched::WindowTable& reservations = core_.reservations();
-  auto reserved = [&](common::HostId h) {
-    return reservations.reserved_by_other(h, app.plan->app) ||
-           reservations.window_blocked(h, app.plan->app, core_.now(), -1.0,
-                                       /*backfill=*/false);
-  };
 
   const auto need = node.props.mode == afg::ComputationMode::kParallel
                         ? static_cast<std::size_t>(node.props.num_nodes)
@@ -683,7 +684,7 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
           candidate_node, perf, s, core_.repo(s), core_.predictor());
       for (const sched::RankedHost& rh : ranked) {
         if (excluded.contains(rh.record.host)) continue;
-        if (reserved(rh.record.host)) continue;
+        if (!filter.admits(rh.record.host)) continue;
         if (need == 1) {
           double queue = 0.0;
           if (auto it = pending_work.find(rh.record.host);
@@ -709,7 +710,7 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
         std::vector<db::ResourceRecord> group;
         for (const sched::RankedHost& rh : ranked) {
           if (excluded.contains(rh.record.host)) continue;
-          if (reserved(rh.record.host)) continue;
+          if (!filter.admits(rh.record.host)) continue;
           hosts.push_back(rh.record.host);
           group.push_back(rh.record);
           if (hosts.size() == need) break;

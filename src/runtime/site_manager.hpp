@@ -80,13 +80,16 @@ class SiteManager {
   /// `budget` is the user's spending cap in G$ (docs/ECONOMY.md); 0 means
   /// unconstrained.  A positive budget gates recovery re-placements (a
   /// candidate that would push the quoted spend past it is skipped) and
-  /// fills the report's spend quote on completion.
+  /// fills the report's spend quote on completion.  `access` is the access
+  /// domain of the resolved policy (the account's, or a row's fixed one):
+  /// recovery re-places tasks only inside it.
   void execute_application(
       common::AppId app, afg::Afg graph, sched::ResourceAllocationTable rat,
       std::vector<db::TaskPerfRecord> perf, std::vector<tasklib::Kernel> kernels,
       std::unordered_map<std::uint32_t, std::unordered_map<int, tasklib::Value>>
           initial_inputs,
-      ReportCallback callback, double budget = 0.0);
+      ReportCallback callback, double budget = 0.0,
+      db::AccessDomain access = db::AccessDomain::kGlobal);
 
   /// Console service verbs for a running application.
   void suspend_application(common::AppId app);
@@ -139,6 +142,8 @@ class SiteManager {
     /// positive, recovery re-placements are budget-gated and complete_app
     /// quotes the final placements into the report.
     double budget = 0.0;
+    /// Access domain of the resolved policy; recovery stays inside it.
+    db::AccessDomain access = db::AccessDomain::kGlobal;
     ReportCallback callback;
     std::unordered_map<std::uint32_t, tasklib::Value> exit_outputs;
     /// Per-fault recovery outcomes, surfaced through ExecutionReport.

@@ -71,7 +71,7 @@ struct SchedulingPolicy {
   /// inadmissible until the window ends.  Either way an *active* foreign
   /// window always blocks — a backfilled application may never delay a
   /// committed window's start.  The completion estimate is guarded by a
-  /// fixed safety factor (kBackfillGuard in site_scheduler.cpp).
+  /// fixed safety factor (kBackfillGuard in host_filter.cpp).
   /// Irrelevant (a single never-taken branch) while no windows are
   /// committed.
   bool backfill = true;

@@ -12,23 +12,24 @@
 //    table is the shared source of truth: the coordinator acquires every
 //    host of an application's resource allocation table when execution
 //    starts (plus any host a recovery re-placement adds), and releases
-//    them all when the application completes.  Scheduling rounds and
-//    recovery re-placements consult the table through SchedulerContext and
-//    skip machines held by *other* applications, deterministically
-//    re-ranking the remaining candidates.
+//    them all when the application completes.  Every placement — the VDCE
+//    rows, every offline row and recovery re-placement — consults the
+//    table through one sched::HostFilter (sched/host_filter.hpp) and skips
+//    machines held by *other* applications.
 //
 //  * WindowTable — the time-indexed generalisation (ROADMAP item 2,
 //    modelled on the Prajapati & Shah advance-reservation simulator,
 //    arXiv:1211.1447).  A booking commits `[start, end)` windows of host
-//    capacity (optionally a link-bandwidth fraction) ahead of time; the
-//    site scheduler places non-owners *around* committed windows and a
-//    conservative-backfill pass fills the gaps — a backfilled application
-//    may never delay a committed window's start.  Booking ids are issued
-//    in commit order, so every tie resolves deterministically by
-//    (user, seq).  The instantaneous table is the degenerate zero-window
-//    case: with no bookings every WindowTable query is a constant-false
-//    no-op and every code path behaves bit-identically to the pre-window
-//    scheduler (tests/golden/, checked by test_golden).
+//    capacity (optionally a link-bandwidth fraction) ahead of time; every
+//    placement (through the same HostFilter) goes *around* committed
+//    windows for non-owners, and the VDCE rows' conservative-backfill pass
+//    fills the gaps — a backfilled application may never delay a committed
+//    window's start.  Booking ids are issued in commit order, so every tie
+//    resolves deterministically by (user, seq).  The instantaneous table is
+//    the degenerate zero-window case: with no bookings every WindowTable
+//    query is a constant-false no-op and every code path behaves
+//    bit-identically to the pre-window scheduler (tests/golden/, checked by
+//    test_golden).
 //
 // With a single application in flight the instantaneous table never
 // reports a conflict, so every code path that consults it behaves

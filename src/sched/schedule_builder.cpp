@@ -5,7 +5,7 @@
 #include <cassert>
 #include <queue>
 
-#include "sched/site_scheduler.hpp"
+#include "sched/host_filter.hpp"
 
 namespace vdce::sched {
 
@@ -212,13 +212,21 @@ common::Expected<PlannerView> PlannerView::make(const afg::Afg& graph,
   auto valid = graph.validate();
   if (!valid.ok()) return valid.error();
   PlannerView view(graph, context);
-  view.sites_ = candidate_site_set(context, policy);
+  HostFilter filter(context, policy);
+  view.sites_ = filter.sites();
   // One host-pool snapshot per candidate site, ranked by reference for
   // every task: rank_hosts orders exactly as feasible_hosts does, without
-  // copying a ResourceRecord per (task, site) pair.
+  // copying a ResourceRecord per (task, site) pair.  A host the filter
+  // rejects is no option for any task: no row has a finish estimate yet,
+  // so pending foreign windows block it (no backfill).
   view.pools_.reserve(view.sites_.size());
   for (common::SiteId s : view.sites_) {
-    view.pools_.push_back(context.repo(s).resources().available_hosts(s));
+    std::vector<db::ResourceRecord> pool =
+        context.repo(s).resources().available_hosts(s);
+    std::erase_if(pool, [&](const db::ResourceRecord& r) {
+      return !filter.admits(r.host);
+    });
+    view.pools_.push_back(std::move(pool));
   }
   const db::SiteRepository& local_repo = context.repo(context.local_site);
   view.perf_.resize(graph.task_count());
@@ -240,7 +248,8 @@ common::Expected<PlannerView> PlannerView::make(const afg::Afg& graph,
     }
     if (view.options_[t].empty()) {
       return common::Error{common::ErrorCode::kNoFeasibleResource,
-                           "no feasible machine for " + node.instance_name};
+                           "no feasible machine for " + node.instance_name +
+                               filter.why_none()};
     }
     double acc = 0.0;
     for (const PlanOption& o : view.options_[t]) acc += o.predicted;

@@ -159,15 +159,17 @@ struct PlanOption {
 
 /// How every offline strategy row sees the grid: the candidate sites of the
 /// policy's access domain (candidate_site_set), one available-host snapshot
-/// per site, and for each task its performance record (resolved at the
-/// local repository), its feasible options in (site order, then (predicted,
-/// host id)) order — Fig. 3's ranking at each site — and its mean predicted
-/// time over them.  Repository state is constant for one planning call, so
+/// per site without the hosts the placement's HostFilter rejects (held by
+/// another application, blocked by a committed window), and for each task
+/// its performance record (resolved at the local repository), its feasible
+/// options in (site order, then (predicted, host id)) order — Fig. 3's
+/// ranking at each site — and its mean predicted time over them.  Repository state is constant for one planning call, so
 /// every decision reads this one snapshot.
 class PlannerView {
  public:
-  /// Validates the graph; fails when a task has no performance record or no
-  /// feasible machine at any candidate site.
+  /// Validates the graph; fails when a task has no performance record, or
+  /// (kNoFeasibleResource, which the environment defers under contention)
+  /// no feasible admitted machine at any candidate site.
   static common::Expected<PlannerView> make(const afg::Afg& graph,
                                             const SchedulerContext& context,
                                             const SchedulingPolicy& policy);

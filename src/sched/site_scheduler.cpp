@@ -9,13 +9,6 @@ namespace vdce::sched {
 
 namespace {
 
-/// Safety factor applied to a backfill candidate's predicted completion
-/// before comparing it against the next committed window start: admissible
-/// iff now + kBackfillGuard * (predicted finish - now) <= the window start.
-/// Absorbs execution noise, setup lag, and load drift so the no-delay
-/// invariant holds in practice (bench_reservations --check gates it).
-constexpr double kBackfillGuard = 2.0;
-
 /// Candidate placement at one site with its evaluated objective and the
 /// timing that placing it there would produce.
 struct SiteCandidate {
@@ -45,21 +38,6 @@ double paper_objective(const afg::Afg& graph, afg::TaskId task,
 }
 
 }  // namespace
-
-std::vector<common::SiteId> candidate_site_set(
-    const SchedulerContext& context, const SchedulingPolicy& options) {
-  std::vector<common::SiteId> sites{context.local_site};
-  if (options.access != db::AccessDomain::kLocalSite) {
-    std::size_t k = options.access == db::AccessDomain::kGlobal
-                        ? context.k_nearest
-                        : std::min(context.k_nearest, std::size_t{2});
-    for (common::SiteId s :
-         context.topology->nearest_sites(context.local_site, k)) {
-      sites.push_back(s);
-    }
-  }
-  return sites;
-}
 
 common::Expected<ResourceAllocationTable> assign_with_outputs(
     const afg::Afg& graph, const SchedulerContext& context,
@@ -136,57 +114,14 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
   const common::HostId staging = topology.site(context.local_site).server;
   std::size_t candidates_evaluated = 0;
 
-  // Multi-tenant co-scheduling (docs/TENANCY.md): machines held by another
-  // in-flight application are invisible to this assignment, and the
+  // Which machines this placement may use (sched/host_filter.hpp): held
+  // by another in-flight application, inside a foreign committed window, or
+  // outside the application's own booking, a machine is invisible and the
   // remaining candidates are re-ranked by the unchanged objective.  With no
-  // foreign reservations `reserved` is constant-false and every decision
-  // below is bit-identical to the reservation-free scheduler.
-  const bool contention_active =
-      context.reservations != nullptr &&
-      context.reservations->any_other(context.reserving_app);
-  auto reserved = [&](common::HostId h) {
-    return contention_active &&
-           context.reservations->reserved_by_other(h, context.reserving_app);
-  };
-  std::size_t contention_skips = 0;
+  // foreign holders and no windows every decision below is bit-identical to
+  // the reservation-free scheduler.
+  HostFilter filter(context, options);
   std::size_t contention_reranked = 0;
-
-  // Advance reservations (docs/RESERVATIONS.md): place around committed
-  // [start, end) windows.  `blocked(h)` is the duration-free conservative
-  // test (active foreign windows always block; pending ones block unless
-  // conservative backfill can later prove safety); `window_unsafe(h, f)`
-  // adds the backfill check for candidates whose schedule-relative finish
-  // estimate `f` is known.  With no committed windows both are constant
-  // false and every decision is bit-identical to the window-free scheduler.
-  const WindowTable* windows =
-      (context.reservations != nullptr && context.reservations->has_windows())
-          ? context.reservations
-          : nullptr;
-  std::size_t window_skips = 0;
-  auto window_unsafe = [&](common::HostId h, double finish_rel) {
-    if (windows == nullptr) return false;
-    if (context.held_booking != 0) {
-      // The owner of a committed booking schedules inside its window: only
-      // the booked machines are admissible for it.
-      const Window* own = windows->window(context.held_booking);
-      if (own != nullptr && !own->contains_host(h)) {
-        ++window_skips;
-        return true;
-      }
-    }
-    const common::SimTime est_finish =
-        finish_rel < 0.0 ? -1.0
-                         : context.now + kBackfillGuard * finish_rel;
-    if (windows->window_blocked(h, context.reserving_app, context.now,
-                                est_finish, options.backfill)) {
-      ++window_skips;
-      return true;
-    }
-    return false;
-  };
-  auto blocked = [&](common::HostId h) {
-    return reserved(h) || window_unsafe(h, -1.0);
-  };
 
   // Place each task as the ready list yields it: highest level first, ties
   // by id.
@@ -223,7 +158,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
       if (options.objective == SiteObjective::kPaperObjective) {
         bool contended = false;
         for (common::HostId h : bid_it->second.hosts) {
-          if (blocked(h)) {
+          if (filter.held(h) || !filter.window_admits(h, -1.0)) {
             contended = true;
             break;
           }
@@ -239,11 +174,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
           std::vector<db::ResourceRecord> group;
           for (std::size_t i = 0;
                i < ranked.size() && cand.hosts.size() < need; ++i) {
-            if (reserved(rec_of(i).host)) {
-              ++contention_skips;
-              continue;
-            }
-            if (window_unsafe(rec_of(i).host, -1.0)) continue;
+            if (!filter.admits(rec_of(i).host)) continue;
             cand.hosts.push_back(rec_of(i).host);
             group.push_back(rec_of(i));
             // last = slowest for need == 1
@@ -274,16 +205,13 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
           double best_predicted = 0.0;
           for (std::size_t i = 0; i < ranked.size(); ++i) {
             const db::ResourceRecord& rec = rec_of(i);
-            if (reserved(rec.host)) {
-              ++contention_skips;
-              continue;
-            }
+            if (!filter.unheld(rec.host)) continue;
             const double predicted = ranked[i].predicted * staleness(rec);
             double finish =
                 builder.earliest_start(task, rec.host, staging) + predicted;
             // Conservative backfill: the guarded finish estimate must land
             // before the machine's next committed window start.
-            if (window_unsafe(rec.host, finish)) continue;
+            if (!filter.window_admits(rec.host, finish)) continue;
             if (!have || finish < best_finish) {
               have = true;
               best_finish = finish;
@@ -306,14 +234,10 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
           pool.reserve(std::min(ranked.size(), 2 * need));
           for (std::size_t i = 0;
                i < ranked.size() && pool.size() < 2 * need; ++i) {
-            if (reserved(rec_of(i).host)) {
-              ++contention_skips;
-              continue;
-            }
             // Parallel groups never backfill across a pending window: the
             // group's joint finish estimate is too coupled to prove the
             // no-delay invariant host by host.
-            if (window_unsafe(rec_of(i).host, -1.0)) continue;
+            if (!filter.admits(rec_of(i).host)) continue;
             pool.push_back(PoolEntry{&rec_of(i), ranked[i].predicted});
           }
           if (pool.size() < need) continue;
@@ -349,20 +273,9 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
     }
 
     if (!best.valid) {
-      if (contention_active) {
-        return common::Error{
-            common::ErrorCode::kNoFeasibleResource,
-            "no site can run task " + node.instance_name +
-                " (machines held by concurrent applications)"};
-      }
-      if (window_skips > 0) {
-        return common::Error{
-            common::ErrorCode::kNoFeasibleResource,
-            "no site can run task " + node.instance_name +
-                " (machines blocked by committed reservation windows)"};
-      }
-      return common::Error{common::ErrorCode::kNoFeasibleResource,
-                           "no site can run task " + node.instance_name};
+      return common::Error{
+          common::ErrorCode::kNoFeasibleResource,
+          "no site can run task " + node.instance_name + filter.why_none()};
     }
 
     builder.place(task, best.site, best.hosts, best.predicted, staging);
@@ -388,21 +301,23 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
       if (stale_hosts_seen > 0) {
         m.counter("sched.stale_hosts_penalized").add(stale_hosts_seen);
       }
-      if (contention_skips > 0) {
-        m.counter("sched.contention.hosts_skipped").add(contention_skips);
+      if (filter.held_rejections() > 0) {
+        m.counter("sched.contention.hosts_skipped")
+            .add(filter.held_rejections());
       }
       if (contention_reranked > 0) {
         m.counter("sched.contention.bids_reranked").add(contention_reranked);
       }
-      if (window_skips > 0) {
-        m.counter("sched.windows.hosts_skipped").add(window_skips);
+      if (filter.window_rejections() > 0) {
+        m.counter("sched.windows.hosts_skipped")
+            .add(filter.window_rejections());
       }
     }
-    if (context.obs->health_on() && contention_skips > 0) {
+    if (context.obs->health_on() && filter.held_rejections() > 0) {
       obs::health::SeriesKey key;
       key.metric = obs::health::kContentionSkips;
       context.obs->health().observe_delta(
-          key, context.now, static_cast<double>(contention_skips));
+          key, context.now, static_cast<double>(filter.held_rejections()));
     }
     if (context.obs->trace_on()) {
       context.obs->trace().instant(

@@ -32,6 +32,7 @@
 
 #include <string>
 
+#include "sched/host_filter.hpp"
 #include "sched/host_selection.hpp"
 #include "sched/policy.hpp"
 #include "sched/schedule_builder.hpp"
@@ -52,10 +53,5 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
     const afg::Afg& graph, const SchedulerContext& context,
     const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& options, const std::string& scheduler_name);
-
-/// The candidate site set of Fig. 2 steps 1-2: the local site plus its k
-/// nearest neighbours, clipped by the user's access domain.
-std::vector<common::SiteId> candidate_site_set(
-    const SchedulerContext& context, const SchedulingPolicy& options);
 
 }  // namespace vdce::sched

@@ -20,6 +20,9 @@
 //    first.  The offline planners ignore it: they read the same live
 //    repositories through one PlannerView (sched/schedule_builder.hpp) over
 //    candidate_site_set(policy), so the information base is identical.
+//  * Every row places only on hosts the placement's HostFilter admits
+//    (sched/host_filter.hpp), and fails with kNoFeasibleResource when a
+//    task has none, which the environment defers under contention.
 //  * `policy` is the resolved policy (resolve()): `policy.strategy` is the
 //    row's name and the row's fixed settings are applied.
 //  * The returned table's `scheduler_name` is the row's name, which is how

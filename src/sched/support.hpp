@@ -38,12 +38,14 @@ struct SchedulerContext {
   common::SimTime now = 0.0;
 
   /// The shared reservation plane (optional; docs/TENANCY.md,
-  /// docs/RESERVATIONS.md).  When set, the assignment phase skips every
-  /// machine held by an application other than `reserving_app` and
-  /// deterministically re-ranks the remaining candidates, and it places
-  /// around committed [start, end) host windows: machines inside a foreign
-  /// active window are invisible, and under conservative backfill a pending
-  /// foreign window only admits work provably finishing before its start.
+  /// docs/RESERVATIONS.md), read only through sched::HostFilter
+  /// (sched/host_filter.hpp), which every strategy row and recovery
+  /// re-placement ask.  Machines held by an application other than
+  /// `reserving_app` are skipped, and placement goes around committed
+  /// [start, end) host windows: machines inside a foreign active window are
+  /// invisible, and under conservative backfill a pending foreign window
+  /// only admits work provably finishing before its start (the offline
+  /// rows and recovery have no finish estimate and never backfill).
   /// `held_booking` is the booking `reserving_app` owns (0 = none): the
   /// owner restricts its candidates to the booked hosts instead.  Null — or
   /// a table with no foreign holders and no committed windows — leaves

@@ -289,6 +289,16 @@ namespace {
   std::abort();
 }
 
+/// The access domain a run's placements honour, scheduling and recovery
+/// alike: the session account's, narrowed by a row's fixed domain
+/// ("vdce-local").
+db::AccessDomain placement_domain(sched::SchedulingPolicy policy,
+                                  const Session& session) {
+  policy.access = session.account.domain;
+  auto resolved = sched::resolve(policy);
+  return resolved ? resolved->policy.access : policy.access;
+}
+
 }  // namespace
 
 void VdceEnvironment::bring_up() {
@@ -853,7 +863,8 @@ void VdceEnvironment::on_scheduled(
                            [this, handle](runtime::ExecutionReport report) {
                              on_executed(handle, std::move(report));
                            },
-                           run.budget);
+                           run.budget,
+                           placement_domain(run.sched, slot.session));
 }
 
 void VdceEnvironment::on_executed(std::uint64_t handle,
@@ -1065,7 +1076,8 @@ common::Expected<runtime::ExecutionReport> VdceEnvironment::execute_plan(
                              report = std::move(r);
                              done = true;
                            },
-                           options.budget);
+                           options.budget,
+                           placement_domain(options.sched, session));
   auto st = drive_until([&done] { return done; });
   if (!st.ok()) {
     obs_.flight().record(engine_.now(), obs::FlightCode::kRunFailed,

@@ -1,8 +1,10 @@
 // Recovery-path integration tests: value integrity across reschedules,
-// file-input restaging, suspension during setup, and protocol coexistence.
+// file-input restaging, suspension during setup, protocol coexistence, and
+// re-placement inside the application's access domain.
 #include <gtest/gtest.h>
 
 #include "afg/generate.hpp"
+#include "chaos/fault_plan.hpp"
 #include "editor/builder.hpp"
 #include "runtime/site_manager.hpp"
 #include "tasklib/matrix.hpp"
@@ -284,6 +286,95 @@ TEST(Recovery, DsmAndApplicationsShareTheFabric) {
   ASSERT_TRUE(report.has_value());
   EXPECT_TRUE(report->success);
   EXPECT_EQ(std::any_cast<int>(dsm_runtime.home_value("status").value()), 0);
+}
+
+// --- recovery honours the access domain --------------------------------------
+
+/// A fan-out app wide enough to queue work on every machine of one site.
+afg::Afg fan_app() {
+  editor::AppBuilder app("fan");
+  auto head = app.task("head", "synthetic.w400").output_data(5e4);
+  auto tail = app.task("tail", "synthetic.w300");
+  for (int i = 0; i < 6; ++i) {
+    auto body = app.task("body" + std::to_string(i), "synthetic.w4000")
+                    .output_data(5e4);
+    EXPECT_TRUE(app.link(head, body).has_value());
+    EXPECT_TRUE(app.link(body, tail).has_value());
+  }
+  return app.build().value();
+}
+
+TestbedSpec three_sites() {
+  TestbedSpec spec;
+  spec.sites = 3;
+  spec.hosts_per_site = 4;
+  spec.group_size = 2;
+  spec.seed = 5;
+  return spec;
+}
+
+/// Run fan_app() from site 0, either as a local-only account under the
+/// default row or as a global account under "vdce-local"; both resolve to
+/// the local-site access domain.
+runtime::ExecutionReport run_local(bool local_account,
+                                   chaos::FaultPlan plan = {}) {
+  EnvironmentOptions options = recovery_options();
+  options.faults = std::move(plan);
+  VdceEnvironment env(make_testbed(three_sites()), options);
+  env.bring_up();
+  EXPECT_TRUE(env.try_add_user("u", "p", 1,
+                               local_account ? db::AccessDomain::kLocalSite
+                                             : db::AccessDomain::kGlobal)
+                  .ok());
+  Session session = env.login(common::SiteId(0), "u", "p").value();
+  RunOptions run;
+  run.real_kernels = false;
+  if (!local_account) run.sched.strategy = "vdce-local";
+  auto report = env.run_application(fan_app(), session, run);
+  EXPECT_TRUE(report.has_value()) << report.error().to_string();
+  return report ? *report : runtime::ExecutionReport{};
+}
+
+TEST(Recovery, ReplacementStaysInsideTheAccessDomain) {
+  const net::Topology topo = make_testbed(three_sites());
+  const common::HostId server = topo.site(common::SiteId(0)).server;
+  for (bool local_account : {true, false}) {
+    SCOPED_TRACE(local_account ? "local-only account" : "vdce-local row");
+    // Crash the middle of the longest task interval that is not on the
+    // site's server (crashing a Site Manager is a different scenario).
+    const runtime::ExecutionReport control = run_local(local_account);
+    ASSERT_TRUE(control.success) << control.failure_reason;
+    common::HostId victim;
+    double at = 0.0, longest = 0.0;
+    for (const runtime::TaskOutcome& o : control.outcomes) {
+      ASSERT_EQ(o.site, common::SiteId(0));
+      if (o.host != server && o.finished - o.started > longest) {
+        longest = o.finished - o.started;
+        victim = o.host;
+        at = o.started + longest / 2.0;
+      }
+    }
+    ASSERT_TRUE(victim.valid());
+
+    chaos::FaultPlan plan;
+    plan.name("local-crash").seed(1).crash(victim, at, 120.0);
+    const runtime::ExecutionReport faulted =
+        run_local(local_account, std::move(plan));
+    ASSERT_TRUE(faulted.success) << faulted.failure_reason;
+    EXPECT_GE(faulted.failures_survived, 1) << "the crash missed the app";
+    for (const runtime::TaskOutcome& o : faulted.outcomes) {
+      EXPECT_EQ(topo.host(o.host).site, common::SiteId(0))
+          << o.task_name << " completed on host " << o.host.value();
+    }
+    std::size_t replaced = 0;
+    for (const runtime::RecoveryEvent& e : faulted.recoveries) {
+      if (!e.to_host.valid()) continue;
+      ++replaced;
+      EXPECT_EQ(topo.host(e.to_host).site, common::SiteId(0))
+          << e.reason << " re-placed a task on host " << e.to_host.value();
+    }
+    EXPECT_GE(replaced, 1u);
+  }
 }
 
 }  // namespace

@@ -394,32 +394,39 @@ TEST(ReservationPipeline, ParksUntilWindowOpensWithExactPhaseTiling) {
             common::ErrorCode::kNotFound);
 }
 
+// Every row honours the window: the default VDCE row, and the offline rows
+// through PlannerView's host filter (sched/host_filter.hpp).
 TEST(ReservationPipeline, PendingWindowBlocksForeignWorkWhenBackfillDisabled) {
-  EnvironmentOptions options = quiet_options();
-  VdceEnvironment env(make_campus_pair(5), options);
-  env.bring_up();
-  ASSERT_TRUE(env.try_add_user("owner", "p").ok());
-  ASSERT_TRUE(env.try_add_user("walkin", "p").ok());
-  Session owner = env.login(common::SiteId(0), "owner", "p").value();
-  Session walkin = env.login(common::SiteId(0), "walkin", "p").value();
+  for (const char* strategy : {"", "heft", "dbc-time"}) {
+    SCOPED_TRACE(std::string("strategy \"") + strategy + "\"");
+    EnvironmentOptions options = quiet_options();
+    VdceEnvironment env(make_campus_pair(5), options);
+    env.bring_up();
+    ASSERT_TRUE(env.try_add_user("owner", "p").ok());
+    ASSERT_TRUE(env.try_add_user("walkin", "p").ok());
+    Session owner = env.login(common::SiteId(0), "owner", "p").value();
+    Session walkin = env.login(common::SiteId(0), "walkin", "p").value();
 
-  // Book every machine: with backfill disabled, nothing foreign may start
-  // ahead of the window, so the walk-in submission fails typed.
-  std::vector<HostId> all;
-  for (const net::Host& h : env.hosts()) all.push_back(h.id);
-  auto ticket = env.reserve(owner, request_for(all, 50.0, 100.0));
-  ASSERT_TRUE(ticket.has_value()) << ticket.error().to_string();
+    // Book every machine: with backfill disabled, nothing foreign may start
+    // ahead of the window, so the walk-in submission fails typed.
+    std::vector<HostId> all;
+    for (const net::Host& h : env.hosts()) all.push_back(h.id);
+    auto ticket = env.reserve(owner, request_for(all, 50.0, 100.0));
+    ASSERT_TRUE(ticket.has_value()) << ticket.error().to_string();
 
-  RunOptions run;
-  run.real_kernels = false;
-  run.sched.backfill = false;  // per-run knob, like run.sched.objective
-  auto handle = env.submit_application(tiny_app("walkin"), walkin, run);
-  ASSERT_TRUE(handle.has_value());
-  auto report = env.wait(*handle);
-  ASSERT_FALSE(report.has_value());
-  EXPECT_EQ(report.error().code, common::ErrorCode::kNoFeasibleResource);
-  EXPECT_NE(report.error().message.find("reservation"), std::string::npos)
-      << report.error().message;
+    RunOptions run;
+    run.real_kernels = false;
+    run.sched.strategy = strategy;
+    run.sched.backfill = false;  // per-run knob, like run.sched.objective
+    if (std::string(strategy) == "dbc-time") run.budget = 1e6;
+    auto handle = env.submit_application(tiny_app("walkin"), walkin, run);
+    ASSERT_TRUE(handle.has_value());
+    auto report = env.wait(*handle);
+    ASSERT_FALSE(report.has_value());
+    EXPECT_EQ(report.error().code, common::ErrorCode::kNoFeasibleResource);
+    EXPECT_NE(report.error().message.find("reservation"), std::string::npos)
+        << report.error().message;
+  }
 }
 
 // The no-delay invariant: with conservative backfill ON, foreign work may

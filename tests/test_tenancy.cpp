@@ -213,11 +213,39 @@ struct FleetResult {
   std::uint64_t reservation_conflicts = 0;
 };
 
+/// How each arrival is scheduled: `run_for(i)` gives the run options of the
+/// i-th arrival (default: the default VDCE row, no constraints).
+using RunFor = RunOptions (*)(std::size_t arrival);
+
+RunOptions default_run(std::size_t) { return {}; }
+
+/// The two budgeted rows alternate: dbc-time under a budget, dbc-cost under
+/// a deadline (both loose enough to admit every app, so the constrained
+/// planner — not the unconstrained fallback — places them).
+RunOptions budgeted_run(std::size_t arrival) {
+  RunOptions run;
+  run.budget = 1e6;
+  if (arrival % 2 == 0) {
+    run.sched.strategy = "dbc-time";
+  } else {
+    run.sched.strategy = "dbc-cost";
+    run.deadline = 1e6;
+  }
+  return run;
+}
+
+RunOptions heft_run(std::size_t) {
+  RunOptions run;
+  run.sched.strategy = "heft";
+  return run;
+}
+
 /// Bring up a small generated grid, replay `spec`'s arrival sequence through
 /// the asynchronous API, and drain.  Expects every submission to be
 /// accepted and to succeed.
 FleetResult replay_fleet(const scale::TenantSpec& spec,
-                         std::uint64_t grid_seed = 41) {
+                         std::uint64_t grid_seed = 41,
+                         RunFor run_for = default_run) {
   FleetResult result;
   ScaleSpec scale_spec;
   scale_spec.grid.sites = 2;
@@ -241,10 +269,11 @@ FleetResult replay_fleet(const scale::TenantSpec& spec,
   }
 
   std::vector<AppHandle> handles;
-  for (const scale::TenantArrival& a : result.arrivals) {
+  for (std::size_t i = 0; i < result.arrivals.size(); ++i) {
+    const scale::TenantArrival& a = result.arrivals[i];
     if (a.at > (*env)->now()) (*env)->run_for(a.at - (*env)->now());
     afg::Afg graph = scale::make_workload(a.workload, a.app_name);
-    RunOptions run;
+    RunOptions run = run_for(i);
     run.real_kernels = false;
     auto handle = (*env)->submit_application(graph, sessions[a.tenant], run);
     EXPECT_TRUE(handle.has_value())
@@ -265,14 +294,27 @@ FleetResult replay_fleet(const scale::TenantSpec& spec,
   return result;
 }
 
+// Every row places through the one host filter (sched/host_filter.hpp): the
+// default VDCE row, the budgeted dbc-* rows and HEFT alike skip the machines
+// concurrent applications hold.
 TEST(TenancyProperties, NoHostDoubleBookedAcrossConcurrentApps) {
+  struct Mix {
+    const char* rows;  ///< every report's scheduler starts with this
+    RunFor run_for;
+  };
+  for (const Mix& mix : {Mix{"vdce-level", default_run},
+                         Mix{"dbc-", budgeted_run}, Mix{"heft", heft_run}})
   for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(std::string(mix.rows) + " seed " + std::to_string(seed));
     scale::TenantSpec spec;
     spec.tenants = 4;
     spec.apps_per_tenant = 2;
     spec.seed = seed;
-    FleetResult fleet = replay_fleet(spec);
+    FleetResult fleet = replay_fleet(spec, 41, mix.run_for);
     ASSERT_EQ(fleet.reports.size(), spec.tenants * spec.apps_per_tenant);
+    for (const runtime::ExecutionReport& r : fleet.reports) {
+      EXPECT_EQ(r.scheduler.rfind(mix.rows, 0), 0u) << r.scheduler;
+    }
     EXPECT_EQ(fleet.reservation_conflicts, 0u) << "seed " << seed;
 
     // Every task interval, keyed by host; intervals from different apps on
@@ -293,13 +335,15 @@ TEST(TenancyProperties, NoHostDoubleBookedAcrossConcurrentApps) {
       if (a.host != b.host) return a.host < b.host;
       return a.start < b.start;
     });
-    for (std::size_t i = 1; i < claims.size(); ++i) {
-      const Claim& p = claims[i - 1];
-      const Claim& c = claims[i];
-      if (c.host != p.host || c.app == p.app) continue;
-      EXPECT_GE(c.start, p.end)
-          << "seed " << seed << ": host " << c.host << " shared by apps "
-          << p.app << " and " << c.app;
+    for (std::size_t i = 0; i < claims.size(); ++i) {
+      const Claim& p = claims[i];
+      for (std::size_t j = i + 1;
+           j < claims.size() && claims[j].host == p.host; ++j) {
+        const Claim& c = claims[j];
+        if (c.app == p.app) continue;
+        EXPECT_GE(c.start, p.end) << "host " << c.host << " shared by apps "
+                                  << p.app << " and " << c.app;
+      }
     }
   }
 }
