@@ -116,20 +116,6 @@ std::vector<TaskId> Afg::children(TaskId id) const {
   return out;
 }
 
-std::vector<Edge> Afg::in_edges(TaskId id) const {
-  std::vector<Edge> out;
-  out.reserve(in_index_[id.value()].size());
-  for (std::uint32_t idx : in_index_[id.value()]) out.push_back(edges_[idx]);
-  return out;
-}
-
-std::vector<Edge> Afg::out_edges(TaskId id) const {
-  std::vector<Edge> out;
-  out.reserve(out_index_[id.value()].size());
-  for (std::uint32_t idx : out_index_[id.value()]) out.push_back(edges_[idx]);
-  return out;
-}
-
 const std::vector<std::uint32_t>& Afg::in_edge_ids(TaskId id) const {
   assert(id.value() < in_index_.size());
   return in_index_[id.value()];

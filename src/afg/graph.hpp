@@ -119,13 +119,11 @@ class Afg {
 
   [[nodiscard]] std::vector<TaskId> parents(TaskId id) const;
   [[nodiscard]] std::vector<TaskId> children(TaskId id) const;
-  [[nodiscard]] std::vector<Edge> in_edges(TaskId id) const;
-  [[nodiscard]] std::vector<Edge> out_edges(TaskId id) const;
 
-  /// Zero-allocation adjacency for hot paths: indices into `edges()` of the
-  /// edges entering / leaving `id`, in edge insertion order (the same order
-  /// `in_edges()`/`out_edges()` return — callers that sum floating-point
-  /// transfer costs rely on that order being identical).
+  /// Zero-allocation adjacency: indices into `edges()` of the edges
+  /// entering / leaving `id`, in edge insertion order (callers that sum
+  /// floating-point transfer costs rely on that order).  Unlike parents()
+  /// and children(), a pair joined on two ports appears twice.
   [[nodiscard]] const std::vector<std::uint32_t>& in_edge_ids(TaskId id) const;
   [[nodiscard]] const std::vector<std::uint32_t>& out_edge_ids(TaskId id) const;
   [[nodiscard]] const Edge& edge(std::uint32_t edge_id) const {
@@ -133,6 +131,9 @@ class Afg {
   }
   [[nodiscard]] std::size_t in_degree(TaskId id) const {
     return in_edge_ids(id).size();
+  }
+  [[nodiscard]] std::size_t out_degree(TaskId id) const {
+    return out_edge_ids(id).size();
   }
 
   /// Entry nodes: no parents.  Exit nodes: no children.

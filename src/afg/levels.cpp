@@ -35,7 +35,8 @@ common::Expected<Levels> compute_impl(
     TaskId id = *it;
     const TaskNode& node = graph.task(id);
     double best_child = 0.0;
-    for (const Edge& e : graph.out_edges(id)) {
+    for (std::uint32_t idx : graph.out_edge_ids(id)) {
+      const Edge& e = graph.edge(idx);
       double via = levels.level[e.to.value()];
       if (edge_cost != nullptr) via += (*edge_cost)(e);
       best_child = std::max(best_child, via);

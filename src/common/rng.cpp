@@ -16,8 +16,13 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::normal(double mean, double stddev, double floor) {
-  double v = std::normal_distribution<double>(mean, stddev)(engine_);
-  return std::max(v, floor);
+  assert(stddev >= 0.0);
+  // A standard draw scaled by hand: std::normal_distribution requires
+  // stddev > 0, and a zero spread (a load model with no volatility) is
+  // legal here.  libstdc++ computes `z * stddev + mean` from the same
+  // engine draws, so every stream is unchanged.
+  const double z = std::normal_distribution<double>(0.0, 1.0)(engine_);
+  return std::max(z * stddev + mean, floor);
 }
 
 double Rng::exponential(double mean) {

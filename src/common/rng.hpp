@@ -27,7 +27,8 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Normal draw clamped to be >= `floor` (loads, durations must stay
-  /// non-negative).
+  /// non-negative).  `stddev` must be >= 0; at 0 the draw is `mean`, and
+  /// the engine still advances as for any other spread.
   double normal(double mean, double stddev, double floor = 0.0);
 
   /// Exponential inter-arrival draw with the given mean (> 0).

@@ -12,12 +12,9 @@ void TaskPerformanceDb::register_task(TaskPerfRecord record) {
 
 common::Expected<TaskPerfRecord> TaskPerformanceDb::find(
     const std::string& task_name) const {
-  auto it = records_.find(task_name);
-  if (it == records_.end()) {
-    return common::Error{common::ErrorCode::kNotFound,
-                         "task not in task-performance db: " + task_name};
-  }
-  return it->second;
+  if (const TaskPerfRecord* record = lookup(task_name)) return *record;
+  return common::Error{common::ErrorCode::kNotFound,
+                       "task not in task-performance db: " + task_name};
 }
 
 common::Status TaskPerformanceDb::record_execution(

@@ -58,6 +58,13 @@ class TaskPerformanceDb {
   void register_task(TaskPerfRecord record);
 
   common::Expected<TaskPerfRecord> find(const std::string& task_name) const;
+  /// The record for `task_name`, or null; unlike find() a miss builds no
+  /// error, so hot paths that fall back on a miss stay allocation-free.
+  [[nodiscard]] const TaskPerfRecord* lookup(
+      const std::string& task_name) const {
+    auto it = records_.find(task_name);
+    return it == records_.end() ? nullptr : &it->second;
+  }
   [[nodiscard]] bool contains(const std::string& task_name) const {
     return records_.contains(task_name);
   }

@@ -38,7 +38,8 @@ std::string render_properties_panel(const afg::Afg& graph, afg::TaskId id) {
     } else {
       // Name the consumers so the panel shows where data flows.
       std::string consumers;
-      for (const afg::Edge& e : graph.out_edges(id)) {
+      for (std::uint32_t idx : graph.out_edge_ids(id)) {
+        const afg::Edge& e = graph.edge(idx);
         if (e.from_port != p) continue;
         if (!consumers.empty()) consumers += ", ";
         consumers += graph.task(e.to).instance_name;

@@ -70,10 +70,7 @@ void DataManager::merge_local_tasks(AppState& state) {
     task.inputs.assign(static_cast<std::size_t>(node.in_ports()),
                        tasklib::Value{});
     // Expected inputs: one per dataflow edge plus one per staged file input.
-    for (const afg::Edge& e : plan.graph.in_edges(a.task)) {
-      (void)e;
-      ++task.pending;
-    }
+    task.pending = static_cast<int>(plan.graph.in_degree(a.task));
     for (const afg::FileSpec& f : node.props.inputs) {
       if (!f.dataflow && !f.path.empty()) ++task.pending;
     }
@@ -92,7 +89,8 @@ void DataManager::setup_channels(AppState& state) {
   // sends to (§4.2: proxy activation + ack).
   std::set<common::HostId> peers;
   for (const auto& [task_value, task] : state.tasks) {
-    for (const afg::Edge& e : plan.graph.out_edges(task.id)) {
+    for (std::uint32_t idx : plan.graph.out_edge_ids(task.id)) {
+      const afg::Edge& e = plan.graph.edge(idx);
       const sched::Assignment* a = plan.find_assignment(e.to);
       if (a == nullptr) continue;  // consumer unassigned: nothing to set up
       common::HostId dst = a->primary_host();
@@ -384,7 +382,8 @@ void DataManager::finish_task(common::AppId app, std::uint32_t task_value) {
   state.outputs[task_value] = outputs;
 
   // Ship each out-edge to its consumer's current host (honouring redirects).
-  for (const afg::Edge& e : plan.graph.out_edges(task.id)) {
+  for (std::uint32_t idx : plan.graph.out_edge_ids(task.id)) {
+    const afg::Edge& e = plan.graph.edge(idx);
     send_edge(state, e,
               outputs[static_cast<std::size_t>(e.from_port)]);
   }
@@ -403,7 +402,7 @@ void DataManager::finish_task(common::AppId app, std::uint32_t task_value) {
 
   // Exit tasks return their port-0 value with the completion notice.
   tasklib::Value exit_output;
-  if (plan.graph.children(task.id).empty() && !outputs.empty()) {
+  if (plan.graph.out_degree(task.id) == 0 && !outputs.empty()) {
     exit_output = outputs.front();
   }
   send_task_done(state, task.id, elapsed, false, "", std::move(exit_output));
@@ -506,7 +505,8 @@ void DataManager::handle(const net::Message& message) {
       // Producer already finished: re-deliver immediately.
       const ExecutionPlan& plan = *state.plan;
       double bytes = 64.0;
-      for (const afg::Edge& e : plan.graph.out_edges(req.from_task)) {
+      for (std::uint32_t idx : plan.graph.out_edge_ids(req.from_task)) {
+        const afg::Edge& e = plan.graph.edge(idx);
         if (e.to == req.to_task && e.from_port == req.from_port) {
           bytes = std::max(plan.graph.edge_bytes(e), 64.0);
           break;

@@ -540,7 +540,7 @@ void SiteManager::on_ac_task_done(const net::Message& message) {
   }
   (void)task_db.record_execution(task_name, done.host, done.elapsed);
 
-  if (app.plan->graph.children(done.task).empty() &&
+  if (app.plan->graph.out_degree(done.task) == 0 &&
       done.exit_output.has_value()) {
     app.exit_outputs[done.task.value()] = done.exit_output;
   }
@@ -777,7 +777,8 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
 
   // Parents whose cached outputs lived on a failed host must re-execute
   // before they can feed the moved task (cascading recovery).
-  for (const afg::Edge& e : app.plan->graph.in_edges(task)) {
+  for (std::uint32_t idx : app.plan->graph.in_edge_ids(task)) {
+    const afg::Edge& e = app.plan->graph.edge(idx);
     const sched::Assignment& parent = app.current.at(e.from.value());
     if (!core_.topology().host_up(parent.primary_host()) &&
         app.done.contains(e.from.value())) {
@@ -828,7 +829,8 @@ void SiteManager::dispatch_updated_plan(ActiveApp& app, afg::TaskId task,
                                            StartSignal{plan->app}});
     stage_file_inputs(app, task);
     // Pull dataflow inputs from each parent's current host.
-    for (const afg::Edge& e : app.plan->graph.in_edges(task)) {
+    for (std::uint32_t idx : app.plan->graph.in_edge_ids(task)) {
+      const afg::Edge& e = app.plan->graph.edge(idx);
       const sched::Assignment& parent = app.current.at(e.from.value());
       if (!core_.topology().host_up(parent.primary_host())) continue;
       (void)core_.fabric().send(net::Message{

@@ -62,7 +62,8 @@ common::Expected<ResourceAllocationTable> schedule_constrained(
   auto transfer_quote = [&](afg::TaskId task, common::HostId host,
                             common::SiteId site) {
     double q = 0.0;
-    for (const afg::Edge& e : graph.in_edges(task)) {
+    for (std::uint32_t idx : graph.in_edge_ids(task)) {
+      const afg::Edge& e = graph.edge(idx);
       q += prices.transfer_cost(graph.edge_bytes(e),
                                 primary[e.from.value()] == host,
                                 placed_site[e.from.value()] == site);

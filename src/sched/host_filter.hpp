@@ -66,6 +66,10 @@ class HostFilter {
                              host, context_.reserving_app);
   }
 
+  /// Whether committed windows exist: then window_admits() reads the
+  /// finish estimate of every host it is asked about.
+  [[nodiscard]] bool has_windows() const noexcept { return windows_ != nullptr; }
+
   [[nodiscard]] std::size_t held_rejections() const noexcept {
     return held_rejections_;
   }

@@ -9,6 +9,7 @@ std::vector<RankedRef> HostSelectionAlgorithm::rank_hosts(
     const std::vector<db::ResourceRecord>& pool, const db::SiteRepository& repo,
     const predict::Predictor& predictor) {
   std::vector<RankedRef> out;
+  out.reserve(pool.size());
 
   // A task with no constraint entries anywhere is a library task assumed
   // installed on every host; otherwise only listed hosts qualify.

@@ -18,7 +18,8 @@ common::Expected<std::vector<double>> top_levels(const PlannerView& view) {
   if (!order) return order.error();
   std::vector<double> t(graph.task_count(), 0.0);
   for (afg::TaskId task : *order) {
-    for (const afg::Edge& e : graph.in_edges(task)) {
+    for (std::uint32_t idx : graph.in_edge_ids(task)) {
+      const afg::Edge& e = graph.edge(idx);
       double via = t[e.from.value()] + view.mean_exec(e.from) +
                    mean_edge_cost(graph, e, view.context());
       t[task.value()] = std::max(t[task.value()], via);

@@ -99,6 +99,37 @@ common::SimTime ScheduleBuilder::data_ready(afg::TaskId task,
   return cached;
 }
 
+common::SimTime ScheduleBuilder::data_ready_floor(
+    afg::TaskId task, common::SiteId site, common::HostId staging_from) const {
+  // Each term is computed as data_ready_exact computes its own: the same
+  // `est_finish + t` addition over the same link spec, so rounding keeps
+  // every term at or below its data_ready counterpart.
+  common::SimTime floor = 0.0;
+  for (std::uint32_t idx : graph_.in_edge_ids(task)) {
+    const afg::Edge& e = graph_.edge(idx);
+    assert(task_placed_[e.from.value()] && "parent must be placed first");
+    const Assignment& parent = assignments_[e.from.value()];
+    const common::SiteId from = topology_.host(parent.primary_host()).site;
+    floor = std::max(floor, from == site
+                                ? parent.est_finish
+                                : parent.est_finish +
+                                      topology_.site_transfer_time(
+                                          from, site, graph_.edge_bytes(e)));
+  }
+  if (staging_from.valid()) {
+    const common::SiteId from = topology_.host(staging_from).site;
+    if (from != site) {
+      for (const afg::FileSpec& f : graph_.task(task).props.inputs) {
+        if (!f.dataflow && !f.path.empty()) {
+          floor = std::max(floor, topology_.site_transfer_time(from, site,
+                                                               f.size_bytes));
+        }
+      }
+    }
+  }
+  return floor;
+}
+
 common::SimTime ScheduleBuilder::host_free(common::HostId host) const {
   return host.value() < host_free_.size() ? host_free_[host.value()] : 0.0;
 }
@@ -311,7 +342,7 @@ namespace {
 
 /// Ready-list priority queue: pops the highest priority, ties broken by
 /// lowest task id, at O(log n) per operation.  Each task is pushed once
-/// (the driver's unplaced-parent counters guarantee that).
+/// (the driver's unplaced-in-edge counters guarantee that).
 class ReadyQueue {
  public:
   void push(afg::TaskId task, double priority) {
@@ -347,15 +378,18 @@ common::Status run_ready_list(
     const afg::Afg& graph, const std::vector<double>& priority,
     const std::function<common::Status(afg::TaskId)>& place) {
   ReadyQueue ready;
+  // Unplaced in-edges per task: a parent joined to a child on two ports
+  // counts twice and releases it once, after its last edge.
   std::vector<std::size_t> waiting(graph.task_count(), 0);
   for (const afg::TaskNode& t : graph.tasks()) {
-    waiting[t.id.value()] = graph.parents(t.id).size();
+    waiting[t.id.value()] = graph.in_degree(t.id);
+    if (waiting[t.id.value()] == 0) ready.push(t.id, priority[t.id.value()]);
   }
-  for (afg::TaskId t : graph.entry_tasks()) ready.push(t, priority[t.value()]);
   while (!ready.empty()) {
     const afg::TaskId task = ready.pop();
     if (auto st = place(task); !st.ok()) return st;
-    for (afg::TaskId child : graph.children(task)) {
+    for (std::uint32_t idx : graph.out_edge_ids(task)) {
+      const afg::TaskId child = graph.edge(idx).to;
       if (--waiting[child.value()] == 0) {
         ready.push(child, priority[child.value()]);
       }

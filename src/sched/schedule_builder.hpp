@@ -62,6 +62,17 @@ class ScheduleBuilder {
                                            common::HostId candidate,
                                            common::HostId staging_from = {}) const;
 
+  /// A lower bound on data_ready(task, h, staging_from) over every host h
+  /// of `site`.  Per in-edge: a parent on `site` contributes its finish (a
+  /// LAN or loopback transfer only adds to it); a parent elsewhere its
+  /// finish plus the site-to-site WAN time, which is exactly what
+  /// data_ready charges every host of `site` for that edge.  A remote
+  /// `site` also takes the WAN transfer of each staged file input.
+  /// Pre: all parents placed.
+  [[nodiscard]] common::SimTime data_ready_floor(
+      afg::TaskId task, common::SiteId site,
+      common::HostId staging_from = {}) const;
+
   /// When the host finishes its last assigned VDCE task (0 if none).
   [[nodiscard]] common::SimTime host_free(common::HostId host) const;
 

@@ -131,7 +131,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
     if (!perf) return perf.error();
 
     const bool no_input_case =
-        graph.parents(task).empty() || !graph.requires_input(task);
+        graph.in_degree(task) == 0 || !graph.requires_input(task);
 
     SiteCandidate best;
     for (const HostSelectionOutput& output : outputs) {
@@ -199,6 +199,16 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
         if (ranked.size() < need) continue;
 
         if (need == 1) {
+          // Bounded scan: no host of this site finishes before floor +
+          // predicted (data_ready_floor; `+` rounds monotonically), so a
+          // host whose bound cannot beat the site's best so far (ties keep
+          // the earlier host) or an earlier site's objective (ties go to
+          // the lower site id: strict) is skipped unevaluated.  The skip
+          // comes after the filter and staleness counters; under committed
+          // windows there is none, as window_admits needs every finish.
+          const bool bounded = !filter.has_windows();
+          const double ready_floor =
+              bounded ? builder.data_ready_floor(task, s, staging) : 0.0;
           bool have = false;
           double best_finish = 0.0;
           common::HostId best_host;
@@ -207,6 +217,13 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
             const db::ResourceRecord& rec = rec_of(i);
             if (!filter.unheld(rec.host)) continue;
             const double predicted = ranked[i].predicted * staleness(rec);
+            if (bounded) {
+              const double bound = ready_floor + predicted;
+              if ((have && bound >= best_finish) ||
+                  (best.valid && bound > best.objective)) {
+                continue;
+              }
+            }
             double finish =
                 builder.earliest_start(task, rec.host, staging) + predicted;
             // Conservative backfill: the guarded finish estimate must land

@@ -6,8 +6,9 @@ namespace vdce::sched {
 
 common::Expected<db::TaskPerfRecord> resolve_perf(
     const afg::TaskNode& node, const db::TaskPerformanceDb& database) {
-  auto rec = database.find(node.task_name);
-  if (rec) return rec;
+  if (const db::TaskPerfRecord* rec = database.lookup(node.task_name)) {
+    return *rec;
+  }
   auto mflop = tasklib::parse_synthetic_mflop(node.task_name);
   if (mflop) {
     db::TaskPerfRecord synthetic;

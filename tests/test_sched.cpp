@@ -4,9 +4,11 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "afg/generate.hpp"
 #include "db/site_repository.hpp"
+#include "obs/obs.hpp"
 #include "predict/model.hpp"
 #include "sched/host_selection.hpp"
 #include "sched/schedule_builder.hpp"
@@ -250,6 +252,63 @@ TEST_F(SchedFixture, BuilderChargesEdgeTransfers) {
   EXPECT_NEAR(child.est_start, 2.0 + expected_transfer, 1e-9);
 }
 
+TEST_F(SchedFixture, DataReadyFloorBoundsEveryHostOfItsSite) {
+  common::Rng rng(11);
+  afg::LayeredDagSpec spec;
+  spec.tasks = 40;
+  spec.width = 6;
+  afg::Afg graph = afg::make_layered_dag(spec, rng);
+  // Staged file inputs on some tasks bring in the staging term.
+  for (std::size_t t = 0; t < graph.task_count(); t += 5) {
+    graph.task(common::TaskId(static_cast<std::uint32_t>(t)))
+        .props.inputs.push_back(afg::FileSpec{
+            "/users/u/in" + std::to_string(t) + ".dat", 2e6, false});
+  }
+  auto table = plan(graph, context);
+  ASSERT_TRUE(table.has_value()) << table.error().message;
+  auto order = graph.topological_order();
+  ASSERT_TRUE(order.has_value());
+  // Replay the plan's placements; before each task is placed, its floor at
+  // every site must bound data_ready on every host there, the parents' own
+  // hosts and the staging server included.
+  ScheduleBuilder builder(graph, topology);
+  const common::HostId staging = topology.site(context.local_site).server;
+  std::size_t checked = 0;
+  for (afg::TaskId task : *order) {
+    for (const net::Site& site : topology.sites()) {
+      const double floor = builder.data_ready_floor(task, site.id, staging);
+      for (common::HostId h : site.hosts) {
+        EXPECT_LE(floor, builder.data_ready(task, h, staging))
+            << graph.task(task).instance_name << " on host " << h.value();
+        ++checked;
+      }
+    }
+    const Assignment& a = table->assignments[task.value()];
+    builder.place(task, a.site, a.hosts, a.predicted_time, staging);
+  }
+  EXPECT_EQ(checked, graph.task_count() * 18u);
+}
+
+TEST_F(SchedFixture, ReadyListReleasesATwoPortChildOnce) {
+  afg::Afg graph("two-port");
+  afg::TaskProperties producer;
+  producer.outputs.assign(2, afg::FileSpec{"", 1e4, false});
+  afg::TaskProperties consumer;
+  consumer.inputs.resize(2);
+  auto from = graph.add_task("from", "synthetic.w10", producer);
+  auto to = graph.add_task("to", "synthetic.w10", consumer);
+  ASSERT_TRUE(from.has_value() && to.has_value());
+  ASSERT_TRUE(graph.connect(*from, 0, *to, 0).ok());
+  ASSERT_TRUE(graph.connect(*from, 1, *to, 1).ok());
+  std::vector<afg::TaskId> placed;
+  auto st = run_ready_list(graph, {0.0, 0.0}, [&](afg::TaskId t) {
+    placed.push_back(t);
+    return common::Status{};
+  });
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(placed, (std::vector<afg::TaskId>{*from, *to}));
+}
+
 // ---- site scheduler (Fig. 2) -----------------------------------------------------
 
 TEST_F(SchedFixture, SchedulesFigure1Shape) {
@@ -297,6 +356,133 @@ TEST_F(SchedFixture, WideAreaUsesRemoteSitesWhenItHelps) {
   auto table = plan(graph, context);
   ASSERT_TRUE(table.has_value());
   EXPECT_GT(table->sites_used().size(), 1u);
+}
+
+/// What the availability-aware assign decided under one kind of host
+/// filtering: each task's primary host (by task id), the table's length,
+/// and the filter counters.
+struct FilteredRun {
+  std::vector<std::uint32_t> hosts;
+  double schedule_length = 0.0;
+  std::uint64_t held_skipped = 0;
+  std::uint64_t window_skipped = 0;
+  std::uint64_t stale_penalized = 0;
+};
+
+FilteredRun run_filtered(const afg::Afg& graph, SchedulerContext context,
+                         const SchedulingPolicy& policy) {
+  obs::Observability obs(obs::MetricsOptions{true}, obs::TraceOptions{});
+  context.obs = &obs;
+  FilteredRun run;
+  auto table = plan(graph, context, policy);
+  EXPECT_TRUE(table.has_value()) << table.error().message;
+  if (!table) return run;
+  for (const Assignment& a : table->assignments) {
+    run.hosts.push_back(a.primary_host().value());
+  }
+  run.schedule_length = table->schedule_length;
+  obs::MetricsRegistry& m = obs.metrics();
+  run.held_skipped = m.counter("sched.contention.hosts_skipped").value();
+  run.window_skipped = m.counter("sched.windows.hosts_skipped").value();
+  run.stale_penalized = m.counter("sched.stale_hosts_penalized").value();
+  return run;
+}
+
+TEST_F(SchedFixture, BoundedScanKeepsEveryFilterCounterExact) {
+  // The availability loop skips hosts that cannot win, but only after the
+  // filter and the staleness penalty have seen them, and never under
+  // committed windows.  Tables and counters are pinned to the values of
+  // the exhaustive scan.
+  common::Rng rng(29);
+  afg::LayeredDagSpec spec;
+  spec.tasks = 40;
+  spec.width = 8;
+  afg::Afg graph = afg::make_layered_dag(spec, rng);
+  SchedulingPolicy policy;  // vdce-level, availability-aware
+
+  {
+    SCOPED_TRACE("hosts held by another application");
+    WindowTable held;
+    std::vector<common::HostId> taken;
+    for (const net::Site& site : topology.sites()) {
+      for (std::size_t i = 1; i < site.hosts.size(); i += 3) {
+        taken.push_back(site.hosts[i]);
+      }
+    }
+    held.acquire(common::AppId(9), taken);
+    SchedulerContext ctx = context;
+    ctx.reservations = &held;
+    ctx.reserving_app = common::AppId(1);
+    const FilteredRun run = run_filtered(graph, ctx, policy);
+    const std::vector<std::uint32_t> hosts{
+        17, 8, 5, 12, 14, 5, 0, 14, 3, 11, 17, 5, 3, 11, 5, 15, 0, 12, 12, 17,
+        12, 11, 12, 17, 14, 17, 12, 14, 3, 17, 9, 12, 15, 17, 14, 5, 8, 12, 17,
+        12};
+    EXPECT_EQ(run.hosts, hosts);
+    EXPECT_EQ(run.schedule_length, 0x1.02e5d189683d8p+6);
+    EXPECT_EQ(run.held_skipped, 240u);
+    EXPECT_EQ(run.window_skipped, 0u);
+    EXPECT_EQ(run.stale_penalized, 0u);
+  }
+  {
+    SCOPED_TRACE("a pending foreign window under backfill");
+    WindowTable windows;
+    std::vector<common::HostId> booked;
+    for (const net::Site& site : topology.sites()) {
+      for (std::size_t i = 0; i < site.hosts.size(); i += 2) {
+        booked.push_back(site.hosts[i]);
+      }
+    }
+    Window w;
+    w.user = "other";
+    w.start = 40.0;
+    w.end = 90.0;
+    w.hosts = booked;
+    ASSERT_TRUE(windows.book(w).has_value());
+    SchedulerContext ctx = context;
+    ctx.reservations = &windows;
+    ctx.reserving_app = common::AppId(1);
+    ASSERT_TRUE(policy.backfill);
+    const FilteredRun run = run_filtered(graph, ctx, policy);
+    const std::vector<std::uint32_t> hosts{
+        17, 10, 16, 12, 5, 16, 14, 14, 15, 10, 17, 12, 16, 7, 12, 12, 16, 17,
+        17, 15, 17, 7, 17, 15, 17, 17, 15, 13, 11, 15, 1, 17, 13, 17, 3, 9, 15,
+        17, 5, 17};
+    EXPECT_EQ(run.hosts, hosts);
+    EXPECT_EQ(run.schedule_length, 0x1.10e7b6c19adp+6);
+    EXPECT_EQ(run.held_skipped, 0u);
+    EXPECT_EQ(run.window_skipped, 234u);
+    EXPECT_EQ(run.stale_penalized, 0u);
+  }
+  {
+    SCOPED_TRACE("stale samples under stale_after");
+    // Hosts with an even id report a fresh sample; the rest never did.
+    for (auto& repo : repos) {
+      for (const db::ResourceRecord& r :
+           repo->resources().available_hosts(repo->site())) {
+        if (r.host.value() % 2 != 0) continue;
+        ASSERT_TRUE(repo->resources()
+                        .record_workload(r.host, db::WorkloadSample{
+                                                     95.0, 0.2,
+                                                     r.total_memory_mb})
+                        .ok());
+      }
+    }
+    SchedulerContext ctx = context;
+    ctx.now = 100.0;
+    SchedulingPolicy stale = policy;
+    stale.stale_after = 10.0;
+    const FilteredRun run = run_filtered(graph, ctx, stale);
+    const std::vector<std::uint32_t> hosts{
+        16, 8, 14, 12, 10, 14, 15, 17, 15, 13, 12, 16, 14, 5, 16, 8, 0, 12, 12,
+        16, 12, 13, 12, 16, 14, 16, 12, 14, 8, 16, 4, 12, 15, 16, 14, 17, 10,
+        12, 16, 12};
+    EXPECT_EQ(run.hosts, hosts);
+    EXPECT_EQ(run.schedule_length, 0x1.16ef7a345a215p+6);
+    EXPECT_EQ(run.held_skipped, 0u);
+    EXPECT_EQ(run.window_skipped, 0u);
+    EXPECT_EQ(run.stale_penalized, 360u);
+  }
 }
 
 TEST_F(SchedFixture, RejectsCyclicGraph) {
