@@ -633,7 +633,7 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
   policy.access = app.access;
   policy.backfill = false;
   sched::HostFilter filter(ctx, policy);
-  const auto sites = filter.sites();
+  const auto sites = sched::candidate_site_set(ctx, policy);
   const auto& excluded = app.excluded[task.value()];
 
   const auto need = node.props.mode == afg::ComputationMode::kParallel
@@ -703,27 +703,26 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
         }
       }
       if (need > 1) {
-        // Parallel groups: take the fastest non-excluded machines of the
-        // site (group reschedules are rare; spreading within the group is
-        // second-order).
-        std::vector<common::HostId> hosts;
-        std::vector<db::ResourceRecord> group;
+        // Parallel groups: the group rule over the fastest non-excluded
+        // machines of the site (group reschedules are rare; spreading
+        // within the group is second-order).
+        std::vector<const db::ResourceRecord*> admitted;
         for (const sched::RankedHost& rh : ranked) {
           if (excluded.contains(rh.record.host)) continue;
           if (!filter.admits(rh.record.host)) continue;
-          hosts.push_back(rh.record.host);
-          group.push_back(rh.record);
-          if (hosts.size() == need) break;
+          admitted.push_back(&rh.record);
+          if (admitted.size() == need) break;
         }
-        if (hosts.size() < need) continue;
-        auto predicted =
-            core_.predictor().predict(perf, group, &core_.repo(s).tasks());
-        if (!predicted) continue;
-        if (!found || *predicted < best_objective) {
-          sched::Assignment candidate{task, s, hosts, *predicted, 0.0, 0.0};
+        auto bid = sched::HostSelectionAlgorithm::group_bid(
+            candidate_node, perf, s, admitted, core_.repo(s),
+            core_.predictor());
+        if (!bid) continue;
+        if (!found || bid->predicted < best_objective) {
+          sched::Assignment candidate{task, s, std::move(bid->hosts),
+                                      bid->predicted, 0.0, 0.0};
           if (!affordable(candidate)) continue;
           found = true;
-          best_objective = *predicted;
+          best_objective = candidate.predicted_time;
           chosen = candidate;
         }
       }

@@ -17,9 +17,10 @@ namespace {
 template <typename PickFn>
 common::Expected<ResourceAllocationTable> run_baseline(
     const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy, const std::string& scheduler_name,
     PickFn&& pick) {
-  auto view = PlannerView::make(graph, context, policy);
+  auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();
   auto order = graph.topological_order();
   if (!order) return order.error();
@@ -36,9 +37,10 @@ common::Expected<ResourceAllocationTable> run_baseline(
 /// Ties break toward the lower task id in both flavours.
 common::Expected<ResourceAllocationTable> run_batch_heuristic(
     const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy, const std::string& scheduler_name,
     bool prefer_largest) {
-  auto view = PlannerView::make(graph, context, policy);
+  auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();
   ScheduleBuilder builder(graph, *context.topology);
   const common::HostId staging = view->staging();
@@ -116,11 +118,11 @@ common::Expected<ResourceAllocationTable> run_batch_heuristic(
 
 common::Expected<ResourceAllocationTable> assign_random(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy) {
   common::Rng rng(policy.seed);
   return run_baseline(
-      graph, context, policy, "random",
+      graph, context, outputs, policy, "random",
       [&rng](afg::TaskId, const std::vector<PlanOption>& options,
              const ScheduleBuilder&) -> const PlanOption& {
         return options[rng.pick_index(options.size())];
@@ -129,11 +131,11 @@ common::Expected<ResourceAllocationTable> assign_random(
 
 common::Expected<ResourceAllocationTable> assign_round_robin(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy) {
   std::size_t cursor = 0;
   return run_baseline(
-      graph, context, policy, "round-robin",
+      graph, context, outputs, policy, "round-robin",
       [&cursor](afg::TaskId, const std::vector<PlanOption>& options,
                 const ScheduleBuilder&) -> const PlanOption& {
         // Cycle by a global cursor; options are deterministically ordered,
@@ -144,10 +146,10 @@ common::Expected<ResourceAllocationTable> assign_round_robin(
 
 common::Expected<ResourceAllocationTable> assign_min_load(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy) {
   return run_baseline(
-      graph, context, policy, "min-load",
+      graph, context, outputs, policy, "min-load",
       [](afg::TaskId, const std::vector<PlanOption>& options,
          const ScheduleBuilder& builder) -> const PlanOption& {
         // Least database-reported load; ties by machine occupancy, then
@@ -176,19 +178,19 @@ common::Expected<ResourceAllocationTable> assign_min_load(
 
 common::Expected<ResourceAllocationTable> assign_min_min(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy) {
   // The batch heuristics need their own driver: they reorder the ready set
   // each step.
-  return run_batch_heuristic(graph, context, policy, "min-min",
+  return run_batch_heuristic(graph, context, outputs, policy, "min-min",
                              /*prefer_largest=*/false);
 }
 
 common::Expected<ResourceAllocationTable> assign_max_min(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy) {
-  return run_batch_heuristic(graph, context, policy, "max-min",
+  return run_batch_heuristic(graph, context, outputs, policy, "max-min",
                              /*prefer_largest=*/true);
 }
 

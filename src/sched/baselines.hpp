@@ -19,12 +19,12 @@
 //                    front-loading long tasks so they overlap the many
 //                    short ones.
 //
-// All baselines read the grid through the shared PlannerView and book
-// through ScheduleBuilder (sched/schedule_builder.hpp), so reported schedule
-// lengths are directly comparable.  The first three place tasks in
-// topological order (parents first).  They ignore the gathered outputs; the
-// policy's access domain clips their candidate sites exactly as it clips the
-// VDCE rows', and "random" also reads its seed.
+// All baselines read the gathered outputs through the shared PlannerView
+// and book through ScheduleBuilder (sched/schedule_builder.hpp), so
+// reported schedule lengths are directly comparable.  The first three place
+// tasks in topological order (parents first).  The policy's access domain
+// clips the sites asked to bid exactly as it does for the VDCE rows, and
+// "random" also reads its seed.
 #pragma once
 
 #include <vector>

@@ -18,11 +18,12 @@ enum class Mode { kCost, kTime };
 /// The constrained list scheduler shared by both modes.
 common::Expected<ResourceAllocationTable> schedule_constrained(
     const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy, Mode mode,
     const std::string& scheduler_name) {
   assert(context.prices != nullptr);
   const econ::CostModel& prices = *context.prices;
-  auto view = PlannerView::make(graph, context, policy);
+  auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();
 
   // The cheapest single-host compute quote per task: the optimistic floor
@@ -172,7 +173,7 @@ common::Expected<ResourceAllocationTable> assign_dbc(
   if (!economic) {
     return assign_with_outputs(graph, context, outputs, policy, name);
   }
-  return schedule_constrained(graph, context, policy, mode, name);
+  return schedule_constrained(graph, context, outputs, policy, mode, name);
 }
 
 }  // namespace

@@ -41,9 +41,9 @@ struct MachineSchedule {
 
 common::Expected<ResourceAllocationTable> assign_heft(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy) {
-  auto view = PlannerView::make(graph, context, policy);
+  auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();
   auto ranks = view->upward_ranks();
   if (!ranks) return ranks.error();

@@ -24,9 +24,9 @@
 
 namespace vdce::sched {
 
-/// The "heft" row of the strategy table (sched/strategy.hpp).  It ignores
-/// the outputs and every policy knob except the access domain, which clips
-/// its candidate sites (PlannerView).
+/// The "heft" row of the strategy table (sched/strategy.hpp).  It plans
+/// from the gathered outputs (PlannerView) and ignores every policy knob
+/// except the access domain, which clips the sites asked to bid.
 common::Expected<ResourceAllocationTable> assign_heft(
     const afg::Afg& graph, const SchedulerContext& context,
     const std::vector<HostSelectionOutput>& outputs,

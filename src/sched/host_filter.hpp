@@ -7,7 +7,7 @@
 // inside a foreign committed window; the owner of a booking places inside
 // its own window's machines.  Every placement asks this one filter: the
 // VDCE rows (assign_with_outputs), every offline row (PlannerView drops
-// the hosts it rejects) and recovery re-placement
+// the hosts it rejects from the gathered bids) and recovery re-placement
 // (SiteManager::reschedule_task, which builds it without the own booking
 // and with backfill off).  With no foreign holders and no committed
 // windows it admits every host at the cost of one branch, so solo runs are
@@ -35,12 +35,6 @@ std::vector<common::SiteId> candidate_site_set(
 class HostFilter {
  public:
   HostFilter(const SchedulerContext& context, const SchedulingPolicy& policy);
-
-  /// The placement's candidate sites, local first (candidate_site_set).
-  /// Computed per call: the VDCE rows get theirs with the gathered bids.
-  [[nodiscard]] std::vector<common::SiteId> sites() const {
-    return candidate_site_set(context_, policy_);
-  }
 
   /// True when `host` may run work finishing `finish_rel` seconds after
   /// the context's clock; negative means unknown, and then no pending

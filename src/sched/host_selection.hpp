@@ -55,12 +55,11 @@ struct RankedRef {
 /// feasible machine at this site are simply absent from `bids`.
 ///
 /// run() additionally snapshots the site's available hosts and retains every
-/// task's ranked feasible list (as indices into the snapshot).  Repository
-/// state is constant for the duration of one schedule() call, so
-/// assign_with_outputs can reuse these instead of recomputing
-/// feasible_hosts per (task, site) — the O(tasks × hosts) prediction
-/// recomputation this cache eliminates is pure overhead.  Fabric bid
-/// replies (sm.bids) carry the whole output, cache included.
+/// task's ranked feasible list (as indices into the snapshot).  Every
+/// strategy row assigns from these (assign_with_outputs directly, the
+/// offline rows through PlannerView) instead of recomputing feasible_hosts
+/// per (task, site).  Fabric bid replies (sm.bids) carry the whole output,
+/// ranking included, so a row sees what the site saw when it bid.
 struct HostSelectionOutput {
   common::SiteId site;
   std::unordered_map<afg::TaskId, HostBid> bids;

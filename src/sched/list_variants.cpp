@@ -56,9 +56,9 @@ struct EarliestFinishPick {
 
 common::Expected<ResourceAllocationTable> assign_b_level(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy) {
-  auto view = PlannerView::make(graph, context, policy);
+  auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();
   // Bottom level == upward rank: higher = more critical = scheduled first.
   auto ranks = view->upward_ranks();
@@ -69,9 +69,9 @@ common::Expected<ResourceAllocationTable> assign_b_level(
 
 common::Expected<ResourceAllocationTable> assign_t_level(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy) {
-  auto view = PlannerView::make(graph, context, policy);
+  auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();
   auto t_levels = top_levels(*view);
   if (!t_levels) return t_levels.error();
@@ -87,9 +87,9 @@ common::Expected<ResourceAllocationTable> assign_t_level(
 
 common::Expected<ResourceAllocationTable> assign_work_stealing(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& /*outputs*/,
+    const std::vector<HostSelectionOutput>& outputs,
     const SchedulingPolicy& policy) {
-  auto view = PlannerView::make(graph, context, policy);
+  auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();
   // Rank like b-level (critical tasks are offered to thieves first), but
   // placement is pull-driven: the machine that can *start* the task

@@ -22,10 +22,10 @@
 //    b-level measures what prediction buys.
 //
 // "max-min" (baselines.hpp) completes the set on the batch side.  Each
-// variant is a priority plus a pick over the shared PlannerView, driven by
-// the shared ready list (sched/schedule_builder.hpp), so schedule lengths
-// are directly comparable with every other strategy.  They ignore the
-// gathered outputs; the policy only clips their candidate sites.
+// variant is a priority plus a pick over the shared PlannerView of the
+// gathered outputs, driven by the shared ready list
+// (sched/schedule_builder.hpp), so schedule lengths are directly comparable
+// with every other strategy.  The policy only clips the sites asked to bid.
 #pragma once
 
 #include <vector>

@@ -236,55 +236,50 @@ common::Expected<ResourceAllocationTable> ScheduleBuilder::build(
 
 // ---- PlannerView -----------------------------------------------------------------
 
-common::Expected<PlannerView> PlannerView::make(const afg::Afg& graph,
-                                                const SchedulerContext& context,
-                                                const SchedulingPolicy& policy) {
+common::Expected<PlannerView> PlannerView::make(
+    const afg::Afg& graph, const SchedulerContext& context,
+    const std::vector<HostSelectionOutput>& outputs,
+    const SchedulingPolicy& policy) {
   assert(context.topology != nullptr && context.predictor != nullptr);
   auto valid = graph.validate();
   if (!valid.ok()) return valid.error();
   PlannerView view(graph, context);
-  HostFilter filter(context, policy);
-  view.sites_ = filter.sites();
-  // One host-pool snapshot per candidate site, ranked by reference for
-  // every task: rank_hosts orders exactly as feasible_hosts does, without
-  // copying a ResourceRecord per (task, site) pair.  A host the filter
-  // rejects is no option for any task: no row has a finish estimate yet,
-  // so pending foreign windows block it (no backfill).
-  view.pools_.reserve(view.sites_.size());
-  for (common::SiteId s : view.sites_) {
-    std::vector<db::ResourceRecord> pool =
-        context.repo(s).resources().available_hosts(s);
-    std::erase_if(pool, [&](const db::ResourceRecord& r) {
-      return !filter.admits(r.host);
-    });
-    view.pools_.push_back(std::move(pool));
-  }
   const db::SiteRepository& local_repo = context.repo(context.local_site);
-  view.perf_.resize(graph.task_count());
-  view.options_.resize(graph.task_count());
-  view.mean_exec_.resize(graph.task_count(), 0.0);
+  view.perf_.reserve(graph.task_count());
   for (const afg::TaskNode& node : graph.tasks()) {
-    const std::size_t t = node.id.value();
     auto record = resolve_perf(node, local_repo.tasks());
     if (!record) return record.error();
-    view.perf_[t] = *record;
-    for (std::size_t k = 0; k < view.sites_.size(); ++k) {
-      const std::vector<db::ResourceRecord>& pool = view.pools_[k];
-      for (const RankedRef& r : HostSelectionAlgorithm::rank_hosts(
-               node, view.perf_[t], pool, context.repo(view.sites_[k]),
-               *context.predictor)) {
-        view.options_[t].push_back(
-            PlanOption{view.sites_[k], &pool[r.index], r.predicted});
+    view.perf_.push_back(std::move(*record));
+  }
+  // Each bid's ranking, in gather order, without the hosts the filter
+  // rejects: no row has a finish estimate yet, so pending foreign windows
+  // block them (no backfill).  Filtering keeps the (predicted, host id)
+  // order.
+  HostFilter filter(context, policy);
+  view.options_.resize(graph.task_count());
+  for (const HostSelectionOutput& out : outputs) {
+    assert(out.ranked.size() == graph.task_count());
+    view.sites_.push_back(out.site);
+    for (std::size_t t = 0; t < graph.task_count(); ++t) {
+      for (const RankedRef& r : out.ranked[t]) {
+        const db::ResourceRecord& record = out.host_pool[r.index];
+        if (!filter.admits(record.host)) continue;
+        view.options_[t].push_back(PlanOption{out.site, &record, r.predicted});
       }
     }
-    if (view.options_[t].empty()) {
+  }
+  view.mean_exec_.resize(graph.task_count(), 0.0);
+  for (const afg::TaskNode& node : graph.tasks()) {
+    const std::vector<PlanOption>& options = view.options_[node.id.value()];
+    if (options.empty()) {
       return common::Error{common::ErrorCode::kNoFeasibleResource,
                            "no feasible machine for " + node.instance_name +
                                filter.why_none()};
     }
     double acc = 0.0;
-    for (const PlanOption& o : view.options_[t]) acc += o.predicted;
-    view.mean_exec_[t] = acc / static_cast<double>(view.options_[t].size());
+    for (const PlanOption& o : options) acc += o.predicted;
+    view.mean_exec_[node.id.value()] =
+        acc / static_cast<double>(options.size());
   }
   return view;
 }

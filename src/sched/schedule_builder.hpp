@@ -10,7 +10,7 @@
 // schedules: they differ only in their placement decisions.
 //
 // The same goes for what the rows see and how they walk the graph: every
-// offline row reads the grid through one PlannerView (feasible options,
+// offline row reads the gathered bids through one PlannerView (options,
 // mean costs, the parallel-group rule) and every list scheduler pops its
 // ready list through one driver (run_ready_list), so an offline row is a
 // priority plus a pick.
@@ -158,8 +158,9 @@ class ScheduleBuilder {
 
 // ---- the offline planners' shared view of the grid -------------------------
 
-/// One feasible option for a sequential task: a machine of a candidate site
-/// and its predicted time.  `record` points into the view's host pools.
+/// One feasible option for a sequential task: a machine of a bidding site
+/// and its predicted time.  `record` points into that site's gathered
+/// HostSelectionOutput::host_pool, so the outputs must outlive the view.
 struct PlanOption {
   common::SiteId site;
   const db::ResourceRecord* record = nullptr;
@@ -168,25 +169,23 @@ struct PlanOption {
   [[nodiscard]] common::HostId host() const { return record->host; }
 };
 
-/// How every offline strategy row sees the grid: the candidate sites of the
-/// policy's access domain (candidate_site_set), one available-host snapshot
-/// per site without the hosts the placement's HostFilter rejects (held by
-/// another application, blocked by a committed window), and for each task
-/// its performance record (resolved at the local repository), its feasible
-/// options in (site order, then (predicted, host id)) order — Fig. 3's
-/// ranking at each site — and its mean predicted time over them.  Repository state is constant for one planning call, so
-/// every decision reads this one snapshot.
+/// How every offline strategy row sees the grid: the host-selection outputs
+/// Fig. 2 gathered, the same information base the VDCE rows assign from.
+/// For each task it keeps every bidding site's Fig. 3 ranking (site order,
+/// local first, then (predicted, host id)) without the hosts the
+/// placement's HostFilter rejects (held by another application, blocked by
+/// a committed window), the task's performance record (resolved at the
+/// local repository) and its mean predicted time over those options.  A
+/// site that did not bid offers no option.
 class PlannerView {
  public:
   /// Validates the graph; fails when a task has no performance record, or
   /// (kNoFeasibleResource, which the environment defers under contention)
-  /// no feasible admitted machine at any candidate site.
-  static common::Expected<PlannerView> make(const afg::Afg& graph,
-                                            const SchedulerContext& context,
-                                            const SchedulingPolicy& policy);
-
-  PlannerView(const PlannerView&) = delete;  // options point into pools_
-  PlannerView(PlannerView&&) = default;
+  /// no admitted machine at any bidding site.
+  static common::Expected<PlannerView> make(
+      const afg::Afg& graph, const SchedulerContext& context,
+      const std::vector<HostSelectionOutput>& outputs,
+      const SchedulingPolicy& policy);
 
   [[nodiscard]] const afg::Afg& graph() const { return *graph_; }
   [[nodiscard]] const SchedulerContext& context() const { return *context_; }
@@ -199,12 +198,12 @@ class PlannerView {
   /// The local site's server, which stages non-dataflow file inputs.
   [[nodiscard]] common::HostId staging() const;
 
-  /// The group rule (HostSelectionAlgorithm::group_bid) at one candidate
+  /// The group rule (HostSelectionAlgorithm::group_bid) at one bidding
   /// site, over the task's options there.  Pre: the task is parallel with
   /// num_nodes > 1.
   [[nodiscard]] common::Expected<HostBid> bid_at(afg::TaskId task,
                                                  common::SiteId site) const;
-  /// The group rule at the candidate site with the fastest bid (ties: the
+  /// The group rule at the bidding site with the fastest bid (ties: the
   /// earlier site).  Every row places parallel groups this way except
   /// HEFT, which bids at the site of its first option (bid_at).
   [[nodiscard]] common::Expected<HostBid> parallel_bid(afg::TaskId task) const;
@@ -219,11 +218,10 @@ class PlannerView {
 
   const afg::Afg* graph_;
   const SchedulerContext* context_;
-  std::vector<common::SiteId> sites_;
-  std::vector<std::vector<db::ResourceRecord>> pools_;  ///< by site index
-  std::vector<db::TaskPerfRecord> perf_;                ///< by task id
-  std::vector<std::vector<PlanOption>> options_;        ///< by task id
-  std::vector<double> mean_exec_;                       ///< by task id
+  std::vector<common::SiteId> sites_;             ///< bidding sites, in order
+  std::vector<db::TaskPerfRecord> perf_;          ///< by task id
+  std::vector<std::vector<PlanOption>> options_;  ///< by task id
+  std::vector<double> mean_exec_;                 ///< by task id
 };
 
 /// The edge cost a planner can know before placing either end: the mean of

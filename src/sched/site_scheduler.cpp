@@ -169,23 +169,25 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
         } else {
           // The site's bid machine is occupied by a concurrent application:
           // re-rank deterministically over the remaining feasible machines
-          // (same (predicted, host-id) order Fig. 3 produced).
+          // (same (predicted, host-id) order Fig. 3 produced) and bid them
+          // by the group rule; a single host keeps its own prediction.
           ++contention_reranked;
-          std::vector<db::ResourceRecord> group;
-          for (std::size_t i = 0;
-               i < ranked.size() && cand.hosts.size() < need; ++i) {
+          std::vector<const db::ResourceRecord*> admitted;
+          for (std::size_t i = 0; i < ranked.size() && admitted.size() < need;
+               ++i) {
             if (!filter.admits(rec_of(i).host)) continue;
-            cand.hosts.push_back(rec_of(i).host);
-            group.push_back(rec_of(i));
-            // last = slowest for need == 1
+            admitted.push_back(&rec_of(i));
             cand.predicted = ranked[i].predicted;
           }
-          if (cand.hosts.size() < need) continue;  // site fully occupied
-          if (need > 1) {
-            auto predicted = context.predictor->predict(
-                *perf, group, &context.repo(s).tasks());
-            if (!predicted) continue;
-            cand.predicted = *predicted;
+          if (admitted.size() < need) continue;  // site fully occupied
+          if (need == 1) {
+            cand.hosts.assign(1, admitted.front()->host);
+          } else {
+            auto bid = HostSelectionAlgorithm::group_bid(
+                node, *perf, s, admitted, context.repo(s), *context.predictor);
+            if (!bid) continue;
+            cand.hosts = std::move(bid->hosts);
+            cand.predicted = bid->predicted;
           }
         }
         cand.objective =

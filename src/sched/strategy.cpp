@@ -14,9 +14,9 @@ namespace vdce::sched {
 
 namespace {
 
-/// The VDCE assignment phase (Fig. 2 steps 6-7): the one family that
-/// consumes the gathered host-selection outputs directly.  The three VDCE
-/// rows differ only in the fixed settings resolve() applies.
+/// The VDCE assignment phase (Fig. 2 steps 6-7) over the gathered
+/// host-selection outputs.  The three VDCE rows differ only in the fixed
+/// settings resolve() applies.
 common::Expected<ResourceAllocationTable> assign_vdce(
     const afg::Afg& graph, const SchedulerContext& context,
     const std::vector<HostSelectionOutput>& outputs,

@@ -16,10 +16,11 @@
 //    host-selection algorithm directly.
 //
 // Contract for a row's assign():
-//  * `outputs` holds one HostSelectionOutput per candidate site, local site
-//    first.  The offline planners ignore it: they read the same live
-//    repositories through one PlannerView (sched/schedule_builder.hpp) over
-//    candidate_site_set(policy), so the information base is identical.
+//  * `outputs` holds one HostSelectionOutput per candidate site that bid,
+//    local site first: the one information base of every row.  The VDCE
+//    rows assign from it directly, the offline planners through one
+//    PlannerView (sched/schedule_builder.hpp); a site that did not bid (a
+//    partition, a dead server) gets no work from any row.
 //  * Every row places only on hosts the placement's HostFilter admits
 //    (sched/host_filter.hpp), and fails with kNoFeasibleResource when a
 //    task has none, which the environment defers under contention.

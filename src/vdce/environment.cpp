@@ -141,8 +141,6 @@ void VdceEnvironment::setup_health_plane() {
     for (obs::health::HealthRule& rule : obs::health::default_rules(params)) {
       hp.add_rule(std::move(rule), now);
     }
-  }
-  if (options_.health.default_rules) {
     // Any displaced reservation window is an SLO event: the committed
     // machines changed under a booking (docs/RESERVATIONS.md).  The series
     // is a cumulative counter fed by the site managers' recovery path, so
@@ -1002,12 +1000,6 @@ common::Expected<AppState> VdceEnvironment::app_state(AppHandle handle) const {
   return it->second->state;
 }
 
-common::Expected<runtime::ExecutionReport> VdceEnvironment::execute_with_table(
-    const afg::Afg& graph, sched::ResourceAllocationTable table,
-    const Session& session, RunOptions options) {
-  return execute_plan(graph, std::move(table), session, options);
-}
-
 common::Expected<VdceEnvironment::ResolvedApp>
 VdceEnvironment::resolve_app_resources(const afg::Afg& graph,
                                        const Session& session,
@@ -1051,12 +1043,12 @@ VdceEnvironment::resolve_app_resources(const afg::Afg& graph,
   return resolved;
 }
 
-common::Expected<runtime::ExecutionReport> VdceEnvironment::execute_plan(
+common::Expected<runtime::ExecutionReport> VdceEnvironment::execute_with_table(
     const afg::Afg& graph, sched::ResourceAllocationTable table,
-    const Session& session, const RunOptions& options) {
+    const Session& session, RunOptions options) {
   if (!up_) {
     return common::Error{common::ErrorCode::kInternal,
-                         "execute(): environment not brought up"};
+                         "execute_with_table(): environment not brought up"};
   }
   if (auto tasks_ok = validate_tasks(graph, session); !tasks_ok.ok()) {
     return tasks_ok.error();

@@ -490,10 +490,6 @@ class VdceEnvironment {
   void finalize_submission(SubmissionSlot& slot,
                            common::Expected<runtime::ExecutionReport> result);
 
-  common::Expected<runtime::ExecutionReport> execute_plan(
-      const afg::Afg& graph, sched::ResourceAllocationTable table,
-      const Session& session, const RunOptions& options);
-
   /// Drive the engine in small steps until `done()` holds; fails when the
   /// engine drains first or the sync timeout elapses.
   template <class Done>

@@ -12,6 +12,7 @@
 #include "common/strings.hpp"
 #include "editor/builder.hpp"
 #include "runtime/data_manager.hpp"
+#include "sched/strategy.hpp"
 #include "vdce/environment.hpp"
 #include "vdce/testbed.hpp"
 
@@ -173,6 +174,37 @@ TEST(Chaos, PartitionDropsCrossSiteTrafficThenHeals) {
   std::string log = env.chaos()->log_text();
   EXPECT_NE(log.find("partition"), std::string::npos) << log;
   EXPECT_NE(log.find("healed"), std::string::npos) << log;
+}
+
+// Every strategy row plans from the bids Fig. 2 gathered: while a partition
+// drops site 1's bid, no row places work there.  vdce-level is the control;
+// dbc-time gets a budget and dbc-cost a deadline, so both take the
+// constrained planner instead of delegating to the VDCE assignment.
+TEST(Chaos, PartitionedSiteGetsNoWorkFromAnyRow) {
+  chaos::FaultPlan plan;
+  plan.partition(0, 1, 1.0, 60.0);
+  VdceEnvironment env(make_campus_pair(13), chaos_options(std::move(plan)));
+  ASSERT_TRUE(env.try_bring_up().ok());
+  Session session = login(env);
+  env.run_for(2.0);  // inside the partition
+  const afg::Afg graph = afg::make_independent(12, 4000);
+  for (const sched::Strategy& row : sched::strategies()) {
+    const std::string name(row.name);
+    SCOPED_TRACE(name);
+    sched::SchedulingPolicy policy;
+    policy.strategy = name;
+    if (name == "dbc-time") policy.budget = 1e6;
+    if (name == "dbc-cost") policy.deadline = 1e6;
+    auto table = env.schedule(graph, session, policy);
+    ASSERT_TRUE(table.has_value()) << table.error().to_string();
+    EXPECT_EQ(table->scheduler_name, name);
+    std::size_t remote = 0;
+    for (const sched::Assignment& a : table->assignments) {
+      if (a.site != common::SiteId(0)) ++remote;
+    }
+    EXPECT_EQ(remote, 0u) << remote << " of " << graph.task_count()
+                          << " tasks on the unreachable site";
+  }
 }
 
 TEST(Chaos, LossFiltersByTypePrefix) {

@@ -22,7 +22,10 @@
 //            The strategy-* runs were captured against VDCE assignment
 //            without the registry and the econ-* runs against the runtime
 //            without the economy plane, so their two tests keep the names
-//            of the differentials they replace.
+//            of the differentials they replace.  The live-* runs take every
+//            offline strategy row through the runtime under background
+//            load, planning from the bids gathered over the fabric;
+//            dbc-time runs under a budget and dbc-cost under a deadline.
 //   plan   — offline sched::plan() of every strategy-table row on the
 //            200-case scale corpus with a priced context, plus dbc-cost
 //            under a deadline and dbc-time under a budget derived from the
@@ -185,10 +188,11 @@ std::vector<Run> fleet_runs() {
   return {run};
 }
 
-/// One campus-pair run of `graph` with the default strategy.
+/// One campus-pair run of `graph` under `options`, submitted `warmup`
+/// seconds after bring-up.
 Run run_campus_case(std::string label, std::uint64_t topology_seed,
                     bool background_load, const afg::Afg& graph,
-                    const RunOptions& options) {
+                    const RunOptions& options, double warmup = 0.0) {
   Run run{std::move(label), {}, {}};
   EnvironmentOptions env_options;
   env_options.trace.enabled = true;
@@ -201,6 +205,7 @@ Run run_campus_case(std::string label, std::uint64_t topology_seed,
     return {run.label, {}, st.error().to_string()};
   }
   auto session = env.login(common::SiteId(0), "u", "p").value();
+  if (warmup > 0.0) env.run_for(warmup);
   auto report = env.run_application(graph, session, options);
   std::string out = env.trace().to_jsonl();
   if (!report) {
@@ -208,9 +213,11 @@ Run run_campus_case(std::string label, std::uint64_t topology_seed,
   } else {
     out += report->describe(graph);
     // Unconstrained runs carry no quote.
-    if (report->spend() != 0.0 || report->budget != 0.0 ||
-        report->spend_parts.compute != 0.0 ||
-        report->spend_parts.transfer != 0.0) {
+    const bool unconstrained = options.budget == 0.0 && options.deadline == 0.0;
+    if (unconstrained &&
+        (report->spend() != 0.0 || report->budget != 0.0 ||
+         report->spend_parts.compute != 0.0 ||
+         report->spend_parts.transfer != 0.0)) {
       run.anomaly = "unconstrained run carries a spend quote";
     }
   }
@@ -250,6 +257,31 @@ std::vector<Run> campus_econ_runs() {
     options.real_kernels = false;
     runs.push_back(run_campus_case("econ-" + std::to_string(i), 23 + i,
                                    i % 2 == 1, graph, options));
+  }
+  return runs;
+}
+
+/// Every offline row on the live runtime, one graph on one campus pair.
+/// Submitted 0.9 s after bring-up, the bid round straddles the first 1 s
+/// monitor report, so a row that read the repositories after the round
+/// instead of the gathered bids would place differently.
+std::vector<Run> campus_live_runs() {
+  common::Rng rng(500);
+  afg::LayeredDagSpec spec;
+  spec.tasks = 12;
+  spec.width = 4;
+  const afg::Afg graph = afg::make_layered_dag(spec, rng);
+  std::vector<Run> runs;
+  for (const sched::Strategy& row : sched::strategies()) {
+    const std::string name(row.name);
+    if (name.starts_with("vdce-")) continue;
+    RunOptions options;
+    options.real_kernels = false;
+    options.sched.strategy = name;
+    if (name == "dbc-time") options.budget = 1e6;
+    if (name == "dbc-cost") options.deadline = 1e6;
+    runs.push_back(
+        run_campus_case("live-" + name, 41, true, graph, options, 0.9));
   }
   return runs;
 }
@@ -442,6 +474,12 @@ TEST(EconDifferential, KillSwitchRunsAreByteIdentical) {
   expect_golden("campus", campus_econ_runs(), "econ-");
 }
 
+TEST(Golden, LiveOfflineRowDigestsMatch) {
+  const auto runs = campus_live_runs();
+  EXPECT_EQ(runs.size(), 11u);
+  expect_golden("campus", runs, "live-");
+}
+
 /// Recompute every family and rewrite its file.  Refuses to write when a
 /// run is anomalous, so a broken build cannot become the oracle.
 int update_golden() {
@@ -451,6 +489,7 @@ int update_golden() {
   }
   std::vector<Run> campus = campus_strategy_runs();
   for (Run& run : campus_econ_runs()) campus.push_back(std::move(run));
+  for (Run& run : campus_live_runs()) campus.push_back(std::move(run));
   ConstraintCounts counts;
   const std::map<std::string, std::vector<Run>> families = {
       {"corpus", corpus},

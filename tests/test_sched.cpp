@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,19 @@ struct SchedFixture : ::testing::Test {
       }
     }
     EXPECT_GT(table.schedule_length, 0.0);
+  }
+
+  /// Fig. 2 steps 3-5 as plan() runs them: one host-selection output per
+  /// candidate site of `policy`, local site first.
+  std::vector<HostSelectionOutput> gather(const afg::Afg& graph,
+                                          const SchedulingPolicy& policy = {}) {
+    std::vector<HostSelectionOutput> outputs;
+    for (common::SiteId s : candidate_site_set(context, policy)) {
+      outputs.push_back(
+          HostSelectionAlgorithm::run(graph, s, *repos[s.value()], predictor)
+              .value());
+    }
+    return outputs;
   }
 
   net::Topology topology;
@@ -178,7 +192,8 @@ TEST_F(SchedFixture, ParallelBidFailsWhenSiteTooSmall) {
   props.outputs.push_back(afg::FileSpec{"", 100, false});
   auto id = graph.add_task("p", "synthetic.w1000", props);
   ASSERT_TRUE(id.has_value());
-  auto view = PlannerView::make(graph, context, SchedulingPolicy{});
+  const std::vector<HostSelectionOutput> outputs = gather(graph);
+  auto view = PlannerView::make(graph, context, outputs, SchedulingPolicy{});
   ASSERT_TRUE(view.has_value()) << view.error().to_string();
   auto bid = view->bid_at(*id, common::SiteId(0));
   ASSERT_FALSE(bid.has_value());
@@ -187,6 +202,60 @@ TEST_F(SchedFixture, ParallelBidFailsWhenSiteTooSmall) {
   auto any = view->parallel_bid(*id);
   ASSERT_FALSE(any.has_value());
   EXPECT_EQ(any.error().code, common::ErrorCode::kNoFeasibleResource);
+}
+
+TEST_F(SchedFixture, PlannerViewOffersOnlyWhatTheGatheredBidsAdmit) {
+  common::Rng rng(17);
+  afg::LayeredDagSpec spec;
+  spec.tasks = 20;
+  spec.width = 5;
+  afg::Afg graph = afg::make_layered_dag(spec, rng);
+  std::vector<HostSelectionOutput> outputs = gather(graph);
+  ASSERT_EQ(outputs.size(), 3u);
+  auto sites_offered = [&](const PlannerView& view) {
+    std::set<std::uint32_t> sites;
+    for (const afg::TaskNode& node : graph.tasks()) {
+      for (const PlanOption& o : view.options(node.id)) {
+        sites.insert(o.site.value());
+      }
+    }
+    return sites;
+  };
+  {
+    auto all = PlannerView::make(graph, context, outputs, SchedulingPolicy{});
+    ASSERT_TRUE(all.has_value()) << all.error().to_string();
+    EXPECT_EQ(sites_offered(*all).size(), 3u);
+  }
+
+  SCOPED_TRACE("a site missing from the outputs gives no option");
+  const common::SiteId silent = outputs[1].site;
+  outputs.erase(outputs.begin() + 1);
+  auto partial = PlannerView::make(graph, context, outputs, SchedulingPolicy{});
+  ASSERT_TRUE(partial.has_value()) << partial.error().to_string();
+  EXPECT_FALSE(sites_offered(*partial).contains(silent.value()));
+  EXPECT_EQ(sites_offered(*partial).size(), 2u);
+
+  SCOPED_TRACE("a host held by another application is no option");
+  std::set<common::HostId> taken;
+  for (const HostSelectionOutput& out : outputs) {
+    for (std::size_t i = 0; i < out.host_pool.size(); i += 2) {
+      taken.insert(out.host_pool[i].host);
+    }
+  }
+  WindowTable held;
+  held.acquire(common::AppId(9), {taken.begin(), taken.end()});
+  SchedulerContext ctx = context;
+  ctx.reservations = &held;
+  ctx.reserving_app = common::AppId(1);
+  auto view = PlannerView::make(graph, ctx, outputs, SchedulingPolicy{});
+  ASSERT_TRUE(view.has_value()) << view.error().to_string();
+  for (const afg::TaskNode& node : graph.tasks()) {
+    ASSERT_FALSE(view->options(node.id).empty()) << node.instance_name;
+    for (const PlanOption& o : view->options(node.id)) {
+      EXPECT_FALSE(taken.contains(o.host()))
+          << node.instance_name << " offered held host " << o.host().value();
+    }
+  }
 }
 
 TEST_F(SchedFixture, RankedHostsAscendByPrediction) {
