@@ -2,10 +2,17 @@
 // validation, level computation, generators.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
+
 #include "afg/generate.hpp"
 #include "afg/graph.hpp"
 #include "afg/levels.hpp"
 #include "common/rng.hpp"
+#include "editor/dsl.hpp"
+#include "scale/generate.hpp"
 
 namespace vdce::afg {
 namespace {
@@ -275,6 +282,71 @@ TEST(Generators, Deterministic) {
   ASSERT_EQ(g1.edges().size(), g2.edges().size());
   for (std::size_t i = 0; i < g1.edges().size(); ++i) {
     EXPECT_EQ(g1.edges()[i], g2.edges()[i]);
+  }
+}
+
+// ---- scale::make_workload pinned -------------------------------------------------
+
+std::string fnv1a_hex(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+// The DSL text of every generated shape, pinned: a change to the generator
+// or to graph construction that moves a single draw, name or edge changes
+// a digest here (and with it every perfbench and golden digest).
+TEST(WorkloadGenerator, DslDigestsArePinned) {
+  struct Case {
+    scale::WorkloadShape shape;
+    std::uint64_t seed;
+    std::size_t tasks;
+    const char* digest;
+  };
+  using scale::WorkloadShape;
+  const Case cases[] = {
+      {WorkloadShape::kLayered, 1, 250, "ec6778a84945406f"},
+      {WorkloadShape::kLayered, 2, 250, "7ffbf7fb23af59e8"},
+      {WorkloadShape::kLayered, 9001, 250, "d6d728a41339eb23"},
+      {WorkloadShape::kLayered, 1, 4000, "577da4242131989a"},
+      {WorkloadShape::kLayered, 2, 4000, "c550b3f47f66b117"},
+      {WorkloadShape::kLayered, 9001, 4000, "6a37cafeca088e17"},
+      {WorkloadShape::kForkJoin, 1, 250, "ed43978d4b1b252d"},
+      {WorkloadShape::kForkJoin, 2, 250, "75feb62f54aaff75"},
+      {WorkloadShape::kForkJoin, 9001, 250, "1198b4c0fb8ae657"},
+      {WorkloadShape::kForkJoin, 1, 4000, "041f3d9dc439966d"},
+      {WorkloadShape::kForkJoin, 2, 4000, "3ce23726cbf8d925"},
+      {WorkloadShape::kForkJoin, 9001, 4000, "5ea068722eb9b313"},
+      {WorkloadShape::kRandomDag, 1, 250, "c3fc0460a6ef0a8d"},
+      {WorkloadShape::kRandomDag, 2, 250, "83de92984b6fd143"},
+      {WorkloadShape::kRandomDag, 9001, 250, "ece8534a0ab223fa"},
+      {WorkloadShape::kRandomDag, 1, 4000, "46e4af6fd392fefc"},
+      {WorkloadShape::kRandomDag, 2, 4000, "c9ff5d64cb8f512b"},
+      {WorkloadShape::kRandomDag, 9001, 4000, "a9e6c3ae2077cef3"},
+      {WorkloadShape::kParamSweep, 1, 250, "b76d860f8c2810e2"},
+      {WorkloadShape::kParamSweep, 2, 250, "f226ff1821d365ac"},
+      {WorkloadShape::kParamSweep, 9001, 250, "0a0a36272bcb7346"},
+      {WorkloadShape::kParamSweep, 1, 4000, "8a5c7af0b4e02eb2"},
+      {WorkloadShape::kParamSweep, 2, 4000, "77a4d2ac0ea7206e"},
+      {WorkloadShape::kParamSweep, 9001, 4000, "fd03334801074104"},
+  };
+  for (const Case& c : cases) {
+    scale::WorkloadSpec spec;
+    spec.shape = c.shape;
+    spec.tasks = c.tasks;
+    spec.width = 48;
+    spec.parallel_fraction = 0.15;
+    spec.seed = c.seed;
+    const Afg graph = scale::make_workload(spec, "pinned");
+    EXPECT_EQ(fnv1a_hex(editor::write_afg(graph)), c.digest)
+        << scale::to_string(c.shape) << " seed " << c.seed << " tasks "
+        << c.tasks;
   }
 }
 
