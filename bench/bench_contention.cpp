@@ -75,7 +75,7 @@ LoadResult run_offered_load(int apps, double mean_interarrival,
                   n, env.repo(common::SiteId(0)).tasks()));
             }
             sm.execute_application(
-                app, *graph_ptr, std::move(*table), std::move(perf), {}, {},
+                app, graph_ptr, std::move(*table), std::move(perf), {}, {},
                 [this](runtime::ExecutionReport report) {
                   if (report.success) {
                     makespans.add(report.makespan());

@@ -85,8 +85,7 @@ int main() {
         auto perf = sched::resolve_perf(graph.task(outcome.task),
                                         env.repo(session.site).tasks());
         if (!rec || !perf) continue;
-        auto analytic =
-            env.core().predictor().predict(*perf, *rec, nullptr);
+        auto analytic = env.core().predictor().predict(*perf, *rec);
         if (analytic) {
           analytic_err.add(std::fabs(*analytic - actual) / actual);
         }

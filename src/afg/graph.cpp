@@ -2,9 +2,21 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <queue>
 
 namespace vdce::afg {
+
+std::size_t Afg::name_slot(std::string_view name) const {
+  assert(!name_slots_.empty());
+  const std::size_t mask = name_slots_.size() - 1;
+  std::size_t slot = std::hash<std::string_view>{}(name) & mask;
+  while (name_slots_[slot] != kFreeSlot &&
+         tasks_[name_slots_[slot]].instance_name != name) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
 
 common::Expected<TaskId> Afg::add_task(const std::string& instance_name,
                                        const std::string& task_name,
@@ -13,11 +25,9 @@ common::Expected<TaskId> Afg::add_task(const std::string& instance_name,
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "empty task instance name"};
   }
-  for (const TaskNode& t : tasks_) {
-    if (t.instance_name == instance_name) {
-      return common::Error{common::ErrorCode::kAlreadyExists,
-                           "duplicate task instance: " + instance_name};
-    }
+  if (indexed_id(instance_name) != kFreeSlot) {
+    return common::Error{common::ErrorCode::kAlreadyExists,
+                         "duplicate task instance: " + instance_name};
   }
   if (props.num_nodes < 1) {
     return common::Error{common::ErrorCode::kInvalidArgument,
@@ -28,10 +38,24 @@ common::Expected<TaskId> Afg::add_task(const std::string& instance_name,
                          "sequential task cannot request multiple nodes: " +
                              instance_name};
   }
+  // Every check passed: only now is the name indexed.
   TaskId id(static_cast<TaskId::value_type>(tasks_.size()));
   tasks_.push_back(TaskNode{id, instance_name, task_name, std::move(props)});
   in_index_.emplace_back();
   out_index_.emplace_back();
+  if (2 * tasks_.size() > name_slots_.size()) {
+    // Rehash into twice the capacity (names are distinct, so each probe
+    // stops at a free slot).  The first table has 64 slots, so a graph of
+    // up to 32 tasks, a typical fleet application, is indexed without a
+    // rehash.
+    name_slots_.assign(std::max<std::size_t>(64, 2 * name_slots_.size()),
+                       kFreeSlot);
+    for (const TaskNode& t : tasks_) {
+      name_slots_[name_slot(t.instance_name)] = t.id.value();
+    }
+  } else {
+    name_slots_[name_slot(instance_name)] = id.value();
+  }
   return id;
 }
 
@@ -85,9 +109,8 @@ TaskNode& Afg::task(TaskId id) {
 
 common::Expected<TaskId> Afg::find_task(
     const std::string& instance_name) const {
-  for (const TaskNode& t : tasks_) {
-    if (t.instance_name == instance_name) return t.id;
-  }
+  const std::uint32_t id = indexed_id(instance_name);
+  if (id != kFreeSlot) return TaskId(id);
   return common::Error{common::ErrorCode::kNotFound,
                        "no task instance " + instance_name};
 }

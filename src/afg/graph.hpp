@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -85,6 +86,8 @@ struct Edge {
 /// The application flow graph.  Mutating operations validate port ranges
 /// and reject duplicate connections immediately; acyclicity is checked by
 /// `validate()` (called by the scheduler before interpreting the graph).
+/// Building a graph of V tasks and E edges costs O(V + E): instance names
+/// are indexed, so the duplicate check and `find_task` are O(1).
 class Afg {
  public:
   Afg() = default;
@@ -94,7 +97,9 @@ class Afg {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  /// Add a task instance.  Fails if `instance_name` already exists.
+  /// Add a task instance.  Fails if `instance_name` is empty or already
+  /// exists, or if the properties are invalid; a rejected call changes
+  /// nothing.
   common::Expected<TaskId> add_task(const std::string& instance_name,
                                     const std::string& task_name,
                                     TaskProperties props);
@@ -107,6 +112,8 @@ class Afg {
   // --- queries ----------------------------------------------------------
   [[nodiscard]] std::size_t task_count() const noexcept { return tasks_.size(); }
   [[nodiscard]] const TaskNode& task(TaskId id) const;
+  /// Mutable access for the editor's property panels.  The instance name
+  /// is indexed: do not change it through this reference.
   [[nodiscard]] TaskNode& task(TaskId id);
   [[nodiscard]] const std::vector<TaskNode>& tasks() const noexcept {
     return tasks_;
@@ -165,6 +172,20 @@ class Afg {
   // goes stale.
   std::vector<std::vector<std::uint32_t>> in_index_;
   std::vector<std::vector<std::uint32_t>> out_index_;
+  // Instance-name index: an open-addressed table of task ids (kFreeSlot when
+  // empty), linear probing against tasks_[id].instance_name.  Its capacity
+  // is a power of two and it is at most half full.  One vector, so a copy
+  // of the graph costs one allocation for it, not one per task.
+  static constexpr std::uint32_t kFreeSlot = ~std::uint32_t{0};
+  std::vector<std::uint32_t> name_slots_;
+
+  /// The slot holding `name`, or the free slot where it would go.
+  /// Requires a non-empty table.
+  [[nodiscard]] std::size_t name_slot(std::string_view name) const;
+  /// The id of the task named `name`, or kFreeSlot.
+  [[nodiscard]] std::uint32_t indexed_id(std::string_view name) const {
+    return name_slots_.empty() ? kFreeSlot : name_slots_[name_slot(name)];
+  }
 };
 
 }  // namespace vdce::afg

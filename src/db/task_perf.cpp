@@ -30,11 +30,17 @@ common::Status TaskPerformanceDb::record_execution(
 
 std::optional<MeasuredTime> TaskPerformanceDb::measured(
     const std::string& task_name, common::HostId host) const {
+  const MeasuredRow* row = measured_row(task_name);
+  if (row == nullptr) return std::nullopt;
+  auto it = row->find(host);
+  if (it == row->end()) return std::nullopt;
+  return it->second;
+}
+
+const MeasuredRow* TaskPerformanceDb::measured_row(
+    const std::string& task_name) const {
   auto it = measurements_.find(task_name);
-  if (it == measurements_.end()) return std::nullopt;
-  auto jt = it->second.find(host);
-  if (jt == it->second.end()) return std::nullopt;
-  return jt->second;
+  return it == measurements_.end() ? nullptr : &it->second;
 }
 
 std::string TaskPerformanceDb::serialize() const {

@@ -52,6 +52,9 @@ struct MeasuredTime {
   }
 };
 
+/// One task's measured times, by host.
+using MeasuredRow = std::unordered_map<common::HostId, MeasuredTime>;
+
 class TaskPerformanceDb {
  public:
   /// Register or replace a task implementation's parameters.
@@ -80,6 +83,10 @@ class TaskPerformanceDb {
   /// estimate once it exists.
   [[nodiscard]] std::optional<MeasuredTime> measured(
       const std::string& task_name, common::HostId host) const;
+  /// The task's measured times by host, or null when none were recorded:
+  /// a caller predicting one task on many hosts looks its row up once.
+  [[nodiscard]] const MeasuredRow* measured_row(
+      const std::string& task_name) const;
 
   [[nodiscard]] std::vector<TaskPerfRecord> all_tasks() const;
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
@@ -93,9 +100,7 @@ class TaskPerformanceDb {
  private:
   std::unordered_map<std::string, TaskPerfRecord> records_;
   // Keyed by task name; inner map keyed by host.
-  std::unordered_map<std::string,
-                     std::unordered_map<common::HostId, MeasuredTime>>
-      measurements_;
+  std::unordered_map<std::string, MeasuredRow> measurements_;
 };
 
 }  // namespace vdce::db

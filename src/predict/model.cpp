@@ -24,6 +24,15 @@ double Predictor::effective_mflops(const db::ResourceRecord& host) {
 common::Expected<common::SimDuration> Predictor::predict(
     const db::TaskPerfRecord& task, const db::ResourceRecord& host,
     const db::TaskPerformanceDb* measured_db) const {
+  return predict(task, host,
+                 measured_db != nullptr
+                     ? measured_db->measured_row(task.task_name)
+                     : nullptr);
+}
+
+common::Expected<common::SimDuration> Predictor::predict(
+    const db::TaskPerfRecord& task, const db::ResourceRecord& host,
+    const db::MeasuredRow* measured) const {
   // Single-host fast path: same arithmetic as the group overload with n = 1,
   // without materialising a one-element std::vector<ResourceRecord> (a full
   // record copy — five strings plus the workload history) per call.  The
@@ -36,9 +45,11 @@ common::Expected<common::SimDuration> Predictor::predict(
             std::to_string(task.required_memory_mb) + "MB; " + host.host_name +
             " has " + std::to_string(host.total_memory_mb) + "MB"};
   }
-  if (measured_db != nullptr) {
-    auto m = measured_db->measured(task.task_name, host.host);
-    if (m && m->count >= kMinMeasurements) return m->mean;
+  if (measured != nullptr) {
+    auto it = measured->find(host.host);
+    if (it != measured->end() && it->second.count >= kMinMeasurements) {
+      return it->second.mean;
+    }
   }
   const double slowest = effective_mflops(host);
   if (slowest <= 0.0) {

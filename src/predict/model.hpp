@@ -53,6 +53,12 @@ class Predictor {
   common::Expected<common::SimDuration> predict(
       const db::TaskPerfRecord& task, const db::ResourceRecord& host,
       const db::TaskPerformanceDb* measured_db = nullptr) const;
+  /// Single-host overload given the task's measurement row (null: none
+  /// recorded), for callers that predict one task on many hosts and look
+  /// the row up once.
+  common::Expected<common::SimDuration> predict(
+      const db::TaskPerfRecord& task, const db::ResourceRecord& host,
+      const db::MeasuredRow* measured) const;
 
   /// Effective sustainable MFLOPS of a host under its last measured load.
   [[nodiscard]] static double effective_mflops(const db::ResourceRecord& host);

@@ -62,7 +62,7 @@ void DataManager::merge_local_tasks(AppState& state) {
   for (const sched::Assignment& a : plan.rat.assignments) {
     if (!primary_here(a, host_)) continue;
     if (state.tasks.contains(a.task.value())) continue;
-    const afg::TaskNode& node = plan.graph.task(a.task);
+    const afg::TaskNode& node = plan.graph->task(a.task);
 
     LocalTask task;
     task.id = a.task;
@@ -70,7 +70,7 @@ void DataManager::merge_local_tasks(AppState& state) {
     task.inputs.assign(static_cast<std::size_t>(node.in_ports()),
                        tasklib::Value{});
     // Expected inputs: one per dataflow edge plus one per staged file input.
-    task.pending = static_cast<int>(plan.graph.in_degree(a.task));
+    task.pending = static_cast<int>(plan.graph->in_degree(a.task));
     for (const afg::FileSpec& f : node.props.inputs) {
       if (!f.dataflow && !f.path.empty()) ++task.pending;
     }
@@ -89,8 +89,8 @@ void DataManager::setup_channels(AppState& state) {
   // sends to (§4.2: proxy activation + ack).
   std::set<common::HostId> peers;
   for (const auto& [task_value, task] : state.tasks) {
-    for (std::uint32_t idx : plan.graph.out_edge_ids(task.id)) {
-      const afg::Edge& e = plan.graph.edge(idx);
+    for (std::uint32_t idx : plan.graph->out_edge_ids(task.id)) {
+      const afg::Edge& e = plan.graph->edge(idx);
       const sched::Assignment* a = plan.find_assignment(e.to);
       if (a == nullptr) continue;  // consumer unassigned: nothing to set up
       common::HostId dst = a->primary_host();
@@ -289,7 +289,7 @@ void DataManager::maybe_start(common::AppId app) {
 
   VDCE_LOG(kDebug, "data-mgr", core_.now())
       << "host " << host_.value() << " starts "
-      << plan.graph.task(task.id).instance_name;
+      << plan.graph->task(task.id).instance_name;
 
   run_quantum(app, task_value);
 }
@@ -341,7 +341,7 @@ void DataManager::finish_task(common::AppId app, std::uint32_t task_value) {
   task.done = true;
   const common::SimDuration elapsed = core_.now() - state.run_started;
 
-  const afg::TaskNode& node = plan.graph.task(task.id);
+  const afg::TaskNode& node = plan.graph->task(task.id);
   if (core_.metering()) {
     core_.meters().counter("exec.tasks_completed").add();
     core_.meters().histogram("exec.task_seconds").add(elapsed);
@@ -352,7 +352,7 @@ void DataManager::finish_task(common::AppId app, std::uint32_t task_value) {
     // Causal identity: which task this span is, and which AFG parents feed
     // it — the task->task edges of the causal DAG (obs/causal.hpp).
     obs::Causal causal{.app = plan.app.value(), .task = task_value};
-    for (afg::TaskId parent : plan.graph.parents(task.id)) {
+    for (afg::TaskId parent : plan.graph->parents(task.id)) {
       causal.deps.push_back(parent.value());
     }
     core_.trace_sink().span(
@@ -382,8 +382,8 @@ void DataManager::finish_task(common::AppId app, std::uint32_t task_value) {
   state.outputs[task_value] = outputs;
 
   // Ship each out-edge to its consumer's current host (honouring redirects).
-  for (std::uint32_t idx : plan.graph.out_edge_ids(task.id)) {
-    const afg::Edge& e = plan.graph.edge(idx);
+  for (std::uint32_t idx : plan.graph->out_edge_ids(task.id)) {
+    const afg::Edge& e = plan.graph->edge(idx);
     send_edge(state, e,
               outputs[static_cast<std::size_t>(e.from_port)]);
   }
@@ -402,7 +402,7 @@ void DataManager::finish_task(common::AppId app, std::uint32_t task_value) {
 
   // Exit tasks return their port-0 value with the completion notice.
   tasklib::Value exit_output;
-  if (plan.graph.out_degree(task.id) == 0 && !outputs.empty()) {
+  if (plan.graph->out_degree(task.id) == 0 && !outputs.empty()) {
     exit_output = outputs.front();
   }
   send_task_done(state, task.id, elapsed, false, "", std::move(exit_output));
@@ -421,7 +421,7 @@ void DataManager::send_edge(AppState& state, const afg::Edge& edge,
     if (a == nullptr) return;  // consumer unassigned: drop, resend heals later
     dst = a->primary_host();
   }
-  double bytes = std::max(plan.graph.edge_bytes(edge), 64.0);
+  double bytes = std::max(plan.graph->edge_bytes(edge), 64.0);
   (void)core_.fabric().send(net::Message{
       host_, dst, msg::kDmData, bytes,
       DataDelivery{plan.app, edge.to, edge.to_port, value},
@@ -505,10 +505,10 @@ void DataManager::handle(const net::Message& message) {
       // Producer already finished: re-deliver immediately.
       const ExecutionPlan& plan = *state.plan;
       double bytes = 64.0;
-      for (std::uint32_t idx : plan.graph.out_edge_ids(req.from_task)) {
-        const afg::Edge& e = plan.graph.edge(idx);
+      for (std::uint32_t idx : plan.graph->out_edge_ids(req.from_task)) {
+        const afg::Edge& e = plan.graph->edge(idx);
         if (e.to == req.to_task && e.from_port == req.from_port) {
-          bytes = std::max(plan.graph.edge_bytes(e), 64.0);
+          bytes = std::max(plan.graph->edge_bytes(e), 64.0);
           break;
         }
       }

@@ -127,7 +127,10 @@ using BidsReplyPtr = std::shared_ptr<const BidsReply>;
 struct ExecutionPlan {
   common::AppId app;
   common::HostId origin;  ///< origin site's server host (the coordinator)
-  afg::Afg graph;
+  /// The application's graph, shared and immutable: the one the user
+  /// submitted, from scheduling to the report.  Re-dispatched plans copy
+  /// the pointer, never the graph.
+  std::shared_ptr<const afg::Afg> graph;
   sched::ResourceAllocationTable rat;
   /// Task perf records by task id value (execution-time model input).
   std::vector<db::TaskPerfRecord> perf;

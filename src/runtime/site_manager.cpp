@@ -368,19 +368,20 @@ void SiteManager::finish_schedule(std::uint32_t app_value) {
 // ---- execution coordination (Fig. 4) ----------------------------------------
 
 void SiteManager::execute_application(
-    common::AppId app_id, afg::Afg graph, sched::ResourceAllocationTable rat,
+    common::AppId app_id, std::shared_ptr<const afg::Afg> graph,
+    sched::ResourceAllocationTable rat,
     std::vector<db::TaskPerfRecord> perf, std::vector<tasklib::Kernel> kernels,
     std::unordered_map<std::uint32_t, std::unordered_map<int, tasklib::Value>>
         initial_inputs,
     ReportCallback callback, double budget, db::AccessDomain access) {
-  assert(rat.assignments.size() == graph.task_count());
+  assert(graph && rat.assignments.size() == graph->task_count());
   auto plan = std::make_shared<ExecutionPlan>();
   plan->app = app_id;
   plan->origin = server_;
   plan->graph = std::move(graph);
   plan->rat = std::move(rat);
   plan->perf = std::move(perf);
-  if (kernels.empty()) kernels.resize(plan->graph.task_count());
+  if (kernels.empty()) kernels.resize(plan->graph->task_count());
   plan->kernels = std::move(kernels);
   plan->initial_inputs = std::move(initial_inputs);
 
@@ -463,7 +464,7 @@ void SiteManager::maybe_launch(ActiveApp& app) {
   app.exec_started = core_.now();
 
   // Stage non-dataflow file inputs (I/O service) before releasing execution.
-  for (const afg::TaskNode& t : app.plan->graph.tasks()) {
+  for (const afg::TaskNode& t : app.plan->graph->tasks()) {
     stage_file_inputs(app, t.id);
   }
   for (common::HostId h : app.involved) {
@@ -474,7 +475,7 @@ void SiteManager::maybe_launch(ActiveApp& app) {
 }
 
 void SiteManager::stage_file_inputs(ActiveApp& app, afg::TaskId task) {
-  const afg::TaskNode& node = app.plan->graph.task(task);
+  const afg::TaskNode& node = app.plan->graph->task(task);
   const sched::Assignment& assignment = app.current.at(task.value());
   auto task_inputs = app.plan->initial_inputs.find(task.value());
   for (int port = 0; port < node.in_ports(); ++port) {
@@ -503,7 +504,7 @@ void SiteManager::on_ac_task_done(const net::Message& message) {
 
   if (done.failed) {
     complete_app(app, false,
-                 "task " + app.plan->graph.task(done.task).instance_name +
+                 "task " + app.plan->graph->task(done.task).instance_name +
                      " failed: " + done.error);
     return;
   }
@@ -512,7 +513,7 @@ void SiteManager::on_ac_task_done(const net::Message& message) {
   const sched::Assignment& assignment = app.current.at(done.task.value());
   TaskOutcome outcome;
   outcome.task = done.task;
-  outcome.task_name = app.plan->graph.task(done.task).instance_name;
+  outcome.task_name = app.plan->graph->task(done.task).instance_name;
   outcome.host = done.host;
   outcome.site = core_.topology().host(done.host).site;
   outcome.started = done.started;
@@ -534,18 +535,18 @@ void SiteManager::on_ac_task_done(const net::Message& message) {
   // hosting site's measured history.  Tasks unknown to that site (e.g.
   // synthetic ones resolved on the fly) are registered from the plan first.
   db::TaskPerformanceDb& task_db = core_.repo(outcome.site).tasks();
-  const std::string& task_name = app.plan->graph.task(done.task).task_name;
+  const std::string& task_name = app.plan->graph->task(done.task).task_name;
   if (!task_db.contains(task_name)) {
     task_db.register_task(app.plan->perf[done.task.value()]);
   }
   (void)task_db.record_execution(task_name, done.host, done.elapsed);
 
-  if (app.plan->graph.out_degree(done.task) == 0 &&
+  if (app.plan->graph->out_degree(done.task) == 0 &&
       done.exit_output.has_value()) {
     app.exit_outputs[done.task.value()] = done.exit_output;
   }
 
-  if (app.done.size() == app.plan->graph.task_count()) {
+  if (app.done.size() == app.plan->graph->task_count()) {
     complete_app(app, true, "");
   }
 }
@@ -563,7 +564,7 @@ void SiteManager::on_ac_overload(const net::Message& message) {
   // progress to zero.
   if (app.attempts[notice.task.value()] >= kMaxTaskAttempts) {
     VDCE_LOG(kInfo, "site-mgr", core_.now())
-        << "task " << app.plan->graph.task(notice.task).instance_name
+        << "task " << app.plan->graph->task(notice.task).instance_name
         << " hit the attempt cap; pinning on host " << notice.host.value();
     if (core_.metering()) core_.meters().counter("recovery.task_pins").add();
     core_.health_event(obs::health::kRecoveryActions,
@@ -616,7 +617,7 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
   if (!consume_recovery_budget(app, reason)) return;
   app.excluded[task.value()].insert(bad_host);
 
-  const afg::TaskNode& node = app.plan->graph.task(task);
+  const afg::TaskNode& node = app.plan->graph->task(task);
   const db::TaskPerfRecord& perf = app.plan->perf[task.value()];
   // Recovery asks the scheduling round's filter (sched/host_filter.hpp)
   // inside the application's access domain: machines held by concurrent
@@ -776,8 +777,8 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
 
   // Parents whose cached outputs lived on a failed host must re-execute
   // before they can feed the moved task (cascading recovery).
-  for (std::uint32_t idx : app.plan->graph.in_edge_ids(task)) {
-    const afg::Edge& e = app.plan->graph.edge(idx);
+  for (std::uint32_t idx : app.plan->graph->in_edge_ids(task)) {
+    const afg::Edge& e = app.plan->graph->edge(idx);
     const sched::Assignment& parent = app.current.at(e.from.value());
     if (!core_.topology().host_up(parent.primary_host()) &&
         app.done.contains(e.from.value())) {
@@ -799,7 +800,7 @@ econ::SpendBreakdown SiteManager::quote_current(
             ? *substitute
             : app.current.at(a.task.value());
   }
-  return econ::estimate_spend(app.plan->graph, rat, core_.topology(),
+  return econ::estimate_spend(*app.plan->graph, rat, core_.topology(),
                               econ::kRateCard);
 }
 
@@ -828,8 +829,8 @@ void SiteManager::dispatch_updated_plan(ActiveApp& app, afg::TaskId task,
                                            StartSignal{plan->app}});
     stage_file_inputs(app, task);
     // Pull dataflow inputs from each parent's current host.
-    for (std::uint32_t idx : app.plan->graph.in_edge_ids(task)) {
-      const afg::Edge& e = app.plan->graph.edge(idx);
+    for (std::uint32_t idx : app.plan->graph->in_edge_ids(task)) {
+      const afg::Edge& e = app.plan->graph->edge(idx);
       const sched::Assignment& parent = app.current.at(e.from.value());
       if (!core_.topology().host_up(parent.primary_host())) continue;
       (void)core_.fabric().send(net::Message{
@@ -927,7 +928,7 @@ void SiteManager::stall_recover(ActiveApp& app) {
         {obs::arg("app", app.plan->app.value()),
          obs::arg("done", std::uint64_t{app.done.size()}),
          obs::arg("tasks",
-                  std::uint64_t{app.plan->graph.task_count()})},
+                  std::uint64_t{app.plan->graph->task_count()})},
         obs::Causal{.app = app.plan->app.value()});
   }
   RecoveryEvent ev;
@@ -955,7 +956,7 @@ void SiteManager::complete_app(ActiveApp& app, bool success,
   core_.reservations().release(app.plan->app);
   ExecutionReport report;
   report.app = app.plan->app;
-  report.app_name = app.plan->graph.name();
+  report.app_name = app.plan->graph->name();
   report.scheduler = app.plan->rat.scheduler_name;
   report.success = success;
   report.failure_reason = reason;
@@ -965,13 +966,13 @@ void SiteManager::complete_app(ActiveApp& app, bool success,
   report.reschedules = app.reschedules;
   report.failures_survived = app.failures_survived;
   report.recoveries = app.recoveries;
-  for (const afg::TaskNode& t : app.plan->graph.tasks()) {
+  for (const afg::TaskNode& t : app.plan->graph->tasks()) {
     auto it = app.outcomes.find(t.id.value());
     if (it != app.outcomes.end()) report.outcomes.push_back(it->second);
   }
   // Causal structure for ExecutionReport::critical_path(): the report is
   // self-contained — no need to keep the AFG around to analyze it.
-  for (const afg::Edge& e : app.plan->graph.edges()) {
+  for (const afg::Edge& e : app.plan->graph->edges()) {
     report.dag_edges.emplace_back(e.from.value(), e.to.value());
   }
   report.exit_outputs = app.exit_outputs;

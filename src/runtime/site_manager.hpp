@@ -76,6 +76,7 @@ class SiteManager {
   using ReportCallback = std::function<void(ExecutionReport)>;
 
   /// Launch an application whose allocation table is already decided.
+  /// `graph` is shared, not copied, by the plan and every re-dispatch.
   /// `kernels` and `initial_inputs` may be empty (timing-only run).
   /// `budget` is the user's spending cap in G$ (docs/ECONOMY.md); 0 means
   /// unconstrained.  A positive budget gates recovery re-placements (a
@@ -84,7 +85,8 @@ class SiteManager {
   /// domain of the resolved policy (the account's, or a row's fixed one):
   /// recovery re-places tasks only inside it.
   void execute_application(
-      common::AppId app, afg::Afg graph, sched::ResourceAllocationTable rat,
+      common::AppId app, std::shared_ptr<const afg::Afg> graph,
+      sched::ResourceAllocationTable rat,
       std::vector<db::TaskPerfRecord> perf, std::vector<tasklib::Kernel> kernels,
       std::unordered_map<std::uint32_t, std::unordered_map<int, tasklib::Value>>
           initial_inputs,

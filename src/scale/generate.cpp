@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <utility>
+#include <vector>
 
 #include "afg/generate.hpp"
 
@@ -51,19 +53,34 @@ afg::TaskProperties synth_props(int fan_in, double output_bytes,
 afg::Afg make_random_dag(const WorkloadSpec& spec, common::Rng& rng,
                          const std::string& name) {
   const std::size_t n = spec.tasks;
+  const std::size_t cap = std::max<std::size_t>(spec.max_fan_in, 1);
   std::vector<std::vector<std::size_t>> parents(n);
+  // The pool of the draw below, kept sparse: (position, value) for each
+  // position a swap wrote, newest last; every other position holds its
+  // own index.
+  std::vector<std::pair<std::size_t, std::size_t>> moved;
+  moved.reserve(cap);
+  const auto pool_at = [&moved](std::size_t pos) {
+    for (auto it = moved.rbegin(); it != moved.rend(); ++it) {
+      if (it->first == pos) return it->second;
+    }
+    return pos;
+  };
   for (std::size_t i = 1; i < n; ++i) {
     if (rng.chance(spec.entry_density)) continue;  // extra entry task
-    const std::size_t cap = std::max<std::size_t>(spec.max_fan_in, 1);
     const std::size_t d = static_cast<std::size_t>(rng.uniform_int(
         1, static_cast<std::int64_t>(std::min(i, cap))));
-    // Partial Fisher-Yates over the predecessors: d distinct parents.
-    std::vector<std::size_t> pool(i);
-    for (std::size_t j = 0; j < i; ++j) pool[j] = j;
+    // Partial Fisher-Yates over the predecessors 0..i-1: d distinct
+    // parents.  Step j swaps pool[j] with pool[k] and takes the new
+    // pool[j]; later steps read positions > j only, so just pool[k] is
+    // written back.  Same pick_index calls and swaps as a dense pool, so
+    // the same parents, in O(d²) instead of O(i) per task.
+    moved.clear();
     for (std::size_t j = 0; j < d; ++j) {
-      std::size_t k = j + rng.pick_index(i - j);
-      std::swap(pool[j], pool[k]);
-      parents[i].push_back(pool[j]);
+      const std::size_t k = j + rng.pick_index(i - j);
+      const std::size_t picked = pool_at(k);
+      moved.emplace_back(k, pool_at(j));
+      parents[i].push_back(picked);
     }
     // Sorted for a canonical port order (the draw itself stays random).
     std::sort(parents[i].begin(), parents[i].end());

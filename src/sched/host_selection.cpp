@@ -14,6 +14,8 @@ std::vector<RankedRef> HostSelectionAlgorithm::rank_hosts(
   // A task with no constraint entries anywhere is a library task assumed
   // installed on every host; otherwise only listed hosts qualify.
   const bool constrained = repo.constraints().constrains(node.task_name);
+  // The task's measured times, looked up once for the whole pool.
+  const db::MeasuredRow* measured = repo.tasks().measured_row(perf.task_name);
 
   for (std::uint32_t i = 0; i < pool.size(); ++i) {
     const db::ResourceRecord& rec = pool[i];
@@ -28,7 +30,7 @@ std::vector<RankedRef> HostSelectionAlgorithm::rank_hosts(
     if (constrained && !repo.constraints().runnable_on(node.task_name, rec.host)) {
       continue;
     }
-    auto predicted = predictor.predict(perf, rec, &repo.tasks());
+    auto predicted = predictor.predict(perf, rec, measured);
     if (!predicted) continue;  // infeasible (memory) on this machine
     out.push_back(RankedRef{i, *predicted});
   }

@@ -854,7 +854,7 @@ void VdceEnvironment::on_scheduled(
                                      slot.exec_app);
   }
   site_manager(slot.session.site)
-      .execute_application(slot.exec_app, *slot.graph, std::move(*table),
+      .execute_application(slot.exec_app, slot.graph, std::move(*table),
                            std::move(resolved->perf),
                            std::move(resolved->kernels),
                            std::move(resolved->initial),
@@ -1060,7 +1060,8 @@ common::Expected<runtime::ExecutionReport> VdceEnvironment::execute_with_table(
   bool done = false;
   runtime::ExecutionReport report;
   site_manager(session.site)
-      .execute_application(app, graph, std::move(table),
+      .execute_application(app, std::make_shared<const afg::Afg>(graph),
+                           std::move(table),
                            std::move(resolved->perf),
                            std::move(resolved->kernels),
                            std::move(resolved->initial),

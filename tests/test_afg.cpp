@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -144,6 +145,102 @@ TEST(Afg, FindTask) {
   Afg g = diamond();
   EXPECT_TRUE(g.find_task("lu").has_value());
   EXPECT_FALSE(g.find_task("nope").has_value());
+}
+
+// ---- instance-name index -------------------------------------------------------
+
+TEST(Afg, RejectedAddTaskLeavesNameFree) {
+  Afg g("t");
+  TaskProperties no_nodes = props(0);
+  no_nodes.num_nodes = 0;
+  EXPECT_FALSE(g.add_task("a", "x", no_nodes).has_value());
+  TaskProperties sequential_group = props(0);
+  sequential_group.num_nodes = 3;
+  EXPECT_FALSE(g.add_task("a", "x", sequential_group).has_value());
+  EXPECT_EQ(g.task_count(), 0u);
+  EXPECT_FALSE(g.find_task("a").has_value());
+
+  auto a = g.add_task("a", "x", props(0));
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->value(), 0u);
+  EXPECT_EQ(g.find_task("a").value(), *a);
+}
+
+TEST(Afg, ErrorOrderIsEmptyNameThenDuplicateThenProperties) {
+  Afg g("t");
+  TaskProperties bad = props(0);
+  bad.num_nodes = 0;
+  auto empty = g.add_task("", "x", bad);
+  ASSERT_FALSE(empty.has_value());
+  EXPECT_EQ(empty.error().code, common::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(empty.error().message, "empty task instance name");
+
+  ASSERT_TRUE(g.add_task("a", "x", props(0)).has_value());
+  auto dup = g.add_task("a", "x", bad);
+  ASSERT_FALSE(dup.has_value());
+  EXPECT_EQ(dup.error().code, common::ErrorCode::kAlreadyExists);
+}
+
+std::string padded_name(std::size_t i) {
+  std::string digits = std::to_string(i);
+  return "instance-" + std::string(5 - digits.size(), '0') + digits;
+}
+
+TEST(Afg, DuplicatesCaughtAmongNamesDifferingInTheirLastCharacters) {
+  constexpr std::size_t kNames = 10000;
+  Afg g("t");
+  for (std::size_t i = 0; i < kNames; ++i) {
+    ASSERT_TRUE(g.add_task(padded_name(i), "x", props(0)).has_value()) << i;
+  }
+  for (std::size_t i = 0; i < kNames; ++i) {
+    auto dup = g.add_task(padded_name(i), "y", props(0));
+    ASSERT_FALSE(dup.has_value()) << i;
+    EXPECT_EQ(dup.error().code, common::ErrorCode::kAlreadyExists);
+  }
+  EXPECT_EQ(g.task_count(), kNames);
+  EXPECT_FALSE(g.find_task(padded_name(kNames)).has_value());
+}
+
+/// The oracle for find_task: a linear scan over tasks().
+std::optional<TaskId> scan_for(const Afg& g, const std::string& name) {
+  for (const TaskNode& t : g.tasks()) {
+    if (t.instance_name == name) return t.id;
+  }
+  return std::nullopt;
+}
+
+void expect_find_matches_scan(const Afg& g, std::size_t probes) {
+  for (std::size_t i = 0; i < probes; ++i) {
+    const std::string name = padded_name(i);
+    auto found = g.find_task(name);
+    auto scanned = scan_for(g, name);
+    ASSERT_EQ(found.has_value(), scanned.has_value()) << name;
+    if (found) EXPECT_EQ(*found, *scanned) << name;
+  }
+}
+
+TEST(Afg, FindTaskAgreesWithLinearScanOnCopiesAndMoves) {
+  Afg original("t");
+  for (std::size_t i = 0; i < 3000; i += 2) {
+    ASSERT_TRUE(original.add_task(padded_name(i), "x", props(0)).has_value());
+  }
+  Afg copy = original;
+  // The copy owns its index: adding to it leaves the original unchanged.
+  ASSERT_TRUE(copy.add_task(padded_name(1), "x", props(0)).has_value());
+  EXPECT_FALSE(original.find_task(padded_name(1)).has_value());
+
+  Afg moved("other");
+  ASSERT_TRUE(moved.add_task(padded_name(3), "x", props(0)).has_value());
+  moved = Afg(original);
+  EXPECT_FALSE(moved.find_task(padded_name(3)).has_value());
+
+  expect_find_matches_scan(original, 3100);
+  expect_find_matches_scan(copy, 3100);
+  expect_find_matches_scan(moved, 3100);
+  // The moved-to graph keeps growing through its index.
+  ASSERT_TRUE(moved.add_task(padded_name(3001), "x", props(0)).has_value());
+  EXPECT_FALSE(moved.add_task(padded_name(2998), "x", props(0)).has_value());
+  expect_find_matches_scan(moved, 3100);
 }
 
 // ---- levels --------------------------------------------------------------------

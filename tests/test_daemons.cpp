@@ -50,7 +50,7 @@ struct DaemonFixture : ::testing::Test {
     auto plan = std::make_shared<ExecutionPlan>();
     plan->app = common::AppId(1);
     plan->origin = origin;
-    plan->graph = graph;
+    plan->graph = std::make_shared<const afg::Afg>(graph);
     plan->kernels.resize(graph.task_count());
     for (const afg::TaskNode& node : graph.tasks()) {
       plan->perf.push_back(
@@ -98,7 +98,7 @@ TEST_F(DaemonFixture, ChannelSetupCountsDistinctRemotePeers) {
   auto plan = std::make_shared<ExecutionPlan>();
   plan->app = common::AppId(1);
   plan->origin = host(0, 0);
-  plan->graph = graph;
+  plan->graph = std::make_shared<const afg::Afg>(graph);
   plan->kernels.resize(graph.task_count());
   for (const afg::TaskNode& node : graph.tasks()) {
     plan->perf.push_back(*sched::resolve_perf(node, repos[0]->tasks()));

@@ -413,12 +413,14 @@ TEST(Environment, ConcurrentApplicationsBothComplete) {
   for (const afg::TaskNode& n : g2.tasks()) {
     perf2.push_back(*sched::resolve_perf(n, env.repo(common::SiteId(0)).tasks()));
   }
-  sm.execute_application(common::AppId(100), g1, *t1, perf1, {}, {},
+  sm.execute_application(common::AppId(100),
+                         std::make_shared<const afg::Afg>(g1), *t1, perf1, {}, {},
                          [&](runtime::ExecutionReport r) {
                            r1 = std::move(r);
                            done1 = true;
                          });
-  sm.execute_application(common::AppId(101), g2, *t2, perf2, {}, {},
+  sm.execute_application(common::AppId(101),
+                         std::make_shared<const afg::Afg>(g2), *t2, perf2, {}, {},
                          [&](runtime::ExecutionReport r) {
                            r2 = std::move(r);
                            done2 = true;
