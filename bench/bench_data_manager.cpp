@@ -50,8 +50,9 @@ Measured run_pair(VdceEnvironment& env, const Session& session,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "data_manager", "BENCH_DATA_MANAGER.json");
   bench::print_title("E7", "Data Manager point-to-point transfers");
 
   EnvironmentOptions options;
@@ -71,28 +72,32 @@ int main() {
   net::LinkSpec lan = s0.lan;
   net::LinkSpec wan = env.topology().wan_link(s0.id, s1.id);
 
-  bench::print_note(
+  bench::print_note(bench::strf(
       "transfer = consumer data-arrival minus producer finish; floor = link\n"
-      "latency + bytes/bandwidth.  LAN " +
-      bench::Table::num(lan.latency * 1000, 1) + "ms/" +
-      common::format_bytes(lan.bandwidth_bps) + "/s, WAN " +
-      bench::Table::num(wan.latency * 1000, 1) + "ms/" +
-      common::format_bytes(wan.bandwidth_bps) + "/s.");
+      "latency + bytes/bandwidth.  LAN %.1fms/%s/s, WAN %.1fms/%s/s.",
+      lan.latency * 1000, common::format_bytes(lan.bandwidth_bps).c_str(),
+      wan.latency * 1000, common::format_bytes(wan.bandwidth_bps).c_str()));
 
-  bench::Table table({"payload", "LAN (s)", "LAN floor", "WAN (s)",
-                      "WAN floor", "setup (s)"});
+  std::string failed_pairs;
   for (double bytes : {1e3, 1e4, 1e5, 1e6, 1e7}) {
     Measured lan_run = run_pair(env, session, a, b, bytes);
     Measured wan_run = run_pair(env, session, a, c, bytes);
-    if (lan_run.total < 0 || wan_run.total < 0) return 1;
-    table.add_row({common::format_bytes(bytes),
-                   bench::Table::num(lan_run.total, 4),
-                   bench::Table::num(lan.transfer_time(bytes), 4),
-                   bench::Table::num(wan_run.total, 4),
-                   bench::Table::num(wan.transfer_time(bytes), 4),
-                   bench::Table::num(wan_run.setup, 4)});
+    if (lan_run.total < 0 || wan_run.total < 0) {
+      failed_pairs += bench::strf(" %g bytes;", bytes);
+      continue;
+    }
+    run.row("payload_sweep")
+        .num("payload_bytes", bytes)
+        .num("lan_s", lan_run.total)
+        .num("lan_floor_s", lan.transfer_time(bytes))
+        .num("wan_s", wan_run.total)
+        .num("wan_floor_s", wan.transfer_time(bytes))
+        .num("setup_s", wan_run.setup);
   }
-  table.print();
+  run.table("payload_sweep");
+  run.check("pairs", failed_pairs.empty(),
+            failed_pairs.empty() ? "every LAN and WAN pair completed"
+                                 : "a pair failed at" + failed_pairs);
 
   bench::print_note(
       "\nExpected shape: measured transfer tracks the analytic link floor\n"
@@ -103,9 +108,10 @@ int main() {
   // --- shared-segment contention: the 1997 Ethernet reality -------------
   // Two producer->consumer pairs move 1 MB concurrently over the same LAN;
   // with shared segments the second transfer queues behind the first.
-  bench::Table contended({"LAN model", "pair-1 transfer (s)",
-                          "pair-2 transfer (s)"});
+  std::string unscheduled;
+  std::string unexecuted;
   for (bool shared : {false, true}) {
+    const char* model = shared ? "shared segment" : "unlimited";
     VdceEnvironment env2(make_campus_pair(4), options);
     env2.bring_up();
     env2.fabric().set_shared_segments(shared);
@@ -126,21 +132,39 @@ int main() {
     app.link(p2, c2).value();
     afg::Afg graph = app.build().value();
     auto rat = env2.schedule(graph, session2);
-    if (!rat) return 1;
-    RunOptions run2;
-    run2.real_kernels = false;
-    auto report = env2.execute_with_table(graph, *rat, session2, run2);
-    if (!report || !report->success) return 1;
-    double t1 = report->outcomes[1].started - report->outcomes[0].finished;
-    double t2 = report->outcomes[3].started - report->outcomes[2].finished;
-    contended.add_row({shared ? "shared segment" : "unlimited",
-                       bench::Table::num(t1, 4), bench::Table::num(t2, 4)});
+    if (!rat) {
+      unscheduled += bench::strf(" %s: %s;", model,
+                                 rat.error().to_string().c_str());
+      continue;
+    }
+    RunOptions run_options;
+    run_options.real_kernels = false;
+    auto report = env2.execute_with_table(graph, *rat, session2, run_options);
+    if (!report || !report->success) {
+      unexecuted += bench::strf(
+          " %s: %s;", model,
+          (report ? report->failure_reason : report.error().to_string())
+              .c_str());
+      continue;
+    }
+    run.row("contention")
+        .str("lan_model", model)
+        .num("pair1_s",
+             report->outcomes[1].started - report->outcomes[0].finished)
+        .num("pair2_s",
+             report->outcomes[3].started - report->outcomes[2].finished);
   }
   std::puts("\n-- two concurrent 1MB transfers on one LAN --");
-  contended.print();
+  run.table("contention");
+  run.check("contention_scheduled", unscheduled.empty(),
+            unscheduled.empty() ? "both LAN models produced a table"
+                                : "no table for" + unscheduled);
+  run.check("contention_executed", unexecuted.empty(),
+            unexecuted.empty() ? "both LAN models executed"
+                               : "failed for" + unexecuted);
   bench::print_note(
       "Expected shape: with the shared-segment model one pair pays the\n"
       "full serialization of the other on top of its own (2x), matching\n"
       "half-duplex shared Ethernet; the unlimited model keeps them equal.");
-  return 0;
+  return run.finish();
 }

@@ -175,8 +175,9 @@ PatternResult run_ping_pong_messages(VdceEnvironment& env, int rounds) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "dsm", "BENCH_DSM.json");
   bench::print_title("E9", "DSM (paper §5 future work): sharing patterns");
   bench::print_note(
       "Two-site testbed; object size 4KB; 50 rounds per pattern.  The\n"
@@ -188,13 +189,14 @@ int main() {
   env.bring_up();
   dsm::DsmRuntime& dsm = env.enable_dsm();
 
-  bench::Table table({"pattern", "time (s)", "msgs", "bytes", "invalidations",
-                      "owner recalls"});
-  auto add = [&table](const char* name, const PatternResult& r) {
-    table.add_row({name, bench::Table::num(r.total_time, 3),
-                   std::to_string(r.messages), common::format_bytes(r.bytes),
-                   std::to_string(r.invalidations),
-                   std::to_string(r.recalls)});
+  auto add = [&run](const char* name, const PatternResult& r) {
+    run.row("patterns")
+        .str("pattern", name)
+        .num("time_s", r.total_time)
+        .num("msgs", r.messages)
+        .num("bytes", r.bytes)
+        .num("invalidations", r.invalidations)
+        .num("owner_recalls", r.recalls);
   };
 
   add("read-mostly (8 readers x4)", run_read_mostly(env, dsm, 50, 8));
@@ -248,17 +250,16 @@ int main() {
         PatternResult{finished - start, protocol_messages(fs), fs.bytes_sent,
                       dsm.stats().invalidations_sent,
                       dsm.stats().owner_recalls});
-    std::printf("  counter check: %d (expected %d) -> %s\n", final_value,
-                kHosts * kIncrements,
-                final_value == kHosts * kIncrements ? "OK" : "FAILED");
-    if (final_value != kHosts * kIncrements) return 1;
+    run.check("counter", final_value == kHosts * kIncrements,
+              bench::strf("final value %d, expected %d", final_value,
+                          kHosts * kIncrements));
   }
-  table.print();
+  run.table("patterns");
 
   bench::print_note(
       "\nExpected shape: read-mostly amortizes to local cache hits between\n"
       "updates; write ping-pong pays an ownership migration (3-hop recall)\n"
       "per access vs 1 hop for raw messages — the classic DSM tax; the\n"
       "lock+counter total must equal hosts x increments.");
-  return 0;
+  return run.finish();
 }

@@ -190,8 +190,6 @@ int main(int argc, char** argv) {
       smoke ? std::vector<double>{0.3, 1.0, 1.25}
             : std::vector<double>{0.3, 0.6, 1.0, 1.25, 2.0};
 
-  bench::Table table({"mode", "factor", "admitted", "completed", "rejected",
-                      "deadline_met", "spend_G$", "overspend", "wall_ms"});
   for (std::size_t i = 0; i < baselines.size(); ++i) {
     run.row("baselines")
         .str("app", graphs[i].name())
@@ -217,16 +215,6 @@ int main(int argc, char** argv) {
                      mode.c_str(), bench::json_num(factor).c_str(),
                      m.budget_rejections);
       }
-      table.add_row({m.mode, bench::Table::num(m.factor, 2),
-                     std::to_string(m.admitted) + "/" +
-                         std::to_string(m.submitted),
-                     std::to_string(m.completed),
-                     std::to_string(m.budget_rejections),
-                     std::to_string(m.deadline_met) + "/" +
-                         std::to_string(m.admitted),
-                     bench::Table::num(m.spend_total),
-                     bench::Table::num(m.overspend_max),
-                     bench::Table::num(m.wall_ms, 1)});
       run.row("configs")
           .str("mode", m.mode)
           .num("factor", m.factor)
@@ -250,7 +238,7 @@ int main(int argc, char** argv) {
   const bool deterministic =
       !rep1.trace_jsonl.empty() && rep1.trace_jsonl == rep2.trace_jsonl;
 
-  table.print();
+  run.table("configs");
   run.row("summary")
       .flag("within_budget", within_budget)
       .flag("loose_never_rejected", loose_never_rejected)

@@ -88,9 +88,6 @@ int main(int argc, char** argv) {
       "setup = RAT fan-out + channel setup + staging; makespan = start\n"
       "signal -> last completion.");
 
-  bench::Table table({"app", "sites", "sched (s)", "setup (s)",
-                      "makespan (s)", "msgs", "verified"});
-
   for (std::size_t sites : {1u, 2u, 4u}) {
     if (run.smoke() && sites > 1u) continue;
     EnvironmentOptions options;
@@ -134,12 +131,6 @@ int main(int argc, char** argv) {
         verified = !hits.empty() && strength > 0.0;
       }
 
-      table.add_row({which, std::to_string(sites),
-                     bench::Table::num(sched_time, 3),
-                     bench::Table::num(report->setup_time(), 3),
-                     bench::Table::num(report->makespan(), 2),
-                     std::to_string(env.fabric().stats().sent),
-                     verified ? "OK" : "FAILED"});
       run.row("rows")
           .str("app", which)
           .num("sites", sites)
@@ -151,7 +142,7 @@ int main(int argc, char** argv) {
       if (!verified) return 1;
     }
   }
-  table.print();
+  run.table("rows");
 
   bench::print_note(
       "\nExpected shape: makespan is stable or improves with more sites\n"

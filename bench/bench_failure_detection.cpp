@@ -10,15 +10,13 @@
 #include "common/stats.hpp"
 #include "vdce/vdce.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "failure_detection", "BENCH_FAILURE_DETECTION.json");
   bench::print_title("E5", "echo failure detection: latency and overhead");
   bench::print_note(
       "detect latency = kill time -> resource db marks host down; mean over\n"
       "10 kills at random phases.  echo msgs/s counted fleet-wide.");
-
-  bench::Table table({"echo period (s)", "hosts", "mean detect (s)",
-                      "p95 detect (s)", "echo msgs/s", "false positives"});
 
   for (double period : {0.5, 1.0, 2.0, 4.0}) {
     for (std::size_t hosts : {8u, 32u}) {
@@ -69,21 +67,22 @@ int main() {
         observed_seconds += env.now() - killed;
       }
 
-      table.add_row({bench::Table::num(period, 1), std::to_string(hosts),
-                     bench::Table::num(latency.mean(), 2),
-                     bench::Table::num(latency.percentile(95), 2),
-                     bench::Table::num(
-                         static_cast<double>(echo_messages) / observed_seconds,
-                         1),
-                     std::to_string(false_positives)});
+      run.row("echo_sweep")
+          .num("echo_period_s", period)
+          .num("hosts", hosts)
+          .num("mean_detect_s", latency.mean())
+          .num("p95_detect_s", latency.percentile(95))
+          .num("echo_msgs_per_s",
+               static_cast<double>(echo_messages) / observed_seconds)
+          .num("false_positives", false_positives);
     }
   }
-  table.print();
+  run.table("echo_sweep");
 
   bench::print_note(
       "\nExpected shape: detection latency ~ 1.5x echo period (uniform kill\n"
       "phase + round close), independent of fleet size; echo traffic scales\n"
       "linearly with hosts and inversely with the period; zero false\n"
       "positives even at mean load 1.0.");
-  return 0;
+  return run.finish();
 }

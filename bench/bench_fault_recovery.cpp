@@ -133,9 +133,6 @@ int main(int argc, char** argv) {
       .num("clean_makespan_s", clean_makespan);
 
   // --- crash sweep ---------------------------------------------------------
-  bench::Table crash_table({"hosts killed", "survived", "mean detect (s)",
-                            "mean downtime (s)", "recoveries",
-                            "makespan overhead"});
   for (int kills = 1; kills <= 3; ++kills) {
     common::Stats detect, downtime, makespan;
     int survived = 0, recoveries = 0;
@@ -160,12 +157,6 @@ int main(int argc, char** argv) {
         clean_makespan > 0 && makespan.count()
             ? makespan.mean() / clean_makespan
             : 0.0;
-    crash_table.add_row({std::to_string(kills),
-                         std::to_string(survived) + "/" + std::to_string(trials),
-                         bench::Table::num(detect.count() ? detect.mean() : 0),
-                         bench::Table::num(downtime.count() ? downtime.mean() : 0),
-                         std::to_string(recoveries),
-                         bench::Table::num(overhead, 2) + "x"});
     run.row("crash_sweep")
         .num("kills", kills)
         .num("survived", survived)
@@ -174,11 +165,9 @@ int main(int argc, char** argv) {
         .num("recoveries", recoveries)
         .num("makespan_overhead", overhead);
   }
-  crash_table.print();
+  run.table("crash_sweep");
 
   // --- loss sweep ----------------------------------------------------------
-  bench::Table loss_table({"dm.* loss rate", "survived", "msgs dropped",
-                           "recoveries", "makespan overhead"});
   for (double rate : {0.0, 0.1, 0.3, 0.5}) {
     common::Stats makespan;
     int survived = 0, recoveries = 0;
@@ -200,10 +189,6 @@ int main(int argc, char** argv) {
         clean_makespan > 0 && makespan.count()
             ? makespan.mean() / clean_makespan
             : 0.0;
-    loss_table.add_row({bench::Table::num(rate, 2),
-                        std::to_string(survived) + "/" + std::to_string(trials),
-                        std::to_string(dropped), std::to_string(recoveries),
-                        bench::Table::num(overhead, 2) + "x"});
     run.row("loss_sweep")
         .num("rate", rate)
         .num("survived", survived)
@@ -211,6 +196,6 @@ int main(int argc, char** argv) {
         .num("recoveries", recoveries)
         .num("makespan_overhead", overhead);
   }
-  loss_table.print();
+  run.table("loss_sweep");
   return run.finish();
 }

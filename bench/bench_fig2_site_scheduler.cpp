@@ -70,8 +70,10 @@ double mean_makespan(const char* strategy,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "fig2_site_scheduler",
+                 "BENCH_FIG2_SITE_SCHEDULER.json");
   bench::print_title("Fig. 2", "Site Scheduler Algorithm — schedule length");
   bench::print_note(
       "Mean estimated schedule length (s) over 5 random layered DAGs per "
@@ -82,36 +84,27 @@ int main() {
   constexpr int kTrials = 5;
 
   {
-    bench::Table table({"tasks", "vdce-level", "vdce-level-paper",
-                        "vdce-local", "min-min", "random"});
     auto setup = make_setup(4, 8, 7);
     for (std::size_t tasks : {20u, 50u, 100u, 200u}) {
-      std::vector<std::string> row{std::to_string(tasks)};
+      bench::Run::Row row = run.row("size_sweep").num("tasks", tasks);
       for (const char* name : {"vdce-level", "vdce-level-paper", "vdce-local",
                                "min-min", "random"}) {
-        row.push_back(bench::Table::num(
-            mean_makespan(name, setup->context, tasks, kTrials), 2));
+        row.num(name, mean_makespan(name, setup->context, tasks, kTrials));
       }
-      table.add_row(std::move(row));
     }
     std::puts("\n-- 4 sites x 8 hosts, application size sweep --");
-    table.print();
+    run.table("size_sweep");
   }
 
-  {
-    bench::Table table({"sites", "vdce-level", "vdce-local", "min-min"});
-    for (std::size_t sites : {1u, 2u, 4u, 8u, 16u}) {
-      auto setup = make_setup(sites, 6, 11);
-      std::vector<std::string> row{std::to_string(sites)};
-      for (const char* name : {"vdce-level", "vdce-local", "min-min"}) {
-        row.push_back(bench::Table::num(
-            mean_makespan(name, setup->context, 80, kTrials), 2));
-      }
-      table.add_row(std::move(row));
+  for (std::size_t sites : {1u, 2u, 4u, 8u, 16u}) {
+    auto setup = make_setup(sites, 6, 11);
+    bench::Run::Row row = run.row("site_sweep").num("sites", sites);
+    for (const char* name : {"vdce-level", "vdce-local", "min-min"}) {
+      row.num(name, mean_makespan(name, setup->context, 80, kTrials));
     }
-    std::puts("\n-- 80-task DAG, site-count sweep (6 hosts/site) --");
-    table.print();
   }
+  std::puts("\n-- 80-task DAG, site-count sweep (6 hosts/site) --");
+  run.table("site_sweep");
 
-  return 0;
+  return run.finish();
 }

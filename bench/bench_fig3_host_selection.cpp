@@ -14,17 +14,17 @@
 #include "sched/host_selection.hpp"
 #include "vdce/vdce.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "fig3_host_selection",
+                 "BENCH_FIG3_HOST_SELECTION.json");
   bench::print_title("Fig. 3", "Host Selection Algorithm — quality and cost");
   bench::print_note(
       "best = predicted exec time of the selected machine; site-mean = mean\n"
       "prediction over all feasible machines (what a random/naive pick pays\n"
       "in expectation); wall = host-selection wall time for a 100-task AFG.");
 
-  bench::Table table({"hosts/site", "best (s)", "site-mean (s)",
-                      "advantage", "wall (us/task)"});
-
+  std::string failed;
   for (std::size_t hosts : {2u, 4u, 8u, 16u, 32u, 64u}) {
     TestbedSpec spec;
     spec.sites = 1;
@@ -53,7 +53,11 @@ int main() {
     auto elapsed = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - start)
                        .count();
-    if (!output) return 1;
+    if (!output) {
+      failed += bench::strf(" %zu hosts: %s;", hosts,
+                            output.error().to_string().c_str());
+      continue;
+    }
 
     // Quality: compare the selected machine's prediction against the mean
     // over all machines for one representative task.
@@ -66,15 +70,20 @@ int main() {
     mean /= static_cast<double>(ranked.size());
     double best = output->bids.at(common::TaskId(0)).predicted;
 
-    table.add_row({std::to_string(hosts), bench::Table::num(best, 3),
-                   bench::Table::num(mean, 3),
-                   bench::Table::num(mean / best, 2) + "x",
-                   bench::Table::num(elapsed / 100.0, 1)});
+    run.row("pool_sweep")
+        .num("hosts", hosts)
+        .num("best_s", best)
+        .num("site_mean_s", mean)
+        .num("advantage", mean / best)
+        .num("wall_us_per_task", elapsed / 100.0);
   }
-  table.print();
+  run.table("pool_sweep");
+  run.check("host_selection", failed.empty(),
+            failed.empty() ? "every pool produced a selection"
+                           : "no selection for" + failed);
 
   bench::print_note(
       "\nExpected shape: the advantage of prediction-driven selection grows\n"
       "with pool size/heterogeneity; per-task cost grows linearly in hosts.");
-  return 0;
+  return run.finish();
 }

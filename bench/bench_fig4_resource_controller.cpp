@@ -12,8 +12,10 @@
 #include "bench_util.hpp"
 #include "vdce/vdce.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "fig4_resource_controller",
+                 "BENCH_FIG4_RESOURCE_CONTROLLER.json");
   bench::print_title("Fig. 4", "Resource Controller message flows");
 
   EnvironmentOptions options;
@@ -41,41 +43,47 @@ int main() {
   afg::Afg graph = afg::make_fork_join(6, 2, 2000, 2e5);
   common::HostId victim = env.topology().site(common::SiteId(1)).hosts[2];
   env.engine().schedule(8.0, [&] { env.topology().set_host_up(victim, false); });
-  RunOptions run;
-  run.real_kernels = false;
-  auto report = env.run_application(graph, session, run);
+  RunOptions run_options;
+  run_options.real_kernels = false;
+  auto report = env.run_application(graph, session, run_options);
   auto execution = env.fabric().stats();
 
-  bench::Table table({"interaction (Fig. 4)", "message type", "count"});
-  auto row = [&](const char* what, const char* type,
-                 const net::FabricStats& stats) {
-    table.add_row({what, type, std::to_string(stats.sent_by_type(type))});
+  auto flow = [&](const char* what, const char* type,
+                  const net::FabricStats& stats) {
+    run.row("flows")
+        .str("interaction", what)
+        .str("type", type)
+        .num("count", stats.sent_by_type(type));
   };
-  row("(2) monitor -> group mgr", "mon.report", monitoring);
-  row("(3) group mgr -> site mgr (filtered)", "gm.report", monitoring);
-  row("(2) echo packets", "gm.echo", monitoring);
-  row("(2) echo replies", "gm.echo_reply", monitoring);
-  row("(2) leader echo (site mgr)", "sm.echo", monitoring);
-  row("(4) RAT to sites", "sm.rat", execution);
-  row("(4) RAT to group leaders", "sm.rat_gm", execution);
-  row("(4) exec requests to app ctrls", "gm.exec", execution);
-  row("channel setup + ack", "dm.setup", execution);
-  row("startup signal", "sm.start", execution);
-  row("task completions", "ac.task_done", execution);
-  row("failure report to site mgr", "gm.host_down", execution);
-  row("(5) inter-site coordination", "sm.host_down", execution);
-  table.print();
+  flow("(2) monitor -> group mgr", "mon.report", monitoring);
+  flow("(3) group mgr -> site mgr (filtered)", "gm.report", monitoring);
+  flow("(2) echo packets", "gm.echo", monitoring);
+  flow("(2) echo replies", "gm.echo_reply", monitoring);
+  flow("(2) leader echo (site mgr)", "sm.echo", monitoring);
+  flow("(4) RAT to sites", "sm.rat", execution);
+  flow("(4) RAT to group leaders", "sm.rat_gm", execution);
+  flow("(4) exec requests to app ctrls", "gm.exec", execution);
+  flow("channel setup + ack", "dm.setup", execution);
+  flow("startup signal", "sm.start", execution);
+  flow("task completions", "ac.task_done", execution);
+  flow("failure report to site mgr", "gm.host_down", execution);
+  flow("(5) inter-site coordination", "sm.host_down", execution);
+  run.table("flows");
 
-  std::printf(
-      "\n60s monitoring on 16 hosts: %llu messages, %s on the wire "
-      "(filter kept %.1f%% of raw reports)\n",
-      static_cast<unsigned long long>(monitoring.sent),
-      common::format_bytes(monitoring.bytes_sent).c_str(),
-      100.0 *
-          static_cast<double>(monitoring.sent_by_type("gm.report")) /
-          static_cast<double>(monitoring.sent_by_type("mon.report")));
-  std::printf("execution: success=%s, failures survived=%d\n",
-              report && report->success ? "yes" : "no",
-              report ? report->failures_survived : -1);
-  return report && report->success ? 0 : 1;
+  const bool success = report && report->success;
+  run.row("summary")
+      .num("monitoring_msgs", monitoring.sent)
+      .num("monitoring_bytes", monitoring.bytes_sent)
+      .num("filter_kept_pct",
+           100.0 * static_cast<double>(monitoring.sent_by_type("gm.report")) /
+               static_cast<double>(monitoring.sent_by_type("mon.report")))
+      .flag("success", success)
+      .num("failures_survived", report ? report->failures_survived : -1);
+  std::puts("\n-- 60s monitoring on 16 hosts, then one execution --");
+  run.table("summary");
+  run.check("execution", success,
+            success  ? "the application survived the host failure"
+            : report ? report->failure_reason
+                     : report.error().to_string());
+  return run.finish();
 }

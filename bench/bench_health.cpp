@@ -87,13 +87,11 @@ int main(int argc, char** argv) {
 
   bench::print_title("E14", "health plane: detection vs rule sensitivity");
   bench::print_note(
-      "12 hosts, " + bench::Table::num(horizon, 0) +
+      bench::strf("12 hosts, %.0f", horizon) +
       "s horizon, 6-fault corpus (2 crashes, stale window, load spike,\n"
       "partition, degraded link), default rules.  sensitivity < 1 is\n"
       "hair-trigger, > 1 conservative.");
 
-  bench::Table table({"sensitivity", "alerts", "fp", "precision", "crash",
-                      "partition", "slow", "stale", "latency (s)"});
   run.row("summary").num("horizon_s", horizon);
 
   std::vector<SweepResult> results;
@@ -101,24 +99,10 @@ int main(int argc, char** argv) {
     results.push_back(run_corpus(sweep[i], horizon));
     const SweepResult& r = results.back();
 
-    auto recall = [&](const char* cls) {
-      auto it = r.score.by_class.find(cls);
-      return it == r.score.by_class.end() ? 1.0 : it->second.recall();
-    };
     common::Stats latency;
     for (const health::FaultDetection& d : r.score.faults) {
       if (d.detected) latency.add(d.latency);
     }
-    table.add_row({bench::Table::num(r.sensitivity, 2),
-                   std::to_string(r.alerts),
-                   std::to_string(r.score.false_positive_alerts),
-                   bench::Table::num(r.score.precision(), 2),
-                   bench::Table::num(recall("crash"), 2),
-                   bench::Table::num(recall("partition"), 2),
-                   bench::Table::num(recall("slow"), 2),
-                   bench::Table::num(recall("stale"), 2),
-                   bench::Table::num(latency.mean(), 2)});
-
     bench::Run::Row row = run.row("sweep")
         .num("sensitivity", r.sensitivity)
         .num("alerts", r.alerts)
@@ -133,7 +117,7 @@ int main(int argc, char** argv) {
           .num(key + ".recall", cs.recall());
     }
   }
-  table.print();
+  run.table("sweep");
 
   bench::print_note(
       "\nExpected shape: recall holds near 1.0 for crash/partition/stale\n"

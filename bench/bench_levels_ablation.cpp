@@ -53,8 +53,9 @@ double mean_makespan(sched::PriorityMode priority,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "levels_ablation", "BENCH_LEVELS_ABLATION.json");
   bench::print_title("A1", "priority-rule ablation (placement held fixed)");
   bench::print_note(
       "Mean schedule length (s) over 6 seeds; same availability-aware\n"
@@ -82,22 +83,20 @@ int main() {
   context.local_site = common::SiteId(0);
   context.k_nearest = 3;
 
-  bench::Table table({"shape", "edges", "paper-levels", "comm-levels",
-                      "fifo"});
   for (const char* shape : {"layered", "forkjoin", "reduce"}) {
     for (double edge_bytes : {1e4, 5e6}) {
-      std::vector<std::string> row{
-          shape, edge_bytes < 1e5 ? "light (10KB)" : "heavy (5MB)"};
-      for (auto priority :
-           {sched::PriorityMode::kPaperLevels, sched::PriorityMode::kCommLevels,
-            sched::PriorityMode::kFifo}) {
-        row.push_back(bench::Table::num(
-            mean_makespan(priority, context, shape, edge_bytes), 2));
-      }
-      table.add_row(std::move(row));
+      run.row("shapes")
+          .str("shape", shape)
+          .num("edge_bytes", edge_bytes)
+          .num("paper-levels", mean_makespan(sched::PriorityMode::kPaperLevels,
+                                             context, shape, edge_bytes))
+          .num("comm-levels", mean_makespan(sched::PriorityMode::kCommLevels,
+                                            context, shape, edge_bytes))
+          .num("fifo", mean_makespan(sched::PriorityMode::kFifo, context,
+                                     shape, edge_bytes));
     }
   }
-  table.print();
+  run.table("shapes");
 
   bench::print_note(
       "\nExpected shape: on precedence-rich layered DAGs the paper's levels\n"
@@ -107,5 +106,5 @@ int main() {
       "with E1 (HEFT vs vdce-level) this shows HEFT's edge comes from\n"
       "insertion-based placement, not its rank definition, vindicating the\n"
       "paper's simpler priority rule.");
-  return 0;
+  return run.finish();
 }

@@ -57,12 +57,10 @@ int main(int argc, char** argv) {
 
   bench::print_title("E4", "significant-change filter: traffic vs staleness");
   bench::print_note(
-      "16 hosts, " + bench::Table::num(horizon, 0) +
+      bench::strf("16 hosts, %.0f", horizon) +
       "s of monitoring, background load volatility 0.15,\n"
       "monitor period 1s.  forwarded% = gm.report / mon.report.");
 
-  bench::Table table({"threshold", "mon.report", "gm.report", "forwarded%",
-                      "bytes", "db error"});
   run.row("summary").num("horizon_s", horizon);
 
   for (double threshold : {0.0, 0.05, 0.15, 0.3, 0.6, 1.2}) {
@@ -109,12 +107,6 @@ int main(int argc, char** argv) {
     const double forwarded_pct =
         100.0 * static_cast<double>(count("gm.report")) /
         static_cast<double>(count("mon.report"));
-    table.add_row(
-        {bench::Table::num(threshold, 2), std::to_string(count("mon.report")),
-         std::to_string(count("gm.report")),
-         bench::Table::num(forwarded_pct, 1),
-         common::format_bytes(stats.bytes_sent),
-         bench::Table::num(error.empty() ? 0.0 : error.mean(), 3)});
     run.row("sweep")
         .num("threshold", threshold)
         .num("mon_reports", count("mon.report"))
@@ -123,7 +115,7 @@ int main(int argc, char** argv) {
         .num("bytes", stats.bytes_sent)
         .num("db_error", error.empty() ? 0.0 : error.mean());
   }
-  table.print();
+  run.table("sweep");
 
   // --- observability overhead ------------------------------------------------
   bench::print_note(
@@ -159,7 +151,6 @@ int main(int argc, char** argv) {
                         {"health", health},
                         {"full_trace", full}};
 
-  bench::Table overhead({"config", "wall (ms)", "vs off_noflight"});
   double baseline_ms = 0.0;
   double metrics_ms = 0.0;
   double health_ms = 0.0;
@@ -170,14 +161,12 @@ int main(int argc, char** argv) {
     if (std::strcmp(modes[i].name, "health") == 0) health_ms = ms;
     const double pct =
         baseline_ms > 0 ? (ms - baseline_ms) / baseline_ms * 100.0 : 0.0;
-    overhead.add_row({modes[i].name, bench::Table::num(ms, 2),
-                      (pct >= 0 ? "+" : "") + bench::Table::num(pct, 2) + "%"});
     run.row("obs_overhead")
         .str("mode", modes[i].name)
         .num("wall_ms", ms)
         .num("overhead_pct", pct);
   }
-  overhead.print();
+  run.table("obs_overhead");
 
   bench::print_note(
       "\nExpected shape: forwarded% falls sharply with the threshold while\n"

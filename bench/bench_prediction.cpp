@@ -7,7 +7,6 @@
 // background volatility, and contrasts the uncalibrated analytic model with
 // the measurement-calibrated path after repeated executions.
 #include <cmath>
-#include <cstdio>
 
 #include "afg/generate.hpp"
 #include "bench_util.hpp"
@@ -15,17 +14,17 @@
 #include "sched/support.hpp"
 #include "vdce/vdce.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "prediction", "BENCH_PREDICTION.json");
   bench::print_title("E3", "prediction error vs load volatility + calibration");
   bench::print_note(
       "error = |predicted - actual| / actual per task execution.\n"
       "analytic = db-view model; calibrated = after 3 prior runs recorded\n"
       "measured times into the task-performance database.");
 
-  bench::Table table({"volatility", "mean load", "analytic err",
-                      "calibrated err", "improvement"});
-
+  std::string unscheduled;
+  std::string unexecuted;
   for (double volatility : {0.0, 0.1, 0.2, 0.4}) {
     EnvironmentOptions options;
     options.background_load = true;
@@ -40,8 +39,8 @@ int main() {
     env.run_for(15.0);  // monitoring history warm-up
 
     afg::Afg graph = afg::make_independent(10, 2000);
-    RunOptions run;
-    run.real_kernels = false;
+    RunOptions run_options;
+    run_options.real_kernels = false;
 
     common::Stats analytic_err;
     common::Stats calibrated_err;
@@ -49,19 +48,24 @@ int main() {
     int runs = 0;
 
     // 5 runs: runs 0-2 seed measured history, runs 3-4 score both paths.
-    for (int iteration = 0; iteration < 5; ++iteration) {
+    bool failed = false;
+    for (int iteration = 0; iteration < 5 && !failed; ++iteration) {
       auto table_result = env.schedule(graph, session);
       if (!table_result) {
-        std::fprintf(stderr, "schedule failed: %s\n",
-                     table_result.error().to_string().c_str());
-        return 1;
+        unscheduled += bench::strf(" volatility %g: %s;", volatility,
+                                   table_result.error().to_string().c_str());
+        failed = true;
+        continue;
       }
-      auto report = env.execute_with_table(graph, *table_result, session, run);
+      auto report =
+          env.execute_with_table(graph, *table_result, session, run_options);
       if (!report || !report->success) {
-        std::fprintf(stderr, "execution failed: %s\n",
-                     report ? report->failure_reason.c_str()
-                            : report.error().to_string().c_str());
-        return 1;
+        unexecuted += bench::strf(
+            " volatility %g: %s;", volatility,
+            (report ? report->failure_reason : report.error().to_string())
+                .c_str());
+        failed = true;
+        continue;
       }
       env.run_for(5.0);
 
@@ -96,21 +100,29 @@ int main() {
       }
     }
 
+    if (failed) continue;
     double improvement = analytic_err.mean() > 0
                              ? analytic_err.mean() / calibrated_err.mean()
                              : 0.0;
-    table.add_row({bench::Table::num(volatility, 2),
-                   bench::Table::num(load_sum / runs, 2),
-                   bench::Table::num(analytic_err.mean(), 3),
-                   bench::Table::num(calibrated_err.mean(), 3),
-                   bench::Table::num(improvement, 2) + "x"});
+    run.row("volatility_sweep")
+        .num("volatility", volatility)
+        .num("mean_load", load_sum / runs)
+        .num("analytic_err", analytic_err.mean())
+        .num("calibrated_err", calibrated_err.mean())
+        .num("improvement", improvement);
   }
-  table.print();
+  run.table("volatility_sweep");
+  run.check("scheduled", unscheduled.empty(),
+            unscheduled.empty() ? "every run produced an allocation table"
+                                : "no table at" + unscheduled);
+  run.check("executed", unexecuted.empty(),
+            unexecuted.empty() ? "every run's execution succeeded"
+                               : "failed at" + unexecuted);
 
   bench::print_note(
       "\nExpected shape: analytic error grows with volatility (the db\n"
       "snapshot goes stale between monitor reports); measured-history\n"
       "calibration helps increasingly with volatility, because measured\n"
       "means average over load conditions instead of chasing snapshots.");
-  return 0;
+  return run.finish();
 }

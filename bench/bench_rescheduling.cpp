@@ -52,31 +52,37 @@ Outcome run_once(double spike_load, bool rescheduling_enabled) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "rescheduling", "BENCH_RESCHEDULING.json");
   bench::print_title("E6", "overload rescheduling: completion time");
   bench::print_note(
       "4 independent 8000-MFLOP tasks; external spikes hit every assigned\n"
       "machine at t=+5s and last 400s.  threshold=2.0 vs disabled.");
 
-  bench::Table table({"spike load", "no-resched (s)", "with-resched (s)",
-                      "speedup", "reschedules"});
-
+  std::string failed;
   for (double spike : {0.0, 2.0, 4.0, 8.0}) {
     Outcome off = run_once(spike, false);
     Outcome on = run_once(spike, true);
-    if (off.makespan < 0 || on.makespan < 0) return 1;
-    table.add_row({bench::Table::num(spike, 1),
-                   bench::Table::num(off.makespan, 1),
-                   bench::Table::num(on.makespan, 1),
-                   bench::Table::num(off.makespan / on.makespan, 2) + "x",
-                   std::to_string(on.reschedules)});
+    if (off.makespan < 0 || on.makespan < 0) {
+      failed += bench::strf(" spike %g;", spike);
+      continue;
+    }
+    run.row("spike_sweep")
+        .num("spike_load", spike)
+        .num("no_resched_s", off.makespan)
+        .num("with_resched_s", on.makespan)
+        .num("speedup", off.makespan / on.makespan)
+        .num("reschedules", on.reschedules);
   }
-  table.print();
+  run.table("spike_sweep");
+  run.check("completed", failed.empty(),
+            failed.empty() ? "both policies completed at every spike"
+                           : "a run failed at" + failed);
 
   bench::print_note(
       "\nExpected shape: identical at spike 0 (no reschedules fire); the\n"
       "advantage of terminate-and-reschedule grows with spike magnitude,\n"
       "approaching (1+spike)/(1+move cost) for long spikes.");
-  return 0;
+  return run.finish();
 }

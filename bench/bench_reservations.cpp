@@ -276,10 +276,6 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{1, 2}
             : std::vector<std::size_t>{1, 2, 4};
 
-  bench::Table table({"bookings", "backfill", "owners", "fillers", "p50_s",
-                      "max_s", "release_err_s", "start_delay_s", "wait_s",
-                      "wall_ms", "audit"});
-
   bool all_success = true;
   bool window_exclusive = true;
   bool release_exact = true;
@@ -302,17 +298,6 @@ int main(int argc, char** argv) {
                      "(bookings=%zu)\n",
                      bookings);
       }
-      table.add_row(
-          {std::to_string(m.bookings), backfill ? "on" : "off",
-           std::to_string(m.owners_completed),
-           std::to_string(m.fillers_completed) + "/" +
-               std::to_string(m.fillers_submitted),
-           bench::Table::num(m.filler_p50), bench::Table::num(m.filler_max),
-           bench::Table::num(m.release_delay_max),
-           bench::Table::num(m.start_delay_max),
-           bench::Table::num(m.reservation_wait),
-           bench::Table::num(m.wall_ms, 1),
-           m.window_exclusive ? "exclusive" : "VIOLATED"});
       run.row("configs")
           .num("bookings", m.bookings)
           .flag("backfill", backfill)
@@ -339,7 +324,7 @@ int main(int argc, char** argv) {
   const bool deterministic =
       !rep1.trace_jsonl.empty() && rep1.trace_jsonl == rep2.trace_jsonl;
 
-  table.print();
+  run.table("configs");
   run.row("summary")
       .flag("all_success", all_success)
       .flag("window_exclusive", window_exclusive)

@@ -164,9 +164,6 @@ int main(int argc, char** argv) {
   };
 
   // --- grid sweep ---------------------------------------------------------
-  bench::Table grid_table(
-      {"sites", "hosts/site", "tasks", "naive_ms", "opt_ms", "speedup",
-       "makespan_s", "identical"});
   double largest_speedup = 0.0;
   for (std::size_t i = 0; i < grid_configs.size(); ++i) {
     const GridConfig& cfg = grid_configs[i];
@@ -179,23 +176,15 @@ int main(int argc, char** argv) {
     Measurement m = measure(dep, graph, opt_repeats);
     all_identical = all_identical && m.identical;
     largest_speedup = m.speedup;  // configs grow; last one is largest
-    grid_table.add_row({std::to_string(cfg.sites), std::to_string(cfg.hosts),
-                        std::to_string(cfg.tasks), bench::Table::num(m.naive_ms),
-                        bench::Table::num(m.opt_ms),
-                        bench::Table::num(m.speedup, 1),
-                        bench::Table::num(m.makespan),
-                        m.identical ? "yes" : "NO"});
     timings(run.row("grid_sweep")
                 .num("sites", cfg.sites)
                 .num("hosts_per_site", cfg.hosts)
                 .num("tasks", cfg.tasks),
             m);
   }
-  grid_table.print();
+  run.table("grid_sweep");
 
   // --- AFG sweep ----------------------------------------------------------
-  bench::Table afg_table({"shape", "tasks", "width", "naive_ms", "opt_ms",
-                          "speedup", "makespan_s", "identical"});
   {
     scale::GridSpec g;
     g.sites = 8;
@@ -211,12 +200,6 @@ int main(int argc, char** argv) {
       afg::Afg graph = scale::make_workload(w, "afg-sweep");
       Measurement m = measure(dep, graph, opt_repeats);
       all_identical = all_identical && m.identical;
-      afg_table.add_row({"randomdag", std::to_string(tasks), "-",
-                         bench::Table::num(m.naive_ms),
-                         bench::Table::num(m.opt_ms),
-                         bench::Table::num(m.speedup, 1),
-                         bench::Table::num(m.makespan),
-                         m.identical ? "yes" : "NO"});
       timings(
           run.row("afg_sweep").str("shape", "randomdag").num("tasks", tasks),
           m);
@@ -226,12 +209,6 @@ int main(int argc, char** argv) {
       afg::Afg graph = layered_workload(width_tasks, width, 900 + width);
       Measurement m = measure(dep, graph, opt_repeats);
       all_identical = all_identical && m.identical;
-      afg_table.add_row({"layered", std::to_string(width_tasks),
-                         std::to_string(width), bench::Table::num(m.naive_ms),
-                         bench::Table::num(m.opt_ms),
-                         bench::Table::num(m.speedup, 1),
-                         bench::Table::num(m.makespan),
-                         m.identical ? "yes" : "NO"});
       timings(run.row("afg_sweep")
                   .str("shape", "layered")
                   .num("tasks", width_tasks)
@@ -239,7 +216,7 @@ int main(int argc, char** argv) {
               m);
     }
   }
-  afg_table.print();
+  run.table("afg_sweep");
 
   run.row("summary")
       .num("threshold_speedup", threshold)

@@ -34,12 +34,13 @@ afg::Afg make_shape(const std::string& shape, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "schedule_length", "BENCH_SCHEDULE_LENGTH.json");
   bench::print_title("E1", "schedule length by scheduler and graph shape");
   bench::print_note(
       "Cells: mean schedule length over 6 seeds, normalized to vdce-level\n"
-      "(1.00 = VDCE; higher = worse).  Absolute VDCE seconds in parens.");
+      "(1.00 = VDCE; higher = worse).  vdce-level_s = absolute VDCE seconds.");
 
   TestbedSpec tb;
   tb.sites = 4;
@@ -69,10 +70,6 @@ int main() {
   const std::vector<std::string> shapes{"layered", "forkjoin", "chain", "bag",
                                         "reduce"};
 
-  std::vector<std::string> headers{"shape"};
-  headers.insert(headers.end(), schedulers.begin(), schedulers.end());
-  bench::Table table(headers);
-
   for (const std::string& shape : shapes) {
     std::vector<double> mean(schedulers.size(), 0.0);
     constexpr int kSeeds = 6;
@@ -86,20 +83,18 @@ int main() {
         if (result) mean[s] += result->schedule_length / kSeeds;
       }
     }
-    std::vector<std::string> row{shape};
+    bench::Run::Row row =
+        run.row("shapes").str("shape", shape).num("vdce-level_s", mean[0]);
     for (std::size_t s = 0; s < schedulers.size(); ++s) {
-      std::string cell = bench::Table::num(mean[s] / mean[0], 2);
-      if (s == 0) cell += " (" + bench::Table::num(mean[0], 1) + "s)";
-      row.push_back(cell);
+      row.num(schedulers[s], mean[s] / mean[0]);
     }
-    table.add_row(std::move(row));
   }
-  table.print();
+  run.table("shapes");
 
   bench::print_note(
       "\nExpected shape: heft <= vdce-level <= min-min < min-load <\n"
       "round-robin ~ random on DAGs (heft adds comm-aware ranks +\n"
       "insertion); the paper objective trails the availability-aware\n"
       "variant on wide graphs (it ignores machine occupancy).");
-  return 0;
+  return run.finish();
 }

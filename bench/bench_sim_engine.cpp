@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
   // speedups: the mix is deterministic, so variance is pure host noise, and
   // a pair's two runs share whatever load the host had at that moment.  A
   // best-of-N over separate runs let one lucky or unlucky ~25 ms smoke run
-  // decide the gate.  The table reports each kernel's fastest run.
+  // decide the gate.  The summary reports each kernel's fastest run.
   ReplayResult legacy, engine;
   std::vector<double> ratios;
   bool order_identical = true;
@@ -324,23 +324,6 @@ int main(int argc, char** argv) {
   };
   const bool zero_alloc = engine.allocs == 0;
 
-  bench::Table table({"kernel", "events", "wall_ms", "events/sec",
-                      "allocs/event", "speedup_vs_legacy",
-                      "order_identical"});
-  table.add_row({"legacy", std::to_string(legacy.fired),
-                 bench::Table::num(legacy.ms),
-                 bench::Table::num(legacy.events_per_sec, 0),
-                 bench::Table::num(allocs_per_event(legacy), 3), "1.0", "-"});
-  table.add_row({"engine", std::to_string(engine.fired),
-                 bench::Table::num(engine.ms),
-                 bench::Table::num(engine.events_per_sec, 0),
-                 bench::Table::num(allocs_per_event(engine), 3),
-                 bench::Table::num(speedup, 2),
-                 order_identical ? "yes" : "NO"});
-  table.print();
-  bench::print_note("arena high water: " +
-                    std::to_string(engine.arena_high_water) + " slots");
-
   run.row("summary")
       .num("threshold_speedup", threshold)
       .num("grid.sites", spec.sites)
@@ -360,6 +343,7 @@ int main(int argc, char** argv) {
       .num("arena_high_water", engine.arena_high_water)
       .flag("order_identical", order_identical)
       .flag("zero_alloc", zero_alloc);
+  run.table("summary");
   run.check("order_identical", order_identical,
             "FNV firing-order checksum and event count, engine vs legacy");
   run.check("zero_alloc", zero_alloc,

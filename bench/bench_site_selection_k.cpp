@@ -11,17 +11,17 @@
 #include "bench_util.hpp"
 #include "vdce/vdce.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vdce;
+  bench::Run run(argc, argv, "site_selection_k", "BENCH_SITE_SELECTION_K.json");
   bench::print_title("E2", "k-nearest-site scheduling: makespan vs traffic");
   bench::print_note(
       "8 sites x 5 hosts; 60-task layered DAG; distributed scheduling over\n"
       "the fabric.  sched-bytes = sm.afg + sm.bids wire traffic;\n"
       "sched-time = simulated duration of the Fig. 2 bid round.");
 
-  bench::Table table({"k", "schedule len (s)", "exec makespan (s)",
-                      "sched-bytes", "sched-time (s)", "sites used"});
-
+  std::string unscheduled;
+  std::string unexecuted;
   for (std::size_t k : {0u, 1u, 2u, 4u, 7u}) {
     EnvironmentOptions options;
     options.runtime.k_nearest = k;
@@ -45,7 +45,11 @@ int main() {
     double t0 = env.now();
     auto table_result = env.schedule(graph, session);
     double sched_time = env.now() - t0;
-    if (!table_result) return 1;
+    if (!table_result) {
+      unscheduled += bench::strf(" k=%zu: %s;", k,
+                                 table_result.error().to_string().c_str());
+      continue;
+    }
     const auto& stats = env.fabric().stats();
     // Count the exact bytes by type from send accounting.
     // (bytes_sent covers all traffic; scheduling phase had only scheduling
@@ -57,23 +61,37 @@ int main() {
         count("sm.afg") * runtime::wire::afg(graph) +
         count("sm.bids") * (96 + 64.0 * graph.task_count());
 
-    RunOptions run;
-    run.real_kernels = false;
-    auto report = env.execute_with_table(graph, *table_result, session, run);
-    if (!report || !report->success) return 1;
+    RunOptions run_options;
+    run_options.real_kernels = false;
+    auto report =
+        env.execute_with_table(graph, *table_result, session, run_options);
+    if (!report || !report->success) {
+      unexecuted += bench::strf(
+          " k=%zu: %s;", k,
+          (report ? report->failure_reason : report.error().to_string())
+              .c_str());
+      continue;
+    }
 
-    table.add_row({std::to_string(k),
-                   bench::Table::num(table_result->schedule_length, 2),
-                   bench::Table::num(report->makespan(), 2),
-                   common::format_bytes(sched_bytes),
-                   bench::Table::num(sched_time, 3),
-                   std::to_string(table_result->sites_used().size())});
+    run.row("k_sweep")
+        .num("k", k)
+        .num("schedule_len_s", table_result->schedule_length)
+        .num("exec_makespan_s", report->makespan())
+        .num("sched_bytes", sched_bytes)
+        .num("sched_time_s", sched_time)
+        .num("sites_used", table_result->sites_used().size());
   }
-  table.print();
+  run.table("k_sweep");
+  run.check("scheduled", unscheduled.empty(),
+            unscheduled.empty() ? "every k produced an allocation table"
+                                : "no table for" + unscheduled);
+  run.check("executed", unexecuted.empty(),
+            unexecuted.empty() ? "every k's execution succeeded"
+                               : "failed for" + unexecuted);
 
   bench::print_note(
       "\nExpected shape: makespan drops steeply from k=0 to small k, then\n"
       "flattens; scheduling traffic and bid-round latency grow with k —\n"
       "the paper's case for nearest-neighbour multicast over broadcast.");
-  return 0;
+  return run.finish();
 }

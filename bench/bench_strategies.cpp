@@ -151,9 +151,6 @@ int main(int argc, char** argv) {
         .num("stale_after_s", stale.stale_after);
   }
 
-  bench::Table table({"strategy", "staleness", "ok", "mean_makespan_s",
-                      "mean_sched_s", "cp_compute_s", "cp_transfer_s",
-                      "cp_wait_s"});
   for (const sched::Strategy& row : strategies) {
     const std::string name(row.name);
     for (const StalenessSetting& stale : staleness) {
@@ -162,15 +159,6 @@ int main(int argc, char** argv) {
       all_success = all_success && ok;
       all_tiled = all_tiled && cell.tiled;
       const double n = cell.successes ? double(cell.successes) : 1.0;
-      table.add_row({name, stale.label,
-                     ok ? std::to_string(cell.successes) + "/" +
-                              std::to_string(cases.size())
-                        : "FAIL",
-                     bench::Table::num(cell.makespan_sum / n),
-                     bench::Table::num(cell.scheduling_sum / n),
-                     bench::Table::num(cell.phases.compute / n),
-                     bench::Table::num(cell.phases.transfer / n),
-                     bench::Table::num(cell.phases.wait / n)});
       const obs::causal::PhaseTotals& p = cell.phases;
       run.row("grid")
           .str("strategy", name)
@@ -189,7 +177,7 @@ int main(int argc, char** argv) {
           .flag("tiled", cell.tiled);
     }
   }
-  table.print();
+  run.table("grid");
 
   run.row("summary")
       .num("strategy_count", strategies.size())

@@ -225,10 +225,6 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{1, 2, 4, 8};
   const std::size_t apps_per_tenant = smoke ? 2 : 3;
 
-  bench::Table table({"tenants", "apps", "completed", "deferred", "peak",
-                      "p50_s", "p99_s", "apps/min", "max_wait_s", "wall_ms",
-                      "audit"});
-
   bool all_success = true;
   bool no_double_booking = true;
   std::uint64_t conflicts = 0;
@@ -237,14 +233,6 @@ int main(int argc, char** argv) {
     all_success = all_success && m.all_success;
     no_double_booking = no_double_booking && m.no_double_booking;
     conflicts += m.reservation_conflicts;
-    table.add_row({std::to_string(m.tenants), std::to_string(m.submitted),
-                   std::to_string(m.completed), std::to_string(m.deferred),
-                   std::to_string(m.peak_in_flight), bench::Table::num(m.p50),
-                   bench::Table::num(m.p99),
-                   bench::Table::num(m.throughput, 2),
-                   bench::Table::num(m.contention_max),
-                   bench::Table::num(m.wall_ms, 1),
-                   m.no_double_booking ? "exclusive" : "DOUBLE-BOOKED"});
     run.row("configs")
         .num("tenants", m.tenants)
         .num("submitted", m.submitted)
@@ -261,7 +249,7 @@ int main(int argc, char** argv) {
         .flag("no_double_booking", m.no_double_booking)
         .num("reservation_conflicts", m.reservation_conflicts);
   }
-  table.print();
+  run.table("configs");
   run.row("summary")
       .num("apps_per_tenant", apps_per_tenant)
       .flag("all_success", all_success)

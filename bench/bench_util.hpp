@@ -2,12 +2,11 @@
 //
 // Each bench binary reproduces one figure/table/claim from DESIGN.md's
 // per-experiment index: it builds the workload, sweeps the parameter the
-// experiment varies, and prints an aligned Table of the series the paper's
-// evaluation would report.  EXPERIMENTS.md records the measured output next
-// to the paper's qualitative claim.
-//
-// Benches that also emit machine-readable results do so through one
-// bench::Run, so every BENCH_*.json shares one schema:
+// experiment varies, and records every result once, as a row of one
+// bench::Run.  From those rows Run renders both outputs: the console table
+// of a series (Run::table) and the BENCH_*.json document, so the two can
+// never disagree.  EXPERIMENTS.md records the measured output next to the
+// paper's qualitative claim.  Every document shares one schema:
 //
 //   {"bench": "<name>", "mode": "smoke" | "full",
 //    "metrics": [{"series": "<series>", "<key>": <value>, ...}, ...],
@@ -23,8 +22,8 @@
 //
 // Anything else prints a usage line and exits 2, so a typo cannot skip a
 // gate.  Checks are always evaluated and recorded in the JSON; --check only
-// decides whether a failed one fails the process.  ctest registers each
-// JSON bench as `bench_<name>_smoke` (label `bench`; bench/CMakeLists.txt).
+// decides whether a failed one fails the process.  ctest registers every
+// bench as `bench_<name>_smoke` (label `bench`; bench/CMakeLists.txt).
 #pragma once
 
 #include <algorithm>
@@ -34,15 +33,17 @@
 #include <cmath>
 #include <concepts>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
-
-#include "common/strings.hpp"
 
 namespace vdce::bench {
 
@@ -104,36 +105,46 @@ inline double now_ms() {
 }
 
 /// One bench invocation: its flags, metrics rows and checks, and the one
-/// writer for its BENCH_*.json.
+/// writer for both its console tables and its BENCH_*.json.
 class Run {
+  using Value =
+      std::variant<double, std::int64_t, std::uint64_t, bool, std::string>;
+
+  /// One metrics entry: its series and its keys and values in the order
+  /// they were recorded.
+  struct Entry {
+    std::string series;
+    std::vector<std::pair<std::string, Value>> fields;
+  };
+
  public:
-  /// One metrics entry.  Each setter appends a key and returns *this, so
+  /// Handle on one entry.  Each setter appends a key and returns *this, so
   /// `run.row("sweep").num("k", 4).flag("ok", true)` builds a whole row.
   class Row {
    public:
-    explicit Row(std::string& out) : out_(&out) {}
-    Row& num(std::string_view key, double v) { return put(key, json_num(v)); }
+    Row& num(std::string_view key, double v) { return put(key, v); }
     template <std::integral T>
       requires(!std::same_as<T, bool>)
     Row& num(std::string_view key, T v) {
-      return put(key, std::to_string(v));
+      if constexpr (std::is_signed_v<T>) {
+        return put(key, static_cast<std::int64_t>(v));
+      } else {
+        return put(key, static_cast<std::uint64_t>(v));
+      }
     }
-    Row& flag(std::string_view key, bool v) {
-      return put(key, v ? "true" : "false");
-    }
+    Row& flag(std::string_view key, bool v) { return put(key, v); }
     Row& str(std::string_view key, std::string_view v) {
-      return put(key, json_str(v));
+      return put(key, std::string(v));
     }
 
    private:
-    Row& put(std::string_view key, std::string_view value) {
-      *out_ += ',';
-      *out_ += json_str(key);
-      *out_ += ':';
-      *out_ += value;
+    friend class Run;
+    explicit Row(Entry& entry) : entry_(&entry) {}
+    Row& put(std::string_view key, Value value) {
+      entry_->fields.emplace_back(std::string(key), std::move(value));
       return *this;
     }
-    std::string* out_;
+    Entry* entry_;
   };
 
   /// Parses argv; an unknown argument prints usage and exits 2.
@@ -159,7 +170,7 @@ class Run {
 
   /// Starts a new metrics entry tagged with `series`.
   Row row(std::string_view series) {
-    rows_.push_back("\"series\":" + json_str(series));
+    rows_.push_back(Entry{std::string(series), {}});
     return Row(rows_.back());
   }
 
@@ -168,12 +179,64 @@ class Run {
     checks_.push_back({std::move(name), ok, std::move(detail)});
   }
 
+  /// The rows of `series` as an aligned table: one column per key, in the
+  /// order the keys were first recorded, and a blank cell where a row lacks
+  /// a key.
+  [[nodiscard]] std::string table_text(std::string_view series) const {
+    std::vector<std::string> keys;
+    std::vector<const Entry*> entries;
+    for (const Entry& e : rows_) {
+      if (e.series != series) continue;
+      entries.push_back(&e);
+      for (const auto& field : e.fields) {
+        if (std::find(keys.begin(), keys.end(), field.first) == keys.end()) {
+          keys.push_back(field.first);
+        }
+      }
+    }
+    std::vector<std::vector<std::string>> lines{keys};
+    for (const Entry* e : entries) {
+      std::vector<std::string>& line = lines.emplace_back(keys.size());
+      for (const auto& [key, value] : e->fields) {
+        const auto at = std::find(keys.begin(), keys.end(), key);
+        line[static_cast<std::size_t>(at - keys.begin())] = cell(value);
+      }
+    }
+    std::vector<std::size_t> width(keys.size(), 0);
+    for (const auto& line : lines) {
+      for (std::size_t c = 0; c < line.size(); ++c) {
+        width[c] = std::max(width[c], line[c].size());
+      }
+    }
+    std::string out;
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      std::string text;
+      for (std::size_t c = 0; c < keys.size(); ++c) {
+        text += "  " + lines[l][c];
+        text.append(width[c] - lines[l][c].size(), ' ');
+      }
+      const std::size_t rule = text.size();
+      out += text.erase(text.find_last_not_of(' ') + 1) + '\n';
+      if (l == 0) out += std::string(rule, '-') + '\n';
+    }
+    return out;
+  }
+
+  /// Prints table_text(series) to stdout.
+  void table(std::string_view series) const {
+    std::fputs(table_text(series).c_str(), stdout);
+  }
+
   /// The whole document, one line.
   [[nodiscard]] std::string json() const {
     std::string out = "{\"bench\":" + json_str(bench_) + ",\"mode\":" +
                       json_str(smoke_ ? "smoke" : "full") + ",\"metrics\":[";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
-      out += (i ? ",{" : "{") + rows_[i] + "}";
+      out += (i ? ",{\"series\":" : "{\"series\":") + json_str(rows_[i].series);
+      for (const auto& [key, value] : rows_[i].fields) {
+        out += ',' + json_str(key) + ':' + json_value(value);
+      }
+      out += '}';
     }
     out += "],\"checks\":[";
     for (std::size_t i = 0; i < checks_.size(); ++i) {
@@ -212,6 +275,27 @@ class Run {
   }
 
  private:
+  /// A value as a JSON token.
+  [[nodiscard]] static std::string json_value(const Value& v) {
+    if (const double* d = std::get_if<double>(&v)) return json_num(*d);
+    if (const std::int64_t* i = std::get_if<std::int64_t>(&v)) {
+      return std::to_string(*i);
+    }
+    if (const std::uint64_t* u = std::get_if<std::uint64_t>(&v)) {
+      return std::to_string(*u);
+    }
+    if (const bool* b = std::get_if<bool>(&v)) return *b ? "true" : "false";
+    return json_str(std::get<std::string>(v));
+  }
+
+  /// A value as a table cell: every double in one format (six significant
+  /// digits), integers, booleans and strings as they are.
+  [[nodiscard]] static std::string cell(const Value& v) {
+    if (const double* d = std::get_if<double>(&v)) return strf("%.6g", *d);
+    if (const std::string* s = std::get_if<std::string>(&v)) return *s;
+    return json_value(v);
+  }
+
   struct Check {
     std::string name;
     bool ok;
@@ -222,7 +306,7 @@ class Run {
   std::string path_;
   bool smoke_ = false;
   bool check_ = false;
-  std::deque<std::string> rows_;  ///< stable addresses for live Row handles
+  std::deque<Entry> rows_;  ///< stable addresses for live Row handles
   std::vector<Check> checks_;
 };
 
@@ -235,52 +319,5 @@ inline void print_title(const std::string& id, const std::string& title) {
 inline void print_note(const std::string& note) {
   std::printf("%s\n", note.c_str());
 }
-
-/// Fixed-width text table.
-class Table {
- public:
-  explicit Table(std::vector<std::string> headers)
-      : headers_(std::move(headers)) {}
-
-  void add_row(std::vector<std::string> cells) {
-    rows_.push_back(std::move(cells));
-  }
-
-  /// Convenience: format doubles with the given precision.
-  static std::string num(double v, int precision = 3) {
-    return common::format_double(v, precision);
-  }
-
-  void print() const {
-    std::vector<std::size_t> width(headers_.size());
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      width[c] = headers_[c].size();
-    }
-    for (const auto& row : rows_) {
-      for (std::size_t c = 0; c < row.size() && c < width.size(); ++c) {
-        width[c] = std::max(width[c], row[c].size());
-      }
-    }
-    auto print_row = [&](const std::vector<std::string>& row) {
-      for (std::size_t c = 0; c < headers_.size(); ++c) {
-        const std::string& cell = c < row.size() ? row[c] : std::string();
-        std::printf("%s%-*s", c == 0 ? "  " : "  ",
-                    static_cast<int>(width[c]), cell.c_str());
-      }
-      std::printf("\n");
-    };
-    print_row(headers_);
-    std::string rule;
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      rule += std::string(width[c] + 2, '-');
-    }
-    std::printf("%s\n", rule.c_str());
-    for (const auto& row : rows_) print_row(row);
-  }
-
- private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
-};
 
 }  // namespace vdce::bench

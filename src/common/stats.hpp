@@ -64,7 +64,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double sample);
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
   [[nodiscard]] std::size_t count_in_bin(std::size_t bin) const;
   [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
   [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }

@@ -29,11 +29,6 @@ constexpr SimDuration milliseconds(double ms) noexcept { return ms * 1e-3; }
 constexpr SimDuration microseconds(double us) noexcept { return us * 1e-6; }
 constexpr SimDuration minutes(double m) noexcept { return m * 60.0; }
 
-/// Render a time for logs/reports, e.g. "12.345s".
-std::string format_time(SimTime t);
-
-inline std::string format_time(SimTime t) { return std::to_string(t) + "s"; }
-
 /// True when two times are equal within one nanosecond — used by tests that
 /// compare analytically computed schedules against simulated ones.
 inline bool time_close(SimTime a, SimTime b, double tol = 1e-9) {

@@ -131,9 +131,6 @@ class Fabric {
 
   /// Enable/disable shared-segment contention (see class comment).
   void set_shared_segments(bool on) { shared_segments_ = on; }
-  [[nodiscard]] bool shared_segments() const noexcept {
-    return shared_segments_;
-  }
 
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] Topology& topology() noexcept { return topology_; }

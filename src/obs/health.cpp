@@ -214,7 +214,7 @@ void HealthPlane::wire(MetricsRegistry* metrics, TraceSink* trace) {
   metrics_ = metrics;
   samples_counter_ = nullptr;
   evaluations_counter_ = nullptr;
-  trace_ = trace;
+  trace_ = trace != nullptr && trace->enabled() ? trace : nullptr;
 }
 
 Counter& HealthPlane::cached_counter(Counter*& slot, const char* name) {
@@ -227,7 +227,7 @@ Counter& HealthPlane::cached_counter(Counter*& slot, const char* name) {
 void HealthPlane::start(common::SimTime now) {
   if (!options_.enabled || started_) return;
   started_ = true;
-  if (trace_ != nullptr && trace_->enabled() && !replay_) {
+  if (trace_ != nullptr) {
     trace_->instant(
         "health", "health.config", now, kControlTrack,
         {arg("cadence", options_.cadence),
@@ -278,7 +278,7 @@ void HealthPlane::bind(std::size_t r, const TimeSeries& ts) {
 
 void HealthPlane::emit_series_record(const TimeSeries& ts,
                                      common::SimTime now) {
-  if (trace_ == nullptr || !trace_->enabled() || replay_) return;
+  if (trace_ == nullptr) return;
   const SeriesKey& k = ts.key();
   const std::uint32_t track =
       k.host >= 0 ? static_cast<std::uint32_t>(k.host) : kControlTrack;
@@ -297,7 +297,7 @@ void HealthPlane::observe(TimeSeries* ts, common::SimTime time, double value) {
   if (metrics_ != nullptr) {
     cached_counter(samples_counter_, "vdce.health.samples").add();
   }
-  if (trace_ != nullptr && trace_->enabled() && !replay_) {
+  if (trace_ != nullptr) {
     const SeriesKey& k = ts->key();
     const std::uint32_t track =
         k.host >= 0 ? static_cast<std::uint32_t>(k.host) : kControlTrack;
@@ -320,7 +320,7 @@ void HealthPlane::observe_delta(const SeriesKey& key, common::SimTime time,
 
 void HealthPlane::add_rule(HealthRule rule, common::SimTime now) {
   if (!options_.enabled) return;
-  if (trace_ != nullptr && trace_->enabled() && !replay_) {
+  if (trace_ != nullptr) {
     trace_->instant(
         "health", "health.rule", now, kControlTrack,
         {arg("id", rule.id), arg("kind", to_string(rule.kind)),
@@ -390,7 +390,7 @@ void HealthPlane::emit_transition(const HealthRule& rule,
     metrics_->gauge("vdce.health.alerts_active")
         .set(static_cast<double>(active_));
   }
-  if (trace_ != nullptr && trace_->enabled() && !replay_) {
+  if (trace_ != nullptr) {
     const SeriesKey& k = ts.key();
     const std::uint32_t track =
         k.host >= 0 ? static_cast<std::uint32_t>(k.host) : kControlTrack;
@@ -408,7 +408,7 @@ void HealthPlane::evaluate(common::SimTime now) {
   if (metrics_ != nullptr) {
     cached_counter(evaluations_counter_, "vdce.health.evaluations").add();
   }
-  if (trace_ != nullptr && trace_->enabled() && !replay_) {
+  if (trace_ != nullptr) {
     trace_->instant("health", "health.eval", now, kControlTrack,
                     {arg("seq", evaluations_)});
   }
@@ -749,7 +749,6 @@ common::Expected<ReplayResult> replay_trace(const ParsedTrace& trace) {
 
   ReplayResult result;
   result.plane = HealthPlane(options);
-  result.plane.set_replay(true);
   result.plane.start(config->start);
 
   // Live index -> replayed series.  Indices are NOT contiguous: wall-clock

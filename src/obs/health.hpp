@@ -301,10 +301,10 @@ class HealthPlane {
     return options_;
   }
 
-  /// Attach trace/metrics sinks (either may be null).  Replay mode keeps
-  /// the sinks detached so a reconstruction never re-emits records.
+  /// Attach trace/metrics sinks (either may be null).  A trace sink is kept
+  /// only if it is enabled, so every record site tests one pointer.  A
+  /// replayed plane (replay_trace) is never wired and so never re-emits.
   void wire(MetricsRegistry* metrics, TraceSink* trace);
-  void set_replay(bool on) noexcept { replay_ = on; }
 
   /// Emit the plane-configuration trace record.  Call once at bring-up,
   /// before any rule or series registration.
@@ -405,8 +405,7 @@ class HealthPlane {
   MetricsRegistry* metrics_ = nullptr;
   Counter* samples_counter_ = nullptr;      ///< vdce.health.samples
   Counter* evaluations_counter_ = nullptr;  ///< vdce.health.evaluations
-  TraceSink* trace_ = nullptr;
-  bool replay_ = false;
+  TraceSink* trace_ = nullptr;  ///< null unless wired to an enabled sink
   bool started_ = false;
 };
 

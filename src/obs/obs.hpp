@@ -36,9 +36,6 @@ class Observability {
 
   [[nodiscard]] bool metrics_on() const noexcept { return metrics_on_; }
   [[nodiscard]] bool trace_on() const noexcept { return trace_.enabled(); }
-  [[nodiscard]] bool any_on() const noexcept {
-    return metrics_on_ || trace_on();
-  }
 
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
@@ -47,16 +44,16 @@ class Observability {
   [[nodiscard]] TraceSink& trace() noexcept { return trace_; }
   [[nodiscard]] const TraceSink& trace() const noexcept { return trace_; }
 
-  /// The always-on ring — deliberately NOT part of any_on(): it records even
-  /// when metrics and tracing are both off (that's its job).
+  /// The always-on ring: it records even when metrics and tracing are both
+  /// off (that's its job).
   [[nodiscard]] FlightRecorder& flight() noexcept { return flight_; }
   [[nodiscard]] const FlightRecorder& flight() const noexcept {
     return flight_;
   }
 
   /// The live health plane (docs/OBSERVABILITY.md "Health plane"): labelled
-  /// time-series, SLO rules, alerts.  Disabled by default; like flight, it
-  /// is deliberately not part of any_on().
+  /// time-series, SLO rules, alerts.  Disabled by default, and switched by
+  /// its own option, not by metrics_on() or trace_on().
   [[nodiscard]] bool health_on() const noexcept { return health_.enabled(); }
   [[nodiscard]] health::HealthPlane& health() noexcept { return health_; }
   [[nodiscard]] const health::HealthPlane& health() const noexcept {

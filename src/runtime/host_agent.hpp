@@ -45,10 +45,6 @@ class HostAgent {
   [[nodiscard]] SiteManager* site_manager() noexcept {
     return site_manager_.get();
   }
-  [[nodiscard]] GroupManager* group_manager() noexcept {
-    return group_manager_.get();
-  }
-  [[nodiscard]] DataManager& data_manager() noexcept { return data_manager_; }
 
  private:
   void dispatch(const net::Message& message);

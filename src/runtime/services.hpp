@@ -7,7 +7,7 @@
 //    "http://data.example/sensor0" resolve to stored values whose sizes are
 //    charged to the network when the coordinator stages them.
 //  * Console service — "the user can suspend and restart the application
-//    execution": thin verbs over the origin Site Manager.
+//    execution": SiteManager::suspend_application / resume_application.
 //  * Visualization service — "provides application performance and workload
 //    visualizations": samples live host loads on the simulation clock and
 //    renders ASCII workload traces (the execution Gantt lives on
@@ -53,17 +53,6 @@ class ObjectStore {
 
  private:
   std::map<std::string, StoredObject> objects_;
-};
-
-/// Console service: suspend/resume a running application.
-class ConsoleService {
- public:
-  explicit ConsoleService(SiteManager& origin) : origin_(origin) {}
-  void suspend(common::AppId app) { origin_.suspend_application(app); }
-  void resume(common::AppId app) { origin_.resume_application(app); }
-
- private:
-  SiteManager& origin_;
 };
 
 /// Visualization service: periodic sampling of every host's true load.

@@ -458,6 +458,15 @@ void SiteManager::maybe_launch(ActiveApp& app) {
     const db::ResourceRecord* rec =
         core_.repo(core_.topology().host(h).site).resources().record(h);
     if (rec != nullptr && !rec->up) continue;
+    // Nor does a host that holds none of the current assignments: recovery
+    // moved its tasks away before launch, so it never receives gm.exec and
+    // never reports ready, even after it comes back up.
+    const bool holds_task = std::ranges::any_of(
+        app.current, [h](const auto& entry) {
+          return std::ranges::find(entry.second.hosts, h) !=
+                 entry.second.hosts.end();
+        });
+    if (!holds_task) continue;
     return;  // still waiting for this host
   }
   app.started = true;

@@ -1,5 +1,6 @@
-// bench::Run — the one writer behind every BENCH_*.json: number and string
-// encoding, the document schema, and finish()'s exit codes.
+// bench::Run — the one writer behind every BENCH_*.json and every bench's
+// console table: number and string encoding, the document schema, the table
+// layout, and finish()'s exit codes.
 #include "bench/bench_util.hpp"
 
 #include <gtest/gtest.h>
@@ -87,6 +88,27 @@ TEST(BenchUtil, DocumentSchemaWithFlatDottedRows) {
             R"({"name":"speedup","ok":true,"detail":"1.6x, floor 1.4x"},)"
             R"({"name":"detail","ok":false,)"
             R"("detail":"line \"one\"\nline two"}]})");
+}
+
+TEST(BenchUtil, TableColumnsFollowFirstSeenKeysWithBlanks) {
+  Args args({});
+  bench::Run run(args.argc(), args.argv(), "demo", temp_path("unused.json"));
+  run.row("sweep").num("k", 1).num("ms", 0.5);
+  run.row("other").num("x", 9);
+  run.row("sweep").str("shape", "bag").num("k", 12).flag("ok", true);
+  run.row("sweep").num("ms", 1.0 / 3.0).num("events", std::uint64_t{2129888});
+  // Columns in first-seen key order; a missing key leaves a blank cell,
+  // and no line carries trailing blanks.
+  EXPECT_EQ(run.table_text("sweep"),
+            "  k   ms        shape  ok    events\n"
+            "------------------------------------\n"
+            "  1   0.5\n"
+            "  12            bag    true\n"
+            "      0.333333               2129888\n");
+  EXPECT_EQ(run.table_text("other"),
+            "  x\n"
+            "---\n"
+            "  9\n");
 }
 
 TEST(BenchUtil, SmokeFlagSetsModeInAnyOrder) {

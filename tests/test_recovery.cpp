@@ -1,6 +1,7 @@
 // Recovery-path integration tests: value integrity across reschedules,
-// file-input restaging, suspension during setup, protocol coexistence, and
-// re-placement inside the application's access domain.
+// file-input restaging, suspension during setup, protocol coexistence,
+// re-placement inside the application's access domain, and the launch
+// barrier after a pre-launch re-placement.
 #include <gtest/gtest.h>
 
 #include "afg/generate.hpp"
@@ -374,6 +375,49 @@ TEST(Recovery, ReplacementStaysInsideTheAccessDomain) {
           << e.reason << " re-placed a task on host " << e.to_host.value();
     }
     EXPECT_GE(replaced, 1u);
+  }
+}
+
+// --- the launch barrier after pre-launch recovery ----------------------------
+
+/// fan_app() from site 0 on three_sites(), under `plan`.  A short sync
+/// timeout turns an application that never launches into a quick failure.
+common::Expected<runtime::ExecutionReport> run_fan(chaos::FaultPlan plan) {
+  EnvironmentOptions options = recovery_options();
+  options.sync_timeout = 300.0;
+  options.faults = std::move(plan);
+  VdceEnvironment env(make_testbed(three_sites()), options);
+  env.bring_up();
+  Session session = login(env);
+  RunOptions run;
+  run.real_kernels = false;
+  return env.run_application(fan_app(), session, run);
+}
+
+TEST(Recovery, RebootedHostWithoutTasksDoesNotHoldTheLaunch) {
+  // A host that holds a task crashes before the launch, and recovery moves
+  // its tasks away.  Every readiness report is lost until well after the
+  // host has rebooted, so the launch comes only from the coordinator's
+  // relaunch, with the host up again but holding no task.  It never
+  // receives gm.exec and so never reports ready: the launch must not wait
+  // for it.
+  const auto control = run_fan({});
+  ASSERT_TRUE(control.has_value()) << control.error().to_string();
+  ASSERT_TRUE(control->success) << control->failure_reason;
+  const common::HostId victim = control->outcomes.front().host;
+
+  chaos::FaultPlan plan;
+  plan.name("prelaunch-reboot")
+      .seed(1)
+      .crash(victim, control->submitted, 3.0)
+      .loss(1.0, 0.0, 8.0, "ac.ready");
+  const auto faulted = run_fan(std::move(plan));
+  ASSERT_TRUE(faulted.has_value()) << faulted.error().to_string();
+  ASSERT_TRUE(faulted->success) << faulted->failure_reason;
+  EXPECT_GE(faulted->failures_survived, 1) << "the crash missed the app";
+  EXPECT_GT(faulted->exec_started, 8.0);
+  for (const runtime::TaskOutcome& o : faulted->outcomes) {
+    EXPECT_NE(o.host, victim) << o.task_name << " stayed on the victim";
   }
 }
 
