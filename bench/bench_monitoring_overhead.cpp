@@ -12,11 +12,12 @@
 // health plane, and metrics + full tracing; the wall-clock deltas are the
 // per-config overhead.  This is the bench that backs docs/OBSERVABILITY.md's
 // zero-cost claims, including "the always-on flight recorder has no
-// measurable idle overhead" and the health plane's <= 5% budget.
+// measurable idle overhead", and that measures the health plane's cost.
 //
 // Writes BENCH_MONITORING_OVERHEAD.json (bench_util.hpp schema; --smoke
-// shortens the horizon).  Check: the health row stays within 5% of
-// metrics-only, with an absolute noise floor for short smoke runs.
+// shortens the horizon).  Check: the health row stays under
+// max(1.05 x, +30 ms) of metrics-only.  Runs take a few ms, so the 30 ms
+// floor decides: the check catches a gross regression, not a 5% one.
 #include <cmath>
 #include <cstring>
 
@@ -174,8 +175,11 @@ int main(int argc, char** argv) {
       "forwards only 'considerable' changes.  The 'off' row (flight recorder\n"
       "armed, everything else dark) should be indistinguishable from\n"
       "off_noflight: the always-on ring is a guarded handful of stores.\n"
-      "The health row (metrics + windowed series + rules + probes) must\n"
-      "stay within 5% of metrics-only — its budget in docs/OBSERVABILITY.md.");
+      "The health row (metrics + windowed series + rules + probes) has\n"
+      "measured 10-20% over metrics-only in full mode, about the noise of\n"
+      "these millisecond runs.  health_budget fails only past max(5%, 30 ms)\n"
+      "over metrics-only, so at this length it catches a gross (tenfold)\n"
+      "regression, not a few percent; see docs/OBSERVABILITY.md.");
 
   // Gate the health plane against its documented budget.  Short smoke runs
   // jitter by tens of ms on shared CI hosts, so an absolute floor keeps a

@@ -11,7 +11,7 @@
 // Each configuration times sched::reference::schedule_naive (the frozen
 // pre-optimization algorithm) against sched::plan ("vdce-level") and
 // verifies the two allocation tables are bit-identical — the speedup is
-// only real if the caches change nothing.  Writes BENCH_SCALE.json
+// only real if the optimized path changes nothing.  Writes BENCH_SCALE.json
 // (bench_util.hpp schema).  Checks: every table pair is identical, and the
 // largest grid configuration's speedup meets the documented threshold (3x
 // full, 2x smoke — see docs/SCALING.md).

@@ -102,21 +102,6 @@ common::SimDuration Topology::transfer_time(HostId from, HostId to,
   return link_between(from, to).transfer_time(bytes);
 }
 
-std::uint64_t Topology::link_key(HostId a, HostId b) const {
-  // Tag bits keep the key spaces disjoint: 0 = loopback, 1 = the shared
-  // default-WAN spec, (1<<62)|site = that site's LAN, (2<<62)|pair = an
-  // explicitly declared WAN link.
-  if (a == b) return 0;
-  const Host& ha = host(a);
-  const Host& hb = host(b);
-  if (ha.site == hb.site) {
-    return (std::uint64_t{1} << 62) | ha.site.value();
-  }
-  std::uint64_t key = wan_key(ha.site, hb.site);
-  if (!wan_links_.contains(key)) return 1;
-  return (std::uint64_t{2} << 62) | key;
-}
-
 common::SimDuration Topology::site_transfer_time(SiteId from, SiteId to,
                                                  double bytes) const {
   if (from == to) return site(from).lan.transfer_time(bytes);

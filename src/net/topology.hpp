@@ -133,12 +133,6 @@ class Topology {
   [[nodiscard]] common::SimDuration transfer_time(HostId from, HostId to,
                                                   double bytes) const;
 
-  /// A stable key identifying the link spec that governs traffic between
-  /// the two hosts — equal keys guarantee identical `link_between()`
-  /// results, so schedulers can memoize transfer times on (key, bytes).
-  /// Valid only while the topology's links are unchanged.
-  [[nodiscard]] std::uint64_t link_key(HostId a, HostId b) const;
-
   /// Inter-site transfer time used by the site scheduler (Fig. 2's
   /// `transfer_time(S_parent, S_j) * file_size` term).  Measured server to
   /// server.

@@ -385,25 +385,6 @@ std::vector<WhatIf> what_if(const AppTrace& app, double speedup) {
 
 // ---- offline extraction ----------------------------------------------------
 
-namespace {
-
-double arg_number(const TraceEvent& ev, std::string_view key,
-                  double fallback = 0.0) {
-  for (const TraceArg& a : ev.args) {
-    if (a.key == key) return std::strtod(a.value.c_str(), nullptr);
-  }
-  return fallback;
-}
-
-std::string arg_string(const TraceEvent& ev, std::string_view key) {
-  for (const TraceArg& a : ev.args) {
-    if (a.key == key) return a.value;
-  }
-  return {};
-}
-
-}  // namespace
-
 std::vector<AppTrace> extract_apps(const ParsedTrace& trace) {
   std::map<std::uint32_t, AppTrace> apps;
   auto app_of = [&](std::uint32_t id) -> AppTrace& {
@@ -420,7 +401,8 @@ std::vector<AppTrace> extract_apps(const ParsedTrace& trace) {
       AppTrace& app = app_of(app_id);
       app.exec_started = ev.start;
       app.completed = ev.end();
-      app.name = arg_string(ev, "name");
+      const std::string* name = ev.find_arg("name");
+      app.name = name != nullptr ? *name : std::string();
     } else if (ev.name == "app.contention") {
       AppTrace& app = app_of(app_id);
       app.enqueued = ev.start;
@@ -438,7 +420,8 @@ std::vector<AppTrace> extract_apps(const ParsedTrace& trace) {
       }
     } else if (ev.name == "exec.task" && ev.causal.task != kNoCausalId) {
       AppTrace& app = app_of(app_id);
-      std::string name = arg_string(ev, "task");
+      const std::string* arg = ev.find_arg("task");
+      std::string name = arg != nullptr ? *arg : std::string();
       if (name.empty()) name = "task " + std::to_string(ev.causal.task);
       // Keep the attempt that finished last (relaunches re-emit the span);
       // earlier attempts only bump the attempt count.
@@ -471,9 +454,12 @@ std::vector<AppTrace> extract_apps(const ParsedTrace& trace) {
       tr.started = ev.start;
       tr.finished = ev.end();
       tr.src_host = ev.track;
-      tr.dst_host =
-          static_cast<std::uint32_t>(arg_number(ev, "dst", kControlTrack));
-      tr.bytes = arg_number(ev, "bytes");
+      const std::string* dst = ev.find_arg("dst");
+      tr.dst_host = dst != nullptr ? static_cast<std::uint32_t>(
+                                         std::strtod(dst->c_str(), nullptr))
+                                   : kControlTrack;
+      const std::string* bytes = ev.find_arg("bytes");
+      tr.bytes = bytes != nullptr ? std::strtod(bytes->c_str(), nullptr) : 0.0;
       app.transfers.push_back(tr);
     } else if (ev.category == "recovery") {
       AppTrace& app = app_of(app_id);

@@ -696,28 +696,21 @@ std::string DetectionScore::render() const {
 
 namespace {
 
-const std::string* find_arg(const TraceEvent& e, std::string_view key) {
-  for (const TraceArg& a : e.args) {
-    if (a.key == key) return &a.value;
-  }
-  return nullptr;
-}
-
 double num_arg(const TraceEvent& e, std::string_view key, double fallback) {
-  const std::string* v = find_arg(e, key);
+  const std::string* v = e.find_arg(key);
   if (v == nullptr) return fallback;
   return std::strtod(v->c_str(), nullptr);
 }
 
 std::int64_t int_arg(const TraceEvent& e, std::string_view key,
                      std::int64_t fallback) {
-  const std::string* v = find_arg(e, key);
+  const std::string* v = e.find_arg(key);
   if (v == nullptr) return fallback;
   return std::strtoll(v->c_str(), nullptr, 10);
 }
 
 std::string str_arg(const TraceEvent& e, std::string_view key) {
-  const std::string* v = find_arg(e, key);
+  const std::string* v = e.find_arg(key);
   return v == nullptr ? std::string() : *v;
 }
 

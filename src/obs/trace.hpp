@@ -112,6 +112,14 @@ struct TraceEvent {
   [[nodiscard]] common::SimTime end() const noexcept {
     return start + duration;
   }
+
+  /// The raw value of the first arg named `key`, or null if there is none.
+  [[nodiscard]] const std::string* find_arg(std::string_view key) const {
+    for (const TraceArg& a : args) {
+      if (a.key == key) return &a.value;
+    }
+    return nullptr;
+  }
 };
 
 /// Static description of one track (host): which site it belongs to and its

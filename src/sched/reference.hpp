@@ -1,11 +1,11 @@
 // Retained naive reference implementation of the Fig. 2 site scheduler.
 //
 // The production scheduler (site_scheduler.cpp + schedule_builder.cpp) is
-// optimized for grid-scale inputs: adjacency-indexed graph queries, a
-// memoized data-ready/transfer cache, an incremental ready-list heap, and
-// flat per-host bookkeeping.  Those optimizations must be *exact* — they may
-// never change a single placement or timestamp.  This file keeps the
-// straightforward pre-optimization algorithm alive as the oracle:
+// optimized for grid-scale inputs: adjacency-indexed graph queries, cached
+// ranked host lists, a bounded availability scan, an incremental ready-list
+// heap, and flat per-host bookkeeping.  Those optimizations must be *exact*
+// — they may never change a single placement or timestamp.  This file keeps
+// the straightforward pre-optimization algorithm alive as the oracle:
 //
 //  * bookkeeping in hash maps, rebuilt values on every query;
 //  * per-task data-ready recomputed by scanning the full edge list;

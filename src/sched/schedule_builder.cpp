@@ -1,7 +1,6 @@
 #include "sched/schedule_builder.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <queue>
 
@@ -15,93 +14,35 @@ ScheduleBuilder::ScheduleBuilder(const afg::Afg& graph,
   assignments_.resize(graph.task_count());
   task_placed_.assign(graph.task_count(), 0);
   host_free_.assign(topology.host_count(), 0.0);
-  ready_memo_.resize(graph.task_count());
 }
 
-common::SimDuration ScheduleBuilder::transfer(common::HostId from,
-                                              common::HostId to,
-                                              double bytes) const {
-  // Equal (link_key, bytes) keys guarantee the identical LinkSpec and hence
-  // the bit-identical latency + bytes/bandwidth result, so caching is exact.
-  const TransferKey key{topology_.link_key(from, to),
-                        std::bit_cast<std::uint64_t>(bytes)};
-  auto it = transfer_memo_.find(key);
-  if (it != transfer_memo_.end()) return it->second;
-  common::SimDuration t = topology_.transfer_time(from, to, bytes);
-  transfer_memo_.emplace(key, t);
-  return t;
-}
-
-common::SimTime ScheduleBuilder::data_ready_exact(
-    afg::TaskId task, common::HostId candidate,
-    common::HostId staging_from) const {
+common::SimTime ScheduleBuilder::data_ready(afg::TaskId task,
+                                            common::HostId candidate,
+                                            common::HostId staging_from) const {
   common::SimTime ready = 0.0;
   for (std::uint32_t idx : graph_.in_edge_ids(task)) {
     const afg::Edge& e = graph_.edge(idx);
     assert(task_placed_[e.from.value()] && "parent must be placed first");
     const Assignment& parent = assignments_[e.from.value()];
-    double bytes = graph_.edge_bytes(e);
-    ready = std::max(ready,
-                     parent.est_finish + transfer(parent.primary_host(),
-                                                  candidate, bytes));
+    ready = std::max(ready, parent.est_finish +
+                                topology_.transfer_time(parent.primary_host(),
+                                                        candidate,
+                                                        graph_.edge_bytes(e)));
   }
   if (staging_from.valid()) {
     for (const afg::FileSpec& f : graph_.task(task).props.inputs) {
       if (!f.dataflow && !f.path.empty()) {
-        ready = std::max(ready, transfer(staging_from, candidate,
-                                         f.size_bytes));
+        ready = std::max(ready, topology_.transfer_time(staging_from, candidate,
+                                                        f.size_bytes));
       }
     }
   }
   return ready;
 }
 
-common::SimTime ScheduleBuilder::data_ready(afg::TaskId task,
-                                            common::HostId candidate,
-                                            common::HostId staging_from) const {
-  ReadyMemo& memo = ready_memo_[task.value()];
-  if (!memo.init || memo.staging != staging_from) {
-    memo.init = true;
-    memo.staging = staging_from;
-    memo.special_hosts.clear();
-    memo.by_site.assign(topology_.site_count(), -1.0);
-    // Hosts whose loopback link makes data_ready differ from their site's
-    // shared value: the parents' primary hosts, and the staging server when
-    // a staging transfer applies.
-    for (std::uint32_t idx : graph_.in_edge_ids(task)) {
-      const afg::Edge& e = graph_.edge(idx);
-      assert(task_placed_[e.from.value()] && "parent must be placed first");
-      common::HostId p = assignments_[e.from.value()].primary_host();
-      if (std::find(memo.special_hosts.begin(), memo.special_hosts.end(), p) ==
-          memo.special_hosts.end()) {
-        memo.special_hosts.push_back(p);
-      }
-    }
-    if (staging_from.valid()) {
-      for (const afg::FileSpec& f : graph_.task(task).props.inputs) {
-        if (!f.dataflow && !f.path.empty()) {
-          if (std::find(memo.special_hosts.begin(), memo.special_hosts.end(),
-                        staging_from) == memo.special_hosts.end()) {
-            memo.special_hosts.push_back(staging_from);
-          }
-          break;
-        }
-      }
-    }
-  }
-  if (std::find(memo.special_hosts.begin(), memo.special_hosts.end(),
-                candidate) != memo.special_hosts.end()) {
-    return data_ready_exact(task, candidate, staging_from);
-  }
-  common::SimTime& cached =
-      memo.by_site[topology_.host(candidate).site.value()];
-  if (cached < 0.0) cached = data_ready_exact(task, candidate, staging_from);
-  return cached;
-}
-
 common::SimTime ScheduleBuilder::data_ready_floor(
     afg::TaskId task, common::SiteId site, common::HostId staging_from) const {
-  // Each term is computed as data_ready_exact computes its own: the same
+  // Each term is computed as data_ready computes its own: the same
   // `est_finish + t` addition over the same link spec, so rounding keeps
   // every term at or below its data_ready counterpart.
   common::SimTime floor = 0.0;

@@ -15,29 +15,16 @@
 // ready list through one driver (run_ready_list), so an offline row is a
 // priority plus a pick.
 //
-// Grid-scale hot path: evaluating one task against every candidate host at
-// every candidate site made data_ready() the dominant cost — O(tasks ×
-// hosts × links) across a run.  Two memos eliminate the recomputation
-// without changing a single value (tests/test_differential.cpp proves the
-// results bit-identical to the retained naive reference):
-//
-//  * a transfer-time cache keyed on (link_key, bytes): equal keys guarantee
-//    the identical LinkSpec, so the cached double is the exact value the
-//    direct computation would produce;
-//  * a per-task data-ready cache keyed on the candidate's *site*: every
-//    candidate at one site sees the same parent→candidate links, hence the
-//    same max — except hosts a parent (or the staging server) actually
-//    occupies, which take the loopback link; those few "special" hosts fall
-//    back to the exact per-host computation.
-//
-// Both memos are filled lazily and never invalidated: parents are always
-// placed before their child is evaluated and placements are immutable.
+// Grid-scale hot path: data_ready() scans the task's in-edges for each
+// (task, candidate host) it is asked about.  The site scheduler's bounded
+// availability scan calls data_ready_floor() once per (task, site) and
+// skips every host whose floor already loses, so most candidates never
+// reach data_ready() at all (docs/SCALING.md §2).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "afg/graph.hpp"
@@ -112,36 +99,6 @@ class ScheduleBuilder {
       std::string app_name, std::string scheduler_name) const;
 
  private:
-  /// Per-task lazy data-ready cache: one value per candidate site, plus the
-  /// short list of hosts whose loopback links make them exceptions.
-  struct ReadyMemo {
-    bool init = false;
-    common::HostId staging;  ///< staging_from the memo was filled under
-    std::vector<common::HostId> special_hosts;  ///< parent primaries (+ staging)
-    std::vector<common::SimTime> by_site;       ///< -1 = not yet computed
-  };
-
-  struct TransferKey {
-    std::uint64_t link;
-    std::uint64_t bytes_bits;
-    bool operator==(const TransferKey&) const = default;
-  };
-  struct TransferKeyHash {
-    std::size_t operator()(const TransferKey& k) const noexcept {
-      std::uint64_t h = k.link * 0x9e3779b97f4a7c15ULL;
-      h ^= k.bytes_bits + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
-
-  /// The exact per-host computation (used to fill the memo and for special
-  /// hosts).
-  [[nodiscard]] common::SimTime data_ready_exact(afg::TaskId task,
-                                                 common::HostId candidate,
-                                                 common::HostId staging_from) const;
-  [[nodiscard]] common::SimDuration transfer(common::HostId from,
-                                             common::HostId to,
-                                             double bytes) const;
   void touch_host(common::HostId host);
 
   const afg::Afg& graph_;
@@ -150,9 +107,6 @@ class ScheduleBuilder {
   std::vector<char> task_placed_;           ///< by task id
   std::vector<common::SimTime> host_free_;  ///< by host id
   std::size_t placed_count_ = 0;
-  mutable std::vector<ReadyMemo> ready_memo_;  ///< by task id
-  mutable std::unordered_map<TransferKey, common::SimDuration, TransferKeyHash>
-      transfer_memo_;
   common::SimDuration makespan_ = 0.0;
 };
 

@@ -244,7 +244,9 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
           cand.objective = best_finish;
         } else {
           // Parallel group: earliest-free machines among the fastest 2N
-          // unreserved to balance speed against occupancy.
+          // unreserved to balance speed against occupancy.  The pool sorts
+          // by (host free, predicted, host id): a total order, so ties keep
+          // Fig. 3's ranking whatever the library's sort.
           struct PoolEntry {
             const db::ResourceRecord* record;
             double predicted;
@@ -265,7 +267,10 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
                       auto fa = builder.host_free(a.record->host);
                       auto fb = builder.host_free(b.record->host);
                       if (fa != fb) return fa < fb;
-                      return a.predicted < b.predicted;
+                      if (a.predicted != b.predicted) {
+                        return a.predicted < b.predicted;
+                      }
+                      return a.record->host < b.record->host;
                     });
           std::vector<db::ResourceRecord> group;
           for (std::size_t i = 0; i < need; ++i) {

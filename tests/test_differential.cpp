@@ -1,11 +1,11 @@
 // Differential tests for the scheduler hot-path optimisation.
 //
-// The optimized VDCE site scheduler (memoized transfer/data-ready caches,
-// cached ranked host lists, incremental ready heap) must produce
-// bit-identical resource allocation tables to sched::reference — the frozen
+// The optimized VDCE site scheduler (cached ranked host lists, bounded
+// availability scan, incremental ready heap) must produce bit-identical
+// resource allocation tables to sched::reference — the frozen
 // pre-optimization implementation — on every corpus case and under every
 // objective × priority combination.  Any divergence, even in the last ulp
-// of a start time, is a bug in the caches.
+// of a start time, is a bug in the optimized path.
 //
 // Also: ranking sanity on the Fig-2/Fig-3 style scenarios — HEFT stays
 // competitive with the VDCE level scheduler, and both beat random
@@ -49,8 +49,8 @@ struct Deployment {
   SchedulerContext context;
 };
 
-/// Exact comparison — no epsilon anywhere.  The caches are only admissible
-/// because they provably change nothing.
+/// Exact comparison — no epsilon anywhere.  The optimizations are only
+/// admissible because they provably change nothing.
 void expect_bit_identical(const ResourceAllocationTable& optimized,
                           const ResourceAllocationTable& naive,
                           const std::string& label) {
@@ -129,7 +129,7 @@ TEST(Differential, StalenessPenaltyPathAlsoMatches) {
 // prices in the context but no deadline/budget in the policy, the DBC
 // strategies delegate to the default VDCE assignment phase — the table is
 // field-for-field identical to `vdce-level` under the same objective ×
-// priority, across the same 72-case corpus the cache differential uses
+// priority, across the same 72-case corpus the reference differential uses
 // (only the attribution name may differ).  End to end, the golden digests
 // (tests/test_golden.cpp) pin unconstrained runs to the pre-economy bytes.
 
@@ -156,7 +156,7 @@ void expect_identical_but_name(const ResourceAllocationTable& a,
 
 TEST(EconDifferential, UnconstrainedDbcMatchesDefaultAcrossCorpus) {
   scale::CorpusSpec spec;
-  spec.cases = 72;  // same grid as the cache differential: 432 combinations
+  spec.cases = 72;  // the reference differential's grid: 432 combinations
   spec.seed = 977;
   const econ::CostModel prices;
   for (const scale::CorpusCase& c : scale::make_corpus(spec)) {

@@ -2,6 +2,7 @@
 // the Site Scheduler (Fig. 2), baselines, and the shared bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -337,17 +338,46 @@ TEST_F(SchedFixture, DataReadyFloorBoundsEveryHostOfItsSite) {
   ASSERT_TRUE(table.has_value()) << table.error().message;
   auto order = graph.topological_order();
   ASSERT_TRUE(order.has_value());
-  // Replay the plan's placements; before each task is placed, its floor at
-  // every site must bound data_ready on every host there, the parents' own
-  // hosts and the staging server included.
+  // Replay the plan's placements.  Before each task is placed, data_ready
+  // on every host must equal the max this test computes from
+  // Topology::transfer_time, and the task's floor at every site must bound
+  // it on every host there, the parents' own hosts and the staging server
+  // included.
   ScheduleBuilder builder(graph, topology);
   const common::HostId staging = topology.site(context.local_site).server;
   std::size_t checked = 0;
+  std::size_t loopback = 0, lan = 0, wan = 0, staged = 0;
   for (afg::TaskId task : *order) {
     for (const net::Site& site : topology.sites()) {
       const double floor = builder.data_ready_floor(task, site.id, staging);
       for (common::HostId h : site.hosts) {
-        EXPECT_LE(floor, builder.data_ready(task, h, staging))
+        double expected = 0.0;
+        for (std::uint32_t idx : graph.in_edge_ids(task)) {
+          const afg::Edge& e = graph.edge(idx);
+          const Assignment& parent = builder.assignment(e.from);
+          const common::HostId from = parent.primary_host();
+          expected = std::max(
+              expected, parent.est_finish + topology.transfer_time(
+                                                from, h, graph.edge_bytes(e)));
+          if (from == h) {
+            ++loopback;
+          } else if (topology.host(from).site == site.id) {
+            ++lan;
+          } else {
+            ++wan;
+          }
+        }
+        for (const afg::FileSpec& f : graph.task(task).props.inputs) {
+          if (!f.dataflow && !f.path.empty()) {
+            expected = std::max(
+                expected, topology.transfer_time(staging, h, f.size_bytes));
+            if (h == staging) ++staged;
+          }
+        }
+        const double ready = builder.data_ready(task, h, staging);
+        EXPECT_EQ(ready, expected)
+            << graph.task(task).instance_name << " on host " << h.value();
+        EXPECT_LE(floor, ready)
             << graph.task(task).instance_name << " on host " << h.value();
         ++checked;
       }
@@ -356,6 +386,10 @@ TEST_F(SchedFixture, DataReadyFloorBoundsEveryHostOfItsSite) {
     builder.place(task, a.site, a.hosts, a.predicted_time, staging);
   }
   EXPECT_EQ(checked, graph.task_count() * 18u);
+  EXPECT_GT(loopback, 0u);
+  EXPECT_GT(lan, 0u);
+  EXPECT_GT(wan, 0u);
+  EXPECT_GT(staged, 0u);
 }
 
 TEST_F(SchedFixture, ReadyListReleasesATwoPortChildOnce) {
