@@ -59,54 +59,4 @@ std::string Stats::summary(int precision) const {
          " max=" + format_double(max(), precision);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::add(double sample) {
-  if (sample < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (sample >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto bin = static_cast<std::size_t>((sample - lo_) / (hi_ - lo_) *
-                                      static_cast<double>(counts_.size()));
-  bin = std::min(bin, counts_.size() - 1);
-  ++counts_[bin];
-}
-
-std::size_t Histogram::count_in_bin(std::size_t bin) const {
-  assert(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  assert(bin < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return bin_lo(bin) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    std::size_t bar = counts_[i] * width / peak;
-    out += "[" + format_double(bin_lo(i), 3) + ", " + format_double(bin_hi(i), 3) +
-           ") " + std::string(bar, '#') + " " + std::to_string(counts_[i]) + "\n";
-  }
-  if (underflow_ > 0) out += "underflow: " + std::to_string(underflow_) + "\n";
-  if (overflow_ > 0) out += "overflow: " + std::to_string(overflow_) + "\n";
-  return out;
-}
-
 }  // namespace vdce::common

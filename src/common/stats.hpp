@@ -1,5 +1,5 @@
-// Streaming statistics used by benchmark harnesses and the visualization
-// service: mean/stddev/min/max accumulation plus exact percentiles over a
+// Streaming statistics used by benchmark harnesses and the metrics
+// registry: mean/stddev/min/max accumulation plus exact percentiles over a
 // retained sample vector.
 #pragma once
 
@@ -56,29 +56,6 @@ class Stats {
  private:
   std::vector<double> samples_;
   double sum_ = 0.0;
-};
-
-/// Fixed-bin histogram for workload/latency distributions in reports.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double sample);
-  [[nodiscard]] std::size_t count_in_bin(std::size_t bin) const;
-  [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
-  /// ASCII rendering used by the visualization service.
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 }  // namespace vdce::common

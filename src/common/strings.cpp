@@ -99,43 +99,6 @@ std::string join(const std::vector<std::string>& pieces, std::string_view sep) {
   return out;
 }
 
-std::string escape_field(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '|': out += "\\p"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-Expected<std::string> unescape_field(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '\\') {
-      out += text[i];
-      continue;
-    }
-    if (i + 1 >= text.size()) {
-      return Error{ErrorCode::kParseError, "dangling escape in field"};
-    }
-    switch (text[++i]) {
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 'p': out += '|'; break;
-      default:
-        return Error{ErrorCode::kParseError,
-                     std::string("bad escape '\\") + text[i] + "'"};
-    }
-  }
-  return out;
-}
-
 std::string format_double(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);

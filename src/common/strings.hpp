@@ -1,5 +1,4 @@
-// Small string utilities shared by the AFG DSL parser, the database
-// persistence format, and report printers.
+// Small string utilities shared by the AFG DSL parser and report printers.
 #pragma once
 
 #include <string>
@@ -32,11 +31,6 @@ Expected<std::uint64_t> parse_uint(std::string_view text);
 
 /// Join pieces with a separator: join({"a","b"}, ", ") -> "a, b".
 std::string join(const std::vector<std::string>& pieces, std::string_view sep);
-
-/// Escape/unescape a field so it can live in one line of a text database
-/// (escapes backslash, newline, and the '|' field separator).
-std::string escape_field(std::string_view text);
-Expected<std::string> unescape_field(std::string_view text);
 
 /// Fixed-width human formatting used by report tables.
 std::string format_double(double value, int precision = 3);

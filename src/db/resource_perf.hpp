@@ -138,14 +138,7 @@ class ResourcePerformanceDb {
   [[nodiscard]] std::vector<ResourceRecord> available_hosts(
       common::SiteId site) const;
 
-  [[nodiscard]] std::vector<ResourceRecord> all_hosts() const;
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-
-  /// Text persistence: one host per line ('|'-separated escaped fields),
-  /// including the retained workload-sample window.
-  [[nodiscard]] std::string serialize() const;
-  static common::Expected<ResourcePerformanceDb> deserialize(
-      const std::string& text);
 
  private:
   std::unordered_map<common::HostId, ResourceRecord> records_;

@@ -1,36 +1,6 @@
 #include "db/site_repository.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 namespace vdce::db {
-
-namespace {
-
-common::Status write_file(const std::filesystem::path& path,
-                          const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return common::Error{common::ErrorCode::kIoError,
-                         "cannot write " + path.string()};
-  }
-  out << content;
-  return common::Status::success();
-}
-
-common::Expected<std::string> read_file(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return common::Error{common::ErrorCode::kIoError,
-                         "cannot read " + path.string()};
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-}  // namespace
 
 void SiteRepository::register_site_hosts(const net::Topology& topology) {
   for (common::HostId hid : topology.site(site_).hosts) {
@@ -48,56 +18,6 @@ void SiteRepository::register_site_hosts(const net::Topology& topology) {
     rec.up = h.state.up;
     (void)resources_.register_host(std::move(rec));
   }
-}
-
-common::Status SiteRepository::save_to(const std::string& directory) const {
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) {
-    return common::Error{common::ErrorCode::kIoError,
-                         "cannot create " + directory + ": " + ec.message()};
-  }
-  const std::filesystem::path dir(directory);
-  if (auto st = write_file(dir / "users.db", users_.serialize()); !st.ok()) {
-    return st;
-  }
-  if (auto st = write_file(dir / "resources.db", resources_.serialize());
-      !st.ok()) {
-    return st;
-  }
-  if (auto st = write_file(dir / "tasks.db", tasks_.serialize()); !st.ok()) {
-    return st;
-  }
-  return write_file(dir / "constraints.db", constraints_.serialize());
-}
-
-common::Expected<SiteRepository> SiteRepository::load_from(
-    const std::string& directory, common::SiteId site) {
-  const std::filesystem::path dir(directory);
-  auto users_text = read_file(dir / "users.db");
-  auto resources_text = read_file(dir / "resources.db");
-  auto tasks_text = read_file(dir / "tasks.db");
-  auto constraints_text = read_file(dir / "constraints.db");
-  if (!users_text) return users_text.error();
-  if (!resources_text) return resources_text.error();
-  if (!tasks_text) return tasks_text.error();
-  if (!constraints_text) return constraints_text.error();
-
-  auto users = UserAccountsDb::deserialize(*users_text);
-  auto resources = ResourcePerformanceDb::deserialize(*resources_text);
-  auto tasks = TaskPerformanceDb::deserialize(*tasks_text);
-  auto constraints = TaskConstraintsDb::deserialize(*constraints_text);
-  if (!users) return users.error();
-  if (!resources) return resources.error();
-  if (!tasks) return tasks.error();
-  if (!constraints) return constraints.error();
-
-  SiteRepository repo(site);
-  repo.users_ = std::move(*users);
-  repo.resources_ = std::move(*resources);
-  repo.tasks_ = std::move(*tasks);
-  repo.constraints_ = std::move(*constraints);
-  return repo;
 }
 
 }  // namespace vdce::db

@@ -2,10 +2,9 @@
 // user-accounts information, task and resource parameters that are used by
 // the scheduler."  One per site; owned by that site's VDCE server and
 // accessed through its Site Manager (which "bridges the VDCE modules to the
-// site databases", §1).
+// site databases", §1).  The four databases are in-memory simulation state
+// that lives for one run.
 #pragma once
-
-#include <memory>
 
 #include "common/ids.hpp"
 #include "db/resource_perf.hpp"
@@ -38,13 +37,6 @@ class SiteRepository {
   /// the topology (bring-up registration; live values arrive later through
   /// the monitoring pipeline).
   void register_site_hosts(const net::Topology& topology);
-
-  /// Persist all four databases as text files under `directory` (created
-  /// if absent): users.db, resources.db, tasks.db, constraints.db.
-  common::Status save_to(const std::string& directory) const;
-  /// Restore a repository saved with save_to.
-  static common::Expected<SiteRepository> load_from(
-      const std::string& directory, common::SiteId site);
 
  private:
   common::SiteId site_;

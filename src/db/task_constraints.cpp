@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/strings.hpp"
-
 namespace vdce::db {
 
 void TaskConstraintsDb::register_executable(const std::string& task_name,
@@ -52,48 +50,6 @@ std::vector<common::HostId> TaskConstraintsDb::hosts_for(
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::string TaskConstraintsDb::serialize() const {
-  std::vector<std::string> names;
-  for (const auto& [name, by_host] : paths_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  std::string out;
-  for (const std::string& name : names) {
-    std::vector<std::pair<common::HostId, std::string>> entries(
-        paths_.at(name).begin(), paths_.at(name).end());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [host, path] : entries) {
-      out += common::escape_field(name) + "|" + std::to_string(host.value()) +
-             "|" + common::escape_field(path) + "\n";
-    }
-  }
-  return out;
-}
-
-common::Expected<TaskConstraintsDb> TaskConstraintsDb::deserialize(
-    const std::string& text) {
-  TaskConstraintsDb db;
-  for (const std::string& line : common::split(text, '\n')) {
-    if (common::trim(line).empty()) continue;
-    auto fields = common::split(line, '|');
-    if (fields.size() != 3) {
-      return common::Error{common::ErrorCode::kParseError,
-                           "bad constraint line: " + line};
-    }
-    auto name = common::unescape_field(fields[0]);
-    auto host = common::parse_uint(fields[1]);
-    auto path = common::unescape_field(fields[2]);
-    if (!name || !host || !path) {
-      return common::Error{common::ErrorCode::kParseError,
-                           "bad constraint fields: " + line};
-    }
-    db.register_executable(
-        *name, common::HostId(static_cast<common::HostId::value_type>(*host)),
-        *path);
-  }
-  return db;
 }
 
 }  // namespace vdce::db

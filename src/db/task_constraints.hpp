@@ -42,11 +42,6 @@ class TaskConstraintsDb {
 
   [[nodiscard]] std::size_t size() const noexcept { return paths_.size(); }
 
-  /// Text persistence: one "task|host|path" line per installed executable.
-  [[nodiscard]] std::string serialize() const;
-  static common::Expected<TaskConstraintsDb> deserialize(
-      const std::string& text);
-
  private:
   // task name -> (host -> absolute path)
   std::unordered_map<std::string,

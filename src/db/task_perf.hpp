@@ -20,7 +20,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/expected.hpp"
 #include "common/ids.hpp"
@@ -88,14 +87,7 @@ class TaskPerformanceDb {
   [[nodiscard]] const MeasuredRow* measured_row(
       const std::string& task_name) const;
 
-  [[nodiscard]] std::vector<TaskPerfRecord> all_tasks() const;
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-
-  /// Text persistence: "task|..." record lines plus "meas|..." lines for
-  /// the per-(task, host) measured means.
-  [[nodiscard]] std::string serialize() const;
-  static common::Expected<TaskPerformanceDb> deserialize(
-      const std::string& text);
 
  private:
   std::unordered_map<std::string, TaskPerfRecord> records_;

@@ -1,18 +1,6 @@
 #include "db/user_accounts.hpp"
 
-#include <algorithm>
-
-#include "common/strings.hpp"
-
 namespace vdce::db {
-
-common::Expected<AccessDomain> parse_access_domain(const std::string& text) {
-  if (text == "local") return AccessDomain::kLocalSite;
-  if (text == "neighbors") return AccessDomain::kNeighbors;
-  if (text == "global") return AccessDomain::kGlobal;
-  return common::Error{common::ErrorCode::kParseError,
-                       "bad access domain: " + text};
-}
 
 std::uint64_t UserAccountsDb::hash_password(const std::string& password,
                                             std::uint64_t salt) {
@@ -43,8 +31,8 @@ common::Expected<common::UserId> UserAccountsDb::add_user(
   }
   UserAccount acct;
   acct.user_name = user_name;
-  // Deterministic salt derived from the name: persistence round-trips and
-  // tests stay reproducible.  Independent accounts still get distinct salts.
+  // Deterministic salt derived from the name, so runs stay reproducible.
+  // Independent accounts still get distinct salts.
   acct.salt = hash_password(user_name, 0x5157bd1e2f09add5ULL);
   acct.password_hash = hash_password(password, acct.salt);
   acct.user_id = common::UserId(next_id_++);
@@ -98,63 +86,6 @@ common::Status UserAccountsDb::set_priority(const std::string& user_name,
   }
   it->second.priority = priority;
   return common::Status::success();
-}
-
-std::vector<UserAccount> UserAccountsDb::all() const {
-  std::vector<UserAccount> out;
-  out.reserve(accounts_.size());
-  for (const auto& [name, acct] : accounts_) out.push_back(acct);
-  std::sort(out.begin(), out.end(), [](const UserAccount& a, const UserAccount& b) {
-    return a.user_id < b.user_id;
-  });
-  return out;
-}
-
-std::string UserAccountsDb::serialize() const {
-  std::string out;
-  for (const UserAccount& a : all()) {
-    out += common::escape_field(a.user_name) + "|" +
-           std::to_string(a.password_hash) + "|" + std::to_string(a.salt) +
-           "|" + std::to_string(a.user_id.value()) + "|" +
-           std::to_string(a.priority) + "|" + to_string(a.domain) + "\n";
-  }
-  return out;
-}
-
-common::Expected<UserAccountsDb> UserAccountsDb::deserialize(
-    const std::string& text) {
-  UserAccountsDb db;
-  for (const std::string& line : common::split(text, '\n')) {
-    if (common::trim(line).empty()) continue;
-    auto fields = common::split(line, '|');
-    if (fields.size() != 6) {
-      return common::Error{common::ErrorCode::kParseError,
-                           "bad account line: " + line};
-    }
-    auto name = common::unescape_field(fields[0]);
-    if (!name) return name.error();
-    auto hash = common::parse_uint(fields[1]);
-    auto salt = common::parse_uint(fields[2]);
-    auto id = common::parse_int(fields[3]);
-    auto priority = common::parse_int(fields[4]);
-    auto domain = parse_access_domain(fields[5]);
-    if (!hash) return hash.error();
-    if (!salt) return salt.error();
-    if (!id) return id.error();
-    if (!priority) return priority.error();
-    if (!domain) return domain.error();
-
-    UserAccount acct;
-    acct.user_name = *name;
-    acct.password_hash = *hash;
-    acct.salt = *salt;
-    acct.user_id = common::UserId(static_cast<common::UserId::value_type>(*id));
-    acct.priority = static_cast<int>(*priority);
-    acct.domain = *domain;
-    db.next_id_ = std::max(db.next_id_, acct.user_id.value() + 1);
-    db.accounts_.emplace(acct.user_name, std::move(acct));
-  }
-  return db;
 }
 
 }  // namespace vdce::db

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/expected.hpp"
 #include "common/ids.hpp"
@@ -26,17 +25,6 @@ enum class AccessDomain {
   kNeighbors,   ///< home site plus its nearest-neighbour sites
   kGlobal,      ///< any VDCE site
 };
-
-constexpr const char* to_string(AccessDomain d) {
-  switch (d) {
-    case AccessDomain::kLocalSite: return "local";
-    case AccessDomain::kNeighbors: return "neighbors";
-    case AccessDomain::kGlobal: return "global";
-  }
-  return "?";
-}
-
-common::Expected<AccessDomain> parse_access_domain(const std::string& text);
 
 struct UserAccount {
   std::string user_name;
@@ -67,11 +55,6 @@ class UserAccountsDb {
   common::Status set_priority(const std::string& user_name, int priority);
 
   [[nodiscard]] std::size_t size() const noexcept { return accounts_.size(); }
-  [[nodiscard]] std::vector<UserAccount> all() const;
-
-  /// Text persistence: one account per line, '|'-separated escaped fields.
-  [[nodiscard]] std::string serialize() const;
-  static common::Expected<UserAccountsDb> deserialize(const std::string& text);
 
   /// Salted FNV-1a.  Documented weakness: FNV is not a password KDF; it
   /// stands in for the crypt(3) the 1997 prototype would have used while

@@ -10,10 +10,11 @@
 //    default, so "fast" and "cheap" genuinely trade off);
 //  * every link class quotes a per-MB transfer price (LAN cheap, WAN dear,
 //    same-host free);
-//  * a user submits with Constraints{deadline, budget}; the dbc-cost and
-//    dbc-time strategies (sched/dbc.hpp) optimise one subject to the other,
-//    and the admission controller rejects provably unaffordable submissions
-//    with a typed kBudgetExceeded error.
+//  * a user submits with a deadline and a budget (RunOptions, copied into
+//    the SchedulingPolicy at submission); the dbc-cost and dbc-time
+//    strategies (sched/dbc.hpp) optimise one subject to the other, and the
+//    admission controller rejects provably unaffordable submissions with a
+//    typed kBudgetExceeded error.
 //
 // Charging model: spend is *quoted*, not metered — a task is charged its
 // predicted execution time (at placement) times its hosts' prices, and an
@@ -30,16 +31,6 @@
 #include "sched/types.hpp"
 
 namespace vdce::econ {
-
-/// User-level economic constraints on a submission.  Units: `deadline` is
-/// seconds of simulated time from release; `budget` is G$ (grid dollars).
-/// Zero means "unconstrained" for either axis.
-struct Constraints {
-  double deadline = 0.0;
-  double budget = 0.0;
-
-  [[nodiscard]] bool active() const { return deadline > 0.0 || budget > 0.0; }
-};
 
 /// Per-resource prices: a fixed rate card derived from the static host
 /// specs, so two environments built from the same topology always agree on

@@ -4,9 +4,21 @@
 
 namespace vdce::net {
 
+namespace {
+
+/// Slot of the unordered pair {a, b}, a != b, in the WAN link table.
+std::size_t wan_slot(SiteId a, SiteId b) {
+  const std::size_t lo = std::min(a.value(), b.value());
+  const std::size_t hi = std::max(a.value(), b.value());
+  return hi * (hi - 1) / 2 + lo;
+}
+
+}  // namespace
+
 SiteId Topology::add_site(std::string name, LinkSpec lan) {
   SiteId id(static_cast<common::SiteId::value_type>(sites_.size()));
   sites_.push_back(Site{id, std::move(name), HostId{}, lan, {}, {}});
+  wan_links_.resize(wan_links_.size() + id.value());
   return id;
 }
 
@@ -38,9 +50,9 @@ HostId Topology::add_host(SiteId site_id, HostSpec spec, int group_index) {
 
 void Topology::set_wan_link(SiteId a, SiteId b, LinkSpec link) {
   assert(a != b);
-  // First declaration wins, matching the first-match lookup semantics the
-  // pre-hash-map implementation had.
-  wan_links_.emplace(wan_key(a, b), link);
+  assert(a.value() < sites_.size() && b.value() < sites_.size());
+  std::optional<LinkSpec>& slot = wan_links_[wan_slot(a, b)];
+  if (!slot) slot = link;
 }
 
 const Host& Topology::host(HostId id) const {
@@ -77,16 +89,11 @@ common::Expected<SiteId> Topology::find_site(const std::string& name) const {
   return common::Error{common::ErrorCode::kNotFound, "no site named " + name};
 }
 
-std::uint64_t Topology::wan_key(SiteId a, SiteId b) {
-  auto lo = std::min(a.value(), b.value());
-  auto hi = std::max(a.value(), b.value());
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
 LinkSpec Topology::wan_link(SiteId a, SiteId b) const {
   if (a == b) return site(a).lan;
-  auto it = wan_links_.find(wan_key(a, b));
-  return it != wan_links_.end() ? it->second : default_wan_;
+  assert(a.value() < sites_.size() && b.value() < sites_.size());
+  const std::optional<LinkSpec>& slot = wan_links_[wan_slot(a, b)];
+  return slot ? *slot : default_wan_;
 }
 
 LinkSpec Topology::link_between(HostId a, HostId b) const {

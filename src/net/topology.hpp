@@ -18,7 +18,6 @@
 #include <cassert>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -100,10 +99,13 @@ class Topology {
   /// created on demand; the first host added to a group is its leader).
   HostId add_host(SiteId site, HostSpec spec, int group_index = 0);
 
-  /// Declare the WAN link between two distinct sites (symmetric).  Sites
-  /// without an explicit link use `default_wan()`.
+  /// Declare the WAN link between two distinct existing sites (symmetric;
+  /// the first declaration of a pair wins).  Sites without an explicit link
+  /// use `default_wan()`.
   void set_wan_link(SiteId a, SiteId b, LinkSpec link);
 
+  /// Applies at lookup time, so it reaches every undeclared pair whenever
+  /// it is called.
   void set_default_wan(LinkSpec link) { default_wan_ = link; }
   [[nodiscard]] LinkSpec default_wan() const { return default_wan_; }
 
@@ -151,17 +153,12 @@ class Topology {
   [[nodiscard]] bool host_up(HostId id) const { return host(id).state.up; }
 
  private:
-  struct WanKey {
-    SiteId a, b;
-    bool operator==(const WanKey&) const = default;
-  };
-
-  [[nodiscard]] static std::uint64_t wan_key(SiteId a, SiteId b);
-
   std::vector<Site> sites_;
   std::vector<Host> hosts_;
   std::vector<Group> groups_;
-  std::unordered_map<std::uint64_t, LinkSpec> wan_links_;  // by wan_key
+  /// Declared WAN links by unordered site pair: {lo, hi} (lo < hi) sits at
+  /// hi*(hi-1)/2 + lo, so add_site appends one slot per existing site.
+  std::vector<std::optional<LinkSpec>> wan_links_;
   LinkSpec default_wan_{common::milliseconds(30), 1e7};
 };
 

@@ -396,7 +396,8 @@ void SiteManager::execute_application(
   app.budget = budget;
   app.access = access;
   app.callback = std::move(callback);
-  auto [it, inserted] = apps_.emplace(app_id.value(), std::move(app));
+  [[maybe_unused]] const bool inserted =
+      apps_.emplace(app_id.value(), std::move(app)).second;
   assert(inserted);
   core_.flight(obs::FlightCode::kAppStart, server_.value(), app_id.value());
 

@@ -215,7 +215,9 @@ void expect_find_matches_scan(const Afg& g, std::size_t probes) {
     auto found = g.find_task(name);
     auto scanned = scan_for(g, name);
     ASSERT_EQ(found.has_value(), scanned.has_value()) << name;
-    if (found) EXPECT_EQ(*found, *scanned) << name;
+    if (found) {
+      EXPECT_EQ(*found, *scanned) << name;
+    }
   }
 }
 

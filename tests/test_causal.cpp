@@ -4,36 +4,15 @@
 // and the zero-cost discipline of the disabled observability path.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "obs/causal.hpp"
 #include "obs/obs.hpp"
 #include "vdce/vdce.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Replacement operator new that counts every heap allocation in the test
-// binary, so the zero-cost tests can assert that the always-on flight
-// recorder and the disabled-tracing call-site pattern allocate nothing.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vdce {
 namespace {
@@ -440,18 +419,18 @@ TEST(Flight, SuccessfulRunLeavesNoPostMortem) {
 
 TEST(ZeroCost, EnabledFlightRecorderNeverAllocatesPerRecord) {
   obs::FlightRecorder recorder(obs::FlightOptions{.capacity = 128});
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocation_count();
   for (int i = 0; i < 1000; ++i) {
     recorder.record(static_cast<double>(i), obs::FlightCode::kTaskDone, 1, 2,
                     3, 4.0);
   }
-  EXPECT_EQ(g_allocations.load(), before);  // wraps without allocating
+  EXPECT_EQ(test::allocation_count(), before);  // wraps without allocating
 }
 
 TEST(ZeroCost, DisabledObservabilityPathAllocatesNothing) {
   obs::TraceSink sink;  // default: disabled
   obs::FlightRecorder flight(obs::FlightOptions{.enabled = false});
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocation_count();
   for (int i = 0; i < 1000; ++i) {
     // The exact guarded pattern every instrumentation site uses: with the
     // sink off, no record (and none of its strings) is ever built.
@@ -461,7 +440,7 @@ TEST(ZeroCost, DisabledObservabilityPathAllocatesNothing) {
     }
     flight.record(1.0, obs::FlightCode::kTaskStart, 0, 1, 2);
   }
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(test::allocation_count(), before);
 }
 
 }  // namespace

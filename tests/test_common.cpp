@@ -171,19 +171,6 @@ TEST(Strings, ParseUintHandlesLargeValues) {
   EXPECT_FALSE(parse_uint("-1").has_value());
 }
 
-TEST(Strings, EscapeRoundTrip) {
-  std::string nasty = "a|b\\c\nd";
-  auto escaped = escape_field(nasty);
-  EXPECT_EQ(escaped.find('|'), std::string::npos);
-  EXPECT_EQ(escaped.find('\n'), std::string::npos);
-  EXPECT_EQ(unescape_field(escaped).value(), nasty);
-}
-
-TEST(Strings, UnescapeRejectsDangling) {
-  EXPECT_FALSE(unescape_field("abc\\").has_value());
-  EXPECT_FALSE(unescape_field("ab\\q").has_value());
-}
-
 TEST(Strings, JoinAndFormat) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
@@ -226,26 +213,6 @@ TEST(Stats, SummaryMentionsCount) {
   EXPECT_EQ(empty.summary(), "n=0");
 }
 
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(10.0);
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count_in_bin(0), 1u);
-  EXPECT_EQ(h.count_in_bin(9), 1u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 0.25);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 0.75);
-}
-
 // ---- logging -------------------------------------------------------------------
 
 TEST(Logging, LevelGatingAndOrdering) {
@@ -271,15 +238,6 @@ TEST(Logging, LogLineIsCheapWhenDisabled) {
   Logger::instance().set_level(LogLevel::kOff);
   // Must not crash or emit; streaming into a disabled line is a no-op.
   VDCE_LOG(kInfo, "test", 1.0) << "invisible " << 42;
-}
-
-TEST(Histogram, RenderShowsBars) {
-  Histogram h(0.0, 4.0, 4);
-  for (int i = 0; i < 8; ++i) h.add(1.5);
-  h.add(-1.0);
-  std::string rendered = h.render(10);
-  EXPECT_NE(rendered.find("##########"), std::string::npos);  // full bar
-  EXPECT_NE(rendered.find("underflow: 1"), std::string::npos);
 }
 
 // ---- time ---------------------------------------------------------------------

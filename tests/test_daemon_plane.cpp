@@ -7,37 +7,20 @@
 // dense per-member daemon state, and updates a ResourceRecord whose
 // workload window is an inline FIFO — so once every table has reached its
 // steady size, a window of pure daemon activity must not touch the
-// allocator at all.  Proven with a counting replacement operator new, the
-// same way tests/test_sim_kernel.cpp gates the event kernel.
+// allocator at all.  Proven with the counting replacement operator new of
+// tests/alloc_counter.hpp, the same way tests/test_sim_kernel.cpp gates the
+// event kernel.
 //
 // The same holds with the health plane on: its cadence ticks (inter-site
 // probes, ring stores, rule evaluation) allocate nothing either, with or
 // without a metrics registry wired to it.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "scale/generate.hpp"
 #include "vdce/environment.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vdce {
 namespace {
@@ -77,11 +60,9 @@ TEST(DaemonPlane, SteadyStateWindowAllocatesNothing) {
   env.run_for(10.0 * echo_period);
 
   const DaemonTraffic before = traffic(env.fabric().stats());
-  const std::uint64_t allocs_before =
-      g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = test::allocation_count();
   env.run_for(4.0 * echo_period);
-  const std::uint64_t allocs =
-      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = test::allocation_count() - allocs_before;
   const DaemonTraffic after = traffic(env.fabric().stats());
 
   // The window really exercised every daemon-plane message type...
@@ -113,11 +94,9 @@ void expect_health_ticks_allocate_nothing(bool metrics) {
   const std::uint64_t samples_before = health.samples();
   const std::uint64_t replies_before =
       env.fabric().stats().sent_by_type("health.probe_reply");
-  const std::uint64_t allocs_before =
-      g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = test::allocation_count();
   env.run_for(8.0 * cadence);
-  const std::uint64_t allocs =
-      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = test::allocation_count() - allocs_before;
 
   // The window evaluated the rules and fed host and link series...
   EXPECT_GE(health.evaluations() - evaluations_before, 8u);

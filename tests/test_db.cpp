@@ -1,9 +1,6 @@
 // Unit tests for the site-repository databases (§3 schemas).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "db/site_repository.hpp"
 #include "net/topology.hpp"
 
@@ -34,12 +31,6 @@ TEST(UserAccounts, RejectsWrongPasswordAndUnknownUserAlike) {
   EXPECT_EQ(unknown.error().code, common::ErrorCode::kAuthFailed);
 }
 
-TEST(UserAccounts, NoPlaintextAtRest) {
-  UserAccountsDb db;
-  (void)db.add_user("u", "hunter2", 1, AccessDomain::kLocalSite);
-  EXPECT_EQ(db.serialize().find("hunter2"), std::string::npos);
-}
-
 TEST(UserAccounts, DuplicateRejected) {
   UserAccountsDb db;
   ASSERT_TRUE(db.add_user("u", "a", 1, AccessDomain::kLocalSite).has_value());
@@ -63,42 +54,12 @@ TEST(UserAccounts, RemoveAndPriority) {
   EXPECT_EQ(db.size(), 0u);
 }
 
-TEST(UserAccounts, SerializeRoundTrip) {
-  UserAccountsDb db;
-  (void)db.add_user("alice", "pw1", 5, AccessDomain::kNeighbors);
-  (void)db.add_user("bob|weird\nname", "pw2", 1, AccessDomain::kGlobal);
-  auto restored = UserAccountsDb::deserialize(db.serialize());
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->size(), 2u);
-  EXPECT_TRUE(restored->authenticate("alice", "pw1").has_value());
-  EXPECT_TRUE(restored->authenticate("bob|weird\nname", "pw2").has_value());
-  EXPECT_FALSE(restored->authenticate("alice", "pw2").has_value());
-}
-
-TEST(UserAccounts, DeserializeContinuesIdSequence) {
-  UserAccountsDb db;
-  (void)db.add_user("a", "x", 1, AccessDomain::kGlobal);
-  auto restored = UserAccountsDb::deserialize(db.serialize());
-  ASSERT_TRUE(restored.has_value());
-  auto id = restored->add_user("b", "y", 1, AccessDomain::kGlobal);
-  EXPECT_GT(id->value(), restored->find("a")->user_id.value());
-}
-
-TEST(UserAccounts, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(UserAccountsDb::deserialize("not|enough|fields").has_value());
-  EXPECT_FALSE(
-      UserAccountsDb::deserialize("u|x|1|1|1|baddomain").has_value());
-}
-
 TEST(UserAccounts, FindByIdAndAll) {
   UserAccountsDb db;
   auto id = db.add_user("a", "x", 1, AccessDomain::kGlobal);
   (void)db.add_user("b", "y", 2, AccessDomain::kLocalSite);
   EXPECT_EQ(db.find(*id)->user_name, "a");
   EXPECT_FALSE(db.find(common::UserId(99)).has_value());
-  auto all = db.all();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_LT(all[0].user_id, all[1].user_id);
 }
 
 // ---- resource performance -----------------------------------------------------
@@ -196,19 +157,6 @@ TEST(TaskPerf, MeasurementsRunningMean) {
   EXPECT_FALSE(db.record_execution("unknown", host, 1.0).ok());
 }
 
-TEST(TaskPerf, AllTasksSorted) {
-  TaskPerformanceDb db;
-  for (const char* name : {"b", "a", "c"}) {
-    TaskPerfRecord rec;
-    rec.task_name = name;
-    db.register_task(rec);
-  }
-  auto all = db.all_tasks();
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0].task_name, "a");
-  EXPECT_EQ(all[2].task_name, "c");
-}
-
 // ---- task constraints ------------------------------------------------------------
 
 TEST(TaskConstraints, PathsAndFeasibility) {
@@ -253,32 +201,6 @@ TEST(SiteRepository, RegistersHostsFromTopology) {
 
 // ---- persistence -----------------------------------------------------------------
 
-TEST(ResourcePerf, SerializeRoundTrip) {
-  ResourcePerformanceDb db;
-  ResourceRecord rec = make_host(3, 1, "weird|name\nhost", 123.456);
-  rec.ip = "10.1.0.3";
-  rec.arch = "sparc";
-  rec.os = "sunos";
-  rec.machine_type = "SUN sparc";
-  (void)db.register_host(rec);
-  (void)db.record_workload(common::HostId(3),
-                           WorkloadSample{1.5, 0.75, 99.5});
-  (void)db.record_workload(common::HostId(3),
-                           WorkloadSample{2.5, 1.25, 88.0});
-  (void)db.set_host_up(common::HostId(3), false);
-
-  auto restored = ResourcePerformanceDb::deserialize(db.serialize());
-  ASSERT_TRUE(restored.has_value()) << restored.error().message;
-  auto got = restored->find(common::HostId(3));
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->host_name, "weird|name\nhost");
-  EXPECT_DOUBLE_EQ(got->speed_mflops, 123.456);
-  EXPECT_FALSE(got->up);
-  ASSERT_EQ(got->workload_history.size(), 2u);
-  EXPECT_DOUBLE_EQ(got->current_load(), 1.25);
-  EXPECT_DOUBLE_EQ(got->workload_history.front().available_mb, 99.5);
-}
-
 TEST(ResourcePerf, WorkloadHistoryEvictsOldestFirst) {
   ResourcePerformanceDb db;
   (void)db.register_host(make_host(0, 0, "a"));
@@ -304,118 +226,6 @@ TEST(ResourcePerf, WorkloadHistoryEvictsOldestFirst) {
   }
   EXPECT_DOUBLE_EQ(rec->workload_history.front().time, 5.0);
   EXPECT_DOUBLE_EQ(rec->last_sample_time(), static_cast<double>(total - 1));
-}
-
-TEST(ResourcePerf, SerializeRoundTripsFullWindow) {
-  ResourcePerformanceDb db;
-  (void)db.register_host(make_host(0, 0, "a"));
-  for (std::size_t i = 0; i < ResourceRecord::kHistoryLen + 3; ++i) {
-    const double t = static_cast<double>(i);
-    (void)db.record_workload(common::HostId(0),
-                             WorkloadSample{t, 0.25 * t, 64.0 + t});
-  }
-  auto restored = ResourcePerformanceDb::deserialize(db.serialize());
-  ASSERT_TRUE(restored.has_value()) << restored.error().message;
-  const ResourceRecord* a = db.record(common::HostId(0));
-  const ResourceRecord* b = restored->record(common::HostId(0));
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  ASSERT_EQ(b->workload_history.size(), ResourceRecord::kHistoryLen);
-  for (std::size_t i = 0; i < ResourceRecord::kHistoryLen; ++i) {
-    EXPECT_DOUBLE_EQ(b->workload_history[i].time, a->workload_history[i].time);
-    EXPECT_DOUBLE_EQ(b->workload_history[i].cpu_load,
-                     a->workload_history[i].cpu_load);
-    EXPECT_DOUBLE_EQ(b->workload_history[i].available_mb,
-                     a->workload_history[i].available_mb);
-  }
-  EXPECT_EQ(restored->serialize(), db.serialize());
-}
-
-TEST(ResourcePerf, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(ResourcePerformanceDb::deserialize("too|few|fields").has_value());
-  EXPECT_FALSE(ResourcePerformanceDb::deserialize(
-                   "x|0|n|ip|a|o|t|100|256|1|badsample")
-                   .has_value());
-}
-
-TEST(TaskPerf, SerializeRoundTrip) {
-  TaskPerformanceDb db;
-  TaskPerfRecord rec;
-  rec.task_name = "matrix.lu";
-  rec.computation_mflop = 2000;
-  rec.communication_bytes = 8e5;
-  rec.required_memory_mb = 16;
-  rec.base_exec_time = 20;
-  rec.parallel_fraction = 0.6;
-  db.register_task(rec);
-  (void)db.record_execution("matrix.lu", common::HostId(2), 18.5);
-  (void)db.record_execution("matrix.lu", common::HostId(2), 21.5);
-
-  auto restored = TaskPerformanceDb::deserialize(db.serialize());
-  ASSERT_TRUE(restored.has_value()) << restored.error().message;
-  auto got = restored->find("matrix.lu");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_DOUBLE_EQ(got->computation_mflop, 2000.0);
-  EXPECT_DOUBLE_EQ(got->parallel_fraction, 0.6);
-  auto measured = restored->measured("matrix.lu", common::HostId(2));
-  ASSERT_TRUE(measured.has_value());
-  EXPECT_DOUBLE_EQ(measured->mean, 20.0);
-  EXPECT_EQ(measured->count, 2u);
-}
-
-TEST(TaskPerf, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(TaskPerformanceDb::deserialize("frob|x").has_value());
-  EXPECT_FALSE(TaskPerformanceDb::deserialize("task|name|NaNope|1|1|1|1")
-                   .has_value());
-}
-
-TEST(TaskConstraints, SerializeRoundTrip) {
-  TaskConstraintsDb db;
-  db.register_executable("a.task", common::HostId(0), "/opt/a");
-  db.register_executable("a.task", common::HostId(2), "/usr/local/a");
-  db.register_executable("b.task", common::HostId(1), "/opt/b");
-  auto restored = TaskConstraintsDb::deserialize(db.serialize());
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->executable_path("a.task", common::HostId(2)).value(),
-            "/usr/local/a");
-  EXPECT_EQ(restored->hosts_for("a.task").size(), 2u);
-  EXPECT_TRUE(restored->runnable_on("b.task", common::HostId(1)));
-}
-
-TEST(SiteRepository, SaveAndLoadDirectory) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "vdce_repo_test").string();
-  std::filesystem::remove_all(dir);
-
-  SiteRepository repo{common::SiteId(1)};
-  (void)repo.users().add_user("alice", "pw", 5, AccessDomain::kGlobal);
-  (void)repo.resources().register_host(make_host(7, 1, "h7", 200));
-  TaskPerfRecord rec;
-  rec.task_name = "t";
-  rec.computation_mflop = 100;
-  repo.tasks().register_task(rec);
-  (void)repo.tasks().record_execution("t", common::HostId(7), 3.0);
-  repo.constraints().register_executable("t", common::HostId(7), "/opt/t");
-
-  ASSERT_TRUE(repo.save_to(dir).ok());
-  for (const char* file :
-       {"users.db", "resources.db", "tasks.db", "constraints.db"}) {
-    EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir) / file));
-  }
-
-  auto loaded = SiteRepository::load_from(dir, common::SiteId(1));
-  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
-  EXPECT_TRUE(loaded->users().authenticate("alice", "pw").has_value());
-  EXPECT_EQ(loaded->resources().find("h7")->host, common::HostId(7));
-  EXPECT_DOUBLE_EQ(loaded->tasks().measured("t", common::HostId(7))->mean, 3.0);
-  EXPECT_TRUE(loaded->constraints().runnable_on("t", common::HostId(7)));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SiteRepository, LoadFromMissingDirectoryFails) {
-  auto loaded = SiteRepository::load_from("/nonexistent/vdce", common::SiteId(0));
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.error().code, common::ErrorCode::kIoError);
 }
 
 }  // namespace

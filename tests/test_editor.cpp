@@ -1,9 +1,6 @@
 // Unit tests for the Application Editor substitute: builder, DSL, panels.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
-#include "editor/app_store.hpp"
 #include "editor/builder.hpp"
 #include "editor/dsl.hpp"
 #include "editor/panels.hpp"
@@ -213,74 +210,6 @@ TEST(Panels, LibraryMenuListsTasks) {
   std::string menu = render_library_menu(registry, "matrix");
   EXPECT_NE(menu.find("matrix.lu_decomposition"), std::string::npos);
   EXPECT_NE(menu.find("MFLOP"), std::string::npos);
-}
-
-// ---- application store ------------------------------------------------------
-
-afg::Afg stored_app(const std::string& name) {
-  AppBuilder builder(name);
-  auto a = builder.task("a", "synthetic.w100").output_data(1000);
-  auto b = builder.task("b", "synthetic.w200");
-  EXPECT_TRUE(builder.link(a, b).has_value());
-  return builder.build().value();
-}
-
-TEST(AppStore, SaveLoadList) {
-  AppStore store;
-  ASSERT_TRUE(store.save("user_k", stored_app("solver")).ok());
-  ASSERT_TRUE(store.save("user_k", stored_app("pipeline")).ok());
-  ASSERT_TRUE(store.save("other", stored_app("solver")).ok());
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ(store.list("user_k"),
-            (std::vector<std::string>{"pipeline", "solver"}));
-  auto loaded = store.load("user_k", "solver");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->task_count(), 2u);
-  EXPECT_FALSE(store.load("user_k", "ghost").has_value());
-  EXPECT_FALSE(store.load("ghost", "solver").has_value());
-}
-
-TEST(AppStore, SaveReplacesAndValidates) {
-  AppStore store;
-  ASSERT_TRUE(store.save("u", stored_app("x")).ok());
-  ASSERT_TRUE(store.save("u", stored_app("x")).ok());  // replace, no dup
-  EXPECT_EQ(store.size(), 1u);
-  afg::Afg invalid("broken");  // empty graph fails validation
-  EXPECT_FALSE(store.save("u", invalid).ok());
-  EXPECT_FALSE(store.save("", stored_app("x")).ok());
-}
-
-TEST(AppStore, Remove) {
-  AppStore store;
-  ASSERT_TRUE(store.save("u", stored_app("x")).ok());
-  EXPECT_TRUE(store.remove("u", "x").ok());
-  EXPECT_FALSE(store.remove("u", "x").ok());
-  EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(AppStore, DirectoryRoundTrip) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "vdce_appstore_test").string();
-  std::filesystem::remove_all(dir);
-
-  AppStore store;
-  ASSERT_TRUE(store.save("user_k", stored_app("My Solver")).ok());
-  ASSERT_TRUE(store.save("other", stored_app("b")).ok());
-  ASSERT_TRUE(store.save_to(dir).ok());
-  EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir) / "user_k" /
-                                      "My_Solver.afg"));
-
-  auto restored = AppStore::load_from(dir);
-  ASSERT_TRUE(restored.has_value()) << restored.error().message;
-  EXPECT_EQ(restored->size(), 2u);
-  auto loaded = restored->load("user_k", "My Solver");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->task_count(), 2u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(AppStore, LoadFromMissingDirectoryFails) {
-  EXPECT_FALSE(AppStore::load_from("/nonexistent/vdce_apps").has_value());
 }
 
 }  // namespace

@@ -71,6 +71,12 @@ TEST(Topology, LinkSelection) {
   // Inter-site: the declared WAN link.
   auto wan = t.link_between(common::HostId(0), common::HostId(3));
   EXPECT_DOUBLE_EQ(wan.latency, 0.030);
+  // A pair declared twice keeps its first declaration, in either order.
+  t.set_wan_link(common::SiteId(1), common::SiteId(0), LinkSpec{0.9, 1e3});
+  EXPECT_DOUBLE_EQ(
+      t.link_between(common::HostId(3), common::HostId(0)).latency, 0.030);
+  EXPECT_DOUBLE_EQ(t.wan_link(common::SiteId(0), common::SiteId(1)).latency,
+                   0.030);
 }
 
 TEST(Topology, TransferTimeFormula) {
@@ -88,6 +94,24 @@ TEST(Topology, DefaultWanForUndeclaredPairs) {
   t.add_host(s1, HostSpec{}, 0);
   t.set_default_wan(LinkSpec{0.5, 1e3});
   EXPECT_DOUBLE_EQ(t.wan_link(s0, s1).latency, 0.5);
+
+  // A site added after links exist starts undeclared, and its own links
+  // land in slots of their own.
+  t.set_wan_link(s1, s0, LinkSpec{0.2, 1e4});
+  auto s2 = t.add_site("c", LinkSpec{0.001, 1e6});
+  t.add_host(s2, HostSpec{}, 0);
+  EXPECT_DOUBLE_EQ(t.wan_link(s0, s1).latency, 0.2);
+  EXPECT_DOUBLE_EQ(t.wan_link(s2, s0).latency, 0.5);
+  t.set_wan_link(s2, s1, LinkSpec{0.3, 1e4});
+  EXPECT_DOUBLE_EQ(t.wan_link(s1, s2).latency, 0.3);
+  EXPECT_DOUBLE_EQ(t.wan_link(s0, s2).latency, 0.5);
+
+  // The default applies at lookup, so setting it last reaches every
+  // undeclared pair and no declared one.
+  t.set_default_wan(LinkSpec{0.7, 1e3});
+  EXPECT_DOUBLE_EQ(t.wan_link(s0, s2).latency, 0.7);
+  EXPECT_DOUBLE_EQ(t.wan_link(s0, s1).latency, 0.2);
+  EXPECT_DOUBLE_EQ(t.wan_link(s2, s1).latency, 0.3);
 }
 
 TEST(Topology, NearestSitesOrderedByLatency) {

@@ -294,14 +294,20 @@ TEST(ScaleDslFuzz, MalformedInputsReturnErrorsNotCrashes) {
   }
 
   // Truncation sweep: cutting a valid document at any byte must never crash
-  // the parser.
+  // the parser.  A prefix cut before the first task parses as an empty
+  // application, which validate() rejects; any other accepted prefix must
+  // be a coherent AFG.
   scale::WorkloadSpec spec;
   spec.tasks = 12;
   spec.seed = 4;
   const std::string valid = editor::write_afg(scale::make_workload(spec));
   for (std::size_t cut = 0; cut < valid.size(); cut += 7) {
     auto r = editor::parse_afg(valid.substr(0, cut));
-    if (r.has_value()) EXPECT_GE(r->task_count(), 0u);
+    if (!r.has_value()) {
+      EXPECT_FALSE(r.error().message.empty()) << "cut at byte " << cut;
+    } else if (r->task_count() > 0) {
+      EXPECT_TRUE(r->validate().ok()) << "cut at byte " << cut;
+    }
   }
 }
 

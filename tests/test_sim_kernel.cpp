@@ -10,35 +10,15 @@
 //     stress ties, cancellations, timers, bursts, and sparse horizons.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/strings.hpp"
 #include "sim/engine.hpp"
 #include "sim/legacy_engine.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Counts every heap allocation in the test binary so the steady-state test
-// can assert the kernel's schedule/fire/cancel path allocates nothing.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vdce {
 namespace {
@@ -65,13 +45,13 @@ TEST(SimTask, FatCapturesNearTheInlineBudgetNeverAllocate) {
   Fat fat{};
   fat.payload[0] = 42.0;
   double seen = 0.0;
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocation_count();
   {
     sim::Task t([fat, &seen] { seen = fat.payload[0]; });
     sim::Task moved = std::move(t);
     moved();
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "constructing/moving/invoking/destroying a Task must not allocate";
   EXPECT_EQ(seen, 42.0);
@@ -147,9 +127,9 @@ TEST(SimKernelAlloc, SteadyStateScheduleFireCancelIsAllocationFree) {
   ASSERT_GT(warm_ticks, 10000u);
   const std::size_t warm_capacity = engine.arena_capacity();
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocation_count();
   engine.run_until(192.0);
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocation_count();
 
   EXPECT_EQ(after - before, 0u)
       << "steady-state schedule/fire/cancel must not allocate";
@@ -209,7 +189,9 @@ TEST(SimKernelHandles, MillionScheduleCancelCyclesRecycleSlots) {
     EXPECT_FALSE(h.pending());
     if ((i & 1023) == 1023) {
       engine.run_until(engine.now() + 2.0);
-      if ((i & 0xffff) == 0xffff) EXPECT_FALSE(first.pending());
+      if ((i & 0xffff) == 0xffff) {
+        EXPECT_FALSE(first.pending());
+      }
     }
   }
   engine.run();
