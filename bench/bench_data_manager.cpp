@@ -32,7 +32,7 @@ Measured run_pair(VdceEnvironment& env, const Session& session,
                       .output_data(bytes);
   auto consumer =
       app.task("consumer", "synthetic.w1").prefer_machine(consumer_host);
-  app.link(producer, consumer).value();
+  if (!app.link(producer, consumer)) return {};
   afg::Afg graph = app.build().value();
 
   auto table = env.schedule(graph, session);
@@ -128,8 +128,10 @@ int main(int argc, char** argv) {
     auto p2 = app.task("p2", "synthetic.w1").prefer_machine(name(3))
                   .output_data(1e6);
     auto c2 = app.task("c2", "synthetic.w1").prefer_machine(name(4));
-    app.link(p1, c1).value();
-    app.link(p2, c2).value();
+    if (!app.link(p1, c1) || !app.link(p2, c2)) {
+      unscheduled += bench::strf(" %s: linking failed;", model);
+      continue;
+    }
     afg::Afg graph = app.build().value();
     auto rat = env2.schedule(graph, session2);
     if (!rat) {

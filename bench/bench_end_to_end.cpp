@@ -19,8 +19,9 @@ namespace {
 
 using namespace vdce;
 
-afg::Afg build_les(VdceEnvironment& env, std::size_t n, common::Rng& rng,
-                   tasklib::Matrix& a_out, tasklib::Vector& b_out) {
+common::Expected<afg::Afg> build_les(VdceEnvironment& env, std::size_t n,
+                                     common::Rng& rng, tasklib::Matrix& a_out,
+                                     tasklib::Vector& b_out) {
   a_out = tasklib::Matrix::random_diag_dominant(n, rng);
   b_out.assign(n, 0.0);
   for (double& v : b_out) v = rng.uniform(-3, 3);
@@ -36,14 +37,14 @@ afg::Afg build_les(VdceEnvironment& env, std::size_t n, common::Rng& rng,
                  .output_data(a_out.size_bytes());
   auto bwd = app.task("Bwd", "matrix.backward_substitution")
                  .output_data(static_cast<double>(n * sizeof(double)));
-  app.link(lu, fwd).value();
+  if (auto port = app.link(lu, fwd); !port) return port.error();
   fwd.input_file("/users/VDCE/u/vector_b.dat",
                  static_cast<double>(n * sizeof(double)));
-  app.link(fwd, bwd).value();
-  return app.build().value();
+  if (auto port = app.link(fwd, bwd); !port) return port.error();
+  return app.build();
 }
 
-afg::Afg build_c3i(VdceEnvironment& env, common::Rng& rng) {
+common::Expected<afg::Afg> build_c3i(VdceEnvironment& env, common::Rng& rng) {
   const std::size_t samples = 2048;
   std::vector<tasklib::Signal> channels;
   for (int c = 0; c < 4; ++c) {
@@ -68,13 +69,13 @@ afg::Afg build_c3i(VdceEnvironment& env, common::Rng& rng) {
       app.task("Filter", "signal.fir_filter").output_data(chan_bytes);
   auto detect = app.task("Detect", "signal.detect").output_data(1e4);
   auto fuse = app.task("Energy", "signal.energy").output_data(64);
-  app.link(beam, filter).value();
+  if (auto port = app.link(beam, filter); !port) return port.error();
   filter.input_file("/users/VDCE/u/taps",
                     static_cast<double>(taps.size() * sizeof(double)));
-  app.link(filter, detect).value();
+  if (auto port = app.link(filter, detect); !port) return port.error();
   detect.input_file("/users/VDCE/u/thresh", 8);
-  app.link(filter, fuse).value();
-  return app.build().value();
+  if (auto port = app.link(filter, fuse); !port) return port.error();
+  return app.build();
 }
 
 }  // namespace
@@ -106,9 +107,15 @@ int main(int argc, char** argv) {
 
       tasklib::Matrix a;
       tasklib::Vector b;
-      afg::Afg graph = std::string(which) == "LES"
-                           ? build_les(env, 48, rng, a, b)
-                           : build_c3i(env, rng);
+      auto built = std::string(which) == "LES"
+                       ? build_les(env, 48, rng, a, b)
+                       : build_c3i(env, rng);
+      if (!built) {
+        std::fprintf(stderr, "%s: %s\n", which,
+                     built.error().to_string().c_str());
+        return 1;
+      }
+      const afg::Afg& graph = *built;
 
       env.fabric().reset_stats();
       double t0 = env.now();

@@ -12,9 +12,25 @@
 // and background load enabled so the prediction-driven scheduler has real
 // heterogeneity to work against.
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "vdce/vdce.hpp"
+
+namespace {
+
+/// Wire `src` to `dst`, or print why not and exit 1.
+void link_or_exit(vdce::editor::AppBuilder& app,
+                  const vdce::editor::TaskHandle& src,
+                  const vdce::editor::TaskHandle& dst) {
+  if (auto port = app.link(src, dst); !port) {
+    std::fprintf(stderr, "link failed: %s\n",
+                 port.error().to_string().c_str());
+    std::exit(1);
+  }
+}
+
+}  // namespace
 
 int main() {
   using namespace vdce;
@@ -66,12 +82,12 @@ int main() {
                     .output_data(chan_bytes);
   auto detect = app.task("Detect", "signal.detect").output_data(1e4);
   auto fuse = app.task("Track_Energy", "signal.energy").output_data(64);
-  app.link(beam, filter).value();
+  link_or_exit(app, beam, filter);
   filter.input_file("/users/VDCE/analyst/lowpass.taps",
                     static_cast<double>(taps.size() * sizeof(double)));
-  app.link(filter, detect).value();
+  link_or_exit(app, filter, detect);
   detect.input_file("/users/VDCE/analyst/threshold.dat", 8);
-  app.link(filter, fuse).value();
+  link_or_exit(app, filter, fuse);
   afg::Afg graph = app.build().value();
 
   std::puts(editor::render_afg_summary(graph).c_str());

@@ -10,8 +10,24 @@
 // graph across the simulated testbed.  At the end it checks A·x = b against
 // the value that actually flowed through the Data Managers.
 #include <cstdio>
+#include <cstdlib>
 
 #include "vdce/vdce.hpp"
+
+namespace {
+
+/// Wire `src` to `dst`, or print why not and exit 1.
+void link_or_exit(vdce::editor::AppBuilder& app,
+                  const vdce::editor::TaskHandle& src,
+                  const vdce::editor::TaskHandle& dst) {
+  if (auto port = app.link(src, dst); !port) {
+    std::fprintf(stderr, "link failed: %s\n",
+                 port.error().to_string().c_str());
+    std::exit(1);
+  }
+}
+
+}  // namespace
 
 int main() {
   using namespace vdce;
@@ -51,11 +67,11 @@ int main() {
   auto bwd = app.task("Backward_Substitution", "matrix.backward_substitution")
                  .output_file("/users/VDCE/user_k/vector_X.dat",
                               static_cast<double>(n * sizeof(double)));
-  app.link(mm, lu).value();
-  app.link(lu, fwd).value();
+  link_or_exit(app, mm, lu);
+  link_or_exit(app, lu, fwd);
   fwd.input_file("/users/VDCE/user_k/vector_b.dat",
                  static_cast<double>(n * sizeof(double)));
-  app.link(fwd, bwd).value();
+  link_or_exit(app, fwd, bwd);
   afg::Afg graph = app.build().value();
 
   // The editor's views: flow graph + per-task properties panels.

@@ -32,9 +32,11 @@ int main() {
   auto right = app.task("producer_right", "synthetic.w600").output_data(2e5);
   auto combine = app.task("combine", "synthetic.w400").output_data(5e4);
   auto finish = app.task("finish", "synthetic.w200");
-  app.link(left, combine).value();
-  app.link(right, combine).value();
-  app.link(combine, finish).value();
+  if (!app.link(left, combine) || !app.link(right, combine) ||
+      !app.link(combine, finish)) {
+    std::fprintf(stderr, "linking the application graph failed\n");
+    return 1;
+  }
   afg::Afg graph = app.build().value();
 
   std::puts(editor::render_afg_summary(graph).c_str());

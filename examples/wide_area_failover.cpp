@@ -8,9 +8,11 @@
 //   4. the coordinator re-places the stranded tasks (cascading to parents
 //      whose cached outputs died with the machine) and re-pulls inputs,
 //   5. the application completes with failures_survived > 0.
+// The report's describe() prints every recovery event (host down, re-place,
+// pin) the runtime took; the same events also reach the JSONL trace and the
+// flight recorder when those are enabled.
 #include <cstdio>
 
-#include "common/logging.hpp"
 #include "vdce/vdce.hpp"
 
 int main() {
@@ -19,8 +21,6 @@ int main() {
   EnvironmentOptions options;
   options.runtime.echo_period = 1.0;
   options.runtime.progress_period = 2.0;
-  // Narrate the runtime protocol while this demo runs.
-  options.log_level = common::LogLevel::kInfo;
   options.metrics.enabled = true;
   VdceEnvironment env(make_campus_pair(23), options);
   env.bring_up();
@@ -55,7 +55,6 @@ int main() {
   RunOptions run;
   run.real_kernels = false;
   auto report = env.execute_with_table(graph, *table, session, run);
-  env.set_log_level(common::LogLevel::kOff);
   if (!report) {
     std::fprintf(stderr, "execution failed: %s\n",
                  report.error().to_string().c_str());

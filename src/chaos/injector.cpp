@@ -280,7 +280,7 @@ void ChaosInjector::schedule_event(std::size_t index, HostId host) {
       engine_.schedule(delay, [this, index, host] {
         const FaultEvent& e = plan_.events()[index];
         const std::vector<HostId> targets = stale_targets(e, host);
-        for (HostId h : targets) muted_hosts_.push_back(h);
+        for (HostId h : targets) ++topology_.host(h).state.monitor_mutes;
         ++faults_injected_;
         std::string what = "stale ";
         what += !e.host.empty()
@@ -295,10 +295,7 @@ void ChaosInjector::schedule_event(std::size_t index, HostId host) {
         engine_.schedule(delay + event.duration, [this, index, host] {
           const FaultEvent& e = plan_.events()[index];
           const std::vector<HostId> targets = stale_targets(e, host);
-          for (HostId h : targets) {
-            auto it = std::find(muted_hosts_.begin(), muted_hosts_.end(), h);
-            if (it != muted_hosts_.end()) muted_hosts_.erase(it);
-          }
+          for (HostId h : targets) --topology_.host(h).state.monitor_mutes;
           std::string what = "stale ";
           what += !e.host.empty() ? host_label(topology_, targets.front())
                                   : "site " + std::to_string(e.site_a);
@@ -356,11 +353,6 @@ net::LinkSpec ChaosInjector::adjust_link(net::HostId src, net::HostId dst,
     }
   }
   return link;
-}
-
-bool ChaosInjector::monitor_muted(HostId host) const {
-  return std::find(muted_hosts_.begin(), muted_hosts_.end(), host) !=
-         muted_hosts_.end();
 }
 
 void ChaosInjector::record(std::string what) {

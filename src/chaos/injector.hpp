@@ -12,9 +12,11 @@
 //                     spikes park extra CPU load on a host (slowing running
 //                     tasks and, past the overload threshold, provoking
 //                     terminate-and-reschedule).
-//   * runtime       — stale-monitor windows mute monitor daemons through
-//                     RuntimeCore::monitor_muted, starving the repositories
-//                     of fresh data.
+//   * runtime       — stale-monitor windows count up the host's
+//                     HostState::monitor_mutes, which the monitor daemon
+//                     reads (as it reads up/down and load) and, while it is
+//                     above zero, skips its samples, starving the
+//                     repositories of fresh data.
 //
 // Every injected fault emits a `chaos.*` trace instant (when tracing is on)
 // and appends a FaultRecord to the injector's log; the log's text rendering
@@ -63,9 +65,6 @@ class ChaosInjector final : public net::FaultInterceptor {
   [[nodiscard]] bool should_drop(const net::Message& msg) override;
   [[nodiscard]] net::LinkSpec adjust_link(net::HostId src, net::HostId dst,
                                           net::LinkSpec link) override;
-
-  /// Is `host`'s monitor daemon muted right now (stale-data window)?
-  [[nodiscard]] bool monitor_muted(common::HostId host) const;
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
@@ -137,7 +136,6 @@ class ChaosInjector final : public net::FaultInterceptor {
   std::vector<ActivePartition> partitions_;
   std::vector<ActiveLoss> losses_;
   std::vector<ActiveDegrade> degrades_;
-  std::vector<common::HostId> muted_hosts_;
 
   std::vector<FaultRecord> log_;
   std::uint64_t total_dropped_ = 0;

@@ -121,6 +121,9 @@ common::Expected<afg::Afg> parse_afg(const std::string& text) {
       if (tokens.size() < 2) return line_error(line_no, "application needs a name");
       // Re-join so quoted names may contain spaces.
       std::string name(common::trim(line.substr(std::string("application").size())));
+      if (name.front() == '"' && (name.size() < 2 || name.back() != '"')) {
+        return line_error(line_no, "unterminated quote in application name");
+      }
       graph.set_name(strip_quotes(name));
       saw_application = true;
       continue;
@@ -226,6 +229,10 @@ common::Expected<afg::Afg> parse_afg(const std::string& text) {
   if (!saw_application) {
     return common::Error{common::ErrorCode::kParseError,
                          "missing 'application' line"};
+  }
+  if (graph.task_count() == 0) {
+    return common::Error{common::ErrorCode::kParseError,
+                         "application '" + graph.name() + "' has no task"};
   }
 
   for (const PendingEdge& e : pending_edges) {

@@ -62,6 +62,9 @@ struct HostState {
   double cpu_load = 0.0;
   double available_mb = 0.0;  ///< free memory; initialized to spec memory
   int running_tasks = 0;      ///< VDCE tasks currently placed here
+  /// Open stale-monitor windows (chaos plane): while > 0 the host's monitor
+  /// daemon skips its samples.  A count, so overlapping windows nest.
+  int monitor_mutes = 0;
 };
 
 struct Host {

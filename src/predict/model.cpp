@@ -13,6 +13,19 @@ constexpr common::SimDuration kParallelSyncOverhead = 0.01;
 /// (paging); infeasible if required exceeds *total* memory.
 constexpr double kPagingPenalty = 4.0;
 
+/// Amdahl time of `task` on `nodes` hosts gated by the slowest effective
+/// speed: the serial fraction runs on one node, the parallel fraction is
+/// split across all of them, and each node adds a synchronization overhead.
+double amdahl_time(const db::TaskPerfRecord& task, double slowest,
+                   std::size_t nodes) {
+  if (nodes == 1) return task.computation_mflop / slowest;
+  const auto n = static_cast<double>(nodes);
+  const double pf = std::clamp(task.parallel_fraction, 0.0, 1.0);
+  return task.computation_mflop * (1.0 - pf) / slowest +
+         task.computation_mflop * pf / (slowest * n) +
+         kParallelSyncOverhead * n;
+}
+
 }  // namespace
 
 double Predictor::effective_mflops(const db::ResourceRecord& host) {
@@ -101,16 +114,7 @@ common::Expected<common::SimDuration> Predictor::predict(
                          "host reports non-positive effective speed"};
   }
 
-  const auto n = static_cast<double>(hosts.size());
-  const double pf = std::clamp(task.parallel_fraction, 0.0, 1.0);
-  double time;
-  if (hosts.size() == 1) {
-    time = task.computation_mflop / slowest;
-  } else {
-    time = task.computation_mflop * (1.0 - pf) / slowest +
-           task.computation_mflop * pf / (slowest * n) +
-           kParallelSyncOverhead * n;
-  }
+  double time = amdahl_time(task, slowest, hosts.size());
 
   // Paging penalty when the task does not fit in *available* memory.
   for (const db::ResourceRecord& h : hosts) {
@@ -142,58 +146,10 @@ double GroundTruthModel::rate_mflops(
   }
   slowest = std::max(slowest, 1e-6);
 
-  const auto n = static_cast<double>(hosts.size());
-  const double pf = std::clamp(task.parallel_fraction, 0.0, 1.0);
-  double time;
-  if (hosts.size() == 1) {
-    time = task.computation_mflop / slowest;
-  } else {
-    time = task.computation_mflop * (1.0 - pf) / slowest +
-           task.computation_mflop * pf / (slowest * n) +
-           kParallelSyncOverhead * n;
-  }
+  double time = amdahl_time(task, slowest, hosts.size());
   if (task.required_memory_mb > min_avail_mb) time *= kPagingPenalty;
   time = std::max(time, 1e-9);
   return std::max(task.computation_mflop, 1e-3) / time;
-}
-
-common::SimDuration GroundTruthModel::actual_time(
-    const db::TaskPerfRecord& task, const std::vector<common::HostId>& hosts,
-    common::Rng& rng) const {
-  assert(!hosts.empty());
-
-  // Same formula as the Predictor, but over live topology state.
-  double slowest = 0.0;
-  bool first = true;
-  double min_avail_mb = 0.0;
-  for (common::HostId hid : hosts) {
-    const net::Host& h = topology_.host(hid);
-    double eff = h.spec.speed_mflops / (1.0 + std::max(0.0, h.state.cpu_load));
-    if (first || eff < slowest) slowest = eff;
-    if (first || h.state.available_mb < min_avail_mb) {
-      min_avail_mb = h.state.available_mb;
-    }
-    first = false;
-  }
-  slowest = std::max(slowest, 1e-6);
-
-  const auto n = static_cast<double>(hosts.size());
-  const double pf = std::clamp(task.parallel_fraction, 0.0, 1.0);
-  double time;
-  if (hosts.size() == 1) {
-    time = task.computation_mflop / slowest;
-  } else {
-    time = task.computation_mflop * (1.0 - pf) / slowest +
-           task.computation_mflop * pf / (slowest * n) +
-           kParallelSyncOverhead * n;
-  }
-  if (task.required_memory_mb > min_avail_mb) time *= kPagingPenalty;
-
-  if (noise_cv_ > 0.0) {
-    // Multiplicative log-ish noise, floored so time stays positive.
-    time *= rng.normal(1.0, noise_cv_, 0.05);
-  }
-  return time;
 }
 
 }  // namespace vdce::predict

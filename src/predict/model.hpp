@@ -27,7 +27,6 @@
 
 #include "afg/graph.hpp"
 #include "common/expected.hpp"
-#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "db/resource_perf.hpp"
 #include "db/task_perf.hpp"
@@ -65,22 +64,14 @@ class Predictor {
 };
 
 /// Ground truth: what an execution *actually* costs on the live topology.
-/// Same functional form as the Predictor but reading true host state and
-/// adding multiplicative noise — the gap between this and the prediction is
-/// precisely what experiments E3/E6 quantify.
+/// Same functional form as the Predictor but reading true host state — the
+/// gap between this and the prediction is precisely what experiments E3/E6
+/// quantify.  Run-to-run noise is the Data Manager's own draw
+/// (RuntimeOptions::exec_noise_cv).
 class GroundTruthModel {
  public:
-  /// `noise_cv` is the coefficient of variation of the multiplicative noise
-  /// (0 = perfectly deterministic executions).
-  GroundTruthModel(const net::Topology& topology, double noise_cv)
-      : topology_(topology), noise_cv_(noise_cv) {}
-
-  /// Actual execution time of `task` on live hosts `hosts` (parallel tasks
-  /// pass all assigned nodes).  Never fails: an overloaded host just runs
-  /// slowly.
-  common::SimDuration actual_time(const db::TaskPerfRecord& task,
-                                  const std::vector<common::HostId>& hosts,
-                                  common::Rng& rng) const;
+  explicit GroundTruthModel(const net::Topology& topology)
+      : topology_(topology) {}
 
   /// Instantaneous progress rate (MFLOP/s) of the task under *current* live
   /// loads.  The Data Manager executes tasks in quanta, re-reading this
@@ -95,7 +86,6 @@ class GroundTruthModel {
 
  private:
   const net::Topology& topology_;
-  double noise_cv_;
 };
 
 }  // namespace vdce::predict

@@ -1,8 +1,5 @@
 #include "runtime/app_controller.hpp"
 
-#include "common/logging.hpp"
-#include "common/strings.hpp"
-
 namespace vdce::runtime {
 
 void AppController::start() {
@@ -48,11 +45,6 @@ void AppController::check_load() {
   if (h.state.cpu_load <= core_.options().overload_threshold) return;
 
   for (const DataManager::Aborted& aborted : dm_.abort_running()) {
-    VDCE_LOG(kInfo, "app-ctrl", core_.now())
-        << "host " << h.spec.name << " overloaded (load "
-        << common::format_double(h.state.cpu_load, 2)
-        << "); terminating task " << aborted.task.value()
-        << " and requesting reschedule";
     core_.flight(obs::FlightCode::kOverload, host_.value(),
                  aborted.app.value(), aborted.task.value(), h.state.cpu_load);
     if (core_.metering()) {

@@ -2,11 +2,11 @@
 //
 // One RuntimeCore exists per simulated environment; every daemon holds a
 // reference.  It owns the models (prediction, ground-truth execution time)
-// and the runtime RNG, and carries references to the engine/fabric/topology
-// and the per-site repositories the daemons read and write.
+// and the runtime RNG, and carries references to the engine/fabric/topology,
+// the per-site repositories the daemons read and write, and the user object
+// store the I/O service writes output files into.
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -21,6 +21,8 @@
 #include "sim/engine.hpp"
 
 namespace vdce::runtime {
+
+class ObjectStore;  // runtime/services.hpp
 
 struct RuntimeOptions {
   // --- monitoring (§4.1) ---
@@ -54,14 +56,16 @@ struct RuntimeOptions {
 class RuntimeCore {
  public:
   RuntimeCore(sim::Engine& engine, net::Fabric& fabric, net::Topology& topology,
-              std::vector<db::SiteRepository*> repos, RuntimeOptions options)
+              std::vector<db::SiteRepository*> repos, ObjectStore& store,
+              RuntimeOptions options)
       : engine_(engine),
         fabric_(fabric),
         topology_(topology),
         repos_(std::move(repos)),
+        store_(store),
         options_(options),
         predictor_(),
-        ground_truth_(topology, options.exec_noise_cv),
+        ground_truth_(topology),
         rng_(options.seed) {}
 
   RuntimeCore(const RuntimeCore&) = delete;
@@ -79,6 +83,8 @@ class RuntimeCore {
   [[nodiscard]] const std::vector<db::SiteRepository*>& repos() const noexcept {
     return repos_;
   }
+  /// The user's VDCE file space (I/O service, runtime/services.hpp).
+  [[nodiscard]] ObjectStore& store() noexcept { return store_; }
   [[nodiscard]] const RuntimeOptions& options() const noexcept {
     return options_;
   }
@@ -104,18 +110,6 @@ class RuntimeCore {
   }
 
   [[nodiscard]] common::SimTime now() const noexcept { return engine_.now(); }
-
-  // --- fault injection ------------------------------------------------------
-  /// Install the chaos plane's monitor-mute predicate (null detaches).  A
-  /// muted host's monitor daemon skips its samples, so the repositories
-  /// serve progressively staler data (the stale-monitor fault).  A callback
-  /// rather than a ChaosInjector* keeps runtime independent of vdce::chaos.
-  void set_monitor_mute(std::function<bool(common::HostId)> muted) {
-    monitor_muted_ = std::move(muted);
-  }
-  [[nodiscard]] bool monitor_muted(common::HostId host) const {
-    return monitor_muted_ && monitor_muted_(host);
-  }
 
   // --- observability -------------------------------------------------------
   /// Attach the environment's Observability (null detaches).  Daemons guard
@@ -171,13 +165,13 @@ class RuntimeCore {
   net::Fabric& fabric_;
   net::Topology& topology_;
   std::vector<db::SiteRepository*> repos_;
+  ObjectStore& store_;
   RuntimeOptions options_;
   predict::Predictor predictor_;
   predict::GroundTruthModel ground_truth_;
   sched::WindowTable reservations_;
   common::Rng rng_;
   obs::Observability* obs_ = nullptr;
-  std::function<bool(common::HostId)> monitor_muted_;
 };
 
 }  // namespace vdce::runtime

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <set>
 
-#include "common/logging.hpp"
 #include "common/strings.hpp"
 
 namespace vdce::runtime {
@@ -286,10 +285,6 @@ void DataManager::maybe_start(common::AppId app) {
     core_.topology().add_cpu_load(h, +1.0);
     ++core_.topology().host(h).state.running_tasks;
   }
-
-  VDCE_LOG(kDebug, "data-mgr", core_.now())
-      << "host " << host_.value() << " starts "
-      << plan.graph->task(task.id).instance_name;
 
   run_quantum(app, task_value);
 }

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/logging.hpp"
-
 namespace vdce::runtime {
 
 void GroupManager::start() {
@@ -85,9 +83,6 @@ void GroupManager::echo_tick() {
       if (member == leader_) continue;  // the leader vouches for itself
       if (state.alive_round == echo_seq_ || state.reported_down) continue;
       state.reported_down = true;
-      VDCE_LOG(kInfo, "group-mgr", core_.now())
-          << "host " << core_.topology().host(member).spec.name
-          << " failed echo round " << echo_seq_;
       if (core_.metering()) {
         core_.meters().counter("monitor.failures_detected").add();
       }

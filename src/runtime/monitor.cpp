@@ -1,7 +1,5 @@
 #include "runtime/monitor.hpp"
 
-#include "common/logging.hpp"
-
 namespace vdce::runtime {
 
 void MonitorDaemon::start() {
@@ -32,7 +30,7 @@ void MonitorDaemon::sample_and_report() {
   if (!h.state.up) return;  // a dead host measures nothing
   // Stale-monitor fault window: the daemon is alive (echoes still answer)
   // but its samples go missing, so repository data for this host ages.
-  if (core_.monitor_muted(host_)) {
+  if (h.state.monitor_mutes > 0) {
     if (core_.metering()) core_.meters().counter("monitor.samples_muted").add();
     return;
   }

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "econ/econ.hpp"
+#include "runtime/services.hpp"
 #include "sched/host_selection.hpp"
 #include "sched/strategy.hpp"
 
@@ -49,9 +49,6 @@ void SiteManager::leader_echo_tick() {
         continue;
       }
       state.reported_down = true;
-      VDCE_LOG(kInfo, "site-mgr", core_.now())
-          << "group leader " << core_.topology().host(leader).spec.name
-          << " failed echo round " << leader_echo_seq_;
       // Reuse the gm.host_down path: mark down, broadcast, recover apps.
       on_gm_host_down(net::Message{server_, server_, msg::kGmHostDown, 0,
                                    HostDownNotice{leader}});
@@ -120,10 +117,10 @@ void SiteManager::handle(const net::Message& message) {
   } else if (message.type == msg::kSmEchoReply) {
     on_sm_echo_reply(message);
   } else if (message.type == msg::kDmOutput) {
+    // I/O service: output files (Fig. 1's vector_X.dat) land back in the
+    // user's object store.
     const auto& output = *message.payload.get<OutputFilePtr>();
-    if (output_sink_) {
-      output_sink_(output.path, output.value, output.size_bytes);
-    }
+    core_.store().put(output.path, output.value, output.size_bytes);
   }
 }
 
@@ -140,9 +137,6 @@ void SiteManager::on_gm_report(const net::Message& message) {
 
 void SiteManager::on_gm_host_down(const net::Message& message) {
   const auto& notice = message.payload.get<HostDownNotice>();
-  VDCE_LOG(kInfo, "site-mgr", core_.now())
-      << "site " << site_.value() << " marks host " << notice.host.value()
-      << " down";
   core_.flight(obs::FlightCode::kHostDown, notice.host.value());
   if (core_.metering()) core_.meters().counter("recovery.hosts_marked_down").add();
   core_.health_event(obs::health::kRecoveryActions,
@@ -286,10 +280,6 @@ void SiteManager::schedule_application(common::AppId app,
   core_.engine().schedule(core_.options().bid_timeout,
                           [this, app_value = app.value()] {
                             if (pending_.contains(app_value)) {
-                              VDCE_LOG(kInfo, "site-mgr", core_.now())
-                                  << "bid deadline reached for app "
-                                  << app_value << "; assigning with partial "
-                                  << "host-selection outputs";
                               finish_schedule(app_value);
                             }
                           });
@@ -573,9 +563,6 @@ void SiteManager::on_ac_overload(const net::Message& message) {
   // pin it — moving again under fleet-wide load just keeps resetting its
   // progress to zero.
   if (app.attempts[notice.task.value()] >= kMaxTaskAttempts) {
-    VDCE_LOG(kInfo, "site-mgr", core_.now())
-        << "task " << app.plan->graph->task(notice.task).instance_name
-        << " hit the attempt cap; pinning on host " << notice.host.value();
     if (core_.metering()) core_.meters().counter("recovery.task_pins").add();
     core_.health_event(obs::health::kRecoveryActions,
                        static_cast<std::int64_t>(notice.host.value()),
@@ -750,10 +737,6 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
     return;
   }
 
-  VDCE_LOG(kInfo, "site-mgr", core_.now())
-      << "rescheduling " << node.instance_name << " to host "
-      << chosen.primary_host().value() << " (site " << chosen.site.value()
-      << ")";
   core_.flight(obs::FlightCode::kRecovery, bad_host.value(),
                app.plan->app.value(), task.value());
   if (core_.metering()) core_.meters().counter("recovery.reschedules").add();

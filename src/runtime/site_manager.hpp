@@ -97,13 +97,6 @@ class SiteManager {
   void suspend_application(common::AppId app);
   void resume_application(common::AppId app);
 
-  /// I/O service hook: where arriving output files (dm.output) are written.
-  /// The environment points this at the user object store.
-  using OutputSink =
-      std::function<void(const std::string& path, tasklib::Value value,
-                         double size_bytes)>;
-  void set_output_sink(OutputSink sink) { output_sink_ = std::move(sink); }
-
   [[nodiscard]] common::SiteId site() const noexcept { return site_; }
   [[nodiscard]] common::HostId server() const noexcept { return server_; }
 
@@ -235,7 +228,6 @@ class SiteManager {
 
   std::unordered_map<std::uint32_t, PendingSchedule> pending_;
   std::unordered_map<std::uint32_t, ActiveApp> apps_;
-  OutputSink output_sink_;
 };
 
 }  // namespace vdce::runtime

@@ -26,7 +26,6 @@ VdceEnvironment::VdceEnvironment(net::Topology topology,
       obs_(options.metrics, options.trace, options.flight, options.health),
       fabric_(engine_, topology_),
       admission_(options.tenancy) {
-  set_log_level(options_.log_level);
   fabric_.set_observability(&obs_);
   tasklib::register_standard_libraries(registry_);
 }
@@ -57,7 +56,8 @@ common::Status VdceEnvironment::try_bring_up() {
   }
 
   core_ = std::make_unique<runtime::RuntimeCore>(
-      engine_, fabric_, topology_, std::move(repo_ptrs), options_.runtime);
+      engine_, fabric_, topology_, std::move(repo_ptrs), store_,
+      options_.runtime);
   core_->set_observability(&obs_);
 
   // Describe every host track so exporters (Chrome trace, vdce-inspect) can
@@ -80,17 +80,6 @@ common::Status VdceEnvironment::try_bring_up() {
   }
   for (auto& agent : agents_) agent->start();
 
-  // Wire every Site Manager's I/O service to the user object store, so
-  // output files (Fig. 1's vector_X.dat) land back in the user's space.
-  for (auto& agent : agents_) {
-    if (runtime::SiteManager* manager = agent->site_manager()) {
-      manager->set_output_sink([this](const std::string& path,
-                                      tasklib::Value value, double bytes) {
-        store_.put(path, std::move(value), bytes);
-      });
-    }
-  }
-
   if (options_.background_load) {
     load_generator_ = std::make_unique<runtime::BackgroundLoadGenerator>(
         engine_, topology_, core_->rng().fork(), options_.load);
@@ -108,8 +97,6 @@ common::Status VdceEnvironment::try_bring_up() {
       return armed;
     }
     fabric_.set_fault_interceptor(chaos_.get());
-    core_->set_monitor_mute(
-        [this](common::HostId h) { return chaos_->monitor_muted(h); });
   }
 
   // Health probes and rule evaluation start once everything else is wired,

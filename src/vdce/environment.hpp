@@ -32,7 +32,6 @@
 #include "chaos/fault_plan.hpp"
 #include "chaos/injector.hpp"
 #include "common/expected.hpp"
-#include "common/logging.hpp"
 #include "db/site_repository.hpp"
 #include "obs/obs.hpp"
 #include "dsm/dsm.hpp"
@@ -133,9 +132,6 @@ struct EnvironmentOptions {
   /// vdce-inspect --alerts).  Off by default; a disabled plane registers
   /// nothing and leaves traces byte-identical to a build without it.
   obs::health::HealthOptions health;
-  /// Console log verbosity for the whole environment.  Prefer this (and
-  /// set_log_level()) over poking common::Logger::instance() directly.
-  common::LogLevel log_level = common::LogLevel::kOff;
 
   /// Deterministic fault injection: when non-empty, bring-up arms this plan
   /// against the environment (crashes, partitions, loss, slowdowns, stale
@@ -307,15 +303,6 @@ class VdceEnvironment {
   /// enabled — a disabled plane just holds no series and no alerts.
   [[nodiscard]] obs::health::HealthPlane& health() noexcept {
     return obs_.health();
-  }
-
-  /// Console log verbosity (the supported replacement for poking
-  /// common::Logger::instance() in user code).
-  void set_log_level(common::LogLevel level) {
-    common::Logger::instance().set_level(level);
-  }
-  [[nodiscard]] common::LogLevel log_level() const {
-    return common::Logger::instance().level();
   }
 
   /// Start the distributed-shared-memory service (the paper's §5 future

@@ -242,6 +242,34 @@ TEST(Chaos, StaleWindowMutesMonitorSamples) {
   }
 }
 
+TEST(Chaos, OverlappingStaleWindowsNest) {
+  // One host inside two stale windows: its own [1, 4) and its site's
+  // [2, 7).  The first window ending must not unmute it while the second is
+  // still open.
+  net::Topology topology = make_campus_pair(13);
+  const common::SiteId site(0);
+  const common::HostId host = topology.site(site).hosts[1];
+  chaos::FaultPlan plan;
+  plan.stale_host(host, 1.0, 3.0).stale_site(0, 2.0, 5.0);
+  EnvironmentOptions options = chaos_options(std::move(plan));
+  options.runtime.significant_change = 0.0;  // forward every sample
+  VdceEnvironment env(std::move(topology), std::move(options));
+  ASSERT_TRUE(env.try_bring_up().ok());
+  auto newest_sample = [&] {
+    auto rec = env.repo(site).resources().find(host);
+    EXPECT_TRUE(rec.has_value() && !rec->workload_history.empty());
+    return rec->workload_history.back().time;
+  };
+
+  env.run_for(3.5);
+  const common::SimTime before = newest_sample();
+  EXPECT_LT(before, 1.0);
+  env.run_for(3.0);  // t = 6.5: the host window closed at 4, the site's is open
+  EXPECT_EQ(newest_sample(), before);
+  env.run_for(2.5);  // t = 9: both windows closed
+  EXPECT_GT(newest_sample(), 7.0);
+}
+
 // --- recovery through injected faults --------------------------------------
 
 /// A two-stage pinned chain on named machines, so the crash victim is known

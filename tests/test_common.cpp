@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "common/expected.hpp"
-#include "common/logging.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -211,33 +210,6 @@ TEST(Stats, SummaryMentionsCount) {
   EXPECT_NE(s.summary().find("n=1"), std::string::npos);
   Stats empty;
   EXPECT_EQ(empty.summary(), "n=0");
-}
-
-// ---- logging -------------------------------------------------------------------
-
-TEST(Logging, LevelGatingAndOrdering) {
-  Logger& logger = Logger::instance();
-  LogLevel previous = logger.level();
-  logger.set_level(LogLevel::kWarn);
-  EXPECT_FALSE(logger.enabled(LogLevel::kDebug));
-  EXPECT_FALSE(logger.enabled(LogLevel::kInfo));
-  EXPECT_TRUE(logger.enabled(LogLevel::kWarn));
-  EXPECT_TRUE(logger.enabled(LogLevel::kError));
-  logger.set_level(LogLevel::kOff);
-  EXPECT_FALSE(logger.enabled(LogLevel::kError));
-  logger.set_level(previous);
-}
-
-TEST(Logging, LevelNames) {
-  EXPECT_STREQ(to_string(LogLevel::kTrace), "TRACE");
-  EXPECT_STREQ(to_string(LogLevel::kError), "ERROR");
-  EXPECT_STREQ(to_string(LogLevel::kOff), "OFF");
-}
-
-TEST(Logging, LogLineIsCheapWhenDisabled) {
-  Logger::instance().set_level(LogLevel::kOff);
-  // Must not crash or emit; streaming into a disabled line is a no-op.
-  VDCE_LOG(kInfo, "test", 1.0) << "invisible " << 42;
 }
 
 // ---- time ---------------------------------------------------------------------

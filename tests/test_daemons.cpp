@@ -10,6 +10,7 @@
 #include "runtime/data_manager.hpp"
 #include "runtime/group_manager.hpp"
 #include "runtime/protocol.hpp"
+#include "runtime/services.hpp"
 #include "sched/support.hpp"
 #include "tasklib/registry.hpp"
 #include "vdce/testbed.hpp"
@@ -34,7 +35,7 @@ struct DaemonFixture : ::testing::Test {
     RuntimeOptions options;
     options.exec_noise_cv = 0.0;
     core = std::make_unique<RuntimeCore>(engine, fabric, topology,
-                                         std::move(repo_ptrs), options);
+                                         std::move(repo_ptrs), store, options);
   }
 
   common::HostId host(std::size_t site, std::size_t index) {
@@ -71,6 +72,7 @@ struct DaemonFixture : ::testing::Test {
   net::Fabric fabric;
   tasklib::TaskRegistry registry;
   std::vector<std::unique_ptr<db::SiteRepository>> repos;
+  ObjectStore store;
   std::unique_ptr<RuntimeCore> core;
 };
 

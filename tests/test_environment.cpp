@@ -190,9 +190,9 @@ TEST(Environment, OutputFilesLandInTheUserStore) {
   auto bwd = app.task("Bwd", "matrix.backward_substitution")
                  .output_file("/u/x.dat",
                               static_cast<double>(n * sizeof(double)));
-  app.link(lu, fwd).value();
+  ASSERT_TRUE(app.link(lu, fwd).has_value());
   fwd.input_file("/u/b.dat", static_cast<double>(n * sizeof(double)));
-  app.link(fwd, bwd).value();
+  ASSERT_TRUE(app.link(fwd, bwd).has_value());
   auto graph = app.build().value();
 
   ASSERT_FALSE(env.store().contains("/u/x.dat"));

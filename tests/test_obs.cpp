@@ -274,9 +274,9 @@ afg::Afg diamond_graph() {
   auto right = app.task("right", "synthetic.w600").output_data(2e5);
   auto combine = app.task("combine", "synthetic.w400").output_data(5e4);
   auto finish = app.task("finish", "synthetic.w200");
-  app.link(left, combine).value();
-  app.link(right, combine).value();
-  app.link(combine, finish).value();
+  EXPECT_TRUE(app.link(left, combine).has_value());
+  EXPECT_TRUE(app.link(right, combine).has_value());
+  EXPECT_TRUE(app.link(combine, finish).has_value());
   return app.build().value();
 }
 

@@ -138,10 +138,9 @@ TEST(GroundTruth, MatchesPredictorWhenNoiseFree) {
   net::Topology topology;
   auto s = topology.add_site("s", net::LinkSpec{});
   topology.add_host(s, net::HostSpec{"h", "ip", "a", "o", "t", 200, 256});
-  GroundTruthModel gt(topology, 0.0);
-  common::Rng rng(1);
-  auto elapsed = gt.actual_time(task(1000), {common::HostId(0)}, rng);
-  EXPECT_DOUBLE_EQ(elapsed, 5.0);
+  GroundTruthModel gt(topology);
+  const double rate = gt.rate_mflops(task(1000), {common::HostId(0)}, false);
+  EXPECT_DOUBLE_EQ(1000 / rate, 5.0);
 }
 
 TEST(GroundTruth, ReadsLiveLoad) {
@@ -149,25 +148,9 @@ TEST(GroundTruth, ReadsLiveLoad) {
   auto s = topology.add_site("s", net::LinkSpec{});
   topology.add_host(s, net::HostSpec{"h", "ip", "a", "o", "t", 200, 256});
   topology.set_cpu_load(common::HostId(0), 1.0);
-  GroundTruthModel gt(topology, 0.0);
-  common::Rng rng(1);
-  EXPECT_DOUBLE_EQ(gt.actual_time(task(1000), {common::HostId(0)}, rng), 10.0);
-}
-
-TEST(GroundTruth, NoiseStaysPositiveAndVaries) {
-  net::Topology topology;
-  auto s = topology.add_site("s", net::LinkSpec{});
-  topology.add_host(s, net::HostSpec{"h", "ip", "a", "o", "t", 200, 256});
-  GroundTruthModel gt(topology, 0.3);
-  common::Rng rng(2);
-  double first = gt.actual_time(task(1000), {common::HostId(0)}, rng);
-  bool varied = false;
-  for (int i = 0; i < 20; ++i) {
-    double v = gt.actual_time(task(1000), {common::HostId(0)}, rng);
-    EXPECT_GT(v, 0.0);
-    if (v != first) varied = true;
-  }
-  EXPECT_TRUE(varied);
+  GroundTruthModel gt(topology);
+  const double rate = gt.rate_mflops(task(1000), {common::HostId(0)}, false);
+  EXPECT_DOUBLE_EQ(1000 / rate, 10.0);
 }
 
 TEST(GroundTruth, PredictionErrorGrowsWithStaleness) {
@@ -178,10 +161,10 @@ TEST(GroundTruth, PredictionErrorGrowsWithStaleness) {
   topology.add_host(s, net::HostSpec{"h", "ip", "a", "o", "t", 100, 256});
   topology.set_cpu_load(common::HostId(0), 2.0);
   Predictor p;
-  GroundTruthModel gt(topology, 0.0);
-  common::Rng rng(3);
+  GroundTruthModel gt(topology);
   auto predicted = p.predict(task(1000), host(100, 0.0));
-  double actual = gt.actual_time(task(1000), {common::HostId(0)}, rng);
+  double actual =
+      1000 / gt.rate_mflops(task(1000), {common::HostId(0)}, false);
   ASSERT_TRUE(predicted.has_value());
   EXPECT_DOUBLE_EQ(actual / *predicted, 3.0);
 }

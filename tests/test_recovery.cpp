@@ -53,9 +53,9 @@ SolverApp make_solver(VdceEnvironment& env, std::size_t n) {
                  .output_data(app.a.size_bytes());
   auto bwd = builder.task("Bwd", "matrix.backward_substitution")
                  .output_data(static_cast<double>(n * sizeof(double)));
-  builder.link(lu, fwd).value();
+  EXPECT_TRUE(builder.link(lu, fwd).has_value());
   fwd.input_file("/u/b.dat", static_cast<double>(n * sizeof(double)));
-  builder.link(fwd, bwd).value();
+  EXPECT_TRUE(builder.link(fwd, bwd).has_value());
   app.graph = builder.build().value();
   return app;
 }
@@ -121,9 +121,9 @@ TEST(Recovery, DownstreamFailureTriggersResendFromFinishedParent) {
   auto bwd = builder.task("Bwd", "matrix.backward_substitution")
                  .prefer_machine(host_b)
                  .output_data(static_cast<double>(n * sizeof(double)));
-  builder.link(lu, fwd).value();
+  ASSERT_TRUE(builder.link(lu, fwd).has_value());
   fwd.input_file("/u/b.dat", static_cast<double>(n * sizeof(double)));
-  builder.link(fwd, bwd).value();
+  ASSERT_TRUE(builder.link(fwd, bwd).has_value());
   afg::Afg graph = builder.build().value();
 
   auto table = env.schedule(graph, session);
@@ -163,7 +163,7 @@ TEST(Recovery, CascadeReexecutesDeadParent) {
                 .prefer_machine(host_a)
                 .output_data(1e5);
   auto s1 = builder.task("s1", "synthetic.w6000").prefer_machine(host_b);
-  builder.link(s0, s1).value();
+  ASSERT_TRUE(builder.link(s0, s1).has_value());
   afg::Afg graph = builder.build().value();
 
   RunOptions run;

@@ -269,6 +269,8 @@ TEST(ScaleDslFuzz, MalformedInputsReturnErrorsNotCrashes) {
       "\n\n\n",
       "garbage",
       "application",
+      "application x\n",                             // no task
+      "application \"s",                             // unterminated quote
       "task a x {\n}\n",                             // no application line
       "application x\ntask a x {\n  mode wat\n}\n",  // bad mode
       "application x\ntask a x {\n  nodes -3\n}\n",
@@ -294,9 +296,7 @@ TEST(ScaleDslFuzz, MalformedInputsReturnErrorsNotCrashes) {
   }
 
   // Truncation sweep: cutting a valid document at any byte must never crash
-  // the parser.  A prefix cut before the first task parses as an empty
-  // application, which validate() rejects; any other accepted prefix must
-  // be a coherent AFG.
+  // the parser, and any accepted prefix must be a coherent AFG.
   scale::WorkloadSpec spec;
   spec.tasks = 12;
   spec.seed = 4;
@@ -305,7 +305,7 @@ TEST(ScaleDslFuzz, MalformedInputsReturnErrorsNotCrashes) {
     auto r = editor::parse_afg(valid.substr(0, cut));
     if (!r.has_value()) {
       EXPECT_FALSE(r.error().message.empty()) << "cut at byte " << cut;
-    } else if (r->task_count() > 0) {
+    } else {
       EXPECT_TRUE(r->validate().ok()) << "cut at byte " << cut;
     }
   }

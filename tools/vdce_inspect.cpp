@@ -123,9 +123,11 @@ int selftest() {
   auto right = app.task("right", "synthetic.w600").output_data(2e5);
   auto combine = app.task("combine", "synthetic.w400").output_data(5e4);
   auto finish = app.task("finish", "synthetic.w200");
-  app.link(left, combine).value();
-  app.link(right, combine).value();
-  app.link(combine, finish).value();
+  if (!app.link(left, combine) || !app.link(right, combine) ||
+      !app.link(combine, finish)) {
+    std::fprintf(stderr, "selftest: linking the graph failed\n");
+    return 1;
+  }
   afg::Afg graph = app.build().value();
 
   auto report = env.run_application(graph, session, RunOptions{});
