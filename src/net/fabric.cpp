@@ -102,8 +102,8 @@ common::Expected<common::SimTime> Fabric::send(Message msg) {
           obs::Causal{msg.cause.app, msg.cause.task, msg.cause.src_task, {}});
     }
   }
-  engine_.schedule(when - engine_.now(),
-                   [this, m = std::move(msg)]() mutable { deliver(std::move(m)); });
+  engine_.post(when - engine_.now(),
+               [this, m = std::move(msg)]() mutable { deliver(std::move(m)); });
   return when;
 }
 

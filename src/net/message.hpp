@@ -211,7 +211,7 @@ struct Message {
   MsgType type;            ///< e.g. "gm.echo", "sm.rat", "dm.data"
   double size_bytes = 64;  ///< wire size charged to the link (headers incl.)
   Payload payload;
-  MessageCause cause;      ///< optional causal tag (data-plane traffic)
+  MessageCause cause{};    ///< optional causal tag (data-plane traffic)
 };
 
 }  // namespace vdce::net

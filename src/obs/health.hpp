@@ -464,7 +464,7 @@ struct FaultDetection {
   bool detected = false;
   common::SimTime detected_at = -1.0;
   common::SimDuration latency = -1.0;
-  std::string rule;  ///< the rule that detected it first
+  std::string rule{};  ///< the rule that detected it first
 };
 
 struct ClassScore {

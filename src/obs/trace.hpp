@@ -91,7 +91,7 @@ struct Causal {
   std::uint32_t app = kNoCausalId;
   std::uint32_t task = kNoCausalId;
   std::uint32_t src_task = kNoCausalId;
-  std::vector<std::uint32_t> deps;
+  std::vector<std::uint32_t> deps{};
 
   [[nodiscard]] bool empty() const noexcept {
     return app == kNoCausalId && task == kNoCausalId &&

@@ -34,6 +34,16 @@ QueueEntry BinaryHeapQueue::pop_min() {
   return e;
 }
 
+void TimerLane::add_timer() {
+  if (++timers_ <= ring_.size()) return;
+  std::vector<QueueEntry> grown(ring_.empty() ? 4 : ring_.size() * 2);
+  for (std::size_t i = 0; i < size_; ++i) {
+    grown[i] = ring_[(head_ + i) & mask()];
+  }
+  ring_ = std::move(grown);
+  head_ = 0;
+}
+
 }  // namespace detail
 
 // ---- handles ---------------------------------------------------------------
@@ -140,6 +150,8 @@ void Engine::free_timer(std::uint32_t slot) {
   t.fn.reset();
   ++t.gen;
   t.active = false;
+  lanes_[t.lane].remove_timer();
+  t.lane = kNil;
   t.next_free = timer_free_head_;
   timer_free_head_ = slot;
 }
@@ -153,15 +165,28 @@ std::uint32_t Engine::push_event(common::SimTime when, Task&& fn,
   return slot;
 }
 
-void Engine::stamp_and_enqueue(std::uint32_t slot, common::SimTime when,
-                               std::uint32_t timer) {
+detail::QueueEntry Engine::stamp(std::uint32_t slot, common::SimTime when,
+                                 std::uint32_t timer) {
   Slot& s = slots_[slot];
   s.time = when;
   s.seq = next_seq_++;
   s.timer = timer;
   s.state = SlotState::kScheduled;
-  heap_.push(detail::QueueEntry{when, s.seq, slot});
-  if (heap_.size() > max_depth_) max_depth_ = heap_.size();
+  return detail::QueueEntry{when, s.seq, slot};
+}
+
+void Engine::stamp_and_enqueue(std::uint32_t slot, common::SimTime when,
+                               std::uint32_t timer) {
+  heap_.push(stamp(slot, when, timer));
+  note_enqueued();
+}
+
+std::uint32_t Engine::lane_for(common::SimDuration period) {
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].period() == period) return i;
+  }
+  lanes_.emplace_back(period);
+  return static_cast<std::uint32_t>(lanes_.size() - 1);
 }
 
 EventHandle Engine::schedule(common::SimDuration delay, Task fn) {
@@ -201,8 +226,11 @@ TimerHandle Engine::arm_timer(std::uint32_t timer, common::SimDuration period,
   const common::SimDuration first = initial_delay.value_or(period);
   assert(first >= 0.0);
   TimerSlot& t = timers_[timer];
-  t.period = period;
+  t.lane = lane_for(period);
+  lanes_[t.lane].add_timer();
   t.active = true;
+  // The first tick goes through the heap: its phase is arbitrary, so only
+  // the re-arms are in their lane's order.
   push_event(now_ + first, Task{}, timer);
   return TimerHandle(self_, timer, timers_[timer].gen);
 }
@@ -212,8 +240,29 @@ void Engine::reserve_events(std::size_t n) {
   heap_.reserve(n);
 }
 
-void Engine::step() {
-  const detail::QueueEntry e = heap_.pop_min();
+bool Engine::peek(Next& next) const {
+  bool found = !heap_.empty();
+  if (found) next = Next{heap_.min_entry(), kNil};
+  // A linear scan: the workloads arm at most four distinct periods.
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
+    const detail::TimerLane& lane = lanes_[i];
+    if (lane.empty()) continue;
+    if (!found || detail::earlier(lane.front(), next.entry)) {
+      next = Next{lane.front(), i};
+      found = true;
+    }
+  }
+  return found;
+}
+
+void Engine::step(const Next& next) {
+  const detail::QueueEntry e = next.entry;
+  if (next.lane == kNil) {
+    heap_.pop_min();
+  } else {
+    lanes_[next.lane].pop_front();
+  }
+  --pending_;
   assert(e.time >= now_);
   now_ = e.time;
   Slot& s = slots_[e.slot];
@@ -242,22 +291,25 @@ void Engine::step() {
     // timers_ is a deque, so the callback stays at a stable address even
     // if it registers new timers mid-fire.
     timers_[timer].fn();
-    TimerSlot& t = timers_[timer];
+    const TimerSlot& t = timers_[timer];
     if (!t.active) {
       free_timer(timer);  // cancelled from inside its own callback
       return;
     }
-    push_event(now_ + t.period, Task{}, timer);
+    detail::TimerLane& lane = lanes_[t.lane];
+    lane.push_back(stamp(alloc_slot(), now_ + lane.period(), timer));
+    note_enqueued();
   }
 }
 
 std::size_t Engine::run() {
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t before = fired_;
-  while (queue_size() != 0) {
-    // Overlap the arena-slot fetch with the heap's pop bookkeeping.
-    __builtin_prefetch(&slots_[heap_.min_entry().slot], 1);
-    step();
+  Next next;
+  while (peek(next)) {
+    // Overlap the arena-slot fetch with the pop bookkeeping.
+    __builtin_prefetch(&slots_[next.entry.slot], 1);
+    step(next);
   }
   wall_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -269,11 +321,10 @@ std::size_t Engine::run_until(common::SimTime until) {
   assert(until >= now_);
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t before = fired_;
-  while (queue_size() != 0) {
-    const detail::QueueEntry& e = heap_.min_entry();
-    if (e.time > until) break;
-    __builtin_prefetch(&slots_[e.slot], 1);
-    step();
+  Next next;
+  while (peek(next) && next.entry.time <= until) {
+    __builtin_prefetch(&slots_[next.entry.slot], 1);
+    step(next);
   }
   now_ = until;
   wall_seconds_ +=
@@ -285,9 +336,10 @@ std::size_t Engine::run_until(common::SimTime until) {
 std::size_t Engine::run_steps(std::size_t max_events) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t before = fired_;
-  while (queue_size() != 0 && fired_ - before < max_events) {
-    __builtin_prefetch(&slots_[heap_.min_entry().slot], 1);
-    step();
+  Next next;
+  while (fired_ - before < max_events && peek(next)) {
+    __builtin_prefetch(&slots_[next.entry.slot], 1);
+    step(next);
   }
   wall_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

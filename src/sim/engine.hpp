@@ -16,15 +16,24 @@
 //   * Events live in an engine-owned arena of slots recycled through a free
 //     list; EventHandle/TimerHandle are generation-checked slot indices, so
 //     cancellation needs no shared_ptr<bool> control block per event.
-//   * The pending set is one binary min-heap of small (time, seq, slot)
-//     entries, so ordering never touches the arena.  `seq` is a
-//     monotonically increasing tiebreaker: events scheduled earlier at the
-//     same timestamp fire first, which is what makes multi-daemon
-//     interleavings reproducible.
+//   * Pending events are small (time, seq, slot) entries, so ordering
+//     never touches the arena.  `seq` is a monotonically increasing
+//     tiebreaker: events scheduled earlier at the same timestamp fire
+//     first, which is what makes multi-daemon interleavings reproducible.
+//   * One-shot events and each timer's first tick wait in one binary
+//     min-heap.  A periodic timer's re-arms wait in the FIFO lane of its
+//     exact period instead: a re-arm is stamped (now + period, next seq),
+//     the clock never runs backwards, floating-point addition of a fixed
+//     period is monotone, and seq only grows, so every lane receives its
+//     entries already in (time, seq) order and its front is its minimum.
+//     The next event is the earliest of the heap top and the lane fronts
+//     under the same (time, seq) order, so the firing sequence is the
+//     heap-only kernel's by construction — while the daemons' ticks, half
+//     of a fleet run's events, never pay a heap push or pop.
 //
-// In the steady state (arena and heap warm) schedule/fire/cancel touches
-// the allocator zero times — proven by an operator-new counting test in
-// tests/test_sim_kernel.cpp.
+// In the steady state (arena, heap and lanes warm) schedule/fire/cancel
+// touches the allocator zero times — proven by operator-new counting tests
+// in tests/test_sim_kernel.cpp.
 //
 // Single-threaded by design: determinism is worth more to a scheduling
 // study than parallel event execution, and the event volumes here (1e5-1e7
@@ -119,8 +128,7 @@ using enable_if_callable =
     std::enable_if_t<!std::is_same_v<std::decay_t<F>, Task> &&
                      std::is_invocable_r_v<void, std::decay_t<F>&>>;
 
-/// The pending set: one binary min-heap over all events in (time, seq)
-/// order.
+/// The one-shot pending set: a binary min-heap in (time, seq) order.
 class BinaryHeapQueue {
  public:
   void push(QueueEntry e);
@@ -132,6 +140,47 @@ class BinaryHeapQueue {
 
  private:
   std::vector<QueueEntry> heap_;  // std::*_heap on !earlier (min-heap)
+};
+
+/// The pending re-arms of every periodic timer with one exact period: a
+/// FIFO ring that receives entries in (time, seq) order (see the header
+/// comment), so its front is its minimum.  Each timer has at most one
+/// pending tick, so the ring never holds more entries than the lane has
+/// live timers; add_timer() grows it up front, and push_back never
+/// allocates.
+class TimerLane {
+ public:
+  explicit TimerLane(common::SimDuration period) : period_(period) {}
+
+  [[nodiscard]] common::SimDuration period() const noexcept {
+    return period_;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] const QueueEntry& front() const { return ring_[head_]; }
+
+  void push_back(QueueEntry e) {
+    assert(size_ < ring_.size());
+    assert(size_ == 0 || !earlier(e, ring_[(head_ + size_ - 1) & mask()]));
+    ring_[(head_ + size_) & mask()] = e;
+    ++size_;
+  }
+  void pop_front() {
+    head_ = (head_ + 1) & mask();
+    --size_;
+  }
+
+  /// A timer joins the lane; the ring doubles if it could overflow.
+  void add_timer();
+  void remove_timer() { --timers_; }
+
+ private:
+  [[nodiscard]] std::size_t mask() const noexcept { return ring_.size() - 1; }
+
+  common::SimDuration period_;
+  std::vector<QueueEntry> ring_;  // power-of-two capacity (or empty)
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  std::size_t timers_ = 0;  // live timers on this period
 };
 
 }  // namespace detail
@@ -284,7 +333,7 @@ class Engine {
   /// address even if a timer callback registers new timers mid-fire.
   struct TimerSlot {
     Task fn;
-    common::SimDuration period = 0.0;
+    std::uint32_t lane = kNil;  ///< index into lanes_ (holds the period)
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNil;
     bool active = false;
@@ -321,21 +370,42 @@ class Engine {
   }
 
   /// Shared tail of push_event/emplace_event: stamp (time, seq), mark
-  /// scheduled, enqueue, track depth.
+  /// scheduled, push onto the heap.
   void stamp_and_enqueue(std::uint32_t slot, common::SimTime when,
                          std::uint32_t timer);
 
-  /// Shared tail of every(): record the period, mark active, schedule the
-  /// first tick.  The callable is already in timers_[timer].fn.
+  /// Stamp (time, seq) into `slot` and mark it scheduled; returns the entry
+  /// to enqueue.
+  detail::QueueEntry stamp(std::uint32_t slot, common::SimTime when,
+                           std::uint32_t timer);
+
+  /// Count one more pending entry and track the high-water mark.
+  void note_enqueued() noexcept {
+    ++pending_;
+    if (pending_ > max_depth_) max_depth_ = pending_;
+  }
+
+  /// The lane of timers with exactly `period`, created on first use.
+  std::uint32_t lane_for(common::SimDuration period);
+
+  /// Shared tail of every(): join the period's lane, mark active, schedule
+  /// the first tick.  The callable is already in timers_[timer].fn.
   TimerHandle arm_timer(std::uint32_t timer, common::SimDuration period,
                         std::optional<common::SimDuration> initial_delay);
 
-  [[nodiscard]] std::size_t queue_size() const noexcept {
-    return heap_.size();
-  }
+  [[nodiscard]] std::size_t queue_size() const noexcept { return pending_; }
 
-  /// Pop and fire the earliest event.  Pre: queue not empty.
-  void step();
+  /// The earliest pending entry and where it waits.
+  struct Next {
+    detail::QueueEntry entry;
+    std::uint32_t lane;  ///< index into lanes_, or kNil for the heap top
+  };
+
+  /// Find the earliest pending entry; false if nothing is pending.
+  bool peek(Next& next) const;
+
+  /// Pop `next` (the result of the last peek) and fire it.
+  void step(const Next& next);
 
   common::SimTime now_ = common::kSimStart;
   std::uint64_t next_seq_ = 0;
@@ -351,6 +421,8 @@ class Engine {
   std::uint32_t timer_free_head_ = kNil;
 
   detail::BinaryHeapQueue heap_;
+  std::vector<detail::TimerLane> lanes_;
+  std::size_t pending_ = 0;  // entries in the heap and all lanes
 
   double wall_seconds_ = 0.0;
 

@@ -216,9 +216,12 @@ TEST_F(FabricFixture, SentTypesAreSortedByName) {
   fabric.bind(common::HostId(1), [](const Message&) {});
   const MsgType zeta("test.zeta");
   const MsgType alpha("test.alpha");
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), zeta, 64});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), alpha, 64});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), zeta, 64});
+  (void)fabric.send(
+      Message{common::HostId(0), common::HostId(1), zeta, 64, {}});
+  (void)fabric.send(
+      Message{common::HostId(0), common::HostId(1), alpha, 64, {}});
+  (void)fabric.send(
+      Message{common::HostId(0), common::HostId(1), zeta, 64, {}});
   const auto types = fabric.stats().sent_types();
   ASSERT_EQ(types.size(), 2u);
   EXPECT_EQ(types[0], (std::pair<std::string, std::uint64_t>{"test.alpha", 1}));

@@ -7,7 +7,8 @@
 //     after the engine itself has been destroyed,
 //   * and its firing order is *identical* to the frozen legacy kernel
 //     (sim/legacy_engine.hpp) under randomized operation scripts that
-//     stress ties, cancellations, timers, bursts, and sparse horizons.
+//     stress ties, cancellations, timers, bursts, and sparse horizons, and
+//     under fleet-shaped scripts of hundreds of timers on shared periods.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -137,6 +138,74 @@ TEST(SimKernelAlloc, SteadyStateScheduleFireCancelIsAllocationFree) {
   EXPECT_GT(state.cancels, 0u);
   EXPECT_EQ(engine.arena_capacity(), warm_capacity)
       << "the arena must not grow in the steady state";
+}
+
+// Timer churn on shared periods: every fourth tick of each timer stops its
+// neighbour (whose pending tick usually waits mid-lane) and arms a
+// replacement on the same period and phase.  The lanes' rings, the timer
+// slots and the arena must all reach their plateau in the warm-up.
+struct ChurnState {
+  sim::Engine* engine = nullptr;
+  std::vector<sim::TimerHandle> timers;
+  std::vector<double> period;
+  std::vector<double> phase;
+  std::vector<std::uint64_t> ticks;  // per handle slot, across replacements
+  std::uint64_t replaced = 0;
+};
+
+void churn_tick(ChurnState* s, std::size_t i);
+
+void churn_arm(ChurnState* s, std::size_t i, double delay) {
+  s->timers[i] = s->engine->every(
+      s->period[i], [s, i] { churn_tick(s, i); }, delay);
+}
+
+void churn_tick(ChurnState* s, std::size_t i) {
+  if (++s->ticks[i] % 4 != 0) return;
+  // Neighbours share a period: slots pair up as (2k, 2k+1).
+  const std::size_t j = i ^ 1u;
+  s->timers[j].cancel();
+  // The replacement keeps j's phase: its first tick lands on the instant
+  // the stopped timer's next tick would have (a dyadic lattice, so exact).
+  const double now = s->engine->now();
+  const double p = s->period[j];
+  double& next = s->phase[j];
+  while (next <= now) next += p;
+  churn_arm(s, j, next - now);
+  ++s->replaced;
+}
+
+TEST(SimKernelAlloc, TimerChurnOnSharedPeriodsIsAllocationFree) {
+  sim::Engine engine;
+  engine.reserve_events(4096);
+  constexpr std::size_t kTimers = 128;
+  ChurnState state;
+  state.engine = &engine;
+  state.timers.resize(kTimers);
+  state.ticks.assign(kTimers, 0);
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    state.period.push_back((i / 2) % 2 == 0 ? 0.5 : 1.0);
+    state.phase.push_back(static_cast<double>(i % 8) / 16.0);
+    churn_arm(&state, i, state.phase[i]);
+  }
+
+  engine.run_until(64.0);
+  const std::uint64_t warm_replaced = state.replaced;
+  ASSERT_GT(warm_replaced, 1000u);
+  const std::size_t warm_capacity = engine.arena_capacity();
+  const std::size_t warm_timers = engine.timer_capacity();
+
+  const std::uint64_t before = test::allocation_count();
+  engine.run_until(192.0);
+  const std::uint64_t after = test::allocation_count();
+
+  EXPECT_EQ(after - before, 0u)
+      << "stopping a timer and arming another on its period must not "
+         "allocate";
+  EXPECT_GT(state.replaced, warm_replaced * 2) << "the measured window ran";
+  EXPECT_EQ(engine.arena_capacity(), warm_capacity);
+  EXPECT_EQ(engine.timer_capacity(), warm_timers)
+      << "stopped timers' slots are recycled";
 }
 
 // ---- generation-checked handles --------------------------------------------
@@ -480,6 +549,135 @@ TEST(KernelFuzzEdges, DrainAndRefillKeepsOrderAcrossResizes) {
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }
+
+// ---- lane differential: fleet-shaped timers ---------------------------------
+//
+// A fleet's daemons arm hundreds of timers on a few shared periods, so each
+// of the engine's per-period FIFO lanes holds many pending re-arms at once.
+// This script gives both kernels that shape: random lattice phases, cancels
+// that land in the middle of a lane, ticks that stop their own timer or arm
+// a new one on the same period, and one-shots landing exactly on tick
+// instants (scheduled up front, and from inside a tick one period out, where
+// they must fire before that timer's own re-arm).
+
+template <typename EngineT, typename TimerHandleT>
+class FleetScript {
+ public:
+  FleetScript(EngineT& engine, std::uint64_t seed)
+      : engine_(engine), rng_(seed) {}
+
+  std::string run(double horizon) {
+    const double shared[] = {0.5, 1.0, 2.0};
+    const std::size_t n_periods = 2 + rng_() % 2;
+    for (int i = 0; i < 150; ++i) {
+      const double period = shared[rng_() % n_periods];
+      arm(period, lattice_phase(period));
+    }
+    for (int i = 0; i < 200; ++i) {
+      const std::size_t id = rng_() % timers_.size();
+      const auto nth = static_cast<double>(rng_() % 40);
+      engine_.schedule(phase_[id] + nth * period_[id],
+                       [this, id] { log('o', id); });
+    }
+    const auto slots = static_cast<std::uint64_t>(horizon / kLattice);
+    for (int i = 0; i < 60; ++i) {
+      const double at = kLattice * static_cast<double>(rng_() % slots);
+      const std::size_t victim = rng_() % timers_.size();
+      engine_.schedule(at, [this, victim] {
+        log('x', victim);
+        timers_[victim].cancel();
+      });
+    }
+    engine_.run_until(horizon);
+    return log_;
+  }
+
+ private:
+  static constexpr double kLattice = 0.125;
+
+  double lattice_phase(double period) {
+    return kLattice *
+           static_cast<double>(rng_() %
+                               static_cast<std::uint64_t>(period / kLattice));
+  }
+
+  void arm(double period, double delay) {
+    const std::size_t id = timers_.size();
+    period_.push_back(period);
+    phase_.push_back(engine_.now() + delay);
+    timers_.push_back(engine_.every(period, [this, id] { tick(id); }, delay));
+  }
+
+  void tick(std::size_t id) {
+    log('t', id);
+    const double period = period_[id];
+    switch (rng_() % 32) {
+      case 0:  // stops itself
+        timers_[id].cancel();
+        break;
+      case 1:  // stops itself; a new timer takes over on the same period
+        timers_[id].cancel();
+        arm(period, period);
+        break;
+      case 2:  // a new timer on the same period, at a lattice phase: the
+      case 6:  // population grows, so rings grow with pending re-arms
+      case 7:  // wrapped around them
+        if (timers_.size() < 600) arm(period, lattice_phase(period));
+        break;
+      case 3:  // lands on this timer's next tick, ahead of its re-arm
+        engine_.schedule(period, [this, id] { log('n', id); });
+        break;
+      case 4:  // lands on the current instant, behind every queued tie
+        engine_.schedule(0.0, [this, id] { log('z', id); });
+        break;
+      case 5:  // stops a random timer, usually one queued mid-lane
+        timers_[rng_() % timers_.size()].cancel();
+        break;
+      default:
+        break;
+    }
+  }
+
+  void log(char tag, std::size_t id) {
+    log_ += tag;
+    log_ += std::to_string(id);
+    log_ += '@';
+    log_ += common::format_double(engine_.now(), 9);
+    log_ += '\n';
+  }
+
+  EngineT& engine_;
+  std::mt19937_64 rng_;
+  std::vector<TimerHandleT> timers_;
+  std::vector<double> period_;
+  std::vector<double> phase_;
+  std::string log_;
+};
+
+class LaneFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LaneFuzz, SharedPeriodTimersFireIdenticallyOnBothKernels) {
+  constexpr double kHorizon = 30.0;
+  sim::Engine engine;
+  sim::legacy::LegacyEngine legacy;
+  const std::string a =
+      FleetScript<sim::Engine, sim::TimerHandle>(engine, GetParam())
+          .run(kHorizon);
+  const std::string b =
+      FleetScript<sim::legacy::LegacyEngine, sim::legacy::LegacyTimerHandle>(
+          legacy, GetParam())
+          .run(kHorizon);
+  ASSERT_GT(a.size(), 50000u) << "the fleet did tick";
+  EXPECT_EQ(a, b) << "seed " << GetParam()
+                  << ": engine vs frozen legacy kernel";
+  EXPECT_EQ(engine.total_scheduled(), legacy.total_scheduled());
+  EXPECT_EQ(engine.pending_events(), legacy.pending_events());
+  EXPECT_EQ(engine.max_queue_depth(), legacy.max_queue_depth())
+      << "lane entries count toward the queue depth";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LaneFuzz,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 // ---- throughput / arena accounting ------------------------------------------
 
