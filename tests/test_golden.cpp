@@ -34,6 +34,16 @@
 //            Each digest covers the table's bytes: scheduler name, schedule
 //            length and every assignment's task, site, hosts and timing at
 //            full precision.
+//   chaos  — fault-plan and overload scenarios on the campus pair with
+//            metrics and health on: overload past the attempt cap (pin),
+//            lost channel setups (retry, abandon), crashes under recovery
+//            budgets of zero and one (escalation), lost allocation-table
+//            multicasts (relaunch) and a committed reservation window with
+//            and without a crash inside it (stall, displace).  Each digest
+//            covers the trace JSONL, the metric snapshot, the flight ring,
+//            the rendered health alerts and the report; outside the digest
+//            each run's event counters must be positive, and the runs
+//            together fire every recovery and detection kind.
 //
 // After an intended behaviour change, regenerate the files and justify the
 // digest diff in the change description:
@@ -45,15 +55,19 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "afg/generate.hpp"
+#include "chaos/fault_plan.hpp"
 #include "common/rng.hpp"
 #include "db/site_repository.hpp"
 #include "econ/econ.hpp"
+#include "editor/builder.hpp"
+#include "obs/health.hpp"
 #include "predict/model.hpp"
 #include "scale/generate.hpp"
 #include "sched/strategy.hpp"
@@ -394,6 +408,278 @@ std::vector<Run> plan_runs(ConstraintCounts* counts = nullptr) {
   return runs;
 }
 
+// ---- chaos family -----------------------------------------------------------
+
+/// The counters of the runtime's twelve recovery and detection event kinds.
+/// Each chaos run names the ones its scenario must fire; together the runs
+/// fire all of them.
+const std::vector<std::string> kRuntimeEventCounters = {
+    "monitor.failures_detected",     "monitor.echo_rounds",
+    "recovery.channel_abandoned",    "recovery.channel_retries",
+    "recovery.overload_terminations", "recovery.hosts_marked_down",
+    "reservation.windows_displaced", "recovery.task_pins",
+    "recovery.escalations",          "recovery.reschedules",
+    "recovery.relaunches",           "recovery.stall_resends"};
+
+/// One chaos run: its digest plus the event counters it must fire.
+struct ChaosRun {
+  Run run;
+  std::vector<std::string> fired;
+};
+
+EnvironmentOptions chaos_options(chaos::FaultPlan plan) {
+  EnvironmentOptions options;
+  options.runtime.exec_noise_cv = 0.0;
+  options.runtime.echo_period = 0.5;
+  options.runtime.progress_period = 1.0;
+  options.trace.enabled = true;
+  options.metrics.enabled = true;
+  options.health.enabled = true;
+  options.flight.postmortem_path.clear();  // no dump file per failed run
+  options.faults = std::move(plan);
+  return options;
+}
+
+/// Every sink the runtime's events reach, in one digest: the trace, the
+/// metric snapshot, the flight ring, the health alerts and the reports.
+/// Outside the digest, each counter in `fired` must be positive.
+ChaosRun chaos_digest(std::string label, VdceEnvironment& env,
+                      const std::string& reports, std::string anomaly,
+                      std::vector<std::string> fired) {
+  ChaosRun out{{std::move(label), {}, std::move(anomaly)}, std::move(fired)};
+  for (const std::string& name : out.fired) {
+    if (out.run.anomaly.empty() && env.metrics().counter_value(name) == 0) {
+      out.run.anomaly = name + " never fired";
+    }
+  }
+  out.run.digest = fnv1a(env.trace().to_jsonl() + env.metrics().to_jsonl() +
+                         env.flight_recorder().render_jsonl() +
+                         obs::health::render_alerts(env.health().alerts()) +
+                         reports);
+  return out;
+}
+
+/// Bring up a campus pair under `options`, log one user in and run `graph`.
+ChaosRun run_chaos_case(std::string label, std::uint64_t topology_seed,
+                        EnvironmentOptions options, const afg::Afg& graph,
+                        std::vector<std::string> fired) {
+  VdceEnvironment env(make_campus_pair(topology_seed), std::move(options));
+  if (auto st = env.try_bring_up(); !st.ok()) {
+    return {{label, {}, st.error().to_string()}, {}};
+  }
+  if (auto st = env.try_add_user("u", "p"); !st.ok()) {
+    return {{label, {}, st.error().to_string()}, {}};
+  }
+  auto session = env.login(common::SiteId(0), "u", "p").value();
+  RunOptions run;
+  run.real_kernels = false;
+  auto report = env.run_application(graph, session, run);
+  if (!report) {
+    return chaos_digest(std::move(label), env, "", report.error().to_string(),
+                        std::move(fired));
+  }
+  return chaos_digest(std::move(label), env, report->describe(graph), "",
+                      std::move(fired));
+}
+
+/// A two-stage chain pinned to site 0's second and third machines.
+afg::Afg pinned_chain(const net::Topology& topology) {
+  const net::Site& site0 = topology.site(common::SiteId(0));
+  editor::AppBuilder builder("pinned-chain");
+  auto s0 = builder.task("s0", "synthetic.w2000")
+                .prefer_machine(topology.host(site0.hosts[1]).spec.name)
+                .output_data(1e5);
+  auto s1 = builder.task("s1", "synthetic.w2000")
+                .prefer_machine(topology.host(site0.hosts[2]).spec.name);
+  (void)builder.link(s0, s1);
+  return builder.build().value();
+}
+
+/// Every machine carries one extra CPU of external load, so the machine
+/// running the task is overloaded: the task moves until the attempt cap,
+/// then is pinned where it is.
+ChaosRun overload_pin_run() {
+  EnvironmentOptions options = chaos_options({});
+  options.runtime.overload_threshold = 1.5;
+  options.background_load = true;
+  options.load.mean_load = 0.0;
+  options.load.reversion = 0.0;
+  options.load.volatility = 0.0;
+  VdceEnvironment env(make_campus_pair(13), options);
+  if (auto st = env.try_bring_up(); !st.ok()) {
+    return {{"overload-pin", {}, st.error().to_string()}, {}};
+  }
+  (void)env.try_add_user("u", "p");
+  auto session = env.login(common::SiteId(0), "u", "p").value();
+  for (const net::Host& h : env.topology().hosts()) {
+    env.background().inject_spike(h.id, 1.0, 1e5);
+  }
+  const afg::Afg graph = afg::make_chain(1, 5000, 1e4);
+  RunOptions run;
+  run.real_kernels = false;
+  auto report = env.run_application(graph, session, run);
+  return chaos_digest(
+      "overload-pin", env, report ? report->describe(graph) : "",
+      report ? "" : report.error().to_string(),
+      {"recovery.overload_terminations", "recovery.task_pins",
+       "recovery.reschedules", "recovery.stall_resends",
+       "monitor.echo_rounds"});
+}
+
+/// Every channel-setup message is lost: the producer retries with backoff,
+/// then abandons its consumer.
+ChaosRun setup_cut_run() {
+  chaos::FaultPlan plan;
+  plan.name("setup-cut").loss(1.0, 0.0, 1e5, "dm.setup");
+  return run_chaos_case("setup-cut", 13, chaos_options(std::move(plan)),
+                        pinned_chain(make_campus_pair(13)),
+                        {"recovery.channel_retries",
+                         "recovery.channel_abandoned"});
+}
+
+/// A crash under a recovery budget of zero: the first re-placement
+/// escalates and fails the application.
+ChaosRun escalation_run() {
+  const net::Topology topology = make_campus_pair(13);
+  const net::Site& site0 = topology.site(common::SiteId(0));
+  chaos::FaultPlan plan;
+  plan.name("escalate").crash(topology.host(site0.hosts[1]).spec.name, 1.5);
+  EnvironmentOptions options = chaos_options(std::move(plan));
+  options.runtime.max_app_recovery_actions = 0;
+  // Echo detection must beat the progress sweep, which would otherwise
+  // find the dead machine first and escalate before any failure detection.
+  options.runtime.progress_period = 5.0;
+  return run_chaos_case("escalation", 13, std::move(options),
+                        pinned_chain(topology),
+                        {"monitor.failures_detected",
+                         "recovery.hosts_marked_down", "recovery.escalations"});
+}
+
+/// Both pinned machines crash under a recovery budget of one: the first
+/// re-placement is charged, the second escalates with one action consumed.
+ChaosRun second_escalation_run() {
+  const net::Topology topology = make_campus_pair(13);
+  const net::Site& site0 = topology.site(common::SiteId(0));
+  chaos::FaultPlan plan;
+  plan.name("escalate-second")
+      .crash(topology.host(site0.hosts[1]).spec.name, 1.5)
+      .crash(topology.host(site0.hosts[2]).spec.name, 1.5);
+  EnvironmentOptions options = chaos_options(std::move(plan));
+  options.runtime.max_app_recovery_actions = 1;
+  return run_chaos_case("escalation-second", 13, std::move(options),
+                        pinned_chain(topology),
+                        {"recovery.reschedules", "recovery.escalations"});
+}
+
+/// Every allocation-table multicast of the first 3 s is lost, so the
+/// coordinator hears no readiness and re-multicasts the table.
+ChaosRun lost_rat_run() {
+  chaos::FaultPlan plan;
+  plan.name("lost-rat").loss(1.0, 0.0, 3.0, "sm.rat");
+  return run_chaos_case("lost-rat", 13, chaos_options(std::move(plan)),
+                        afg::make_chain(3, 500, 1e4),
+                        {"recovery.relaunches"});
+}
+
+/// A fan-out/fan-in application inside a committed window over three
+/// non-server machines; with `crash_at` > 0 the machine running the
+/// longest task crashes halfway through it and reboots 120 s later.
+ChaosRun window_run(std::uint32_t crash_host, double crash_at,
+                    runtime::ExecutionReport* control) {
+  chaos::FaultPlan plan;
+  if (crash_at > 0.0) {
+    plan.name("window-crash")
+        .seed(3)
+        .crash(common::HostId(crash_host), crash_at, 120.0);
+  }
+  VdceEnvironment env(make_campus_pair(19), chaos_options(std::move(plan)));
+  const std::string label = crash_at > 0.0 ? "window-crash" : "window-control";
+  if (auto st = env.try_bring_up(); !st.ok()) {
+    return {{label, {}, st.error().to_string()}, {}};
+  }
+  (void)env.try_add_user("owner", "p");
+  Session session = env.login(common::SiteId(0), "owner", "p").value();
+  std::vector<common::HostId> booked;
+  for (const net::Host& h : env.hosts()) {
+    bool server = false;
+    for (const net::Site& s : env.sites()) server = server || s.server == h.id;
+    if (!server) booked.push_back(h.id);
+    if (booked.size() == 3) break;
+  }
+  ReservationRequest request;
+  request.hosts = booked;
+  request.start = 1.0;
+  request.end = 600.0;
+  auto ticket = env.reserve(session, request);
+  if (!ticket) return {{label, {}, ticket.error().to_string()}, {}};
+
+  editor::AppBuilder app("windowed");
+  auto head = app.task("head", "synthetic.w400").output_data(5e4);
+  auto tail = app.task("tail", "synthetic.w300");
+  for (int i = 0; i < 3; ++i) {
+    auto body = app.task("body" + std::to_string(i), "synthetic.w3000")
+                    .output_data(5e4);
+    (void)app.link(head, body);
+    (void)app.link(body, tail);
+  }
+  const afg::Afg graph = app.build().value();
+  RunOptions run;
+  run.real_kernels = false;
+  run.reservation = *ticket;
+  auto handle = env.submit_application(graph, session, run);
+  if (!handle) return {{label, {}, handle.error().to_string()}, {}};
+  std::string anomaly;
+  if (auto st = env.drain(); !st.ok()) anomaly = st.error().to_string();
+  auto report = env.report(*handle);
+  if (!report) return {{label, {}, report.error().to_string()}, {}};
+  if (control != nullptr) *control = *report;
+  // A long body task completes nothing for two sweeps: a stall resend.
+  std::vector<std::string> fired = {"recovery.stall_resends"};
+  if (crash_at > 0.0) {
+    fired = {"reservation.windows_displaced", "monitor.failures_detected",
+             "recovery.hosts_marked_down", "recovery.reschedules"};
+  }
+  return chaos_digest(label, env, report->describe(graph), anomaly,
+                      std::move(fired));
+}
+
+/// The control run, then the crash of the machine running its longest task.
+std::vector<ChaosRun> window_runs() {
+  runtime::ExecutionReport control;
+  ChaosRun first = window_run(0, 0.0, &control);
+  std::uint32_t host = 0;
+  double at = 0.0;
+  double longest = 0.0;
+  for (const runtime::TaskOutcome& o : control.outcomes) {
+    if (o.finished - o.started > longest) {
+      longest = o.finished - o.started;
+      host = o.host.value();
+      at = o.started + longest / 2.0;
+    }
+  }
+  std::vector<ChaosRun> runs;
+  runs.push_back(std::move(first));
+  runs.push_back(window_run(host, at, nullptr));
+  return runs;
+}
+
+std::vector<ChaosRun> chaos_runs() {
+  std::vector<ChaosRun> runs;
+  runs.push_back(overload_pin_run());
+  runs.push_back(setup_cut_run());
+  runs.push_back(escalation_run());
+  runs.push_back(second_escalation_run());
+  runs.push_back(lost_rat_run());
+  for (ChaosRun& run : window_runs()) runs.push_back(std::move(run));
+  return runs;
+}
+
+std::vector<Run> digests(const std::vector<ChaosRun>& runs) {
+  std::vector<Run> out;
+  for (const ChaosRun& run : runs) out.push_back(run.run);
+  return out;
+}
+
 // ---- golden files -----------------------------------------------------------
 
 std::string golden_path(const std::string& family) {
@@ -480,6 +766,17 @@ TEST(Golden, LiveOfflineRowDigestsMatch) {
   expect_golden("campus", runs, "live-");
 }
 
+/// The chaos-only recovery paths, digested through every sink they write.
+TEST(Golden, ChaosDigestsMatch) {
+  const std::vector<ChaosRun> runs = chaos_runs();
+  std::set<std::string> fired;
+  for (const ChaosRun& run : runs) fired.insert(run.fired.begin(), run.fired.end());
+  for (const std::string& name : kRuntimeEventCounters) {
+    EXPECT_TRUE(fired.contains(name)) << name << ": no chaos run fires it";
+  }
+  expect_golden("chaos", digests(runs));
+}
+
 /// Recompute every family and rewrite its file.  Refuses to write when a
 /// run is anomalous, so a broken build cannot become the oracle.
 int update_golden() {
@@ -495,7 +792,8 @@ int update_golden() {
       {"corpus", corpus},
       {"fleet", fleet_runs()},
       {"campus", campus},
-      {"plan", plan_runs(&counts)}};
+      {"plan", plan_runs(&counts)},
+      {"chaos", digests(chaos_runs())}};
   std::cout << "plan: dbc-cost deadline met " << counts.deadline_met
             << ", missed " << counts.deadline_missed
             << "; dbc-time budget met " << counts.budget_met << ", missed "
