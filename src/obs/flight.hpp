@@ -23,21 +23,27 @@
 
 namespace vdce::obs {
 
-/// What kind of event a FlightRecord describes.  The a/b/v fields are
-/// interpreted per code (documented inline); kNone (= uint32 max) marks an
-/// unused field.
+/// What kind of event a FlightRecord describes.  The track and the a/b/v
+/// fields are interpreted per code (documented inline); uint32 max marks an
+/// unused field.  The recovery codes are written through the runtime's
+/// event table (runtime/events.hpp).
 enum class FlightCode : std::uint8_t {
   kAppStart = 0,      ///< a = app id
   kAppDone,           ///< a = app id, b = 1 if success else 0, v = makespan
   kTaskStart,         ///< a = app id, b = task id
   kTaskDone,          ///< a = app id, b = task id, v = duration
   kTransfer,          ///< a = src host, b = dst host, v = bytes
-  kHostDown,          ///< track = host that went down
-  kRecovery,          ///< a = app id, b = task id (re-placed)
-  kEscalation,        ///< a = app id, v = actions consumed
-  kStall,             ///< a = app id, b = task id
-  kOverload,          ///< a = app id, b = task id
-  kChannelRetry,      ///< a = app id, b = attempt count
+  kHostDown,          ///< track = host that went down (detected or marked)
+  /// a = app id.  A re-placement: track = the abandoned host, b = task id.
+  /// A relaunch (allocation table re-sent): track = the coordinator's
+  /// server, no b.
+  kRecovery,
+  kEscalation,        ///< track = coordinator's server, a = app id,
+                      ///< v = actions consumed
+  kStall,             ///< track = coordinator's server, a = app id,
+                      ///< b = tasks done so far
+  kOverload,          ///< track = host, a = app id, b = task id, v = host load
+  kChannelRetry,      ///< track = retrying host, a = app id, b = attempt
   kSchedule,          ///< a = app id, v = scheduling cost estimate
   kBringUpFailed,     ///< control-plane bring-up failure
   kRunFailed,         ///< a = app id if known

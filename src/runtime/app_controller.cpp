@@ -45,23 +45,10 @@ void AppController::check_load() {
   if (h.state.cpu_load <= core_.options().overload_threshold) return;
 
   for (const DataManager::Aborted& aborted : dm_.abort_running()) {
-    core_.flight(obs::FlightCode::kOverload, host_.value(),
-                 aborted.app.value(), aborted.task.value(), h.state.cpu_load);
-    if (core_.metering()) {
-      core_.meters().counter("recovery.overload_terminations").add();
-    }
-    core_.health_event(obs::health::kRecoveryActions,
-                       static_cast<std::int64_t>(host_.value()),
-                       static_cast<std::int64_t>(h.site.value()));
-    if (core_.tracing()) {
-      core_.trace_sink().instant(
-          "recovery", "recovery.overload", core_.now(), host_.value(),
-          {obs::arg("app", aborted.app.value()),
-           obs::arg("task", aborted.task.value()),
-           obs::arg("load", h.state.cpu_load)},
-          obs::Causal{.app = aborted.app.value(),
-                      .task = aborted.task.value()});
-    }
+    core_.emit({.kind = RuntimeEventKind::kOverload, .track = host_.value(),
+                .host = host_.value(), .site = h.site.value(),
+                .app = aborted.app.value(), .task = aborted.task.value(),
+                .v = h.state.cpu_load});
     (void)core_.fabric().send(net::Message{
         host_, aborted.origin, msg::kAcOverload, wire::kSmall,
         OverloadNotice{aborted.app, aborted.task, host_, h.state.cpu_load}});

@@ -7,6 +7,7 @@
 // store the I/O service writes output files into.
 #pragma once
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
 #include "predict/model.hpp"
+#include "runtime/events.hpp"
 #include "sched/reservations.hpp"
 #include "sim/engine.hpp"
 
@@ -35,9 +37,10 @@ struct RuntimeOptions {
   double overload_threshold = 2.5;  ///< terminate + reschedule above this load
   common::SimDuration progress_period = 5.0;  ///< coordinator stall sweep
   // --- hardened recovery (fault-injection plane) ---
-  /// Coordinator recovery budget per application: after this many recovery
-  /// actions (reschedules, stall resends) the app is failed with a
-  /// descriptive report instead of looping forever.
+  /// Coordinator recovery budget per application: after this many task
+  /// re-placements (host down, overload, cascade) the app is failed with a
+  /// descriptive report instead of looping forever.  Stall resends,
+  /// relaunches and pins do not charge it.
   int max_app_recovery_actions = 64;
   /// Coordinator stall handling: a task with no progress for this many
   /// progress sweeps gets its start message and inputs re-sent.
@@ -115,7 +118,10 @@ class RuntimeCore {
   /// Attach the environment's Observability (null detaches).  Daemons guard
   /// every record with tracing()/metering(), so a core without observability
   /// pays one branch per instrumentation site.
-  void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
+  void set_observability(obs::Observability* obs) noexcept {
+    obs_ = obs;
+    counters_.fill(nullptr);
+  }
   [[nodiscard]] obs::Observability* obs() const noexcept { return obs_; }
   [[nodiscard]] bool tracing() const noexcept {
     return obs_ != nullptr && obs_->trace_on();
@@ -147,18 +153,15 @@ class RuntimeCore {
   [[nodiscard]] obs::health::HealthPlane& health_plane() noexcept {
     return obs_->health();
   }
-  /// Rare-event counter feed (recovery actions, failure detections): bumps
-  /// the cumulative series for `metric`, creating it on first use.  Safe to
-  /// call unguarded — a disabled plane makes this one branch.
-  void health_event(const char* metric, std::int64_t host = -1,
-                    std::int64_t site = -1, double delta = 1.0) {
-    if (!health_on()) return;
-    obs::health::SeriesKey key;
-    key.metric = metric;
-    key.host = host;
-    key.site = site;
-    obs_->health().observe_delta(key, engine_.now(), delta);
-  }
+
+  /// Record a recovery or detection event (runtime/events.hpp) in each sink
+  /// its kRuntimeEvents row names: flight ring, metrics counter, health
+  /// series, then trace instant.  Safe to call unguarded; with metrics,
+  /// health and tracing off it allocates nothing.  Records whose payload is
+  /// not a fixed arg set — the exec.task span and its dependency list,
+  /// sched.bid_gather, sched.host_selection, app.setup and app.run — and
+  /// counter-only sites such as monitor.samples stay direct calls.
+  void emit(const RuntimeEvent& event);
 
  private:
   sim::Engine& engine_;
@@ -172,6 +175,9 @@ class RuntimeCore {
   sched::WindowTable reservations_;
   common::Rng rng_;
   obs::Observability* obs_ = nullptr;
+  /// Each kind's metrics counter, resolved on its first emit so that kinds
+  /// that never fire leave no zero counter in the export.
+  std::array<obs::Counter*, kRuntimeEventKinds> counters_{};
 };
 
 }  // namespace vdce::runtime

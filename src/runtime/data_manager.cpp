@@ -129,40 +129,20 @@ void DataManager::send_setup(common::AppId app, common::HostId peer) {
       // Abandon the peer: report readiness anyway so the application can
       // proceed; if the peer matters, task-level recovery takes over later.
       st.pending_setups.erase(p);
-      if (core_.metering()) {
-        core_.meters().counter("recovery.channel_abandoned").add();
-      }
-      core_.health_event(
-          obs::health::kRecoveryActions,
-          static_cast<std::int64_t>(host_.value()),
-          static_cast<std::int64_t>(core_.topology().host(host_).site.value()));
-      if (core_.tracing()) {
-        core_.trace_sink().instant(
-            "recovery", "recovery.channel_abandoned", core_.now(),
-            host_.value(),
-            {obs::arg("app", app.value()), obs::arg("peer", peer.value())},
-            obs::Causal{.app = app.value()});
-      }
+      core_.emit({.kind = RuntimeEventKind::kChannelAbandoned,
+                  .track = host_.value(), .host = host_.value(),
+                  .site = core_.topology().host(host_).site.value(),
+                  .app = app.value(), .m = peer.value()});
       if (st.pending_setups.empty() && !st.ready_fired) fire_ready(st);
       return;
     }
     ++p->second.resends;
-    core_.flight(obs::FlightCode::kChannelRetry, host_.value(), app.value(),
-                 static_cast<std::uint32_t>(p->second.resends));
-    if (core_.metering()) {
-      core_.meters().counter("recovery.channel_retries").add();
-    }
-    core_.health_event(
-        obs::health::kRecoveryActions,
-        static_cast<std::int64_t>(host_.value()),
-        static_cast<std::int64_t>(core_.topology().host(host_).site.value()));
-    if (core_.tracing()) {
-      core_.trace_sink().instant(
-          "recovery", "recovery.channel_retry", core_.now(), host_.value(),
-          {obs::arg("app", app.value()), obs::arg("peer", peer.value()),
-           obs::arg("attempt", p->second.resends)},
-          obs::Causal{.app = app.value()});
-    }
+    core_.emit({.kind = RuntimeEventKind::kChannelRetry,
+                .track = host_.value(), .host = host_.value(),
+                .site = core_.topology().host(host_).site.value(),
+                .app = app.value(),
+                .n = static_cast<std::uint64_t>(p->second.resends),
+                .m = peer.value()});
     send_setup(app, peer);
   });
 }

@@ -83,19 +83,10 @@ void GroupManager::echo_tick() {
       if (member == leader_) continue;  // the leader vouches for itself
       if (state.alive_round == echo_seq_ || state.reported_down) continue;
       state.reported_down = true;
-      if (core_.metering()) {
-        core_.meters().counter("monitor.failures_detected").add();
-      }
-      core_.health_event(obs::health::kFailuresDetected,
-                         static_cast<std::int64_t>(member.value()),
-                         static_cast<std::int64_t>(
-                             core_.topology().host(member).site.value()));
-      core_.flight(obs::FlightCode::kHostDown, member.value());
-      if (core_.tracing()) {
-        core_.trace_sink().instant(
-            "monitor", "monitor.failure_detected", core_.now(), leader_.value(),
-            {obs::arg("host", member.value()), obs::arg("round", echo_seq_)});
-      }
+      core_.emit({.kind = RuntimeEventKind::kFailureDetected,
+                  .track = leader_.value(), .host = member.value(),
+                  .site = core_.topology().host(member).site.value(),
+                  .n = echo_seq_});
       (void)core_.fabric().send(net::Message{leader_, site_server_,
                                              msg::kGmHostDown, wire::kSmall,
                                              HostDownNotice{member}});
@@ -105,13 +96,8 @@ void GroupManager::echo_tick() {
   // Open the next round (every member's alive_round is now stale).
   ++echo_seq_;
   echo_outstanding_ = true;
-  if (core_.metering()) core_.meters().counter("monitor.echo_rounds").add();
-  if (core_.tracing()) {
-    core_.trace_sink().instant("monitor", "monitor.echo_round", core_.now(),
-                               leader_.value(),
-                               {obs::arg("group", group_.value()),
-                                obs::arg("round", echo_seq_)});
-  }
+  core_.emit({.kind = RuntimeEventKind::kEchoRound, .track = leader_.value(),
+              .n = echo_seq_, .m = group_.value()});
   for (common::HostId member : group.members) {
     if (member == leader_) continue;
     (void)core_.fabric().send(net::Message{leader_, member, msg::kGmEcho,

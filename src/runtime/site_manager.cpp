@@ -137,17 +137,8 @@ void SiteManager::on_gm_report(const net::Message& message) {
 
 void SiteManager::on_gm_host_down(const net::Message& message) {
   const auto& notice = message.payload.get<HostDownNotice>();
-  core_.flight(obs::FlightCode::kHostDown, notice.host.value());
-  if (core_.metering()) core_.meters().counter("recovery.hosts_marked_down").add();
-  core_.health_event(obs::health::kRecoveryActions,
-                     static_cast<std::int64_t>(notice.host.value()),
-                     static_cast<std::int64_t>(site_.value()));
-  if (core_.tracing()) {
-    core_.trace_sink().instant("recovery", "recovery.host_down", core_.now(),
-                               obs::kControlTrack,
-                               {obs::arg("host", notice.host.value()),
-                                obs::arg("site", site_.value())});
-  }
+  core_.emit({.kind = RuntimeEventKind::kHostDown, .track = server_.value(),
+              .host = notice.host.value(), .site = site_.value()});
   (void)core_.repo(site_).resources().set_host_up(notice.host, false);
 
   // Advance reservations (docs/RESERVATIONS.md): a crash inside (or ahead
@@ -163,19 +154,9 @@ void SiteManager::on_gm_host_down(const net::Message& message) {
     }
     for (std::uint64_t booking : core_.reservations().displace_host(
              notice.host, core_.now(), candidates)) {
-      core_.health_event(obs::health::kReservationDisplaced,
-                         static_cast<std::int64_t>(notice.host.value()),
-                         static_cast<std::int64_t>(site_.value()));
-      if (core_.metering()) {
-        core_.meters().counter("reservation.windows_displaced").add();
-      }
-      if (core_.tracing()) {
-        core_.trace_sink().instant("reservation", "reservation.displace",
-                                   core_.now(), obs::kControlTrack,
-                                   {obs::arg("booking", booking),
-                                    obs::arg("from", notice.host.value()),
-                                    obs::arg("site", site_.value())});
-      }
+      core_.emit({.kind = RuntimeEventKind::kDisplace,
+                  .track = server_.value(), .host = notice.host.value(),
+                  .site = site_.value(), .n = booking});
     }
   }
 
@@ -563,19 +544,10 @@ void SiteManager::on_ac_overload(const net::Message& message) {
   // pin it — moving again under fleet-wide load just keeps resetting its
   // progress to zero.
   if (app.attempts[notice.task.value()] >= kMaxTaskAttempts) {
-    if (core_.metering()) core_.meters().counter("recovery.task_pins").add();
-    core_.health_event(obs::health::kRecoveryActions,
-                       static_cast<std::int64_t>(notice.host.value()),
-                       static_cast<std::int64_t>(site_.value()));
+    core_.emit({.kind = RuntimeEventKind::kPin, .track = server_.value(),
+                .host = notice.host.value(), .site = site_.value()});
     ++app.attempts[notice.task.value()];
-    RecoveryEvent pinned;
-    pinned.task = notice.task;
-    pinned.reason = "pin";
-    pinned.detected_at = core_.now();
-    pinned.from_host = notice.host;
-    pinned.to_host = notice.host;
-    pinned.attempt = app.attempts[notice.task.value()];
-    app.recoveries.push_back(std::move(pinned));
+    record_recovery(app, "pin", notice.task, notice.host, notice.host);
     dispatch_updated_plan(app, notice.task, /*pin=*/true);
     return;
   }
@@ -588,19 +560,10 @@ bool SiteManager::consume_recovery_budget(ActiveApp& app, const char* action) {
   if (++app.recovery_actions <= core_.options().max_app_recovery_actions) {
     return true;
   }
-  core_.flight(obs::FlightCode::kEscalation, server_.value(),
-               app.plan->app.value(), 0xFFFFFFFFu,
-               static_cast<double>(app.recovery_actions - 1));
-  if (core_.metering()) core_.meters().counter("recovery.escalations").add();
-  core_.health_event(obs::health::kRecoveryActions, /*host=*/-1,
-                     static_cast<std::int64_t>(site_.value()));
-  if (core_.tracing()) {
-    core_.trace_sink().instant(
-        "recovery", "recovery.escalation", core_.now(), obs::kControlTrack,
-        {obs::arg("app", app.plan->app.value()), obs::arg("action", action),
-         obs::arg("actions", std::int64_t{app.recovery_actions - 1})},
-        obs::Causal{.app = app.plan->app.value()});
-  }
+  core_.emit({.kind = RuntimeEventKind::kEscalation, .track = server_.value(),
+              .site = site_.value(), .app = app.plan->app.value(),
+              .n = static_cast<std::uint64_t>(app.recovery_actions - 1),
+              .label = action});
   complete_app(app, false,
                "recovery budget exhausted after " +
                    std::to_string(app.recovery_actions - 1) +
@@ -737,36 +700,19 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
     return;
   }
 
-  core_.flight(obs::FlightCode::kRecovery, bad_host.value(),
-               app.plan->app.value(), task.value());
-  if (core_.metering()) core_.meters().counter("recovery.reschedules").add();
-  core_.health_event(obs::health::kRecoveryActions,
-                     static_cast<std::int64_t>(bad_host.value()),
-                     static_cast<std::int64_t>(site_.value()));
-  if (core_.tracing()) {
-    // Causal tag: the next exec.task span of this task is the relaunched
-    // attempt this recovery action caused.
-    core_.trace_sink().instant(
-        "recovery", "recovery.reschedule", core_.now(), obs::kControlTrack,
-        {obs::arg("task", node.instance_name),
-         obs::arg("from", bad_host.value()),
-         obs::arg("to", chosen.primary_host().value())},
-        obs::Causal{.app = app.plan->app.value(), .task = task.value()});
-  }
+  // Causal tag: the next exec.task span of this task is the relaunched
+  // attempt this recovery action caused.
+  core_.emit({.kind = RuntimeEventKind::kReschedule, .track = server_.value(),
+              .host = bad_host.value(), .site = site_.value(),
+              .app = app.plan->app.value(), .task = task.value(),
+              .m = chosen.primary_host().value(),
+              .label = node.instance_name});
 
   app.current[task.value()] = chosen;
   ++app.attempts[task.value()];
   for (common::HostId h : chosen.hosts) app.involved.insert(h);
   core_.reservations().acquire(app.plan->app, chosen.hosts);
-
-  RecoveryEvent ev;
-  ev.task = task;
-  ev.reason = reason;
-  ev.detected_at = core_.now();
-  ev.from_host = bad_host;
-  ev.to_host = chosen.primary_host();
-  ev.attempt = app.attempts[task.value()];
-  app.recoveries.push_back(std::move(ev));
+  record_recovery(app, reason, task, bad_host, chosen.primary_host());
 
   // Parents whose cached outputs lived on a failed host must re-execute
   // before they can feed the moved task (cascading recovery).
@@ -866,21 +812,10 @@ void SiteManager::progress_sweep() {
       if (++app.prestart_sweeps < core_.options().stall_sweeps) continue;
       app.prestart_sweeps = 0;
       if (++app.quiet_stalls > kMaxQuietStalls) continue;  // stop spamming
-      core_.flight(obs::FlightCode::kRecovery, server_.value(),
-                   app.plan->app.value());
-      if (core_.metering()) core_.meters().counter("recovery.relaunches").add();
-      core_.health_event(obs::health::kRecoveryActions, /*host=*/-1,
-                         static_cast<std::int64_t>(site_.value()));
-      if (core_.tracing()) {
-        core_.trace_sink().instant(
-            "recovery", "recovery.relaunch", core_.now(), obs::kControlTrack,
-            {obs::arg("app", app.plan->app.value())},
-            obs::Causal{.app = app.plan->app.value()});
-      }
-      RecoveryEvent ev;
-      ev.reason = "relaunch";
-      ev.detected_at = core_.now();
-      app.recoveries.push_back(std::move(ev));
+      core_.emit({.kind = RuntimeEventKind::kRelaunch,
+                  .track = server_.value(), .site = site_.value(),
+                  .app = app.plan->app.value()});
+      record_recovery(app, "relaunch");
       PlanPtr plan = current_plan(app);
       for (common::SiteId s : plan->rat.sites_used()) {
         (void)core_.fabric().send(net::Message{
@@ -909,25 +844,10 @@ void SiteManager::stall_recover(ActiveApp& app) {
   // charge the recovery budget.  They are merely rate-capped: if repeated
   // resends change nothing, more of them will not either.
   if (++app.quiet_stalls > kMaxQuietStalls) return;
-  core_.flight(obs::FlightCode::kStall, server_.value(),
-               app.plan->app.value(),
-               static_cast<std::uint32_t>(app.done.size()));
-  if (core_.metering()) core_.meters().counter("recovery.stall_resends").add();
-  core_.health_event(obs::health::kRecoveryActions, /*host=*/-1,
-                     static_cast<std::int64_t>(site_.value()));
-  if (core_.tracing()) {
-    core_.trace_sink().instant(
-        "recovery", "recovery.stall", core_.now(), obs::kControlTrack,
-        {obs::arg("app", app.plan->app.value()),
-         obs::arg("done", std::uint64_t{app.done.size()}),
-         obs::arg("tasks",
-                  std::uint64_t{app.plan->graph->task_count()})},
-        obs::Causal{.app = app.plan->app.value()});
-  }
-  RecoveryEvent ev;
-  ev.reason = "stall";
-  ev.detected_at = core_.now();
-  app.recoveries.push_back(std::move(ev));
+  core_.emit({.kind = RuntimeEventKind::kStall, .track = server_.value(),
+              .site = site_.value(), .app = app.plan->app.value(),
+              .n = app.done.size(), .m = app.plan->graph->task_count()});
+  record_recovery(app, "stall");
 
   // Re-dispatch every unfinished task to its current host: re-activates the
   // Data Manager (idempotent merge), repeats the start signal (which also
@@ -939,6 +859,14 @@ void SiteManager::stall_recover(ActiveApp& app) {
     if (!core_.topology().host_up(assignment.primary_host())) continue;
     dispatch_updated_plan(app, assignment.task);
   }
+}
+
+void SiteManager::record_recovery(ActiveApp& app, const char* reason,
+                                  afg::TaskId task, common::HostId from,
+                                  common::HostId to) {
+  const int attempt = task.valid() ? app.attempts[task.value()] : 0;
+  app.recoveries.push_back(
+      RecoveryEvent{task, reason, core_.now(), from, to, attempt, 0.0});
 }
 
 void SiteManager::complete_app(ActiveApp& app, bool success,

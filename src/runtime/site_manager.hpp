@@ -186,13 +186,18 @@ class SiteManager {
   void reschedule_task(ActiveApp& app, afg::TaskId task,
                        common::HostId bad_host, const char* reason);
   /// Charge one action against the app's recovery budget; when exhausted,
-  /// fails the app (descriptive report + recovery.escalation trace) and
-  /// returns false.
+  /// fails the app (descriptive report + escalation event) and returns
+  /// false.
   [[nodiscard]] bool consume_recovery_budget(ActiveApp& app,
                                              const char* action);
   /// Lost-message safety net: re-send start signals, staged inputs, and
   /// dataflow pulls for every unfinished task.
   void stall_recover(ActiveApp& app);
+  /// Append one recovery action to the app's report; `attempt` is the
+  /// task's attempt count when a task is given.
+  void record_recovery(ActiveApp& app, const char* reason,
+                       afg::TaskId task = {}, common::HostId from = {},
+                       common::HostId to = {});
   void dispatch_updated_plan(ActiveApp& app, afg::TaskId task,
                              bool pin = false);
   void progress_sweep();

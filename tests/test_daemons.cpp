@@ -1,13 +1,22 @@
 // White-box tests for the runtime daemons, wired by hand (no environment
 // façade): the Data Manager's channel/input accounting and execution queue,
-// and the Group Manager's filter and echo state machines.
+// the Group Manager's filter and echo state machines, and RuntimeCore::emit()
+// against its event table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "afg/generate.hpp"
+#include "alloc_counter.hpp"
 #include "db/site_repository.hpp"
+#include "obs/obs.hpp"
 #include "runtime/data_manager.hpp"
+#include "runtime/events.hpp"
 #include "runtime/group_manager.hpp"
 #include "runtime/protocol.hpp"
 #include "runtime/services.hpp"
@@ -313,6 +322,115 @@ TEST_F(DaemonFixture, EchoRoundDetectsSilentMember) {
   engine.run_until(3.0 * core->options().echo_period);
   gm.stop();
   EXPECT_EQ(down_notices, 1);  // the victim, reported exactly once
+}
+
+// ---- RuntimeCore::emit -------------------------------------------------------
+
+/// One event of every kind, every field set: the table decides what lands.
+std::array<RuntimeEvent, kRuntimeEventKinds> every_kind() {
+  std::array<RuntimeEvent, kRuntimeEventKinds> events;
+  for (std::size_t k = 0; k < kRuntimeEventKinds; ++k) {
+    events[k] = {.kind = static_cast<RuntimeEventKind>(k),
+                 .track = 2,
+                 .host = 3,
+                 .site = 0,
+                 .app = 4,
+                 .task = 5,
+                 .n = 6,
+                 .m = 7,
+                 .v = 2.5,
+                 .label = "a-label-longer-than-any-small-string-buffer"};
+  }
+  return events;
+}
+
+TEST_F(DaemonFixture, EmitWithSinksOffAllocatesNothingAndFillsOnlyTheRing) {
+  obs::Observability obs;  // metrics, trace and health off; flight on
+  core->set_observability(&obs);
+  const auto events = every_kind();
+  const std::uint64_t before = test::allocation_count();
+  for (const RuntimeEvent& e : events) core->emit(e);
+  EXPECT_EQ(test::allocation_count() - before, 0u);
+
+  std::uint64_t flights = 0;
+  for (const RuntimeEventRow& r : kRuntimeEvents) flights += r.flight ? 1 : 0;
+  EXPECT_EQ(obs.flight().total(), flights);
+  EXPECT_TRUE(obs.metrics().empty());
+  EXPECT_EQ(obs.trace().size(), 0u);
+  EXPECT_EQ(obs.health().series_count(), 0u);
+}
+
+TEST_F(DaemonFixture, EmitLandsOnceInEachSinkItsRowNames) {
+  for (const RuntimeEvent& e : every_kind()) {
+    const RuntimeEventRow& r = kRuntimeEvents[static_cast<std::size_t>(e.kind)];
+    SCOPED_TRACE(r.counter);
+    obs::health::HealthOptions health;
+    health.enabled = true;
+    health.default_rules = false;
+    obs::Observability obs(obs::MetricsOptions{.enabled = true},
+                           obs::TraceOptions{.enabled = true}, {}, health);
+    core->set_observability(&obs);
+    core->emit(e);
+
+    const auto flight = obs.flight().snapshot();
+    ASSERT_EQ(flight.size(), r.flight ? 1u : 0u);
+    if (r.flight) {
+      EXPECT_EQ(flight.front().code, *r.flight);
+    }
+
+    // The plane's own vdce.health.* counters aside, one counter at 1.
+    std::size_t counters = 0;
+    for (const auto& [name, counter] : obs.metrics().counters()) {
+      if (name.starts_with("vdce.health.")) continue;
+      ++counters;
+      EXPECT_EQ(name, r.counter);
+      EXPECT_EQ(counter.value(), 1u);
+    }
+    EXPECT_EQ(counters, 1u);
+
+    ASSERT_EQ(obs.health().series_count(), r.health ? 1u : 0u);
+    if (r.health) {
+      const obs::health::TimeSeries& ts = *obs.health().all_series().front();
+      EXPECT_EQ(ts.key().metric, r.health);
+      EXPECT_EQ(ts.last(), 1.0);
+    }
+
+    // The kind's instant, once, after the health.series record of its
+    // first use.
+    std::size_t instants = 0;
+    std::size_t instant_at = 0;
+    std::size_t series_at = obs.trace().size();
+    for (std::size_t i = 0; i < obs.trace().size(); ++i) {
+      const obs::TraceEvent& event = obs.trace().events()[i];
+      if (event.name == "health.series") {
+        series_at = std::min(series_at, i);
+      } else if (event.category != "health") {
+        ++instants;
+        instant_at = i;
+        EXPECT_EQ(event.name, r.name != nullptr ? r.name : "");
+      }
+    }
+    EXPECT_EQ(instants, r.name ? 1u : 0u);
+    if (r.name && r.health) {
+      EXPECT_LT(series_at, instant_at);
+    }
+    core->set_observability(nullptr);
+  }
+}
+
+TEST(Runtime, EventTableIsDocumented) {
+  std::ifstream in(VDCE_OBSERVABILITY_DOC);
+  ASSERT_TRUE(in) << VDCE_OBSERVABILITY_DOC;
+  std::ostringstream doc;
+  doc << in.rdbuf();
+  auto documented = [&doc](const char* name) {
+    return doc.str().find("`" + std::string(name) + "`") != std::string::npos;
+  };
+  for (const RuntimeEventRow& r : kRuntimeEvents) {
+    EXPECT_TRUE(documented(r.counter)) << r.counter;
+    EXPECT_TRUE(!r.health || documented(r.health)) << r.health;
+    EXPECT_TRUE(!r.name || documented(r.name)) << r.name;
+  }
 }
 
 }  // namespace

@@ -770,7 +770,9 @@ TEST(Golden, LiveOfflineRowDigestsMatch) {
 TEST(Golden, ChaosDigestsMatch) {
   const std::vector<ChaosRun> runs = chaos_runs();
   std::set<std::string> fired;
-  for (const ChaosRun& run : runs) fired.insert(run.fired.begin(), run.fired.end());
+  for (const ChaosRun& run : runs) {
+    fired.insert(run.fired.begin(), run.fired.end());
+  }
   for (const std::string& name : kRuntimeEventCounters) {
     EXPECT_TRUE(fired.contains(name)) << name << ": no chaos run fires it";
   }
