@@ -11,15 +11,19 @@
 // Each configuration times sched::reference::schedule_naive (the frozen
 // pre-optimization algorithm) against sched::plan ("vdce-level") and
 // verifies the two allocation tables are bit-identical — the speedup is
-// only real if the optimized path changes nothing.  Writes BENCH_SCALE.json
-// (bench_util.hpp schema).  Checks: every table pair is identical, and the
-// largest grid configuration's speedup meets the documented threshold (3x
-// full, 2x smoke — see docs/SCALING.md).
+// only real if the optimized path changes nothing.  It also counts the heap
+// allocations of one plan() call (operator new, tests/alloc_counter.hpp)
+// per task: a number that does not vary with the host, unlike opt_ms.
+// Writes BENCH_SCALE.json (bench_util.hpp schema).  Checks: every table
+// pair is identical, the largest grid configuration's speedup meets the
+// documented threshold (3x full, 2x smoke), and no configuration allocates
+// more than 20% above its committed count per task (docs/SCALING.md §4).
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_util.hpp"
 #include "common/strings.hpp"
 #include "db/site_repository.hpp"
@@ -73,6 +77,7 @@ bool tables_identical(const sched::ResourceAllocationTable& a,
 struct Measurement {
   double naive_ms = 0.0;
   double opt_ms = 0.0;
+  double allocs_per_task = 0.0;  ///< operator new calls of one plan()
   double speedup = 0.0;
   double makespan = 0.0;
   bool identical = false;
@@ -91,8 +96,12 @@ Measurement measure(Deployment& dep, const afg::Afg& graph, int opt_repeats) {
     return m;
   }
 
+  const std::uint64_t before = test::allocation_count();
   common::Expected<sched::ResourceAllocationTable> optimized =
-      common::Error{common::ErrorCode::kInternal, "unset"};
+      sched::plan(graph, dep.context, options);
+  m.allocs_per_task =
+      static_cast<double>(test::allocation_count() - before) /
+      static_cast<double>(graph.task_count());
   t0 = bench::now_ms();
   for (int r = 0; r < opt_repeats; ++r) {
     optimized = sched::plan(graph, dep.context, options);
@@ -111,10 +120,23 @@ Measurement measure(Deployment& dep, const afg::Afg& graph, int opt_repeats) {
   return m;
 }
 
+/// The gate on allocations: each configuration's count per task as
+/// committed in BENCH_SCALE.json (and, for --smoke, measured by the same
+/// build), which a run may exceed by at most the 20% of docs/SCALING.md §4.
+constexpr double kAllocSlack = 1.2;
+
 struct GridConfig {
   std::size_t sites;
   std::size_t hosts;
   std::size_t tasks;
+  double committed_allocs;  ///< per task
+};
+
+struct AfgConfig {
+  bool layered;       ///< else a bounded-fan-in random DAG
+  std::size_t tasks;
+  std::size_t width;  ///< layered only
+  double committed_allocs;
 };
 
 afg::Afg layered_workload(std::size_t tasks, std::size_t width,
@@ -139,28 +161,46 @@ int main(int argc, char** argv) {
                           : "mode: full (largest grid 32x32, 512-task AFG)");
 
   const std::vector<GridConfig> grid_configs =
-      smoke ? std::vector<GridConfig>{{2, 4, 48}, {4, 8, 96}, {8, 16, 128}}
-            : std::vector<GridConfig>{{2, 4, 256},
-                                      {4, 8, 256},
-                                      {8, 16, 256},
-                                      {16, 32, 256},
-                                      {32, 32, 256}};
-  const std::vector<std::size_t> afg_tasks =
-      smoke ? std::vector<std::size_t>{32, 64}
-            : std::vector<std::size_t>{64, 128, 256, 512};
-  const std::vector<std::size_t> afg_widths =
-      smoke ? std::vector<std::size_t>{4, 8}
-            : std::vector<std::size_t>{4, 8, 16, 32};
+      smoke ? std::vector<GridConfig>{{2, 4, 48, 6.6875},
+                                      {4, 8, 96, 8.3125},
+                                      {8, 16, 128, 13.328125}}
+            : std::vector<GridConfig>{{2, 4, 256, 5.20703125},
+                                      {4, 8, 256, 7.33984375},
+                                      {8, 16, 256, 11.9609375},
+                                      {16, 32, 256, 21.7421875},
+                                      {32, 32, 256, 40.3125}};
+  const std::vector<AfgConfig> afg_configs =
+      smoke ? std::vector<AfgConfig>{{false, 32, 0, 20.15625},
+                                     {false, 64, 0, 15.8125},
+                                     {true, 64, 4, 15.453125},
+                                     {true, 64, 8, 15.625}}
+            : std::vector<AfgConfig>{{false, 64, 0, 15.8125},
+                                     {false, 128, 0, 13.4375},
+                                     {false, 256, 0, 11.66015625},
+                                     {false, 512, 0, 10.634765625},
+                                     {true, 256, 4, 11.78125},
+                                     {true, 256, 8, 11.7421875},
+                                     {true, 256, 16, 11.78515625},
+                                     {true, 256, 32, 11.79296875}};
   const double threshold = smoke ? 2.0 : 3.0;
   const int opt_repeats = smoke ? 3 : 5;
 
   bool all_identical = true;
-  const auto timings = [](bench::Run::Row row, const Measurement& m) {
+  std::string over_bound;  // configurations past their allocation bound
+  const auto timings = [&](bench::Run::Row row, const Measurement& m,
+                           double committed_allocs, const std::string& what) {
+    const double bound = committed_allocs * kAllocSlack;
     row.num("naive_ms", m.naive_ms)
         .num("opt_ms", m.opt_ms)
         .num("speedup", m.speedup)
         .num("makespan_s", m.makespan)
+        .num("allocs_per_task", m.allocs_per_task)
+        .num("allocs_bound", bound)
         .flag("identical", m.identical);
+    if (m.allocs_per_task > bound) {
+      over_bound += bench::strf(" %s %.2f > %.2f;", what.c_str(),
+                                m.allocs_per_task, bound);
+    }
   };
 
   // --- grid sweep ---------------------------------------------------------
@@ -180,7 +220,8 @@ int main(int argc, char** argv) {
                 .num("sites", cfg.sites)
                 .num("hosts_per_site", cfg.hosts)
                 .num("tasks", cfg.tasks),
-            m);
+            m, cfg.committed_allocs,
+            bench::strf("grid %zux%zu", cfg.sites, cfg.hosts));
   }
   run.table("grid_sweep");
 
@@ -191,29 +232,33 @@ int main(int argc, char** argv) {
     g.hosts_per_site = 16;
     g.seed = 77;
     Deployment dep(g);
-    for (std::size_t tasks : afg_tasks) {
-      scale::WorkloadSpec w;
-      w.shape = scale::WorkloadShape::kRandomDag;
-      w.tasks = tasks;
-      w.max_fan_in = 6;
-      w.seed = 500 + tasks;
-      afg::Afg graph = scale::make_workload(w, "afg-sweep");
-      Measurement m = measure(dep, graph, opt_repeats);
-      all_identical = all_identical && m.identical;
-      timings(
-          run.row("afg_sweep").str("shape", "randomdag").num("tasks", tasks),
-          m);
-    }
-    const std::size_t width_tasks = smoke ? 64 : 256;
-    for (std::size_t width : afg_widths) {
-      afg::Afg graph = layered_workload(width_tasks, width, 900 + width);
-      Measurement m = measure(dep, graph, opt_repeats);
-      all_identical = all_identical && m.identical;
-      timings(run.row("afg_sweep")
-                  .str("shape", "layered")
-                  .num("tasks", width_tasks)
-                  .num("width", width),
-              m);
+    for (const AfgConfig& cfg : afg_configs) {
+      if (!cfg.layered) {
+        scale::WorkloadSpec w;
+        w.shape = scale::WorkloadShape::kRandomDag;
+        w.tasks = cfg.tasks;
+        w.max_fan_in = 6;
+        w.seed = 500 + cfg.tasks;
+        afg::Afg graph = scale::make_workload(w, "afg-sweep");
+        Measurement m = measure(dep, graph, opt_repeats);
+        all_identical = all_identical && m.identical;
+        timings(run.row("afg_sweep")
+                    .str("shape", "randomdag")
+                    .num("tasks", cfg.tasks),
+                m, cfg.committed_allocs,
+                bench::strf("randomdag %zu", cfg.tasks));
+      } else {
+        afg::Afg graph =
+            layered_workload(cfg.tasks, cfg.width, 900 + cfg.width);
+        Measurement m = measure(dep, graph, opt_repeats);
+        all_identical = all_identical && m.identical;
+        timings(run.row("afg_sweep")
+                    .str("shape", "layered")
+                    .num("tasks", cfg.tasks)
+                    .num("width", cfg.width),
+                m, cfg.committed_allocs,
+                bench::strf("layered %zu/w%zu", cfg.tasks, cfg.width));
+      }
     }
   }
   run.table("afg_sweep");
@@ -228,5 +273,11 @@ int main(int argc, char** argv) {
             bench::strf("largest-grid speedup %.1fx, floor %.1fx; see "
                         "docs/SCALING.md",
                         largest_speedup, threshold));
+  run.check("allocations", over_bound.empty(),
+            over_bound.empty()
+                ? bench::strf("every configuration within %.0f%% of its "
+                              "committed allocations per task",
+                              100.0 * (kAllocSlack - 1.0))
+                : "allocations per task over the bound:" + over_bound);
   return run.finish();
 }

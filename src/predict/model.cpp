@@ -78,7 +78,7 @@ common::Expected<common::SimDuration> Predictor::predict(
 
 common::Expected<common::SimDuration> Predictor::predict(
     const db::TaskPerfRecord& task,
-    const std::vector<db::ResourceRecord>& hosts,
+    std::span<const db::ResourceRecord* const> hosts,
     const db::TaskPerformanceDb* measured_db) const {
   if (hosts.empty()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
@@ -86,28 +86,28 @@ common::Expected<common::SimDuration> Predictor::predict(
   }
 
   // Feasibility: memory must fit in each node's total memory.
-  for (const db::ResourceRecord& h : hosts) {
-    if (task.required_memory_mb > h.total_memory_mb) {
+  for (const db::ResourceRecord* h : hosts) {
+    if (task.required_memory_mb > h->total_memory_mb) {
       return common::Error{
           common::ErrorCode::kNoFeasibleResource,
           task.task_name + " needs " +
-              std::to_string(task.required_memory_mb) + "MB; " + h.host_name +
-              " has " + std::to_string(h.total_memory_mb) + "MB"};
+              std::to_string(task.required_memory_mb) + "MB; " + h->host_name +
+              " has " + std::to_string(h->total_memory_mb) + "MB"};
     }
   }
 
   // Measured path (sequential placements only: parallel groups vary).
   if (hosts.size() == 1 && measured_db != nullptr) {
-    auto m = measured_db->measured(task.task_name, hosts.front().host);
+    auto m = measured_db->measured(task.task_name, hosts.front()->host);
     if (m && m->count >= kMinMeasurements) return m->mean;
   }
 
   // Analytic path.  The slowest effective node gates both the serial part
   // (which runs on one node) and the parallel part (bulk-synchronous: the
   // group advances at the pace of its slowest member).
-  double slowest = effective_mflops(hosts.front());
-  for (const db::ResourceRecord& h : hosts) {
-    slowest = std::min(slowest, effective_mflops(h));
+  double slowest = effective_mflops(*hosts.front());
+  for (const db::ResourceRecord* h : hosts) {
+    slowest = std::min(slowest, effective_mflops(*h));
   }
   if (slowest <= 0.0) {
     return common::Error{common::ErrorCode::kNoFeasibleResource,
@@ -117,8 +117,8 @@ common::Expected<common::SimDuration> Predictor::predict(
   double time = amdahl_time(task, slowest, hosts.size());
 
   // Paging penalty when the task does not fit in *available* memory.
-  for (const db::ResourceRecord& h : hosts) {
-    if (task.required_memory_mb > h.available_mb()) {
+  for (const db::ResourceRecord* h : hosts) {
+    if (task.required_memory_mb > h->available_mb()) {
       time *= kPagingPenalty;
       break;
     }

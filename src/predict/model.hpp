@@ -23,6 +23,7 @@
 // monitoring pipeline, and that gap is measured by benches E3/E4.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "afg/graph.hpp"
@@ -40,12 +41,13 @@ inline constexpr std::size_t kMinMeasurements = 1;
 class Predictor {
  public:
   /// Predict(task_i, R_j) for a sequential placement, or a parallel task on
-  /// `nodes` homogeneous-ish hosts (pass the actual records selected; the
-  /// slowest one gates the parallel part).  Fails with kNoFeasibleResource
-  /// when the task cannot run there at all (memory exceeds total).
+  /// `nodes` homogeneous-ish hosts (pass the actual records selected, in
+  /// group order; the slowest one gates the parallel part).  Fails with
+  /// kNoFeasibleResource when the task cannot run there at all (memory
+  /// exceeds total).
   common::Expected<common::SimDuration> predict(
       const db::TaskPerfRecord& task,
-      const std::vector<db::ResourceRecord>& hosts,
+      std::span<const db::ResourceRecord* const> hosts,
       const db::TaskPerformanceDb* measured_db = nullptr) const;
 
   /// Single-host convenience overload.

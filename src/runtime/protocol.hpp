@@ -271,7 +271,7 @@ inline double afg(const afg::Afg& graph) {
          48 * static_cast<double>(graph.edges().size());
 }
 inline double bids(const sched::HostSelectionOutput& output) {
-  return 96 + 64 * static_cast<double>(output.bids.size());
+  return 96 + 64 * static_cast<double>(output.bid_count());
 }
 inline double rat(const sched::ResourceAllocationTable& table) {
   return 128 + 96 * static_cast<double>(table.assignments.size());

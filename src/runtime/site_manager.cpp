@@ -223,9 +223,9 @@ void SiteManager::schedule_application(common::AppId app,
   if (core_.metering()) core_.meters().counter("sched.requests").add();
 
   // Local host selection runs in place (Fig. 2 step 4, local half).
-  auto local = sched::HostSelectionAlgorithm::run(*graph, site_,
-                                                  core_.repo(site_),
-                                                  core_.predictor());
+  auto local = sched::HostSelectionAlgorithm::run(
+      *graph, sched::TaskKinds::of(*graph), site_, core_.repo(site_),
+      core_.predictor());
   if (!local) {
     auto cb = std::move(pending.callback);
     core_.engine().schedule(0.0, [cb, err = local.error()] { cb(err); });
@@ -235,7 +235,7 @@ void SiteManager::schedule_application(common::AppId app,
     core_.trace_sink().instant(
         "sched", "sched.host_selection", core_.now(), server_.value(),
         {obs::arg("site", site_.value()),
-         obs::arg("bids", std::uint64_t{local->bids.size()})},
+         obs::arg("bids", std::uint64_t{local->bid_count()})},
         obs::Causal{.app = app.value()});
   }
   pending.local_output = std::move(*local);
@@ -268,14 +268,17 @@ void SiteManager::schedule_application(common::AppId app,
 
 void SiteManager::on_sm_afg(const net::Message& message) {
   const auto& request = message.payload.get<AfgMulticast>();
+  // The site derives the request's task kinds from the AFG it received: the
+  // same numbering the origin derives, as both read the same graph.
   auto output = sched::HostSelectionAlgorithm::run(
-      *request.graph, site_, core_.repo(site_), core_.predictor());
+      *request.graph, sched::TaskKinds::of(*request.graph), site_,
+      core_.repo(site_), core_.predictor());
   if (!output) return;  // cannot bid; origin proceeds without this site
   if (core_.tracing()) {
     core_.trace_sink().instant(
         "sched", "sched.host_selection", core_.now(), server_.value(),
         {obs::arg("site", site_.value()),
-         obs::arg("bids", std::uint64_t{output->bids.size()})},
+         obs::arg("bids", std::uint64_t{output->bid_count()})},
         obs::Causal{.app = request.app.value()});
   }
   double size = wire::bids(*output);
@@ -304,16 +307,16 @@ void SiteManager::finish_schedule(std::uint32_t app_value) {
   PendingSchedule pending = std::move(it->second);
   pending_.erase(it);
 
-  // Candidate-site order, local first: the local output moves, each remote
-  // one is copied once out of its shared, immutable bids reply.
-  std::vector<sched::HostSelectionOutput> outputs;
+  // Candidate-site order, local first: the row reads the local output and
+  // each shared, immutable bids reply in place, copying none of them.
+  std::vector<const sched::HostSelectionOutput*> outputs;
   outputs.reserve(pending.reply_count());
   for (common::SiteId s : pending.sites) {
     if (s == site_ && pending.local_output) {
-      outputs.push_back(std::move(*pending.local_output));
+      outputs.push_back(&*pending.local_output);
     } else if (auto found = pending.remote_outputs.find(s);
                found != pending.remote_outputs.end()) {
-      outputs.push_back(*found->second);
+      outputs.push_back(found->second.get());
     }
   }
   core_.flight(obs::FlightCode::kSchedule, server_.value(), app_value);
@@ -674,13 +677,15 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
           admitted.push_back(&rh.record);
           if (admitted.size() == need) break;
         }
-        auto bid = sched::HostSelectionAlgorithm::group_bid(
+        auto predicted = sched::HostSelectionAlgorithm::group_bid(
             candidate_node, perf, s, admitted, core_.repo(s),
             core_.predictor());
-        if (!bid) continue;
-        if (!found || bid->predicted < best_objective) {
-          sched::Assignment candidate{task, s, std::move(bid->hosts),
-                                      bid->predicted, 0.0, 0.0};
+        if (!predicted) continue;
+        if (!found || *predicted < best_objective) {
+          std::vector<common::HostId> group;
+          for (const db::ResourceRecord* r : admitted) group.push_back(r->host);
+          sched::Assignment candidate{task, s, std::move(group), *predicted,
+                                      0.0, 0.0};
           if (!affordable(candidate)) continue;
           found = true;
           best_objective = candidate.predicted_time;

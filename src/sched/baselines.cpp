@@ -17,7 +17,7 @@ namespace {
 template <typename PickFn>
 common::Expected<ResourceAllocationTable> run_baseline(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy, const std::string& scheduler_name,
     PickFn&& pick) {
   auto view = PlannerView::make(graph, context, outputs, policy);
@@ -37,7 +37,7 @@ common::Expected<ResourceAllocationTable> run_baseline(
 /// Ties break toward the lower task id in both flavours.
 common::Expected<ResourceAllocationTable> run_batch_heuristic(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy, const std::string& scheduler_name,
     bool prefer_largest) {
   auto view = PlannerView::make(graph, context, outputs, policy);
@@ -118,7 +118,7 @@ common::Expected<ResourceAllocationTable> run_batch_heuristic(
 
 common::Expected<ResourceAllocationTable> assign_random(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   common::Rng rng(policy.seed);
   return run_baseline(
@@ -131,7 +131,7 @@ common::Expected<ResourceAllocationTable> assign_random(
 
 common::Expected<ResourceAllocationTable> assign_round_robin(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   std::size_t cursor = 0;
   return run_baseline(
@@ -146,7 +146,7 @@ common::Expected<ResourceAllocationTable> assign_round_robin(
 
 common::Expected<ResourceAllocationTable> assign_min_load(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   return run_baseline(
       graph, context, outputs, policy, "min-load",
@@ -178,7 +178,7 @@ common::Expected<ResourceAllocationTable> assign_min_load(
 
 common::Expected<ResourceAllocationTable> assign_min_min(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   // The batch heuristics need their own driver: they reorder the ready set
   // each step.
@@ -188,7 +188,7 @@ common::Expected<ResourceAllocationTable> assign_min_min(
 
 common::Expected<ResourceAllocationTable> assign_max_min(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   return run_batch_heuristic(graph, context, outputs, policy, "max-min",
                              /*prefer_largest=*/true);

@@ -37,27 +37,27 @@ namespace vdce::sched {
 
 common::Expected<ResourceAllocationTable> assign_random(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 common::Expected<ResourceAllocationTable> assign_round_robin(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 common::Expected<ResourceAllocationTable> assign_min_load(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 common::Expected<ResourceAllocationTable> assign_min_min(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 common::Expected<ResourceAllocationTable> assign_max_min(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 }  // namespace vdce::sched

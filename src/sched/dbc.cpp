@@ -18,7 +18,7 @@ enum class Mode { kCost, kTime };
 /// The constrained list scheduler shared by both modes.
 common::Expected<ResourceAllocationTable> schedule_constrained(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy, Mode mode,
     const std::string& scheduler_name) {
   assert(context.prices != nullptr);
@@ -165,7 +165,7 @@ common::Expected<ResourceAllocationTable> schedule_constrained(
 /// name differs.
 common::Expected<ResourceAllocationTable> assign_dbc(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy, Mode mode) {
   const std::string name = mode == Mode::kCost ? "dbc-cost" : "dbc-time";
   const bool economic = context.prices != nullptr &&
@@ -180,14 +180,14 @@ common::Expected<ResourceAllocationTable> assign_dbc(
 
 common::Expected<ResourceAllocationTable> assign_dbc_cost(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   return assign_dbc(graph, context, outputs, policy, Mode::kCost);
 }
 
 common::Expected<ResourceAllocationTable> assign_dbc_time(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   return assign_dbc(graph, context, outputs, policy, Mode::kTime);
 }

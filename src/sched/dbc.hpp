@@ -39,12 +39,12 @@ namespace vdce::sched {
 
 common::Expected<ResourceAllocationTable> assign_dbc_cost(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 common::Expected<ResourceAllocationTable> assign_dbc_time(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 }  // namespace vdce::sched

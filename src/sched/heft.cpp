@@ -41,7 +41,7 @@ struct MachineSchedule {
 
 common::Expected<ResourceAllocationTable> assign_heft(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();

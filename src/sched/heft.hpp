@@ -29,7 +29,7 @@ namespace vdce::sched {
 /// except the access domain, which clips the sites asked to bid.
 common::Expected<ResourceAllocationTable> assign_heft(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 }  // namespace vdce::sched

@@ -10,7 +10,9 @@
 //
 // Each site runs this against its own repository when the AFG is multicast
 // to it (Fig. 2, steps 3-5), then returns the per-task best machine and
-// predicted time to the requesting site.  "For parallel tasks, the host
+// predicted time to the requesting site.  Step 4 reads only a task's kind
+// (TaskKinds below), so the ranking is computed once per (kind, site) and
+// shared by every task of the kind.  "For parallel tasks, the host
 // selection algorithm is updated to select the number of machines required
 // within the site" (§3) — handled here by picking the `num_nodes` fastest
 // feasible machines and predicting the group time.
@@ -23,7 +25,9 @@
 // sufficient.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "afg/graph.hpp"
@@ -34,41 +38,100 @@
 
 namespace vdce::sched {
 
-/// One site's answer for one task: the chosen machine(s) and the predicted
-/// execution time (the "mapping information ... machine name and predicted
-/// execution time" each remote site sends back, §3).
+/// One site's answer for one task, as a placement uses it: the chosen
+/// machine(s) and the predicted execution time (the "mapping information
+/// ... machine name and predicted execution time" each remote site sends
+/// back, §3).
 struct HostBid {
   common::SiteId site;
   std::vector<common::HostId> hosts;
   common::SimDuration predicted = 0.0;
 };
 
+/// A bid as HostSelectionOutput stores it: the predicted time and where the
+/// chosen machines sit in the output's flat host array
+/// (HostSelectionOutput::hosts), so a one-host bid owns no vector.
+struct TaskBid {
+  common::SimDuration predicted = 0.0;
+  std::uint32_t first_host = 0;
+  std::uint32_t host_count = 0;  ///< 0: the site did not bid for the task
+};
+
 /// Reference into a site's host-pool snapshot: pool index of a feasible
 /// machine plus its sequential prediction.  Sixteen bytes instead of a full
-/// ResourceRecord copy, so ranked lists can be cached per (task, site).
+/// ResourceRecord copy, so a site keeps one ranked list per task kind.
 struct RankedRef {
   std::uint32_t index = 0;
   common::SimDuration predicted = 0.0;
 };
 
-/// The full output of one site's host-selection run.  Tasks with no
-/// feasible machine at this site are simply absent from `bids`.
+/// The graph's tasks grouped by kind: the task name plus the node's
+/// preferred machine and preferred machine type, everything Fig. 3 reads
+/// from a node to rank machines.  Tasks of one kind get the same ranking at
+/// a site; a parallel task's group bid also reads num_nodes, so bids stay
+/// per task.  Derived once per scheduling request and shared by every
+/// site's output, not stored in the graph: the editor may still rename a
+/// node or change its properties.
+struct TaskKinds {
+  std::vector<std::uint32_t> of_task;  ///< kind by task id
+  std::vector<afg::TaskId> first;      ///< lowest task id of each kind
+
+  /// Kinds numbered in order of their lowest task id.
+  static std::shared_ptr<const TaskKinds> of(const afg::Afg& graph);
+
+  [[nodiscard]] std::size_t count() const noexcept { return first.size(); }
+};
+
+/// The full output of one site's host-selection run.
 ///
-/// run() additionally snapshots the site's available hosts and retains every
-/// task's ranked feasible list (as indices into the snapshot).  Every
-/// strategy row assigns from these (assign_with_outputs directly, the
-/// offline rows through PlannerView) instead of recomputing feasible_hosts
-/// per (task, site).  Fabric bid replies (sm.bids) carry the whole output,
-/// ranking included, so a row sees what the site saw when it bid.
+/// run() snapshots the site's available hosts and keeps one ranked feasible
+/// list per task kind (as indices into the snapshot), all in one flat
+/// array.  Every strategy row assigns from these (assign_with_outputs
+/// directly, the offline rows through PlannerView) instead of recomputing
+/// feasible_hosts per (task, site).  Fabric bid replies (sm.bids) carry the
+/// whole output, rankings included, so a row sees what the site saw when
+/// it bid.
 struct HostSelectionOutput {
   common::SiteId site;
-  std::unordered_map<afg::TaskId, HostBid> bids;
   /// Available hosts of the site at run() time, sorted by host id.
   std::vector<db::ResourceRecord> host_pool;
-  /// Per task id: feasible machines as indices into `host_pool`, sorted by
-  /// (predicted, host); run() fills one entry per task.
-  std::vector<std::vector<RankedRef>> ranked;
+  /// The request's task kinds, shared with the other sites' outputs.
+  std::shared_ptr<const TaskKinds> kinds;
+  /// Each kind's feasible machines as indices into `host_pool`, sorted by
+  /// (predicted, host), kind after kind: kind k's list is
+  /// [ranking_start[k], ranking_start[k + 1]).
+  std::vector<RankedRef> rankings;
+  std::vector<std::uint32_t> ranking_start;
+  /// This site's bid by task id; a bid's machines are
+  /// bid_hosts[first_host, first_host + host_count).
+  std::vector<TaskBid> bids;
+  std::vector<common::HostId> bid_hosts;
+
+  /// The task's feasible machines at this site, best first (its kind's
+  /// ranking).
+  [[nodiscard]] std::span<const RankedRef> ranked(afg::TaskId task) const {
+    const std::uint32_t k = kinds->of_task[task.value()];
+    return {rankings.begin() + ranking_start[k],
+            rankings.begin() + ranking_start[k + 1]};
+  }
+  /// The site's bid for the task; null when it did not bid.
+  [[nodiscard]] const TaskBid* bid(afg::TaskId task) const {
+    const TaskBid& b = bids[task.value()];
+    return b.host_count == 0 ? nullptr : &b;
+  }
+  [[nodiscard]] std::span<const common::HostId> hosts(const TaskBid& b) const {
+    return {bid_hosts.begin() + b.first_host, b.host_count};
+  }
+  /// How many tasks the site bid for.
+  [[nodiscard]] std::size_t bid_count() const;
+  /// Record a bid.  Pre: `bids` has one entry per task.
+  void set_bid(afg::TaskId task, common::SimDuration predicted,
+               std::span<const common::HostId> machines);
 };
+
+/// The outputs a strategy row assigns from: one per candidate site that
+/// bid, local site first.  The caller keeps them alive; nothing copies them.
+using GatheredOutputs = std::span<const HostSelectionOutput* const>;
 
 /// A feasible machine for a task with its predicted time, ranked ascending
 /// by prediction.  Exposed so the site scheduler can consult alternatives
@@ -80,10 +143,12 @@ struct RankedHost {
 
 class HostSelectionAlgorithm {
  public:
-  /// Fig. 3 over every task of the graph at one site.
+  /// Fig. 3 over every task of the graph at one site: one ranking per kind
+  /// of `kinds` (TaskKinds::of(graph)), one bid per task.
   static common::Expected<HostSelectionOutput> run(
-      const afg::Afg& graph, common::SiteId site,
-      const db::SiteRepository& repo, const predict::Predictor& predictor);
+      const afg::Afg& graph, std::shared_ptr<const TaskKinds> kinds,
+      common::SiteId site, const db::SiteRepository& repo,
+      const predict::Predictor& predictor);
 
   /// Feasible machines of `site` for one task, sorted by predicted time
   /// (sequential prediction per machine).  Empty when none qualify.
@@ -94,12 +159,12 @@ class HostSelectionAlgorithm {
 
   /// The rule for a parallel task at one site (§3): the `num_nodes`
   /// individually fastest machines of `ranked` (the site's feasible
-  /// machines in rank order) form the group, and the group prediction is
-  /// gated by its slowest member.  Fails with kNoFeasibleResource when fewer
-  /// than `num_nodes` machines are feasible.
-  static common::Expected<HostBid> group_bid(
+  /// machines in rank order) form the group, ranked[0, num_nodes), and the
+  /// group prediction returned is gated by its slowest member.  Fails with
+  /// kNoFeasibleResource when fewer than `num_nodes` machines are feasible.
+  static common::Expected<common::SimDuration> group_bid(
       const afg::TaskNode& node, const db::TaskPerfRecord& perf,
-      common::SiteId site, const std::vector<const db::ResourceRecord*>& ranked,
+      common::SiteId site, std::span<const db::ResourceRecord* const> ranked,
       const db::SiteRepository& repo, const predict::Predictor& predictor);
 
   /// Core of feasible_hosts over a pre-fetched host pool: filter, predict,

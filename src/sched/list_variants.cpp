@@ -56,7 +56,7 @@ struct EarliestFinishPick {
 
 common::Expected<ResourceAllocationTable> assign_b_level(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();
@@ -69,7 +69,7 @@ common::Expected<ResourceAllocationTable> assign_b_level(
 
 common::Expected<ResourceAllocationTable> assign_t_level(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();
@@ -87,7 +87,7 @@ common::Expected<ResourceAllocationTable> assign_t_level(
 
 common::Expected<ResourceAllocationTable> assign_work_stealing(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   auto view = PlannerView::make(graph, context, outputs, policy);
   if (!view) return view.error();

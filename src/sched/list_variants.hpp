@@ -38,17 +38,17 @@ namespace vdce::sched {
 
 common::Expected<ResourceAllocationTable> assign_b_level(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 common::Expected<ResourceAllocationTable> assign_t_level(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 common::Expected<ResourceAllocationTable> assign_work_stealing(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 }  // namespace vdce::sched

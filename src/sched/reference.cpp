@@ -71,9 +71,9 @@ common::Expected<HostBid> best_bid_naive(const afg::TaskNode& node,
     bid.predicted = ranked.front().predicted;
     return bid;
   }
-  std::vector<db::ResourceRecord> group;
+  std::vector<const db::ResourceRecord*> group;
   for (std::size_t i = 0; i < nodes_needed; ++i) {
-    group.push_back(ranked[i].record);
+    group.push_back(&ranked[i].record);
     bid.hosts.push_back(ranked[i].record.host);
   }
   auto predicted = predictor.predict(perf, group, &repo.tasks());
@@ -86,12 +86,13 @@ common::Expected<HostSelectionOutput> run_naive(
     const afg::Afg& graph, common::SiteId site, const db::SiteRepository& repo,
     const predict::Predictor& predictor) {
   HostSelectionOutput output;
-  output.site = site;  // leaves output.ranked empty: no cache in this era
+  output.site = site;  // leaves the rankings empty: no cache in this era
+  output.bids.resize(graph.task_count());
   for (const afg::TaskNode& node : graph.tasks()) {
     auto perf = resolve_perf(node, repo.tasks());
     if (!perf) return perf.error();
     auto bid = best_bid_naive(node, *perf, site, repo, predictor);
-    if (bid) output.bids.emplace(node.id, std::move(*bid));
+    if (bid) output.set_bid(node.id, bid->predicted, bid->hosts);
     // No feasible machine here: this site simply does not bid for the task.
   }
   return output;
@@ -243,7 +244,7 @@ std::vector<afg::TaskId> children_naive(const afg::Afg& graph,
 
 common::Expected<ResourceAllocationTable> assign_with_outputs_naive(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& options, const std::string& scheduler_name) {
   if (context.topology == nullptr || context.predictor == nullptr) {
     return common::Error{common::ErrorCode::kInvalidArgument,
@@ -253,7 +254,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs_naive(
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "no host-selection outputs supplied"};
   }
-  if (outputs.front().site != context.local_site) {
+  if (outputs.front()->site != context.local_site) {
     return common::Error{
         common::ErrorCode::kInvalidArgument,
         "host-selection outputs must lead with the local site"};
@@ -333,18 +334,19 @@ common::Expected<ResourceAllocationTable> assign_with_outputs_naive(
         parents_naive(graph, task).empty() || !graph.requires_input(task);
 
     SiteCandidate best;
-    for (const HostSelectionOutput& output : outputs) {
-      const common::SiteId s = output.site;
-      auto bid_it = output.bids.find(task);
-      if (bid_it == output.bids.end()) continue;
+    for (const HostSelectionOutput* output : outputs) {
+      const common::SiteId s = output->site;
+      const TaskBid* bid = output->bid(task);
+      if (bid == nullptr) continue;
 
       SiteCandidate cand;
       cand.site = s;
       cand.valid = true;
 
       if (options.objective == SiteObjective::kPaperObjective) {
-        cand.hosts = bid_it->second.hosts;
-        cand.predicted = bid_it->second.predicted;
+        const std::span<const common::HostId> bid_hosts = output->hosts(*bid);
+        cand.hosts.assign(bid_hosts.begin(), bid_hosts.end());
+        cand.predicted = bid->predicted;
         cand.objective =
             no_input_case
                 ? cand.predicted
@@ -387,17 +389,17 @@ common::Expected<ResourceAllocationTable> assign_with_outputs_naive(
                       if (fa != fb) return fa < fb;
                       return a.predicted < b.predicted;
                     });
-          std::vector<db::ResourceRecord> group;
+          std::vector<const db::ResourceRecord*> group;
           for (std::size_t i = 0; i < need; ++i) {
-            group.push_back(pool[i].record);
+            group.push_back(&pool[i].record);
             cand.hosts.push_back(pool[i].record.host);
           }
           auto predicted = context.predictor->predict(*perf, group,
                                                       &context.repo(s).tasks());
           if (!predicted) continue;
           double penalty = 1.0;
-          for (const db::ResourceRecord& r : group) {
-            penalty = std::max(penalty, staleness(r));
+          for (const db::ResourceRecord* r : group) {
+            penalty = std::max(penalty, staleness(*r));
           }
           cand.predicted = *predicted * penalty;
           cand.objective =
@@ -448,16 +450,18 @@ common::Expected<ResourceAllocationTable> schedule_naive(
   const auto sites = candidate_site_set(context, options);
 
   std::vector<HostSelectionOutput> outputs;
+  outputs.reserve(sites.size());
+  std::vector<const HostSelectionOutput*> gathered;
   for (common::SiteId s : sites) {
     auto out = run_naive(graph, s, context.repo(s), *context.predictor);
     if (!out) return out.error();
-    outputs.push_back(std::move(*out));
+    gathered.push_back(&outputs.emplace_back(std::move(*out)));
   }
   const std::string name =
       options.objective == SiteObjective::kPaperObjective
           ? "vdce-level-paper-naive"
           : "vdce-level-naive";
-  return assign_with_outputs_naive(graph, context, outputs, options, name);
+  return assign_with_outputs_naive(graph, context, gathered, options, name);
 }
 
 }  // namespace vdce::sched::reference

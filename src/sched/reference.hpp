@@ -30,7 +30,7 @@ namespace vdce::sched::reference {
 /// implementation performed it.  Same contract as assign_with_outputs().
 common::Expected<ResourceAllocationTable> assign_with_outputs_naive(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& options, const std::string& scheduler_name);
 
 /// The full Fig. 2 pipeline (candidate sites -> host selection -> naive

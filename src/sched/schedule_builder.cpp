@@ -179,48 +179,54 @@ common::Expected<ResourceAllocationTable> ScheduleBuilder::build(
 
 common::Expected<PlannerView> PlannerView::make(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   assert(context.topology != nullptr && context.predictor != nullptr);
   auto valid = graph.validate();
   if (!valid.ok()) return valid.error();
+  if (outputs.empty()) {
+    return common::Error{common::ErrorCode::kInvalidArgument,
+                         "no host-selection outputs supplied"};
+  }
   PlannerView view(graph, context);
+  view.kinds_ = outputs.front()->kinds;
+  const TaskKinds& kinds = *view.kinds_;
+  assert(kinds.of_task.size() == graph.task_count());
   const db::SiteRepository& local_repo = context.repo(context.local_site);
-  view.perf_.reserve(graph.task_count());
-  for (const afg::TaskNode& node : graph.tasks()) {
-    auto record = resolve_perf(node, local_repo.tasks());
+  view.perf_.reserve(kinds.count());
+  for (afg::TaskId first : kinds.first) {
+    auto record = resolve_perf(graph.task(first), local_repo.tasks());
     if (!record) return record.error();
     view.perf_.push_back(std::move(*record));
   }
-  // Each bid's ranking, in gather order, without the hosts the filter
-  // rejects: no row has a finish estimate yet, so pending foreign windows
-  // block them (no backfill).  Filtering keeps the (predicted, host id)
-  // order.
+  // Each bid's ranking of each kind, in gather order, without the hosts the
+  // filter rejects: no row has a finish estimate yet, so pending foreign
+  // windows block them (no backfill).  Filtering keeps the (predicted, host
+  // id) order.
   HostFilter filter(context, policy);
-  view.options_.resize(graph.task_count());
-  for (const HostSelectionOutput& out : outputs) {
-    assert(out.ranked.size() == graph.task_count());
-    view.sites_.push_back(out.site);
-    for (std::size_t t = 0; t < graph.task_count(); ++t) {
-      for (const RankedRef& r : out.ranked[t]) {
-        const db::ResourceRecord& record = out.host_pool[r.index];
+  view.options_.resize(kinds.count());
+  for (const HostSelectionOutput* out : outputs) {
+    view.sites_.push_back(out->site);
+    for (std::size_t k = 0; k < kinds.count(); ++k) {
+      for (const RankedRef& r : out->ranked(kinds.first[k])) {
+        const db::ResourceRecord& record = out->host_pool[r.index];
         if (!filter.admits(record.host)) continue;
-        view.options_[t].push_back(PlanOption{out.site, &record, r.predicted});
+        view.options_[k].push_back(PlanOption{out->site, &record, r.predicted});
       }
     }
   }
-  view.mean_exec_.resize(graph.task_count(), 0.0);
-  for (const afg::TaskNode& node : graph.tasks()) {
-    const std::vector<PlanOption>& options = view.options_[node.id.value()];
+  view.mean_exec_.resize(kinds.count(), 0.0);
+  for (std::size_t k = 0; k < kinds.count(); ++k) {
+    const std::vector<PlanOption>& options = view.options_[k];
     if (options.empty()) {
       return common::Error{common::ErrorCode::kNoFeasibleResource,
-                           "no feasible machine for " + node.instance_name +
+                           "no feasible machine for " +
+                               graph.task(kinds.first[k]).instance_name +
                                filter.why_none()};
     }
     double acc = 0.0;
     for (const PlanOption& o : options) acc += o.predicted;
-    view.mean_exec_[node.id.value()] =
-        acc / static_cast<double>(options.size());
+    view.mean_exec_[k] = acc / static_cast<double>(options.size());
   }
   return view;
 }
@@ -236,12 +242,19 @@ common::Expected<HostBid> PlannerView::bid_at(afg::TaskId task,
          node.props.num_nodes > 1);
   // This site's options are its feasible machines in rank order.
   std::vector<const db::ResourceRecord*> ranked;
-  for (const PlanOption& o : options_[task.value()]) {
+  for (const PlanOption& o : options(task)) {
     if (o.site == site) ranked.push_back(o.record);
   }
-  return HostSelectionAlgorithm::group_bid(node, perf_[task.value()], site,
-                                           ranked, context_->repo(site),
-                                           *context_->predictor);
+  auto predicted = HostSelectionAlgorithm::group_bid(
+      node, perf_[kind(task)], site, ranked, context_->repo(site),
+      *context_->predictor);
+  if (!predicted) return predicted.error();
+  HostBid bid{site, {}, *predicted};
+  for (std::size_t i = 0; i < static_cast<std::size_t>(node.props.num_nodes);
+       ++i) {
+    bid.hosts.push_back(ranked[i]->host);
+  }
+  return bid;
 }
 
 common::Expected<HostBid> PlannerView::parallel_bid(afg::TaskId task) const {

@@ -125,29 +125,29 @@ struct PlanOption {
 
 /// How every offline strategy row sees the grid: the host-selection outputs
 /// Fig. 2 gathered, the same information base the VDCE rows assign from.
-/// For each task it keeps every bidding site's Fig. 3 ranking (site order,
-/// local first, then (predicted, host id)) without the hosts the
-/// placement's HostFilter rejects (held by another application, blocked by
-/// a committed window), the task's performance record (resolved at the
-/// local repository) and its mean predicted time over those options.  A
-/// site that did not bid offers no option.
+/// For each task kind (TaskKinds) it keeps every bidding site's Fig. 3
+/// ranking (site order, local first, then (predicted, host id)) without the
+/// hosts the placement's HostFilter rejects (held by another application,
+/// blocked by a committed window), the kind's performance record (resolved
+/// at the local repository) and its mean predicted time over those options;
+/// a task reads its kind's.  A site that did not bid offers no option.
 class PlannerView {
  public:
-  /// Validates the graph; fails when a task has no performance record, or
-  /// (kNoFeasibleResource, which the environment defers under contention)
-  /// no admitted machine at any bidding site.
+  /// Validates the graph; fails when `outputs` is empty, a task has no
+  /// performance record, or (kNoFeasibleResource, which the environment
+  /// defers under contention) no admitted machine at any bidding site.
   static common::Expected<PlannerView> make(
       const afg::Afg& graph, const SchedulerContext& context,
-      const std::vector<HostSelectionOutput>& outputs,
+      GatheredOutputs outputs,
       const SchedulingPolicy& policy);
 
   [[nodiscard]] const afg::Afg& graph() const { return *graph_; }
   [[nodiscard]] const SchedulerContext& context() const { return *context_; }
   [[nodiscard]] const std::vector<PlanOption>& options(afg::TaskId task) const {
-    return options_[task.value()];
+    return options_[kind(task)];
   }
   [[nodiscard]] double mean_exec(afg::TaskId task) const {
-    return mean_exec_[task.value()];
+    return mean_exec_[kind(task)];
   }
   /// The local site's server, which stages non-dataflow file inputs.
   [[nodiscard]] common::HostId staging() const;
@@ -170,12 +170,17 @@ class PlannerView {
   PlannerView(const afg::Afg& graph, const SchedulerContext& context)
       : graph_(&graph), context_(&context) {}
 
+  [[nodiscard]] std::uint32_t kind(afg::TaskId task) const {
+    return kinds_->of_task[task.value()];
+  }
+
   const afg::Afg* graph_;
   const SchedulerContext* context_;
+  std::shared_ptr<const TaskKinds> kinds_;        ///< the outputs' kinds
   std::vector<common::SiteId> sites_;             ///< bidding sites, in order
-  std::vector<db::TaskPerfRecord> perf_;          ///< by task id
-  std::vector<std::vector<PlanOption>> options_;  ///< by task id
-  std::vector<double> mean_exec_;                 ///< by task id
+  std::vector<db::TaskPerfRecord> perf_;          ///< by kind
+  std::vector<std::vector<PlanOption>> options_;  ///< by kind
+  std::vector<double> mean_exec_;                 ///< by kind
 };
 
 /// The edge cost a planner can know before placing either end: the mean of

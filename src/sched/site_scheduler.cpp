@@ -10,10 +10,12 @@ namespace vdce::sched {
 namespace {
 
 /// Candidate placement at one site with its evaluated objective and the
-/// timing that placing it there would produce.
+/// timing that placing it there would produce.  A one-host candidate keeps
+/// its machine by value; only a parallel group owns a vector.
 struct SiteCandidate {
   common::SiteId site;
-  std::vector<common::HostId> hosts;
+  common::HostId host;                ///< the machine of a one-host candidate
+  std::vector<common::HostId> group;  ///< a parallel group; empty otherwise
   common::SimDuration predicted = 0.0;
   double objective = 0.0;
   bool valid = false;
@@ -41,7 +43,7 @@ double paper_objective(const afg::Afg& graph, afg::TaskId task,
 
 common::Expected<ResourceAllocationTable> assign_with_outputs(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& options, const std::string& scheduler_name) {
   if (context.topology == nullptr || context.predictor == nullptr) {
     return common::Error{common::ErrorCode::kInvalidArgument,
@@ -51,7 +53,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "no host-selection outputs supplied"};
   }
-  if (outputs.front().site != context.local_site) {
+  if (outputs.front()->site != context.local_site) {
     return common::Error{
         common::ErrorCode::kInvalidArgument,
         "host-selection outputs must lead with the local site"};
@@ -59,6 +61,20 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
 
   const net::Topology& topology = *context.topology;
   const db::SiteRepository& local_repo = context.repo(context.local_site);
+  // Every output shares the request's kinds; each kind's performance record
+  // is resolved once, at the local repository.
+  const TaskKinds& kinds = *outputs.front()->kinds;
+  assert(kinds.of_task.size() == graph.task_count());
+  std::vector<db::TaskPerfRecord> perf;  // by kind
+  perf.reserve(kinds.count());
+  for (afg::TaskId first : kinds.first) {
+    auto record = resolve_perf(graph.task(first), local_repo.tasks());
+    if (!record) return record.error();
+    perf.push_back(std::move(*record));
+  }
+  auto perf_of = [&](afg::TaskId task) -> const db::TaskPerfRecord& {
+    return perf[kinds.of_task[task.value()]];
+  };
 
   // Graceful degradation under stale monitoring data: a prediction built on
   // an old sample is optimistic about the host's current load, so inflate
@@ -74,16 +90,8 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
   };
 
   // --- priorities: level of each node, computed before scheduling (§3) ---
-  common::Error cost_error{common::ErrorCode::kInternal, ""};
-  bool cost_failed = false;
   auto cost_fn = [&](const afg::TaskNode& node) {
-    auto c = base_cost(node, local_repo.tasks());
-    if (!c) {
-      cost_failed = true;
-      cost_error = c.error();
-      return 0.0;
-    }
-    return *c;
+    return perf_of(node.id).base_exec_time;
   };
   common::Expected<afg::Levels> levels =
       common::Error{common::ErrorCode::kInternal, "unset"};
@@ -106,7 +114,6 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
       break;
     }
   }
-  if (cost_failed) return cost_error;
   if (!levels) return levels.error();
 
   // --- Fig. 2 steps 6-7: ready-list scheduling by level priority ---------
@@ -122,72 +129,86 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
   // the reservation-free scheduler.
   HostFilter filter(context, options);
   std::size_t contention_reranked = 0;
+  // Group members of the candidate being evaluated, reused across tasks.
+  std::vector<const db::ResourceRecord*> members;
+  struct PoolEntry {
+    const db::ResourceRecord* record;
+    double predicted;
+  };
+  std::vector<PoolEntry> pool;
 
   // Place each task as the ready list yields it: highest level first, ties
   // by id.
   auto place = [&](afg::TaskId task) -> common::Status {
     const afg::TaskNode& node = graph.task(task);
-    auto perf = resolve_perf(node, local_repo.tasks());
-    if (!perf) return perf.error();
+    const db::TaskPerfRecord& task_perf = perf_of(task);
 
     const bool no_input_case =
         graph.in_degree(task) == 0 || !graph.requires_input(task);
 
     SiteCandidate best;
-    for (const HostSelectionOutput& output : outputs) {
-      const common::SiteId s = output.site;
-      auto bid_it = output.bids.find(task);
-      if (bid_it == output.bids.end()) continue;  // site did not bid
+    for (const HostSelectionOutput* output : outputs) {
+      const common::SiteId s = output->site;
+      const TaskBid* bid = output->bid(task);
+      if (bid == nullptr) continue;  // site did not bid
 
       SiteCandidate cand;
       cand.site = s;
       cand.valid = true;
       ++candidates_evaluated;
 
-      // Ranked feasible machines of this site, cached by run() (repository
-      // state cannot have changed since).
-      assert(output.ranked.size() == graph.task_count());
-      const std::vector<RankedRef>& ranked = output.ranked[task.value()];
+      // Ranked feasible machines of this site, ranked by run() once for
+      // the task's kind (repository state cannot have changed since).
+      const std::span<const RankedRef> ranked = output->ranked(task);
       auto rec_of = [&](std::size_t i) -> const db::ResourceRecord& {
-        return output.host_pool[ranked[i].index];
+        return output->host_pool[ranked[i].index];
       };
       const auto need = node.props.mode == afg::ComputationMode::kParallel
                             ? static_cast<std::size_t>(node.props.num_nodes)
                             : std::size_t{1};
 
       if (options.objective == SiteObjective::kPaperObjective) {
+        const std::span<const common::HostId> bid_hosts = output->hosts(*bid);
         bool contended = false;
-        for (common::HostId h : bid_it->second.hosts) {
+        for (common::HostId h : bid_hosts) {
           if (filter.held(h) || !filter.window_admits(h, -1.0)) {
             contended = true;
             break;
           }
         }
         if (!contended) {
-          cand.hosts = bid_it->second.hosts;
-          cand.predicted = bid_it->second.predicted;
+          if (bid_hosts.size() == 1) {
+            cand.host = bid_hosts.front();
+          } else {
+            cand.group.assign(bid_hosts.begin(), bid_hosts.end());
+          }
+          cand.predicted = bid->predicted;
         } else {
           // The site's bid machine is occupied by a concurrent application:
           // re-rank deterministically over the remaining feasible machines
           // (same (predicted, host-id) order Fig. 3 produced) and bid them
           // by the group rule; a single host keeps its own prediction.
           ++contention_reranked;
-          std::vector<const db::ResourceRecord*> admitted;
-          for (std::size_t i = 0; i < ranked.size() && admitted.size() < need;
+          members.clear();
+          for (std::size_t i = 0; i < ranked.size() && members.size() < need;
                ++i) {
             if (!filter.admits(rec_of(i).host)) continue;
-            admitted.push_back(&rec_of(i));
+            members.push_back(&rec_of(i));
             cand.predicted = ranked[i].predicted;
           }
-          if (admitted.size() < need) continue;  // site fully occupied
+          if (members.size() < need) continue;  // site fully occupied
           if (need == 1) {
-            cand.hosts.assign(1, admitted.front()->host);
+            cand.host = members.front()->host;
           } else {
-            auto bid = HostSelectionAlgorithm::group_bid(
-                node, *perf, s, admitted, context.repo(s), *context.predictor);
-            if (!bid) continue;
-            cand.hosts = std::move(bid->hosts);
-            cand.predicted = bid->predicted;
+            auto predicted = HostSelectionAlgorithm::group_bid(
+                node, task_perf, s, members, context.repo(s),
+                *context.predictor);
+            if (!predicted) continue;
+            cand.group.reserve(need);
+            for (const db::ResourceRecord* r : members) {
+              cand.group.push_back(r->host);
+            }
+            cand.predicted = *predicted;
           }
         }
         cand.objective =
@@ -239,7 +260,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
             }
           }
           if (!have) continue;  // every feasible machine is occupied
-          cand.hosts.assign(1, best_host);
+          cand.host = best_host;
           cand.predicted = best_predicted;
           cand.objective = best_finish;
         } else {
@@ -247,12 +268,7 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
           // unreserved to balance speed against occupancy.  The pool sorts
           // by (host free, predicted, host id): a total order, so ties keep
           // Fig. 3's ranking whatever the library's sort.
-          struct PoolEntry {
-            const db::ResourceRecord* record;
-            double predicted;
-          };
-          std::vector<PoolEntry> pool;
-          pool.reserve(std::min(ranked.size(), 2 * need));
+          pool.clear();
           for (std::size_t i = 0;
                i < ranked.size() && pool.size() < 2 * need; ++i) {
             // Parallel groups never backfill across a pending window: the
@@ -272,21 +288,22 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
                       }
                       return a.record->host < b.record->host;
                     });
-          std::vector<db::ResourceRecord> group;
+          members.clear();
+          cand.group.reserve(need);
           for (std::size_t i = 0; i < need; ++i) {
-            group.push_back(*pool[i].record);
-            cand.hosts.push_back(pool[i].record->host);
+            members.push_back(pool[i].record);
+            cand.group.push_back(pool[i].record->host);
           }
-          auto predicted = context.predictor->predict(*perf, group,
+          auto predicted = context.predictor->predict(task_perf, members,
                                                       &context.repo(s).tasks());
           if (!predicted) continue;
           double penalty = 1.0;
-          for (const db::ResourceRecord& r : group) {
-            penalty = std::max(penalty, staleness(r));
+          for (const db::ResourceRecord* r : members) {
+            penalty = std::max(penalty, staleness(*r));
           }
           cand.predicted = *predicted * penalty;
           cand.objective =
-              builder.earliest_start(task, cand.hosts, staging) + cand.predicted;
+              builder.earliest_start(task, cand.group, staging) + cand.predicted;
         }
       }
 
@@ -302,7 +319,11 @@ common::Expected<ResourceAllocationTable> assign_with_outputs(
           "no site can run task " + node.instance_name + filter.why_none()};
     }
 
-    builder.place(task, best.site, best.hosts, best.predicted, staging);
+    // Only the winning placement builds a host vector.
+    builder.place(task, best.site,
+                  best.group.empty() ? std::vector<common::HostId>{best.host}
+                                     : std::move(best.group),
+                  best.predicted, staging);
     return {};
   };
   if (auto st = run_ready_list(graph, levels->level, place); !st.ok()) {

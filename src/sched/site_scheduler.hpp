@@ -51,7 +51,7 @@ inline constexpr double kStalePenalty = 1.5;
 /// must contain one entry per candidate site, local site first.
 common::Expected<ResourceAllocationTable> assign_with_outputs(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& options, const std::string& scheduler_name);
 
 }  // namespace vdce::sched

@@ -19,7 +19,7 @@ namespace {
 /// settings resolve() applies.
 common::Expected<ResourceAllocationTable> assign_vdce(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy) {
   return assign_with_outputs(graph, context, outputs, policy, policy.strategy);
 }
@@ -141,14 +141,20 @@ common::Expected<ResourceAllocationTable> plan(
   // Fig. 2 steps 3-5: host selection at every candidate site.  (The
   // distributed runtime performs this over the fabric; this synchronous
   // entry point calls each site's algorithm directly.)
+  const std::shared_ptr<const TaskKinds> kinds = TaskKinds::of(graph);
+  const std::vector<common::SiteId> sites =
+      candidate_site_set(context, resolved->policy);
   std::vector<HostSelectionOutput> outputs;
-  for (common::SiteId s : candidate_site_set(context, resolved->policy)) {
-    auto out = HostSelectionAlgorithm::run(graph, s, context.repo(s),
+  outputs.reserve(sites.size());
+  std::vector<const HostSelectionOutput*> gathered;
+  gathered.reserve(sites.size());
+  for (common::SiteId s : sites) {
+    auto out = HostSelectionAlgorithm::run(graph, kinds, s, context.repo(s),
                                            *context.predictor);
     if (!out) return out.error();
-    outputs.push_back(std::move(*out));
+    gathered.push_back(&outputs.emplace_back(std::move(*out)));
   }
-  return resolved->row->assign(graph, context, outputs, resolved->policy);
+  return resolved->row->assign(graph, context, gathered, resolved->policy);
 }
 
 }  // namespace vdce::sched

@@ -16,11 +16,16 @@
 //    host-selection algorithm directly.
 //
 // Contract for a row's assign():
-//  * `outputs` holds one HostSelectionOutput per candidate site that bid,
-//    local site first: the one information base of every row.  The VDCE
-//    rows assign from it directly, the offline planners through one
+//  * `outputs` points at one HostSelectionOutput per candidate site that
+//    bid, local site first: the one information base of every row.  The
+//    caller owns the outputs (plan() its local vector, the runtime its own
+//    output and the shared sm.bids replies), so no row copies one.  The
+//    VDCE rows assign from them directly, the offline planners through one
 //    PlannerView (sched/schedule_builder.hpp); a site that did not bid (a
 //    partition, a dead server) gets no work from any row.
+//  * Every output ranks each task kind once (TaskKinds), and all of them
+//    share the request's kinds: a row resolves a task's performance record
+//    and reads its ranking per kind, never per task.
 //  * Every row places only on hosts the placement's HostFilter admits
 //    (sched/host_filter.hpp), and fails with kNoFeasibleResource when a
 //    task has none, which the environment defers under contention.
@@ -49,7 +54,7 @@ namespace vdce::sched {
 /// allocation table out.
 using AssignFn = common::Expected<ResourceAllocationTable> (*)(
     const afg::Afg& graph, const SchedulerContext& context,
-    const std::vector<HostSelectionOutput>& outputs,
+    GatheredOutputs outputs,
     const SchedulingPolicy& policy);
 
 /// One row of the strategy table.

@@ -167,10 +167,13 @@ TEST(EconDifferential, UnconstrainedDbcMatchesDefaultAcrossCorpus) {
 
     // Host selection is policy-independent: gather the bids once per case.
     std::vector<HostSelectionOutput> outputs;
+    outputs.reserve(dep.repos.size());
+    std::vector<const HostSelectionOutput*> gathered;
+    const auto kinds = TaskKinds::of(graph);
     for (const auto& repo : dep.repos) {
-      auto out = HostSelectionAlgorithm::run(graph, repo->site(), *repo,
+      auto out = HostSelectionAlgorithm::run(graph, kinds, repo->site(), *repo,
                                              dep.predictor);
-      if (out) outputs.push_back(std::move(*out));
+      if (out) gathered.push_back(&outputs.emplace_back(std::move(*out)));
     }
 
     for (SiteObjective objective :
@@ -186,7 +189,7 @@ TEST(EconDifferential, UnconstrainedDbcMatchesDefaultAcrossCorpus) {
                             : "vdce-level";
         auto assign = [&](const SchedulingPolicy& policy) {
           const ResolvedPolicy resolved = resolve(policy).value();
-          return resolved.row->assign(graph, dep.context, outputs,
+          return resolved.row->assign(graph, dep.context, gathered,
                                       resolved.policy);
         };
         auto reference_table = assign(base);

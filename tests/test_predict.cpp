@@ -106,8 +106,10 @@ TEST(Predictor, ParallelSpeedupFollowsAmdahl) {
   auto rec = task(1000, 8.0, 0.9);
   std::vector<db::ResourceRecord> quad;
   for (std::uint32_t i = 0; i < 4; ++i) quad.push_back(host(100, 0, 256, i));
+  const std::vector<const db::ResourceRecord*> group{&quad[0], &quad[1],
+                                                     &quad[2], &quad[3]};
   auto one = p.predict(rec, host(100));
-  auto four = p.predict(rec, quad);
+  auto four = p.predict(rec, group);
   ASSERT_TRUE(one.has_value() && four.has_value());
   // T4 = 10*(0.1 + 0.9/4) + sync = 3.25 + 0.04.
   EXPECT_NEAR(*four, 3.29, 1e-9);
@@ -117,8 +119,9 @@ TEST(Predictor, ParallelSpeedupFollowsAmdahl) {
 TEST(Predictor, SlowestGroupMemberGates) {
   Predictor p;
   auto rec = task(1000, 8.0, 1.0);
-  std::vector<db::ResourceRecord> mixed{host(400, 0, 256, 0),
-                                        host(100, 0, 256, 1)};
+  const db::ResourceRecord fast = host(400, 0, 256, 0);
+  const db::ResourceRecord slow = host(100, 0, 256, 1);
+  const std::vector<const db::ResourceRecord*> mixed{&fast, &slow};
   auto t = p.predict(rec, mixed);
   ASSERT_TRUE(t.has_value());
   // Fully parallel on 2 nodes at the slower 100 MFLOPS: 10/2 + sync.
@@ -127,7 +130,7 @@ TEST(Predictor, SlowestGroupMemberGates) {
 
 TEST(Predictor, EmptyHostsRejected) {
   Predictor p;
-  auto t = p.predict(task(100), std::vector<db::ResourceRecord>{});
+  auto t = p.predict(task(100), std::span<const db::ResourceRecord* const>{});
   ASSERT_FALSE(t.has_value());
   EXPECT_EQ(t.error().code, common::ErrorCode::kInvalidArgument);
 }

@@ -354,14 +354,17 @@ common::Expected<sched::ResourceAllocationTable> run_strategy(
     const CorpusDeployment& dep, const afg::Afg& graph,
     const sched::SchedulingPolicy& policy) {
   std::vector<sched::HostSelectionOutput> outputs;
+  outputs.reserve(dep.repos.size());
+  std::vector<const sched::HostSelectionOutput*> gathered;
+  const auto kinds = sched::TaskKinds::of(graph);
   for (const auto& repo : dep.repos) {
-    auto out = sched::HostSelectionAlgorithm::run(graph, repo->site(), *repo,
-                                                  dep.predictor);
-    if (out) outputs.push_back(std::move(*out));
+    auto out = sched::HostSelectionAlgorithm::run(graph, kinds, repo->site(),
+                                                  *repo, dep.predictor);
+    if (out) gathered.push_back(&outputs.emplace_back(std::move(*out)));
   }
   auto resolved = sched::resolve(policy);
   if (!resolved) return resolved.error();
-  return resolved->row->assign(graph, dep.context, outputs, resolved->policy);
+  return resolved->row->assign(graph, dep.context, gathered, resolved->policy);
 }
 
 TEST(EconCorpus, SpendTilingAndDbcInvariantsHoldAcrossTwoHundredCases) {

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "afg/generate.hpp"
+#include "alloc_counter.hpp"
 #include "db/site_repository.hpp"
 #include "obs/obs.hpp"
 #include "predict/model.hpp"
@@ -82,12 +84,27 @@ struct SchedFixture : ::testing::Test {
   std::vector<HostSelectionOutput> gather(const afg::Afg& graph,
                                           const SchedulingPolicy& policy = {}) {
     std::vector<HostSelectionOutput> outputs;
+    const auto kinds = TaskKinds::of(graph);
     for (common::SiteId s : candidate_site_set(context, policy)) {
-      outputs.push_back(
-          HostSelectionAlgorithm::run(graph, s, *repos[s.value()], predictor)
-              .value());
+      outputs.push_back(HostSelectionAlgorithm::run(graph, kinds, s,
+                                                    *repos[s.value()], predictor)
+                            .value());
     }
     return outputs;
+  }
+
+  /// The outputs as a row reads them: by pointer, in gather order.
+  static std::vector<const HostSelectionOutput*> pointers(
+      const std::vector<HostSelectionOutput>& outputs) {
+    std::vector<const HostSelectionOutput*> out;
+    for (const HostSelectionOutput& o : outputs) out.push_back(&o);
+    return out;
+  }
+
+  /// Fig. 3 at site 0 alone.
+  common::Expected<HostSelectionOutput> select_at_site0(const afg::Afg& graph) {
+    return HostSelectionAlgorithm::run(graph, TaskKinds::of(graph),
+                                       common::SiteId(0), *repos[0], predictor);
   }
 
   net::Topology topology;
@@ -101,11 +118,10 @@ struct SchedFixture : ::testing::Test {
 
 TEST_F(SchedFixture, HostSelectionPicksFastestIdleMachine) {
   afg::Afg graph = afg::make_independent(1, 100);
-  auto output = HostSelectionAlgorithm::run(graph, common::SiteId(0),
-                                            *repos[0], predictor);
+  auto output = select_at_site0(graph);
   ASSERT_TRUE(output.has_value());
-  ASSERT_EQ(output->bids.size(), 1u);
-  const HostBid& bid = output->bids.begin()->second;
+  ASSERT_EQ(output->bid_count(), 1u);
+  const TaskBid& bid = *output->bid(common::TaskId(0));
   // The chosen machine must achieve the minimum prediction among all site-0
   // machines.
   double best = 1e18;
@@ -124,11 +140,10 @@ TEST_F(SchedFixture, HostSelectionHonoursPreferredMachine) {
       topology.host(topology.site(common::SiteId(0)).hosts[3]).spec.name;
   props.preferred_machine = target;
   ASSERT_TRUE(graph.add_task("t", "synthetic.w100", props).has_value());
-  auto output = HostSelectionAlgorithm::run(graph, common::SiteId(0),
-                                            *repos[0], predictor);
+  auto output = select_at_site0(graph);
   ASSERT_TRUE(output.has_value());
-  ASSERT_EQ(output->bids.size(), 1u);
-  EXPECT_EQ(output->bids.begin()->second.hosts[0],
+  ASSERT_EQ(output->bid_count(), 1u);
+  EXPECT_EQ(output->hosts(*output->bid(common::TaskId(0)))[0],
             topology.site(common::SiteId(0)).hosts[3]);
 }
 
@@ -138,11 +153,10 @@ TEST_F(SchedFixture, HostSelectionHonoursMachineType) {
   props.outputs.push_back(afg::FileSpec{"", 100, false});
   props.preferred_machine_type = "SGI";
   ASSERT_TRUE(graph.add_task("t", "synthetic.w100", props).has_value());
-  auto output = HostSelectionAlgorithm::run(graph, common::SiteId(0),
-                                            *repos[0], predictor);
+  auto output = select_at_site0(graph);
   ASSERT_TRUE(output.has_value());
-  for (const auto& [task, bid] : output->bids) {
-    for (common::HostId h : bid.hosts) {
+  for (const TaskBid& bid : output->bids) {
+    for (common::HostId h : output->hosts(bid)) {
       EXPECT_EQ(topology.host(h).spec.machine_type, "SGI");
     }
   }
@@ -153,11 +167,10 @@ TEST_F(SchedFixture, HostSelectionRespectsConstraintsDb) {
   const std::string task_name = graph.task(common::TaskId(0)).task_name;
   common::HostId only = topology.site(common::SiteId(0)).hosts[2];
   repos[0]->constraints().register_executable(task_name, only, "/opt/t");
-  auto output = HostSelectionAlgorithm::run(graph, common::SiteId(0),
-                                            *repos[0], predictor);
+  auto output = select_at_site0(graph);
   ASSERT_TRUE(output.has_value());
-  ASSERT_EQ(output->bids.size(), 1u);
-  EXPECT_EQ(output->bids.begin()->second.hosts[0], only);
+  ASSERT_EQ(output->bid_count(), 1u);
+  EXPECT_EQ(output->hosts(*output->bid(common::TaskId(0)))[0], only);
 }
 
 TEST_F(SchedFixture, HostSelectionSkipsDownHosts) {
@@ -165,10 +178,9 @@ TEST_F(SchedFixture, HostSelectionSkipsDownHosts) {
   for (common::HostId h : topology.site(common::SiteId(0)).hosts) {
     (void)repos[0]->resources().set_host_up(h, false);
   }
-  auto output = HostSelectionAlgorithm::run(graph, common::SiteId(0),
-                                            *repos[0], predictor);
+  auto output = select_at_site0(graph);
   ASSERT_TRUE(output.has_value());
-  EXPECT_TRUE(output->bids.empty());  // nothing to bid with
+  EXPECT_EQ(output->bid_count(), 0u);  // nothing to bid with
 }
 
 TEST_F(SchedFixture, ParallelTaskGetsRequestedNodeCount) {
@@ -178,11 +190,10 @@ TEST_F(SchedFixture, ParallelTaskGetsRequestedNodeCount) {
   props.num_nodes = 3;
   props.outputs.push_back(afg::FileSpec{"", 100, false});
   ASSERT_TRUE(graph.add_task("p", "synthetic.w1000", props).has_value());
-  auto output = HostSelectionAlgorithm::run(graph, common::SiteId(0),
-                                            *repos[0], predictor);
+  auto output = select_at_site0(graph);
   ASSERT_TRUE(output.has_value());
-  ASSERT_EQ(output->bids.size(), 1u);
-  EXPECT_EQ(output->bids.begin()->second.hosts.size(), 3u);
+  ASSERT_EQ(output->bid_count(), 1u);
+  EXPECT_EQ(output->hosts(*output->bid(common::TaskId(0))).size(), 3u);
 }
 
 TEST_F(SchedFixture, ParallelBidFailsWhenSiteTooSmall) {
@@ -194,7 +205,8 @@ TEST_F(SchedFixture, ParallelBidFailsWhenSiteTooSmall) {
   auto id = graph.add_task("p", "synthetic.w1000", props);
   ASSERT_TRUE(id.has_value());
   const std::vector<HostSelectionOutput> outputs = gather(graph);
-  auto view = PlannerView::make(graph, context, outputs, SchedulingPolicy{});
+  auto view = PlannerView::make(graph, context, pointers(outputs),
+                                SchedulingPolicy{});
   ASSERT_TRUE(view.has_value()) << view.error().to_string();
   auto bid = view->bid_at(*id, common::SiteId(0));
   ASSERT_FALSE(bid.has_value());
@@ -223,7 +235,8 @@ TEST_F(SchedFixture, PlannerViewOffersOnlyWhatTheGatheredBidsAdmit) {
     return sites;
   };
   {
-    auto all = PlannerView::make(graph, context, outputs, SchedulingPolicy{});
+    auto all = PlannerView::make(graph, context, pointers(outputs),
+                                 SchedulingPolicy{});
     ASSERT_TRUE(all.has_value()) << all.error().to_string();
     EXPECT_EQ(sites_offered(*all).size(), 3u);
   }
@@ -231,7 +244,8 @@ TEST_F(SchedFixture, PlannerViewOffersOnlyWhatTheGatheredBidsAdmit) {
   SCOPED_TRACE("a site missing from the outputs gives no option");
   const common::SiteId silent = outputs[1].site;
   outputs.erase(outputs.begin() + 1);
-  auto partial = PlannerView::make(graph, context, outputs, SchedulingPolicy{});
+  auto partial = PlannerView::make(graph, context, pointers(outputs),
+                                  SchedulingPolicy{});
   ASSERT_TRUE(partial.has_value()) << partial.error().to_string();
   EXPECT_FALSE(sites_offered(*partial).contains(silent.value()));
   EXPECT_EQ(sites_offered(*partial).size(), 2u);
@@ -248,7 +262,8 @@ TEST_F(SchedFixture, PlannerViewOffersOnlyWhatTheGatheredBidsAdmit) {
   SchedulerContext ctx = context;
   ctx.reservations = &held;
   ctx.reserving_app = common::AppId(1);
-  auto view = PlannerView::make(graph, ctx, outputs, SchedulingPolicy{});
+  auto view = PlannerView::make(graph, ctx, pointers(outputs),
+                                SchedulingPolicy{});
   ASSERT_TRUE(view.has_value()) << view.error().to_string();
   for (const afg::TaskNode& node : graph.tasks()) {
     ASSERT_FALSE(view->options(node.id).empty()) << node.instance_name;
@@ -269,6 +284,156 @@ TEST_F(SchedFixture, RankedHostsAscendByPrediction) {
   for (std::size_t i = 1; i < ranked.size(); ++i) {
     EXPECT_LE(ranked[i - 1].predicted, ranked[i].predicted);
   }
+}
+
+// ---- one ranking per task kind -------------------------------------------------
+
+/// The task templates of mixed_kinds_graph, in round-robin order.  The
+/// first one returns with a preferred machine and with a preferred machine
+/// type (same task name, two more kinds); synthetic.w400 is the task the
+/// constraints DB lists on two hosts per site; a parallel task of the plain
+/// w900 kind shares its ranking but bids its own group, and the two-node
+/// w2000 task is a kind of its own.  Six kinds.
+constexpr std::size_t kTemplates = 7;
+constexpr std::size_t kKinds = 6;
+
+struct MixedKinds : SchedFixture {
+  MixedKinds() {
+    for (const net::Site& site : topology.sites()) {
+      for (std::size_t i : {1u, 4u}) {
+        repos[site.id.value()]->constraints().register_executable(
+            "synthetic.w400", site.hosts[i], "/opt/w400");
+      }
+    }
+  }
+
+  /// `tasks` tasks cycling through the templates; task i >= kTemplates
+  /// reads the output of task i - kTemplates.
+  afg::Afg graph(std::size_t tasks) const {
+    const std::string machine =
+        topology.host(topology.site(common::SiteId(0)).hosts[3]).spec.name;
+    afg::Afg g("mixed-kinds");
+    for (std::size_t i = 0; i < tasks; ++i) {
+      afg::TaskProperties props;
+      props.outputs.push_back(afg::FileSpec{"", 1e4, false});
+      if (i >= kTemplates) props.inputs.resize(1);
+      std::string name = "synthetic.w100";
+      switch (i % kTemplates) {
+        case 1: name = "synthetic.w900"; break;
+        case 2: props.preferred_machine = machine; break;
+        case 3: props.preferred_machine_type = "SGI"; break;
+        case 4: name = "synthetic.w400"; break;
+        case 5:
+          name = "synthetic.w900";
+          props.mode = afg::ComputationMode::kParallel;
+          props.num_nodes = 3;
+          break;
+        case 6:
+          name = "synthetic.w2000";
+          props.mode = afg::ComputationMode::kParallel;
+          props.num_nodes = 2;
+          break;
+        default: break;
+      }
+      const auto id =
+          g.add_task("t" + std::to_string(i), name, std::move(props)).value();
+      if (i >= kTemplates) {
+        EXPECT_TRUE(g.connect(common::TaskId(static_cast<std::uint32_t>(
+                                  i - kTemplates)),
+                              0, id, 0)
+                        .ok());
+      }
+    }
+    return g;
+  }
+};
+
+TEST_F(MixedKinds, EachKindIsRankedOnceExactlyAsAFreshRankingWould) {
+  const afg::Afg g = graph(3 * kTemplates);
+  const auto kinds = TaskKinds::of(g);
+  ASSERT_EQ(kinds->count(), kKinds);
+  for (const net::Site& site : topology.sites()) {
+    SCOPED_TRACE("site " + std::to_string(site.id.value()));
+    const db::SiteRepository& repo = *repos[site.id.value()];
+    auto output =
+        HostSelectionAlgorithm::run(g, kinds, site.id, repo, predictor);
+    ASSERT_TRUE(output.has_value()) << output.error().to_string();
+    const std::vector<db::ResourceRecord> pool =
+        repo.resources().available_hosts(site.id);
+    auto fresh = [&](const afg::TaskNode& node) {
+      return HostSelectionAlgorithm::rank_hosts(
+          node, resolve_perf(node, repo.tasks()).value(), pool, repo,
+          predictor);
+    };
+    std::set<const RankedRef*> distinct;
+    for (const afg::TaskNode& node : g.tasks()) {
+      const std::vector<RankedRef> want = fresh(node);
+      const std::span<const RankedRef> got = output->ranked(node.id);
+      ASSERT_EQ(got.size(), want.size()) << node.instance_name;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].index, want[i].index) << node.instance_name;
+        EXPECT_EQ(got[i].predicted, want[i].predicted) << node.instance_name;
+      }
+      if (!got.empty()) distinct.insert(got.data());
+      // A parallel task still bids its own group: its kind's fastest
+      // num_nodes machines.
+      if (const TaskBid* bid = output->bid(node.id);
+          bid != nullptr && node.props.mode == afg::ComputationMode::kParallel) {
+        const auto hosts = output->hosts(*bid);
+        ASSERT_EQ(hosts.size(),
+                  static_cast<std::size_t>(node.props.num_nodes));
+        for (std::size_t i = 0; i < hosts.size(); ++i) {
+          EXPECT_EQ(hosts[i], output->host_pool[got[i].index].host);
+        }
+      }
+    }
+    // The flat array holds one ranking per kind, not one per task.
+    std::size_t per_kind = 0;
+    std::size_t ranked_kinds = 0;
+    for (afg::TaskId first : kinds->first) {
+      const std::size_t n = fresh(g.task(first)).size();
+      per_kind += n;
+      ranked_kinds += n > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(output->rankings.size(), per_kind);
+    EXPECT_EQ(distinct.size(), ranked_kinds);
+    if (site.id == common::SiteId(0)) {
+      EXPECT_EQ(distinct.size(), kKinds);  // the preferred machine is here
+    }
+  }
+}
+
+TEST_F(MixedKinds, SchedulingAllocatesPerKindNotPerTask) {
+  // Fig. 3 at one site, kinds included: a graph ten times larger from the
+  // same kinds costs exactly as many allocations.
+  auto select_allocations = [&](const afg::Afg& g) {
+    const std::uint64_t before = test::allocation_count();
+    auto output = HostSelectionAlgorithm::run(g, TaskKinds::of(g),
+                                              common::SiteId(0), *repos[0],
+                                              predictor);
+    const std::uint64_t spent = test::allocation_count() - before;
+    EXPECT_TRUE(output.has_value());
+    return spent;
+  };
+  const afg::Afg small = graph(200);
+  const afg::Afg large = graph(2000);
+  EXPECT_EQ(select_allocations(small), select_allocations(large));
+
+  // The decision half: a sequential task costs two allocations, the
+  // placement's host vector and the table row's copy of it; a parallel task
+  // also builds a group at each of the two sites that lose.  Two of every
+  // seven tasks are parallel, so 2 + 2 * 2/7 = 2.57 per task, plus per-graph
+  // work (levels, the ready heap) of about 0.01 at 2000 tasks.
+  constexpr double kAssignAllocsPerTask = 2.6;
+  std::vector<HostSelectionOutput> outputs = gather(large);
+  const std::vector<const HostSelectionOutput*> gathered = pointers(outputs);
+  const std::uint64_t before = test::allocation_count();
+  auto table = assign_with_outputs(large, context, gathered,
+                                   SchedulingPolicy{}, "vdce-level");
+  const std::uint64_t spent = test::allocation_count() - before;
+  ASSERT_TRUE(table.has_value()) << table.error().to_string();
+  EXPECT_LE(static_cast<double>(spent) / 2000.0, kAssignAllocsPerTask)
+      << spent << " allocations for 2000 tasks";
 }
 
 // ---- resolve_perf --------------------------------------------------------------

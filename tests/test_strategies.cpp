@@ -338,18 +338,21 @@ TEST(StrategyDifferential, VdceStrategyAssignEqualsDirectAssignment) {
 
     const auto sites = sched::candidate_site_set(dep.context, policy);
     std::vector<sched::HostSelectionOutput> outputs;
+    outputs.reserve(sites.size());
+    std::vector<const sched::HostSelectionOutput*> gathered;
+    const auto kinds = sched::TaskKinds::of(graph);
     for (common::SiteId s : sites) {
       auto out = sched::HostSelectionAlgorithm::run(
-          graph, s, dep.context.repo(s), *dep.context.predictor);
+          graph, kinds, s, dep.context.repo(s), *dep.context.predictor);
       ASSERT_TRUE(out.has_value());
-      outputs.push_back(std::move(*out));
+      gathered.push_back(&outputs.emplace_back(std::move(*out)));
     }
 
-    auto direct = sched::assign_with_outputs(graph, dep.context, outputs,
+    auto direct = sched::assign_with_outputs(graph, dep.context, gathered,
                                              policy, expected_name);
     ASSERT_TRUE(direct.has_value()) << direct.error().to_string();
 
-    auto via_table = resolved->row->assign(graph, dep.context, outputs,
+    auto via_table = resolved->row->assign(graph, dep.context, gathered,
                                               resolved->policy);
     ASSERT_TRUE(via_table.has_value()) << via_table.error().to_string();
 

@@ -11,10 +11,19 @@ objects.  One discarded warm-up run per tree builds it.  Then each pair runs
 both trees once, alternating which runs first.  From every run the script
 parses the last JSON line (correct, failed, metrics) and the `digest` line,
 then prints, per metric: each side's median and interquartile range, the
-median change, and in how many pairs the new tree was better.  The metric
-directions come from the base tree's BENCHMARK.json (lower is better when a
-metric is not listed).  Exit status 1 when a run fails or the two trees'
-digests differ.
+median change, in how many pairs the new tree was better, and a verdict:
+
+    gain        the new tree wins at least 9 of 10 pairs (ties count for
+                neither) and its median is better than the base median by
+                more than the base side's interquartile range;
+    worse       an end-to-end metric whose median moved the wrong way by
+                more than the metric's `bound` (a fraction of the base
+                median);
+    unresolved  anything else.
+
+The metric directions and bounds come from the base tree's BENCHMARK.json
+(lower is better when a metric is not listed).  Exit status 1 when a run
+fails or the two trees' digests differ.
 """
 import argparse
 import json
@@ -55,14 +64,29 @@ def quartiles(values):
     return q[0], q[2]
 
 
-def directions(tree):
+def metric_specs(tree):
+    """Metric name -> (better, bound); the bound is None off end_to_end."""
     path = os.path.join(tree, "BENCHMARK.json")
     if not os.path.isfile(path):
         return {}
     with open(path) as f:
         spec = json.load(f)
-    return {m["name"]: m["better"]
+    return {m["name"]: (m["better"],
+                        m.get("bound") if group == "end_to_end" else None)
             for group in ("end_to_end", "per_layer") for m in spec.get(group, [])}
+
+
+def verdict(a, b, higher, bound):
+    """The verdict on one metric: base runs `a`, new runs `b`, paired."""
+    wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
+    ma, mb = statistics.median(a), statistics.median(b)
+    gained = mb - ma if higher else ma - mb  # > 0: the new side is better
+    q1, q3 = quartiles(a)
+    if wins * 10 >= 9 * len(a) and gained > q3 - q1:
+        return "gain"
+    if bound is not None and -gained > bound * abs(ma):
+        return "worse"
+    return "unresolved"
 
 
 def main():
@@ -117,22 +141,24 @@ def main():
     print(f"digests {'match' if digests_match else 'DIFFER'}")
     ok = ok and digests_match
 
-    better = directions(base["tree"])
+    specs = metric_specs(base["tree"])
     print(f"\n{'metric':<28} {'base median [q1, q3]':>32} "
-          f"{'new median [q1, q3]':>32} {'change':>9} {'wins':>6}")
+          f"{'new median [q1, q3]':>32} {'change':>9} {'wins':>6}  verdict")
     for name in base["runs"][0]["metrics"]:
         if name not in new["runs"][0]["metrics"]:
             continue
         a = [r["metrics"][name] for r in base["runs"]]
         b = [r["metrics"][name] for r in new["runs"]]
-        higher = better.get(name, "lower") == "higher"
+        better, bound = specs.get(name, ("lower", None))
+        higher = better == "higher"
         wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
         ma, mb = statistics.median(a), statistics.median(b)
         change = f"{100.0 * (mb - ma) / ma:+.1f}%" if ma else "n/a"
         qa, qb = quartiles(a), quartiles(b)
         print(f"{name:<28} {f'{ma:.6g} [{qa[0]:.6g}, {qa[1]:.6g}]':>32} "
               f"{f'{mb:.6g} [{qb[0]:.6g}, {qb[1]:.6g}]':>32} "
-              f"{change:>9} {f'{wins}/{args.pairs}':>6}")
+              f"{change:>9} {f'{wins}/{args.pairs}':>6}  "
+              f"{verdict(a, b, higher, bound)}")
     sys.exit(0 if ok else 1)
 
 
